@@ -124,8 +124,8 @@ struct PerfMetric
     double wallSeconds = 0.0;  ///< total wall time measured
     double skipRatio = 0.0;    ///< skipped / (executed + skipped)
     uint64_t simCycles = 0;    ///< simulated cycles measured
-    /** Execution mode that produced the point (naive / fastforward /
-     *  compiled / compiled_verify); empty for kernel micro metrics. */
+    /** Execution mode that produced the point (naive / fastforward);
+     *  empty for kernel micro metrics. */
     std::string mode;
 };
 

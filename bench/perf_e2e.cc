@@ -2,17 +2,14 @@
  * @file
  * End-to-end perf-regression harness for the simulation kernels.
  *
- * Runs full experiments (cores + controller + DRAM) in three
- * execution modes — naive per-cycle loop, idle-skip fast-forward,
- * and compiled-schedule replay (sim.compiled, docs/PERF.md) — then:
+ * Runs full experiments (cores + controller + DRAM) in two execution
+ * modes — naive per-cycle loop and idle-skip fast-forward — then:
  *   1. writes BENCH_PERF.json (cycles/sec, wall time, skip ratio per
  *      point, each name labelled with its mode) via the shared
  *      bench_common reporter;
  *   2. asserts the fast path delivers >= 2x end-to-end cycles/sec on
- *      the idle-heavy fixed-service point (fs_np x hog), and that
- *      compiled replay delivers >= 10x over the naive loop on the
- *      same point — both ratios are self-relative, so they hold on
- *      loaded CI machines;
+ *      the idle-heavy fixed-service point (fs_np x hog) — a
+ *      self-relative ratio, so it holds on loaded CI machines;
  *   3. compares every point against the committed baseline
  *      (bench/BENCH_PERF_baseline.json) with a 25% tolerance —
  *      machine-sensitive, so it can be skipped independently.
@@ -53,7 +50,6 @@ enum class RunMode
 {
     Naive,       ///< per-cycle tick loop
     FastForward, ///< idle-skip hints
-    Compiled,    ///< fast-forward + table-driven replay
 };
 
 const char *
@@ -64,8 +60,6 @@ modeLabel(RunMode mode)
         return "naive";
     case RunMode::FastForward:
         return "fastforward";
-    case RunMode::Compiled:
-        return "compiled";
     }
     return "unknown";
 }
@@ -77,8 +71,6 @@ struct Accum
     uint64_t simCycles = 0;
     uint64_t executed = 0;
     uint64_t skipped = 0;
-    uint64_t compiledCommands = 0;
-    uint64_t compiledFallbacks = 0;
 };
 
 std::map<std::string, Accum> &
@@ -105,8 +97,6 @@ runE2E(benchmark::State &state, const std::string &base,
     // than trace replay into the LLCs.
     c.set("core.functional_warmup", 4000);
     c.set("sim.fastforward", mode != RunMode::Naive);
-    if (mode == RunMode::Compiled)
-        c.set("sim.compiled", "on");
     const std::string metric = modeMetricName(base, modeLabel(mode));
     Accum &acc = accums()[metric];
     acc.mode = modeLabel(mode);
@@ -119,8 +109,6 @@ runE2E(benchmark::State &state, const std::string &base,
         acc.simCycles += r.cyclesRun;
         acc.executed += r.cyclesExecuted;
         acc.skipped += r.cyclesSkipped;
-        acc.compiledCommands += r.compiledCommands;
-        acc.compiledFallbacks += r.compiledFallbacks;
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(
@@ -132,8 +120,7 @@ runE2E(benchmark::State &state, const std::string &base,
 // schedule (l = 43) under the memory-hogging co-runner profile.
 // Every core spends most cycles ROB-blocked on a slot that is many
 // cycles away, so the schedule is mostly statically dead time — the
-// case the idle-skip kernel exists for (~90% of cycles skipped), and
-// whose remaining per-slot scanning the compiled table replaces.
+// case the idle-skip kernel exists for (~90% of cycles skipped).
 void
 BM_E2E_FsNp_Naive(benchmark::State &state)
 {
@@ -149,13 +136,6 @@ BM_E2E_FsNp_FastForward(benchmark::State &state)
 }
 BENCHMARK(BM_E2E_FsNp_FastForward)->Unit(benchmark::kMillisecond);
 
-void
-BM_E2E_FsNp_Compiled(benchmark::State &state)
-{
-    runE2E(state, "e2e_fs_np_hog", "fs_np", "hog", RunMode::Compiled);
-}
-BENCHMARK(BM_E2E_FsNp_Compiled)->Unit(benchmark::kMillisecond);
-
 // Pointer-chasing mcf on the same schedule: lower skip ratio,
 // checks the win is not an artefact of one synthetic profile.
 void
@@ -166,18 +146,10 @@ BM_E2E_FsNpMcf_FastForward(benchmark::State &state)
 }
 BENCHMARK(BM_E2E_FsNpMcf_FastForward)->Unit(benchmark::kMillisecond);
 
-void
-BM_E2E_FsNpMcf_Compiled(benchmark::State &state)
-{
-    runE2E(state, "e2e_fs_np_mcf", "fs_np", "mcf", RunMode::Compiled);
-}
-BENCHMARK(BM_E2E_FsNpMcf_Compiled)->Unit(benchmark::kMillisecond);
-
 // Secondary points: rank-partitioned FS (densest schedule, l = 7 —
-// least to skip, the hardest case for both fast paths), temporal
-// partitioning (the prior-work secure scheduler, also replayable),
-// and the non-secure FRFCFS baseline (busy nearly every cycle;
-// guards against the hint queries themselves becoming a regression).
+// least to skip, the hardest case for the fast path) and the
+// non-secure FRFCFS baseline (busy nearly every cycle; guards against
+// the hint queries themselves becoming a regression).
 void
 BM_E2E_FsRp_FastForward(benchmark::State &state)
 {
@@ -185,20 +157,6 @@ BM_E2E_FsRp_FastForward(benchmark::State &state)
            RunMode::FastForward);
 }
 BENCHMARK(BM_E2E_FsRp_FastForward)->Unit(benchmark::kMillisecond);
-
-void
-BM_E2E_FsRp_Compiled(benchmark::State &state)
-{
-    runE2E(state, "e2e_fs_rp_mcf", "fs_rp", "mcf", RunMode::Compiled);
-}
-BENCHMARK(BM_E2E_FsRp_Compiled)->Unit(benchmark::kMillisecond);
-
-void
-BM_E2E_TpBp_Compiled(benchmark::State &state)
-{
-    runE2E(state, "e2e_tp_bp_mcf", "tp_bp", "mcf", RunMode::Compiled);
-}
-BENCHMARK(BM_E2E_TpBp_Compiled)->Unit(benchmark::kMillisecond);
 
 void
 BM_E2E_Frfcfs_FastForward(benchmark::State &state)
@@ -289,41 +247,7 @@ main(int argc, char **argv)
                      "incomplete under --benchmark_filter)\n";
     }
 
-    // Gate 2 (self-relative): compiled-schedule replay must deliver
-    // an order of magnitude over the naive loop on the same point —
-    // the headline contract of docs/PERF.md. Engagement is asserted
-    // too: a silently-declined table would otherwise coast through
-    // on fast-forward's win alone.
-    const PerfMetric *compiled =
-        reporter.find("e2e_fs_np_hog_compiled");
-    if (naive != nullptr && compiled != nullptr &&
-        naive->cyclesPerSec > 0) {
-        const Accum &acc = accums()["e2e_fs_np_hog_compiled"];
-        const double speedup =
-            compiled->cyclesPerSec / naive->cyclesPerSec;
-        std::cerr << "perf_e2e: fs_np compiled-replay speedup "
-                  << speedup << "x (gate: >= 10x)\n";
-        if (speedup < 10.0) {
-            std::cerr << "perf_e2e: FAIL — compiled-replay speedup "
-                         "below 10x on fs_np/hog\n";
-            rc = 1;
-        }
-        if (acc.compiledCommands == 0) {
-            std::cerr << "perf_e2e: FAIL — compiled point never "
-                         "replayed a command (table declined?)\n";
-            rc = 1;
-        }
-        if (acc.compiledFallbacks != 0) {
-            std::cerr << "perf_e2e: FAIL — compiled point fell back "
-                         "to interpreted scheduling mid-run\n";
-            rc = 1;
-        }
-    } else if (naive != nullptr || compiled != nullptr) {
-        std::cerr << "perf_e2e: compiled gate skipped (pair "
-                     "incomplete under --benchmark_filter)\n";
-    }
-
-    // Gate 3 (machine-sensitive): committed-baseline tolerance.
+    // Gate 2 (machine-sensitive): committed-baseline tolerance.
     if (std::getenv("MEMSEC_PERF_NO_BASELINE") != nullptr) {
         std::cerr << "perf_e2e: baseline comparison skipped "
                      "(MEMSEC_PERF_NO_BASELINE)\n";

@@ -487,62 +487,6 @@ ScheduleVerifier::verify(unsigned l) const
     return res;
 }
 
-CompiledSchedule
-ScheduleVerifier::compile(unsigned l) const
-{
-    CompiledSchedule cs;
-    cs.l = l;
-    cs.lead = lead_;
-
-    if (cfg_.refresh) {
-        cs.note = "refresh blackouts depend on the absolute slot index "
-                  "and are not frame-periodic";
-        return cs;
-    }
-
-    const VerifyResult res = verify(l);
-    cs.hyperperiod = res.hyperperiod;
-    cs.slotsChecked = res.slotsChecked;
-    cs.pairsChecked = res.pairsChecked;
-    if (!res.ok) {
-        cs.note = res.summary();
-        return cs;
-    }
-
-    for (uint64_t s = 0; s < slotsPerFrame_; ++s) {
-        CompiledSlot slot;
-        const DomainId d = domainOf(s);
-        slot.phantom = d == kPhantom;
-        slot.domain = slot.phantom ? 0 : d;
-        slot.group = static_cast<unsigned>(s % cfg_.bankGroups);
-
-        // All deltas are relative to the slot's decision cycle s*l;
-        // lead_ keeps them non-negative by construction.
-        const Cycle decision = s * l;
-        slot.actRead = actOf(s, l, false) - decision;
-        slot.casRead = casOf(s, l, false) - decision;
-        slot.dataRead = dataStartOf(s, l, false) - decision;
-        slot.actWrite = actOf(s, l, true) - decision;
-        slot.casWrite = casOf(s, l, true) - decision;
-        slot.dataWrite = dataStartOf(s, l, true) - decision;
-
-        // Completion prediction leans on data = cas + CL/CWL; if the
-        // offset geometry ever diverged from that identity the replay
-        // path would mispredict silently, so pin it here.
-        fatal_if(slot.dataRead != slot.casRead + tp_.cas,
-                 "compiled slot {}: dataRead != casRead + CL", s);
-        fatal_if(slot.dataWrite != slot.casWrite + tp_.cwd,
-                 "compiled slot {}: dataWrite != casWrite + CWL", s);
-        slot.completeRead = slot.dataRead + tp_.burst;
-        slot.completeWrite = slot.dataWrite + tp_.burst;
-
-        cs.slots.push_back(slot);
-    }
-
-    cs.valid = true;
-    return cs;
-}
-
 unsigned
 ScheduleVerifier::minimalFeasible(unsigned maxL) const
 {

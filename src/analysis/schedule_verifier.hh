@@ -36,7 +36,6 @@
 
 #include "core/pipeline_solver.hh"
 #include "dram/timing_rules.hh"
-#include "sim/compiled_schedule.hh"
 #include "sim/types.hh"
 
 namespace memsec::analysis {
@@ -128,16 +127,6 @@ class ScheduleVerifier
 
     /** Model-check slot spacing l over one hyperperiod. */
     VerifyResult verify(unsigned l) const;
-
-    /**
-     * Verify spacing l, then flatten one frame of the proven template
-     * into a CompiledSchedule for table-driven replay (docs/PERF.md).
-     * The result carries the verification provenance; it is marked
-     * invalid (with a reason) when verification fails or when the
-     * config models refresh epochs, whose blackouts depend on the
-     * absolute slot index and therefore do not repeat per frame.
-     */
-    CompiledSchedule compile(unsigned l) const;
 
     /** Smallest l in [1, maxL] with verify(l).ok; 0 if none. */
     unsigned minimalFeasible(unsigned maxL = 512) const;

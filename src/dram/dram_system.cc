@@ -217,14 +217,10 @@ DramSystem::issue(const Command &cmd, Cycle now)
     // Independent audit first, so a fast-path bug cannot mask a real
     // constraint violation. With an injector attached the checker
     // observes the mutated audit stream instead of the real command.
-    // Under sim.compiled=on the audit is skipped outright: legality of
-    // the replayed template is carried by the ScheduleVerifier's
-    // static hyperperiod proof (canIssue() above still enforces the
-    // fast-path state machine).
     if (injector_) {
         for (const auto &[acmd, at] : injector_->auditView(cmd, now))
             checker_.observe(acmd, at);
-    } else if (compiledMode_ != CompiledMode::On) {
+    } else {
         checker_.observe(cmd, now);
     }
     ++commandsIssued_;
@@ -298,40 +294,8 @@ DramSystem::issue(const Command &cmd, Cycle now)
 }
 
 void
-DramSystem::setCompiledMode(CompiledMode mode, size_t intervalCapacity)
-{
-    fatal_if(mode != CompiledMode::Off && injector_,
-             "sim.compiled requires fault injection to be off");
-    compiledMode_ = mode;
-    if (mode == CompiledMode::Off)
-        compiledEnergy_.deactivate();
-    else
-        compiledEnergy_.configure(numRanks(), intervalCapacity);
-}
-
-void
-DramSystem::accountCompiledSpan(Cycle from, Cycle to)
-{
-    // Refresh and power-down are excluded from compiled eligibility
-    // (scheduler side), so the only states to split are active vs
-    // precharge standby; the accountant's decision-time intervals are
-    // exactly the cycles some bank holds a row open.
-    const uint64_t span = to - from;
-    for (unsigned r = 0; r < ranks_.size(); ++r) {
-        const uint64_t act = compiledEnergy_.activeCyclesIn(r, from, to);
-        RankEnergyCounters &e = ranks_[r].energy();
-        e.cyclesActive += act;
-        e.cyclesPrecharge += span - act;
-    }
-}
-
-void
 DramSystem::tick(Cycle now)
 {
-    if (compiledEnergy_.active()) {
-        accountCompiledSpan(now, now + 1);
-        return;
-    }
     for (auto &rk : ranks_)
         rk.tickEnergy(now);
 }
@@ -339,10 +303,6 @@ DramSystem::tick(Cycle now)
 void
 DramSystem::fastForwardEnergy(Cycle from, Cycle to)
 {
-    if (compiledEnergy_.active()) {
-        accountCompiledSpan(from, to);
-        return;
-    }
     for (auto &rk : ranks_)
         rk.accountEnergySpan(from, to);
 }

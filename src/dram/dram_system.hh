@@ -22,7 +22,6 @@
 #include "dram/timing.hh"
 #include "dram/timing_checker.hh"
 #include "fault/command_log.hh"
-#include "sim/compiled_schedule.hh"
 #include "sim/types.hh"
 
 namespace memsec {
@@ -93,19 +92,6 @@ class DramSystem
     uint64_t commandsIssued() const { return commandsIssued_; }
 
     /**
-     * Compiled-replay integration (docs/PERF.md). In On mode the
-     * shadow TimingChecker is not consulted on issue() — legality is
-     * carried by the ScheduleVerifier's static hyperperiod proof — and
-     * rank energy residency comes from decision-time [ACT, CAS)
-     * intervals instead of per-cycle power-state sampling. Verify
-     * keeps the full audit. Incompatible with a fault injector (the
-     * audit stream is the whole point of an injection run).
-     */
-    void setCompiledMode(CompiledMode mode, size_t intervalCapacity);
-    CompiledMode compiledMode() const { return compiledMode_; }
-    CompiledEnergyAccountant &compiledEnergy() { return compiledEnergy_; }
-
-    /**
      * Attach a fault injector: the checker observes the injector's
      * mutated audit stream instead of the real command stream. Puts
      * this system and the checker into record-and-continue mode (an
@@ -152,12 +138,6 @@ class DramSystem
     ChannelBuses buses_;
     TimingChecker checker_;
     uint64_t commandsIssued_ = 0;
-
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    CompiledEnergyAccountant compiledEnergy_;
-
-    /** tick()/fastForwardEnergy() via the interval accountant. */
-    void accountCompiledSpan(Cycle from, Cycle to);
 
     fault::FaultInjector *injector_ = nullptr;
     RunReport *report_ = nullptr;

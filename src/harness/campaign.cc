@@ -130,7 +130,10 @@ Campaign::execute(size_t idx, const CampaignOptions &opts,
             try {
                 const std::string payload = decodeSnapshot(bytes, fp);
                 Deserializer d(payload);
-                o.result = deserializeResult(d);
+                ExperimentResult r = deserializeResult(d);
+                if (!d.atEnd())
+                    d.fail("trailing bytes after the result record");
+                o.result = std::move(r);
                 o.ok = true;
                 o.fromJournal = true;
             } catch (const SerializeError &e) {

@@ -21,7 +21,6 @@
 #include "sched/fs.hh"
 #include "sched/fs_reordered.hh"
 #include "sched/tp.hh"
-#include "sim/compiled_schedule.hh"
 #include "sim/simulator.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -79,13 +78,6 @@ defaultConfig()
     // Idle-skip fast forward (byte-identical to the naive loop; see
     // tests/test_fastforward_diff.cc). Off = force the naive loop.
     c.set("sim.fastforward", true);
-    // Table-driven schedule replay (docs/PERF.md): off | on | verify.
-    // Policies that cannot prove their template decline and keep the
-    // interpreted path; "verify" replays with the TimingChecker and
-    // completion predictions cross-checked every command.
-    c.set("sim.compiled", "off");
-    c.set("sim.compiled_ring", 64);
-    c.set("sim.compiled_intervals", 4096);
     // Fixed-capacity request pool for scheduler-internal operations
     // (dummies); heap fallback beyond this is a structured SimError,
     // never UB (tests/test_fixed_pool.cc).
@@ -503,24 +495,16 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         }
     }
 
-    // Compiled-schedule replay (sim.compiled, docs/PERF.md): decided
-    // last so the offer sees the final scheduler/injector wiring.
-    // Simulation-perturbing injection always keeps the interpreted
-    // path (the schedulers decline independently as well); snapshot-
-    // durability kinds never touch the simulation and may replay.
-    const CompiledMode compiledMode =
-        parseCompiledMode(cfg.getString("sim.compiled", "off"));
-    if (compiledMode != CompiledMode::Off &&
-        (!injector.enabled() || durabilityFault)) {
-        sched::CompiledReplayOptions copts;
-        copts.mode = compiledMode;
-        copts.ringCapacity = cfg.getUint("sim.compiled_ring", 64);
-        const size_t intervalCap =
-            cfg.getUint("sim.compiled_intervals", 4096);
-        for (auto &m : mcs) {
-            if (m->scheduler().enableCompiledReplay(copts))
-                m->dram().setCompiledMode(compiledMode, intervalCap);
-        }
+    // Table-driven schedule replay was removed; a config that still
+    // sets one of its keys would otherwise run interpreted in silence
+    // while the stale key kept moving the campaign fingerprint.
+    for (const char *key :
+         {"sim.compiled", "sim.compiled_ring", "sim.compiled_intervals"}) {
+        fatal_if(cfg.has(key),
+                 "config key '{}' was removed along with compiled "
+                 "schedule replay; delete it (every run is interpreted "
+                 "and audited by the TimingChecker)",
+                 key);
     }
 
     auto profiles = cpu::workloadMix(workload, cores);
@@ -828,10 +812,6 @@ ExperimentSystem::finish()
         res.cyclesExecuted += sm->cyclesExecuted();
         res.cyclesSkipped += sm->cyclesSkipped();
     }
-    for (auto &m : mcs) {
-        res.compiledCommands += m->scheduler().compiledCommands();
-        res.compiledFallbacks += m->scheduler().compiledFallbacks();
-    }
     for (auto &c : coreModels) {
         res.ipc.push_back(c->ipc());
         res.prefetchIssued += c->prefetchIssued();
@@ -1023,10 +1003,17 @@ runExperiment(const Config &cfg)
     return res;
 }
 
+namespace {
+
+/** Journal record tag; bump the version whenever the layout changes. */
+constexpr std::string_view kResultSection = "result/v2";
+
+} // namespace
+
 void
 serializeResult(Serializer &s, const ExperimentResult &r)
 {
-    s.section("result");
+    s.section(kResultSection);
     s.putString(r.scheme);
     s.putString(r.workload);
     s.putU32(r.cores);
@@ -1073,8 +1060,6 @@ serializeResult(Serializer &s, const ExperimentResult &r)
     }
     s.putU64(r.cyclesExecuted);
     s.putU64(r.cyclesSkipped);
-    s.putU64(r.compiledCommands);
-    s.putU64(r.compiledFallbacks);
     s.putBool(r.resumedFromSnapshot);
     s.putU32(r.effectiveChannels);
     s.putBool(r.geometryOverridden);
@@ -1091,7 +1076,7 @@ serializeResult(Serializer &s, const ExperimentResult &r)
 ExperimentResult
 deserializeResult(Deserializer &d)
 {
-    d.section("result");
+    d.section(kResultSection);
     ExperimentResult r;
     r.scheme = d.getString();
     r.workload = d.getString();
@@ -1145,8 +1130,6 @@ deserializeResult(Deserializer &d)
     }
     r.cyclesExecuted = d.getU64();
     r.cyclesSkipped = d.getU64();
-    r.compiledCommands = d.getU64();
-    r.compiledFallbacks = d.getU64();
     r.resumedFromSnapshot = d.getBool();
     r.effectiveChannels = d.getU32();
     r.geometryOverridden = d.getBool();

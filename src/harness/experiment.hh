@@ -84,10 +84,6 @@ struct ExperimentResult
     //    while every simulated observable stays byte-identical) --
     uint64_t cyclesExecuted = 0; ///< cycles the tick loop ran
     uint64_t cyclesSkipped = 0;  ///< cycles skipped by fast-forward
-    /** Commands applied via table-driven replay (sim.compiled). */
-    uint64_t compiledCommands = 0;
-    /** Replay -> interpreted fallbacks (ring exhaustion). */
-    uint64_t compiledFallbacks = 0;
     /** True when the run continued from an on-disk checkpoint rather
      *  than starting at cycle 0. Not part of resultDigest(): a
      *  resumed run's observables are byte-identical by contract. */
@@ -121,7 +117,11 @@ Config schemeConfig(const std::string &scheme);
 /** All scheme names schemeConfig() accepts. */
 std::vector<std::string> allSchemes();
 
-/** Codec for campaign journal entries (<fp>.done files). */
+/**
+ * Codec for campaign journal entries (<fp>.done files). The section
+ * tag carries the record layout version, so an entry written by an
+ * older layout fails to decode instead of decoding shifted.
+ */
 void serializeResult(Serializer &s, const ExperimentResult &r);
 ExperimentResult deserializeResult(Deserializer &d);
 

@@ -208,13 +208,6 @@ MemoryController::acquireRequest()
 }
 
 void
-MemoryController::recordError(const SimError &err)
-{
-    if (report_)
-        report_->record(err);
-}
-
-void
 MemoryController::finishRequest(std::unique_ptr<MemRequest> req,
                                 Cycle completeAt)
 {
@@ -246,12 +239,6 @@ void
 MemoryController::tick(Cycle now)
 {
     panic_if(!sched_, "MemoryController ticked without a scheduler");
-
-    // Compiled replay: apply every precomputed command with cycle <=
-    // now before delivering completions, so a CAS whose data burst
-    // ends this very cycle has pushed its completion in time.
-    if (sched_->compiledActive())
-        sched_->applyUpTo(now);
 
     // Queue-overflow injection: flood the queues with ghost reads
     // (no client, rotating domain) until one hits a full queue and
@@ -309,15 +296,8 @@ MemoryController::nextWakeCycle(Cycle now) const
 void
 MemoryController::fastForward(Cycle from, Cycle to)
 {
-    // Under compiled replay the span may hold precomputed commands
-    // (the wake hints only guarantee no *decisions* and no
-    // *completions* inside it); apply them now so a run ending on a
-    // jump still retires every command an interpreted run would have
-    // issued before `to`.
-    if (sched_ && sched_->compiledActive())
-        sched_->applyUpTo(to - 1);
-    // Beyond that the span is quiet; only the per-cycle energy state
-    // residency needs catching up.
+    // The span is quiet; only the per-cycle energy state residency
+    // needs catching up.
     dram_.fastForwardEnergy(from, to);
 }
 

@@ -148,9 +148,6 @@ class MemoryController : public Component
      */
     std::unique_ptr<MemRequest> acquireRequest();
 
-    /** Record a recoverable fault if a report is attached. */
-    void recordError(const SimError &err);
-
     // ---- simulation ----
 
     void tick(Cycle now) override;

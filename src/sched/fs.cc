@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/schedule_verifier.hh"
 #include "fault/fault_injector.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -130,143 +129,6 @@ FsScheduler::name() const
 }
 
 bool
-FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    if (opts.mode == CompiledMode::Off || compiledActive_)
-        return false;
-    // Refresh blackouts are keyed on the absolute slot index (not
-    // frame-periodic) and injected skew invalidates the template
-    // outright; both keep the interpreted path.
-    if (params_.refresh || injector_)
-        return false;
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-
-    // Re-prove this exact design point over its hyperperiod before
-    // trusting the table. The verifier builds one slot per domain;
-    // weighted tables repeat domains, so hand it the structural frame
-    // length (non-phantom slot count) — pair legality never depends
-    // on domain identity, only on slot distance and group lane.
-    unsigned structuralSlots = 0;
-    for (DomainId d : slotTable_)
-        structuralSlots += d == kPhantom ? 0 : 1;
-    analysis::VerifierConfig vcfg;
-    vcfg.ref = sol_.ref;
-    vcfg.level = levelOf(params_.mode);
-    vcfg.numDomains = structuralSlots;
-    vcfg.numRanks = dram_.numRanks();
-    vcfg.bankGroups = groups_;
-    vcfg.refresh = false;
-    const analysis::ScheduleVerifier verifier(dram_.timing(), vcfg);
-    CompiledSchedule table = verifier.compile(l_);
-    if (!table.valid)
-        return false;
-
-    // Cross-check the emitted structure against this scheduler's own
-    // template: a disagreement means the proof ran over a different
-    // schedule than the one we are about to replay.
-    fatal_if(table.l != l_ || table.lead != lead_,
-             "compiled table geometry mismatch: l {}/{} lead {}/{}",
-             table.l, l_, table.lead, lead_);
-    fatal_if(table.slots.size() != slotsPerFrame_,
-             "compiled table has {} slots, scheduler frame has {}",
-             table.slots.size(), slotsPerFrame_);
-    const auto &off = sol_.offsets;
-    const auto delta = [this](int o) {
-        return static_cast<Cycle>(static_cast<long>(lead_) + o);
-    };
-    for (uint64_t s = 0; s < slotsPerFrame_; ++s) {
-        CompiledSlot &slot = table.slots[s];
-        fatal_if(slot.phantom != (slotTable_[s] == kPhantom),
-                 "compiled table phantom mismatch at slot {}", s);
-        fatal_if(slot.actRead != delta(off.actRead) ||
-                     slot.casRead != delta(off.casRead) ||
-                     slot.actWrite != delta(off.actWrite) ||
-                     slot.casWrite != delta(off.casWrite),
-                 "compiled table command deltas mismatch at slot {}", s);
-        // The verifier numbers domains round-robin; adopt this
-        // scheduler's (possibly SLA-weighted) assignment.
-        if (!slot.phantom)
-            slot.domain = slotTable_[s];
-    }
-
-    table_ = std::move(table);
-    const auto &tp = dram_.timing();
-    completeReadDelta_ = tp.cas + tp.burst;
-    completeWriteDelta_ = tp.cwd + tp.burst;
-    ring_ = std::make_unique<ReplayRing<PlannedOp>>(opts.ringCapacity);
-    compiledMode_ = opts.mode;
-    compiledActive_ = true;
-    return true;
-}
-
-void
-FsScheduler::disableCompiled()
-{
-    compiledActive_ = false;
-    if (ring_)
-        ring_->clear();
-}
-
-void
-FsScheduler::enqueueReplay(PlannedOp &op, Cycle now)
-{
-    // Clientless ops (dummies) retire silently at CAS apply; only
-    // client-visible completions need an exact wake cycle.
-    const Cycle completeAt =
-        op.req->client
-            ? op.casAt +
-                  (op.write ? completeWriteDelta_ : completeReadDelta_)
-            : kNoCycle;
-    if (ring_->push({op.actAt, kNoCycle, &op, false}) &&
-        ring_->push({op.casAt, completeAt, &op, true}))
-        return;
-    // Ring exhausted: a structured, recoverable condition. The events
-    // are dropped wholesale and the interpreted issueDue() takes over
-    // from the planned-op flags — nothing is lost, only speed.
-    ++compiledFallbacks_;
-    mc_.recordError(
-        {now, "pool-exhausted",
-         "compiled replay ring capacity " +
-             std::to_string(ring_->capacity()) +
-             " exhausted; falling back to interpreted scheduling"});
-    disableCompiled();
-}
-
-void
-FsScheduler::applyUpTo(Cycle now)
-{
-    if (!compiledActive_)
-        return;
-    while (!ring_->empty() && ring_->front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_->front();
-        ring_->pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        op.suppressAct};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, op.suppressCas};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         ev.completeAt != kNoCycle &&
-                         res.dataEnd != ev.completeAt,
-                     "compiled completion mispredicted: device {} vs "
-                     "table {}",
-                     res.dataEnd, ev.completeAt);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), res.dataEnd);
-        }
-        ++compiledCmds_;
-    }
-}
-
-bool
 FsScheduler::bankFree(unsigned rank, unsigned bank, Cycle actAt) const
 {
     const unsigned nb = dram_.geometry().banksPerRank;
@@ -383,17 +245,6 @@ FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
 
     op.req = std::move(req);
     planned_.push_back(std::move(op));
-
-    // Compiled-energy intervals are fed at decision time for *every*
-    // op (suppressed commands still drive the device's row state), so
-    // they stay correct even after a mid-run fallback to interpreted
-    // issue. Replay events only while the ring is live.
-    PlannedOp &queued = planned_.back();
-    if (dram_.compiledEnergy().active())
-        dram_.compiledEnergy().addInterval(queued.req->loc.rank,
-                                           queued.actAt, queued.casAt);
-    if (compiledActive_)
-        enqueueReplay(queued, ref);
 }
 
 void
@@ -599,10 +450,7 @@ FsScheduler::tick(Cycle now)
     }
     if (now % l_ == 0)
         decideSlot(now / l_, now);
-    if (compiledActive_)
-        applyUpTo(now); // ops this decide may have cycles == now
-    else
-        issueDue(now);
+    issueDue(now);
     while (!planned_.empty() && !planned_.front().req)
         planned_.pop_front();
 }
@@ -611,14 +459,6 @@ Cycle
 FsScheduler::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
-    if (compiledActive_) {
-        // Decisions happen at slot boundaries; queued commands apply
-        // lazily, so only a client-visible completion forces an
-        // executed cycle between boundaries.
-        Cycle wake = (next + l_ - 1) / l_ * l_;
-        wake = std::min(wake, ring_->minCompletion());
-        return std::max(wake, next);
-    }
     Cycle wake = kNoCycle;
     if (nextRefresh_ != kNoCycle) {
         if (next >= nextRefresh_) {
@@ -824,35 +664,6 @@ FsScheduler::restoreState(Deserializer &d)
     hazardDeferrals_.restoreState(d);
     boostedActs_.restoreState(d);
     skewedOps_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring and the energy intervals from the restored plan. This is
-    // what makes checkpoints portable across sim.compiled modes.
-    if (compiledActive_) {
-        ring_->clear();
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().clearIntervals();
-        bool ok = true;
-        for (PlannedOp &op : planned_) {
-            if (!op.req)
-                continue; // CAS already applied; interval is all past
-            if (dram_.compiledEnergy().active())
-                dram_.compiledEnergy().addInterval(op.req->loc.rank,
-                                                   op.actAt, op.casAt);
-            const Cycle completeAt =
-                op.req->client
-                    ? op.casAt + (op.write ? completeWriteDelta_
-                                           : completeReadDelta_)
-                    : kNoCycle;
-            if (!op.actIssued)
-                ok = ok && ring_->push({op.actAt, kNoCycle, &op, false});
-            ok = ok && ring_->push({op.casAt, completeAt, &op, true});
-        }
-        if (!ok) {
-            ++compiledFallbacks_;
-            disableCompiled();
-        }
-    }
 }
 
 } // namespace memsec::sched

@@ -84,18 +84,6 @@ class FsScheduler : public Scheduler
     std::string name() const override;
     void registerStats(StatGroup &group) const override;
 
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
-
-    /** The verified table replay runs from (invalid when declined). */
-    const CompiledSchedule &compiledTable() const { return table_; }
-
     /**
      * Slot-skew injection point: real (non-dummy) operations planned
      * while the injector fires get their command cycles shifted,
@@ -106,10 +94,6 @@ class FsScheduler : public Scheduler
     void attachFaultInjector(fault::FaultInjector *inj) override
     {
         injector_ = inj;
-        // Skewed command cycles invalidate the precompiled template;
-        // injection runs always take the interpreted path.
-        if (inj)
-            disableCompiled();
     }
 
     /** Apply deferred energy accounting (power-down credits). */
@@ -171,11 +155,6 @@ class FsScheduler : public Scheduler
     void issueDue(Cycle now);
     void frameBoundary(uint64_t frame, Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
-
     Params params_;
     core::PipelineSolution sol_;
     unsigned l_ = 0;
@@ -216,21 +195,6 @@ class FsScheduler : public Scheduler
     Cycle refreshMargin_ = 0;
     Cycle refreshPause_ = 0;
     unsigned refreshRankCursor_ = 0;
-
-    /*
-     * Compiled-replay state (docs/PERF.md). All of it is derived:
-     * checkpoints serialize only planned_, and the ring and energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    CompiledSchedule table_;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
-    Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
-    Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
 
     Counter realOps_;
     Counter dummyOps_;

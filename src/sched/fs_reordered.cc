@@ -34,82 +34,6 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
 }
 
 bool
-FsReorderedScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    if (opts.mode == CompiledMode::Off || compiledActive_)
-        return false;
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    ring_ = std::make_unique<ReplayRing<PlannedOp>>(opts.ringCapacity);
-    compiledMode_ = opts.mode;
-    compiledActive_ = true;
-    return true;
-}
-
-void
-FsReorderedScheduler::disableCompiled()
-{
-    compiledActive_ = false;
-    if (ring_)
-        ring_->clear();
-}
-
-void
-FsReorderedScheduler::enqueueReplay(PlannedOp &op, Cycle now)
-{
-    // Clientless ops (dummies) retire silently at CAS apply; only a
-    // client-visible completion needs an exact wake cycle. Reads use
-    // the en-masse interval-end return, already in op.completeAt.
-    const Cycle completeAt = op.req->client ? op.completeAt : kNoCycle;
-    if (ring_->push({op.actAt, kNoCycle, &op, false}) &&
-        ring_->push({op.casAt, completeAt, &op, true}))
-        return;
-    ++compiledFallbacks_;
-    mc_.recordError(
-        {now, "pool-exhausted",
-         "compiled replay ring capacity " +
-             std::to_string(ring_->capacity()) +
-             " exhausted; falling back to interpreted scheduling"});
-    disableCompiled();
-}
-
-void
-FsReorderedScheduler::applyUpTo(Cycle now)
-{
-    if (!compiledActive_)
-        return;
-    while (!ring_->empty() && ring_->front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_->front();
-        ring_->pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        false};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            // Reads deliberately complete after the data burst (en
-            // masse at the interval end), so the device end is only a
-            // lower bound there; writes must match exactly.
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         (op.write ? res.dataEnd != op.completeAt
-                                   : res.dataEnd > op.completeAt),
-                     "compiled completion mispredicted: device {} vs "
-                     "planned {}",
-                     res.dataEnd, op.completeAt);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), op.completeAt);
-        }
-        ++compiledCmds_;
-    }
-}
-
-bool
 FsReorderedScheduler::bankFree(unsigned rank, unsigned bank,
                                Cycle actAt) const
 {
@@ -250,17 +174,6 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
                     worstData + (p.write ? off_.casWrite : off_.casRead),
                     p.write);
         planned_.push_back(std::move(op));
-        PlannedOp &queued = planned_.back();
-        // Compiled-energy intervals are fed at decision time for every
-        // op whenever the accountant is armed, replay-active or not:
-        // after a mid-run fallback the device still derives row
-        // residency from these spans.
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().addInterval(queued.req->loc.rank,
-                                               queued.actAt,
-                                               queued.casAt);
-        if (compiledActive_)
-            enqueueReplay(queued, now);
     }
 }
 
@@ -294,10 +207,7 @@ FsReorderedScheduler::tick(Cycle now)
 {
     if (now % q_ == 0)
         decideInterval(now / q_, now);
-    if (compiledActive_)
-        applyUpTo(now); // ops this decide may have cycles == now
-    else
-        issueDue(now);
+    issueDue(now);
     while (!planned_.empty() && !planned_.front().req)
         planned_.pop_front();
 }
@@ -308,12 +218,6 @@ FsReorderedScheduler::nextWakeCycle(Cycle now) const
     const Cycle next = now + 1;
     // Interval decisions happen at every multiple of q.
     Cycle wake = (next + q_ - 1) / q_ * q_;
-    if (compiledActive_) {
-        // Queued commands apply lazily; only a client-visible
-        // completion forces an executed cycle between intervals.
-        wake = std::min(wake, ring_->minCompletion());
-        return std::max(wake, next);
-    }
     for (const auto &op : planned_) {
         if (!op.actIssued) {
             if (op.actAt >= next)
@@ -409,32 +313,6 @@ FsReorderedScheduler::restoreState(Deserializer &d)
     realOps_.restoreState(d);
     dummyOps_.restoreState(d);
     hazardDeferrals_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring and the energy intervals from the restored plan. This is
-    // what makes checkpoints portable across sim.compiled modes.
-    if (compiledActive_) {
-        ring_->clear();
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().clearIntervals();
-        bool ok = true;
-        for (PlannedOp &op : planned_) {
-            if (!op.req)
-                continue; // CAS already applied; interval is all past
-            if (dram_.compiledEnergy().active())
-                dram_.compiledEnergy().addInterval(op.req->loc.rank,
-                                                   op.actAt, op.casAt);
-            const Cycle completeAt =
-                op.req->client ? op.completeAt : kNoCycle;
-            if (!op.actIssued)
-                ok = ok && ring_->push({op.actAt, kNoCycle, &op, false});
-            ok = ok && ring_->push({op.casAt, completeAt, &op, true});
-        }
-        if (!ok) {
-            ++compiledFallbacks_;
-            disableCompiled();
-        }
-    }
 }
 
 } // namespace memsec::sched

@@ -39,24 +39,6 @@ class FsReorderedScheduler : public Scheduler
     std::string name() const override { return "fs-reordered-bank"; }
     void registerStats(StatGroup &group) const override;
 
-    /**
-     * Reordered FS has no hyperperiod slot table the verifier can
-     * unroll: the interval's command layout depends on the domains'
-     * read/write mix, so the template is solver-derived per interval
-     * rather than statically enumerable. Replay therefore reuses the
-     * decide-time command cycles verbatim (exactly what the
-     * interpreted path would issue) and `sim.compiled=verify`
-     * re-checks every command against the dynamic TimingChecker.
-     */
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
-
     Cycle intervalLength() const { return q_; }
     const core::ReorderedSolution &solution() const { return sol_; }
 
@@ -86,11 +68,6 @@ class FsReorderedScheduler : public Scheduler
                                                Cycle actAt, Cycle now);
     void issueDue(Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
-
     Params params_;
     core::ReorderedSolution sol_;
     core::SlotOffsets off_{};
@@ -101,18 +78,6 @@ class FsReorderedScheduler : public Scheduler
     std::vector<Cycle> plannedBankFree_;
     std::vector<Rng> domainRng_;
     std::vector<size_t> dummyRr_;
-
-    /*
-     * Compiled-replay state (docs/PERF.md). Derived, never serialized:
-     * checkpoints carry only planned_, and the event ring plus energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
 
     Counter realOps_;
     Counter dummyOps_;

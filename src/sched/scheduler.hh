@@ -16,7 +16,6 @@
 #include <string>
 
 #include "mem/memory_controller.hh"
-#include "sim/compiled_schedule.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
@@ -25,14 +24,6 @@ class FaultInjector;
 }
 
 namespace memsec::sched {
-
-/** How a policy should run table-driven replay (docs/PERF.md). */
-struct CompiledReplayOptions
-{
-    CompiledMode mode = CompiledMode::Off;
-    /** Pending-command ring capacity (config sim.compiled_ring). */
-    size_t ringCapacity = 64;
-};
 
 /** Abstract scheduling policy. */
 class Scheduler
@@ -62,40 +53,6 @@ class Scheduler
 
     /** Policy name for reports. */
     virtual std::string name() const = 0;
-
-    /**
-     * Ask the policy to run in table-driven replay mode: commands are
-     * enqueued at decision time with precomputed cycles and applied
-     * lazily in global timestamp order via applyUpTo(), instead of
-     * being rediscovered by per-cycle scanning. Only policies whose
-     * schedule is a verified fixed template (the FS family, TP) can
-     * accept; the default — and any design point the policy cannot
-     * prove (refresh epochs, fault injection) — declines and keeps the
-     * interpreted path. Must be called before the first tick.
-     */
-    virtual bool enableCompiledReplay(const CompiledReplayOptions &opts)
-    {
-        (void)opts;
-        return false;
-    }
-
-    /** True while table-driven replay is driving this policy. A
-     *  policy may drop back to interpreted mode mid-run (ring
-     *  overflow); the controller re-checks every tick. */
-    virtual bool compiledActive() const { return false; }
-
-    /**
-     * Apply every queued replay command with cycle <= now to the DRAM
-     * model, in global timestamp order. Called by the controller at
-     * the top of each executed tick and on fast-forward jumps, so the
-     * device round-trips through exactly the states the interpreted
-     * path would have produced. No-op unless compiledActive().
-     */
-    virtual void applyUpTo(Cycle now) { (void)now; }
-
-    /** Kernel accounting (never part of the result digest). */
-    virtual uint64_t compiledCommands() const { return 0; }
-    virtual uint64_t compiledFallbacks() const { return 0; }
 
     /** Hook called once after the measured run (e.g. to settle
      *  deferred energy accounting). */

@@ -54,92 +54,6 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
         static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, 0);
 }
 
-bool
-TpScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    if (opts.mode == CompiledMode::Off || compiledActive_)
-        return false;
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    // Replay computes event cycles as `now + offset`; the solver may
-    // legally return a reference with negative offsets, which the
-    // interpreted arithmetic never sees for TP but would wrap here.
-    const auto &off = sol_.offsets;
-    if (off.actRead < 0 || off.casRead < 0 || off.actWrite < 0 ||
-        off.casWrite < 0)
-        return false;
-    const auto &tp = dram_.timing();
-    completeReadDelta_ = tp.cas + tp.burst;
-    completeWriteDelta_ = tp.cwd + tp.burst;
-    ring_ = std::make_unique<ReplayRing<PlannedOp>>(opts.ringCapacity);
-    compiledMode_ = opts.mode;
-    compiledActive_ = true;
-    return true;
-}
-
-void
-TpScheduler::disableCompiled()
-{
-    compiledActive_ = false;
-    if (ring_)
-        ring_->clear();
-}
-
-void
-TpScheduler::enqueueReplay(PlannedOp &op, Cycle now)
-{
-    const Cycle completeAt =
-        op.req->client
-            ? op.casAt +
-                  (op.write ? completeWriteDelta_ : completeReadDelta_)
-            : kNoCycle;
-    if (ring_->push({op.actAt, kNoCycle, &op, false}) &&
-        ring_->push({op.casAt, completeAt, &op, true}))
-        return;
-    // Ring exhausted: structured, recoverable. Drop the pair and let
-    // the interpreted issueDue() resume from the planned-op flags.
-    ++compiledFallbacks_;
-    mc_.recordError(
-        {now, "pool-exhausted",
-         "compiled replay ring capacity " +
-             std::to_string(ring_->capacity()) +
-             " exhausted; falling back to interpreted scheduling"});
-    disableCompiled();
-}
-
-void
-TpScheduler::applyUpTo(Cycle now)
-{
-    if (!compiledActive_)
-        return;
-    while (!ring_->empty() && ring_->front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_->front();
-        ring_->pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        false};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         ev.completeAt != kNoCycle &&
-                         res.dataEnd != ev.completeAt,
-                     "compiled completion mispredicted: device {} vs "
-                     "predicted {}",
-                     res.dataEnd, ev.completeAt);
-            mc_.noteBurst(false);
-            mc_.finishRequest(std::move(op.req), res.dataEnd);
-        }
-        ++compiledCmds_;
-    }
-}
-
 DomainId
 TpScheduler::activeDomain(Cycle now) const
 {
@@ -208,16 +122,6 @@ TpScheduler::decideSlot(Cycle now)
     reserveBank(op.req->loc.rank, op.req->loc.bank, op.actAt, op.casAt,
                 w);
     planned_.push_back(std::move(op));
-    PlannedOp &queued = planned_.back();
-    // Compiled-energy intervals are fed at decision time for every op
-    // whenever the accountant is armed, replay-active or not: after a
-    // mid-run fallback the device still derives row residency from
-    // these spans.
-    if (dram_.compiledEnergy().active())
-        dram_.compiledEnergy().addInterval(queued.req->loc.rank,
-                                           queued.actAt, queued.casAt);
-    if (compiledActive_)
-        enqueueReplay(queued, now);
 }
 
 void
@@ -254,10 +158,7 @@ TpScheduler::tick(Cycle now)
     // same deterministic issue opportunities.
     if ((now % params_.turnLength) % l_ == 0)
         decideSlot(now);
-    if (compiledActive_)
-        applyUpTo(now); // ops this decide may have cycles == now
-    else
-        issueDue(now);
+    issueDue(now);
     while (!planned_.empty() && !planned_.front().req)
         planned_.pop_front();
 }
@@ -274,13 +175,6 @@ TpScheduler::nextWakeCycle(Cycle now) const
     Cycle wake = turnStart + (inTurn + l_ - 1) / l_ * l_;
     if (wake >= turnStart + turn)
         wake = turnStart + turn;
-    if (compiledActive_) {
-        // Decisions happen at slot/turn boundaries; queued commands
-        // apply lazily, so only a client-visible completion forces an
-        // executed cycle in between.
-        wake = std::min(wake, ring_->minCompletion());
-        return std::max(wake, next);
-    }
     for (const auto &op : planned_) {
         if (!op.actIssued) {
             if (op.actAt >= next)
@@ -350,35 +244,6 @@ TpScheduler::restoreState(Deserializer &d)
     turns_.restoreState(d);
     served_.restoreState(d);
     idleSlots_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring and the energy intervals from the restored plan. This is
-    // what makes checkpoints portable across sim.compiled modes.
-    if (compiledActive_) {
-        ring_->clear();
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().clearIntervals();
-        bool ok = true;
-        for (PlannedOp &op : planned_) {
-            if (!op.req)
-                continue; // CAS already applied; interval is all past
-            if (dram_.compiledEnergy().active())
-                dram_.compiledEnergy().addInterval(op.req->loc.rank,
-                                                   op.actAt, op.casAt);
-            const Cycle completeAt =
-                op.req->client
-                    ? op.casAt + (op.write ? completeWriteDelta_
-                                           : completeReadDelta_)
-                    : kNoCycle;
-            if (!op.actIssued)
-                ok = ok && ring_->push({op.actAt, kNoCycle, &op, false});
-            ok = ok && ring_->push({op.casAt, completeAt, &op, true});
-        }
-        if (!ok) {
-            ++compiledFallbacks_;
-            disableCompiled();
-        }
-    }
 }
 
 } // namespace memsec::sched

@@ -48,23 +48,6 @@ class TpScheduler : public Scheduler
     std::string name() const override { return "tp"; }
     void registerStats(StatGroup &group) const override;
 
-    /**
-     * TP replay has no hyperperiod table to unroll (slots are anchored
-     * per turn and gated by the planned bank-reuse horizon), so there
-     * is no static proof artifact; replay trusts the same
-     * solver-derived in-turn offsets the interpreted path trusts, and
-     * `sim.compiled=verify` re-checks every command against the
-     * dynamic TimingChecker.
-     */
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
-
     /** Domain whose turn covers cycle `now`. */
     DomainId activeDomain(Cycle now) const;
 
@@ -99,11 +82,6 @@ class TpScheduler : public Scheduler
                      Cycle casAt, bool write);
     void issueDue(Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
-
     Params params_;
     bool sharedBanks_ = false;
     core::PipelineSolution sol_;
@@ -113,20 +91,6 @@ class TpScheduler : public Scheduler
 
     std::deque<PlannedOp> planned_;
     std::vector<Cycle> plannedBankFree_;
-
-    /*
-     * Compiled-replay state (docs/PERF.md). Derived, never serialized:
-     * checkpoints carry only planned_, and the event ring plus energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
-    Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
-    Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
 
     Counter turns_;
     Counter served_;

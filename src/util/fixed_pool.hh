@@ -2,11 +2,11 @@
  * @file
  * Fixed-capacity object pool for allocation-free steady state.
  *
- * The compiled-replay hot path (docs/PERF.md) must not touch the heap
- * once a run reaches steady state: a slot is decided, its commands are
- * queued, applied, and retired, and every object involved should come
- * from storage that was sized up front. FixedPool provides that
- * storage: objects are constructed lazily up to a hard capacity and
+ * A fixed-service scheduler allocates a dummy request for every slot
+ * its domain leaves empty, so on an idle schedule nearly every slot
+ * would otherwise hit the heap. Those requests should come from
+ * storage sized up front instead. FixedPool provides that storage:
+ * objects are constructed lazily up to a hard capacity and
  * recycled through a free list; exhaustion is a *structured*
  * condition (tryAcquire() returns nullptr, overflowError() describes
  * it as a SimError) rather than UB or an unbounded allocation.
@@ -14,9 +14,7 @@
  * Ownership transfers with the object: tryAcquire() hands out a
  * unique_ptr, release() takes it back for reuse. Callers that need
  * graceful degradation pair the pool with a heap fallback and route
- * returns by provenance (MemoryController's dummy-request recycling);
- * callers with a hard budget (ReplayRing) surface the SimError and
- * fall back to the interpreted path.
+ * returns by provenance (MemoryController's dummy-request recycling).
  */
 
 #ifndef MEMSEC_UTIL_FIXED_POOL_HH

@@ -226,6 +226,59 @@ TEST(CampaignResume, CorruptJournalEntryIgnoredAndReExecuted)
     EXPECT_TRUE(c.outcome(0).ok);
 }
 
+// An entry written by the previous record layout — untagged "result"
+// section, two extra u64 kernel counters after cyclesSkipped — under
+// a matching fingerprint must not decode shifted: it is warned about,
+// the run re-executes, and the campaign reports the fresh digest.
+TEST(CampaignResume, OldLayoutJournalEntryIgnoredAndReExecuted)
+{
+    const std::string dir = makeTempDir();
+    const Config cfg = smallConfig("fs_rp", "mcf", 1, dir);
+    Config plain = cfg;
+    plain.erase("ckpt.dir");
+    const ExperimentResult fresh = runExperiment(plain);
+
+    // Forge the old layout from the current one. Sentinel kernel
+    // counters mark where the two removed fields sat, and a perturbed
+    // metric makes a wrongly served entry visible in the digest.
+    ExperimentResult legacy = fresh;
+    legacy.meanReadLatency += 1.0;
+    legacy.cyclesExecuted = 0x1111222233334444ull;
+    legacy.cyclesSkipped = 0x5555666677778888ull;
+    Serializer cur;
+    serializeResult(cur, legacy);
+    Deserializer tag(cur.data());
+    tag.getString();
+    std::string body = cur.data().substr(tag.offset());
+    Serializer marks;
+    marks.putU64(legacy.cyclesExecuted);
+    marks.putU64(legacy.cyclesSkipped);
+    const size_t at = body.find(marks.data());
+    ASSERT_NE(at, std::string::npos);
+    body.insert(at + marks.size(), std::string(16, '\0'));
+    Serializer old;
+    old.section("result");
+    ASSERT_TRUE(writeFileAtomic(
+        dir + "/" + Campaign::fingerprint(cfg) + ".done",
+        encodeSnapshot(Campaign::fingerprint(cfg), old.data() + body)));
+
+    size_t executed = 0;
+    Campaign c([&](const Config &k) {
+        ++executed;
+        return runExperiment(k);
+    });
+    c.add("run", cfg);
+    testing::internal::CaptureStderr();
+    const CampaignSummary &s = c.run();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("journal entry"), std::string::npos) << err;
+    EXPECT_NE(err.find("re-executing run"), std::string::npos) << err;
+    EXPECT_EQ(executed, 1u);
+    EXPECT_EQ(s.journalHits, 0u);
+    EXPECT_FALSE(c.outcome(0).fromJournal);
+    EXPECT_EQ(resultDigest(c.result(0)), resultDigest(fresh));
+}
+
 // A run continued from a mid-flight snapshot is flagged in its result
 // and counted in the summary, and still digests identically to an
 // uninterrupted run.

@@ -219,62 +219,6 @@ TEST(CheckpointDiff, ThreeWayNaiveFastForwardRestored)
     EXPECT_GT(restored.cyclesSkipped, 0u);
 }
 
-// -- Compiled replay (sim.compiled) across checkpoint boundaries ---
-//
-// Checkpoints serialize only the planned-operation deque; the replay
-// event ring and the compiled-energy intervals are derived state,
-// rebuilt in restoreState(). These tests prove the rebuild is exact:
-// chunked compiled runs and cross-mode restores land on the naive
-// interpreted digest byte for byte.
-
-TEST(CheckpointDiff, CompiledReplaySurvivesRestores)
-{
-    for (const char *scheme : {"fs_rp", "tp_bp", "fs_reordered_bp"}) {
-        Config naive = diffConfig(scheme, "mcf", 1);
-        naive.set("sim.fastforward", false);
-        const ExperimentResult plain = runExperiment(naive);
-
-        Config compiled = diffConfig(scheme, "mcf", 1);
-        compiled.set("sim.compiled", "on");
-        const ExperimentResult restored = runWithRestores(compiled, 3);
-        EXPECT_EQ(resultDigest(plain), resultDigest(restored)) << scheme;
-        EXPECT_GT(restored.compiledCommands, 0u) << scheme;
-    }
-}
-
-// Save under the interpreted path, restore into a compiled-replay
-// system: the restored scheduler must adopt the mid-flight plan into
-// its freshly built event ring and continue digest-identically. (The
-// reverse direction — save under `on`, restore under off/verify — is
-// unsupported: the dynamic TimingChecker's shadow state was never fed
-// while replay skipped it; see docs/CHECKPOINT.md.)
-TEST(CheckpointDiff, CrossModeInterpretedSaveCompiledRestore)
-{
-    for (const char *scheme : {"fs_rp", "tp_bp", "fs_reordered_bp"}) {
-        const Config interp = diffConfig(scheme, "mcf", 1);
-        Config compiled = interp;
-        compiled.set("sim.compiled", "on");
-
-        const ExperimentResult plain = runExperiment(interp);
-
-        ExperimentSystem saver(interp);
-        saver.step(5000);
-        ASSERT_FALSE(saver.done());
-        Serializer s;
-        saver.saveState(s);
-
-        ExperimentSystem resumer(compiled);
-        Deserializer d(s.data());
-        resumer.restoreState(d);
-        while (!resumer.done())
-            resumer.step(4000);
-        const ExperimentResult res = resumer.finish();
-        EXPECT_EQ(resultDigest(plain), resultDigest(res)) << scheme;
-        EXPECT_GT(res.compiledCommands, 0u)
-            << scheme << ": restored run never replayed";
-    }
-}
-
 // -- runExperiment()-level snapshot lifecycle ----------------------
 
 // Periodic snapshot writes must not perturb the run, and the .snap

@@ -205,7 +205,7 @@ TEST(Config, DocConsistency)
     // `backtick-quoted` inline code). Keys only ever read with an
     // inline fallback are not enumerable here, but the defaults cover
     // every subsystem switch a user must know about — including the
-    // execution-mode keys (sim.fastforward, sim.compiled*) the perf
+    // execution-mode keys (sim.fastforward, sim.shards) the perf
     // architecture depends on.
     std::ifstream in(std::string(MEMSEC_SOURCE_DIR) +
                      "/docs/CONFIG.md");
@@ -224,5 +224,23 @@ TEST(Config, DocConsistency)
         EXPECT_NE(doc.find(scheme), std::string::npos)
             << "scheme '" << scheme
             << "' is not mentioned in docs/CONFIG.md";
+    }
+}
+
+TEST(Config, RemovedReplayKeysFatal)
+{
+    // A config that still sets a key of the removed compiled-replay
+    // mode must fail before the first cycle, naming the key, rather
+    // than run interpreted while the stale key moves its fingerprint.
+    for (const char *key :
+         {"sim.compiled", "sim.compiled_ring", "sim.compiled_intervals"}) {
+        Config c = harness::defaultConfig();
+        c.merge(harness::schemeConfig("fs_rp"));
+        c.set("cores", 4);
+        c.set(key, "off");
+        EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                    ::testing::ExitedWithCode(1),
+                    std::string("'") + key + "' was removed")
+            << key;
     }
 }

@@ -59,14 +59,17 @@ runBothModes(Config cfg)
     return out;
 }
 
+/** `overlay` is merged last, for design points no scheme names. */
 void
 expectIdentical(const std::string &scheme, const std::string &workload,
-                uint64_t seed)
+                uint64_t seed, const Config &overlay = Config())
 {
-    const DiffOutcome o =
-        runBothModes(diffConfig(scheme, workload, seed));
+    Config c = diffConfig(scheme, workload, seed);
+    c.merge(overlay);
+    const DiffOutcome o = runBothModes(c);
     EXPECT_EQ(resultDigest(o.naive), resultDigest(o.fast))
-        << scheme << "/" << workload << " seed=" << seed;
+        << scheme << "/" << workload << " seed=" << seed << " "
+        << overlay.toString();
     // The naive run must not have skipped anything, or the
     // comparison proves nothing.
     EXPECT_EQ(o.naive.cyclesSkipped, 0u) << scheme << "/" << workload;
@@ -80,6 +83,16 @@ TEST(FastForwardDiff, FsRankPartition)
 {
     expectIdentical("fs_rp", "mcf", 1);
     expectIdentical("fs_rp", "libquantum", 42);
+    // SLA-weighted slot table: domain 0 owns two slots per frame.
+    Config weighted;
+    weighted.set("fs.slot_weights", "2,1,1,1");
+    expectIdentical("fs_rp", "mcf", 1, weighted);
+    // Refresh epochs, where the FS wake hints are hardest: the REF
+    // burst issues one command per cycle and the epoch rollover must
+    // land on its exact cycle.
+    Config refresh;
+    refresh.set("dram.refresh", true);
+    expectIdentical("fs_rp", "mcf", 1, refresh);
 }
 
 TEST(FastForwardDiff, FsBankPartition)
@@ -214,158 +227,4 @@ TEST(FastForwardDiff, FastPathActuallySkips)
            "fixed-service schedule";
     EXPECT_EQ(o.naive.cyclesExecuted,
               o.fast.cyclesExecuted + o.fast.cyclesSkipped);
-}
-
-// ==================================================================
-// Compiled-schedule replay (sim.compiled, docs/PERF.md): the same
-// differential contract, third arm. A naive interpreted run and a
-// table-driven replay run (fast-forward + compiled) must produce
-// byte-identical result digests; the replay run must additionally
-// prove it actually engaged (compiledCommands > 0), or the
-// comparison proves nothing.
-// ==================================================================
-
-namespace {
-
-void
-expectCompiledIdentical(const std::string &scheme,
-                        const std::string &workload, uint64_t seed,
-                        const std::string &mode = "on")
-{
-    Config cfg = diffConfig(scheme, workload, seed);
-    cfg.set("sim.fastforward", false);
-    const ExperimentResult naive = runExperiment(cfg);
-    cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", mode);
-    const ExperimentResult compiled = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(naive), resultDigest(compiled))
-        << scheme << "/" << workload << " seed=" << seed
-        << " sim.compiled=" << mode;
-    EXPECT_GT(compiled.compiledCommands, 0u)
-        << scheme << "/" << workload
-        << ": replay never engaged, differential is vacuous";
-    EXPECT_EQ(compiled.compiledFallbacks, 0u)
-        << scheme << "/" << workload;
-    EXPECT_EQ(naive.compiledCommands, 0u);
-}
-
-} // namespace
-
-TEST(CompiledDiff, FsRankPartition)
-{
-    expectCompiledIdentical("fs_rp", "mcf", 1);
-    expectCompiledIdentical("fs_rp", "libquantum", 42);
-}
-
-TEST(CompiledDiff, FsBankPartition)
-{
-    expectCompiledIdentical("fs_bp", "mcf", 1);
-}
-
-TEST(CompiledDiff, FsNoPartition)
-{
-    expectCompiledIdentical("fs_np", "mcf", 1);
-    // The perf harness's headline idle-heavy point (bench/perf_e2e).
-    expectCompiledIdentical("fs_np", "hog", 1);
-}
-
-TEST(CompiledDiff, FsTripleAlternation)
-{
-    expectCompiledIdentical("fs_np_triple", "mcf", 3);
-}
-
-TEST(CompiledDiff, FsSlaWeights)
-{
-    // Weighted slot tables exercise the structural-frame cross-check
-    // between the scheduler's table and the verifier's unroll.
-    Config cfg = diffConfig("fs_rp", "mcf", 1);
-    cfg.set("fs.slot_weights", "2,1,1,1");
-    cfg.set("sim.fastforward", false);
-    const ExperimentResult naive = runExperiment(cfg);
-    cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", "on");
-    const ExperimentResult compiled = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(naive), resultDigest(compiled));
-    EXPECT_GT(compiled.compiledCommands, 0u);
-}
-
-TEST(CompiledDiff, FsReordered)
-{
-    expectCompiledIdentical("fs_reordered_bp", "mcf", 1);
-    expectCompiledIdentical("fs_reordered_bp", "milc", 42);
-}
-
-TEST(CompiledDiff, TpBankPartition)
-{
-    expectCompiledIdentical("tp_bp", "mcf", 1);
-}
-
-TEST(CompiledDiff, TpNoPartition)
-{
-    expectCompiledIdentical("tp_np", "mcf", 1);
-}
-
-// Verify mode replays from the table while keeping the dynamic
-// TimingChecker and the completion-prediction cross-check armed; it
-// must also be digest-identical (and catches a table that only
-// "works" because the checker stopped looking).
-TEST(CompiledDiff, VerifyModeIdentical)
-{
-    expectCompiledIdentical("fs_rp", "mcf", 1, "verify");
-    expectCompiledIdentical("fs_np", "hog", 1, "verify");
-    expectCompiledIdentical("tp_bp", "mcf", 1, "verify");
-    expectCompiledIdentical("fs_reordered_bp", "mcf", 1, "verify");
-}
-
-// Policies that cannot prove their template must decline and run
-// interpreted — with the refresh extension enabled the digest still
-// matches naive and no command is ever replayed.
-TEST(CompiledDiff, RefreshDeclinesToInterpreted)
-{
-    Config cfg = diffConfig("fs_rp", "mcf", 1);
-    cfg.set("dram.refresh", true);
-    cfg.set("sim.fastforward", false);
-    const ExperimentResult naive = runExperiment(cfg);
-    cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", "on");
-    const ExperimentResult compiled = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(naive), resultDigest(compiled));
-    EXPECT_EQ(compiled.compiledCommands, 0u);
-}
-
-// Slot-skew injection invalidates the fixed template outright: the
-// harness keeps injection runs interpreted, and the digest (including
-// per-rule violation totals) must match the naive injection run.
-TEST(CompiledDiff, SlotSkewFaultStaysInterpreted)
-{
-    Config cfg = diffConfig("fs_rp", "mcf", 1);
-    cfg.set("fault.kind", "slot-skew");
-    cfg.set("sim.fastforward", false);
-    const ExperimentResult naive = runExperiment(cfg);
-    cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", "on");
-    const ExperimentResult compiled = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(naive), resultDigest(compiled));
-    EXPECT_EQ(naive.violationRules, compiled.violationRules);
-    EXPECT_EQ(compiled.compiledCommands, 0u)
-        << "an injection run must never trust the compiled table";
-}
-
-// Ring exhaustion mid-run: replay drops back to the interpreted path
-// as a structured, digest-invisible event — observables still match
-// the naive run and the fallback is accounted, not silent.
-TEST(CompiledDiff, RingOverflowFallsBackLosslessly)
-{
-    // fs_rp's l = 7 pipeline keeps several ops in flight (each op is
-    // two ring events), so a 3-entry ring must spill.
-    Config cfg = diffConfig("fs_rp", "mcf", 1);
-    cfg.set("sim.fastforward", false);
-    const ExperimentResult naive = runExperiment(cfg);
-    cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", "on");
-    cfg.set("sim.compiled_ring", 3);
-    const ExperimentResult compiled = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(naive), resultDigest(compiled));
-    EXPECT_GE(compiled.compiledFallbacks, 1u)
-        << "a 3-entry ring must overflow on a loaded schedule";
 }

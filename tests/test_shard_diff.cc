@@ -144,14 +144,13 @@ TEST(ShardDiff, SlotSkewFaultInjection)
 
 // -- Sharding composes with the other kernel fast paths ------------
 
-TEST(ShardDiff, ComposesWithFastForwardAndCompiled)
+TEST(ShardDiff, ComposesWithFastForward)
 {
     Config cfg = shardConfig("fs_rp", "mcf", 2, 1);
     cfg.set("sim.fastforward", false);
     cfg.set("sim.shards", 1);
     const ExperimentResult naive = runExperiment(cfg);
     cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", "on");
     cfg.set("sim.shards", 2);
     const ExperimentResult sharded = runExperiment(cfg);
     EXPECT_EQ(resultDigest(naive), resultDigest(sharded));
