@@ -12,34 +12,21 @@ Cache::Cache(uint64_t sizeBytes, unsigned ways) : ways_(ways)
     const uint64_t lines = sizeBytes / kLineBytes;
     fatal_if(lines < ways || lines % ways != 0,
              "cache size {} not divisible into {} ways", sizeBytes, ways);
-    const uint64_t nsets = lines / ways;
-    fatal_if(!isPowerOf2(nsets), "cache set count must be a power of two");
-    sets_.resize(nsets);
-    for (auto &s : sets_)
-        s.ways.resize(ways);
-}
-
-unsigned
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<unsigned>((addr / kLineBytes) %
-                                 sets_.size());
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return (addr / kLineBytes) / sets_.size();
+    numSets_ = lines / ways;
+    fatal_if(!isPowerOf2(numSets_), "cache set count must be a power of two");
+    setBits_ = floorLog2(numSets_);
+    lines_.resize(lines);
 }
 
 Cache::Line *
 Cache::find(Addr addr)
 {
-    Set &set = sets_[setIndex(addr)];
-    const Addr tag = tagOf(addr);
-    for (auto &line : set.ways) {
-        if (line.valid && line.tag == tag)
-            return &line;
+    Line *set = setOf(addr);
+    // Dirty and prefetched are the only bits allowed to differ.
+    const uint64_t want = kValid | tagOf(addr);
+    for (unsigned w = 0; w < ways_; ++w) {
+        if ((set[w].tagFlags & ~(kDirty | kPrefetched)) == want)
+            return &set[w];
     }
     return nullptr;
 }
@@ -57,10 +44,10 @@ Cache::access(Addr addr, bool isStore)
     if (Line *line = find(addr)) {
         line->lruStamp = ++stamp_;
         if (isStore)
-            line->dirty = true;
-        if (line->prefetched) {
+            line->tagFlags |= kDirty;
+        if (line->tagFlags & kPrefetched) {
             res.prefetchHit = true;
-            line->prefetched = false;
+            line->tagFlags &= ~kPrefetched;
         }
         hits_.inc();
         res.hit = true;
@@ -82,28 +69,28 @@ Cache::fill(Addr addr, bool dirty, bool prefetched)
     FillResult res;
     if (Line *line = find(addr)) {
         // Already present (e.g. prefetch raced a demand fill).
-        line->dirty = line->dirty || dirty;
+        if (dirty)
+            line->tagFlags |= kDirty;
         return res;
     }
-    Set &set = sets_[setIndex(addr)];
-    Line *victim = &set.ways[0];
-    for (auto &line : set.ways) {
-        if (!line.valid) {
-            victim = &line;
+    Line *set = setOf(addr);
+    Line *victim = set;
+    for (unsigned w = 0; w < ways_; ++w) {
+        if (!(set[w].tagFlags & kValid)) {
+            victim = &set[w];
             break;
         }
-        if (line.lruStamp < victim->lruStamp)
-            victim = &line;
+        if (set[w].lruStamp < victim->lruStamp)
+            victim = &set[w];
     }
-    if (victim->valid && victim->dirty) {
+    if ((victim->tagFlags & (kValid | kDirty)) == (kValid | kDirty)) {
         res.evictedDirty = true;
         res.writebackAddr =
-            (victim->tag * sets_.size() + setIndex(addr)) * kLineBytes;
+            (((victim->tagFlags & ~kFlags) << setBits_) | setIndex(addr)) *
+            kLineBytes;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->tag = tagOf(addr);
+    victim->tagFlags = tagOf(addr) | kValid | (dirty ? kDirty : 0) |
+                       (prefetched ? kPrefetched : 0);
     victim->lruStamp = ++stamp_;
     return res;
 }
@@ -112,22 +99,20 @@ void
 Cache::markDirty(Addr addr)
 {
     if (Line *line = find(addr))
-        line->dirty = true;
+        line->tagFlags |= kDirty;
 }
 
 void
 Cache::saveState(Serializer &s) const
 {
     s.section("cache");
-    s.putU64(sets_.size());
-    for (const Set &set : sets_) {
-        for (const Line &line : set.ways) {
-            s.putU64(line.tag);
-            s.putBool(line.valid);
-            s.putBool(line.dirty);
-            s.putBool(line.prefetched);
-            s.putU64(line.lruStamp);
-        }
+    s.putU64(numSets_);
+    for (const Line &line : lines_) {
+        s.putU64(line.tagFlags & ~kFlags);
+        s.putBool(line.tagFlags & kValid);
+        s.putBool(line.tagFlags & kDirty);
+        s.putBool(line.tagFlags & kPrefetched);
+        s.putU64(line.lruStamp);
     }
     s.putU64(stamp_);
     hits_.saveState(s);
@@ -138,16 +123,20 @@ void
 Cache::restoreState(Deserializer &d)
 {
     d.section("cache");
-    if (d.getU64() != sets_.size())
+    if (d.getU64() != numSets_)
         d.fail("cache set count mismatch");
-    for (Set &set : sets_) {
-        for (Line &line : set.ways) {
-            line.tag = d.getU64();
-            line.valid = d.getBool();
-            line.dirty = d.getBool();
-            line.prefetched = d.getBool();
-            line.lruStamp = d.getU64();
-        }
+    for (Line &line : lines_) {
+        const uint64_t tag = d.getU64();
+        if (tag & kFlags)
+            d.fail("cache tag out of range");
+        line.tagFlags = tag;
+        if (d.getBool())
+            line.tagFlags |= kValid;
+        if (d.getBool())
+            line.tagFlags |= kDirty;
+        if (d.getBool())
+            line.tagFlags |= kPrefetched;
+        line.lruStamp = d.getU64();
     }
     stamp_ = d.getU64();
     hits_.restoreState(d);

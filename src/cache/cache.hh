@@ -66,7 +66,7 @@ class Cache
     /** Mark a resident line dirty (store completing after fill). */
     void markDirty(Addr addr);
 
-    unsigned numSets() const { return static_cast<unsigned>(sets_.size()); }
+    unsigned numSets() const { return static_cast<unsigned>(numSets_); }
     unsigned ways() const { return ways_; }
 
     const Counter &hits() const { return hits_; }
@@ -76,27 +76,38 @@ class Cache
     void restoreState(Deserializer &d);
 
   private:
+    /**
+     * One way, 16 bytes. The valid/dirty/prefetched flags live in the
+     * top three bits of `tagFlags`, which a tag never reaches: a tag
+     * is at most 64 - log2(kLineBytes) bits wide.
+     */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
+        uint64_t tagFlags = 0;
         uint64_t lruStamp = 0;
     };
 
-    struct Set
-    {
-        std::vector<Line> ways;
-    };
+    static constexpr uint64_t kValid = 1ull << 63;
+    static constexpr uint64_t kDirty = 1ull << 62;
+    static constexpr uint64_t kPrefetched = 1ull << 61;
+    static constexpr uint64_t kFlags = kValid | kDirty | kPrefetched;
+    static_assert(kLineBytes >= 8, "tags must leave the flag bits clear");
 
     Line *find(Addr addr);
     const Line *find(Addr addr) const;
-    unsigned setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    /** First way of `addr`'s set. */
+    Line *setOf(Addr addr) { return &lines_[setIndex(addr) * ways_]; }
+    uint64_t setIndex(Addr addr) const
+    {
+        return (addr / kLineBytes) & (numSets_ - 1);
+    }
+    Addr tagOf(Addr addr) const { return (addr / kLineBytes) >> setBits_; }
 
     unsigned ways_ = 0;
-    std::vector<Set> sets_;
+    uint64_t numSets_ = 0;
+    unsigned setBits_ = 0;
+    /** Set s occupies ways [s * ways_, (s + 1) * ways_). */
+    std::vector<Line> lines_;
     uint64_t stamp_ = 0;
     Counter hits_;
     Counter misses_;

@@ -4,6 +4,9 @@
 #include "cpu/trace_file.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <list>
+#include <mutex>
 
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -21,7 +24,47 @@ lineOf(Addr addr)
     return addr / kLineBytes * kLineBytes;
 }
 
+/** One memoized warm state. */
+struct WarmState
+{
+    std::string key; ///< warmupKey()
+    cache::Cache llc;
+    std::string trace; ///< TraceGenerator::saveState bytes
+};
+
+/** The process-wide warmup memo; every member is guarded by `mutex`. */
+struct WarmupMemo
+{
+    std::mutex mutex;
+    std::list<WarmState> lru; ///< most recently used first
+    WarmupMemoStats stats;
+};
+
+WarmupMemo &
+warmupMemo()
+{
+    static WarmupMemo memo;
+    return memo;
+}
+
 } // namespace
+
+WarmupMemoStats
+warmupMemoStats()
+{
+    WarmupMemo &memo = warmupMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.stats;
+}
+
+void
+resetWarmupMemo()
+{
+    WarmupMemo &memo = warmupMemo();
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    memo.lru.clear();
+    memo.stats = {};
+}
 
 CoreModel::CoreModel(std::string name, DomainId domain,
                      const Params &params, const WorkloadProfile &profile,
@@ -46,17 +89,86 @@ CoreModel::CoreModel(std::string name, DomainId domain,
     // Checkpoint restore rebinds request client pointers through this
     // registry, so every core must be reachable by its domain id.
     mc.registerClient(domain, this);
+    functionalWarmup(traceSeed);
+}
 
-    // Functional cache warmup: replay a trace prefix through the LLC
-    // with no timing so measurement starts from a warm cache, as the
-    // paper's fast-forwarded checkpoints do. Writebacks generated
-    // here are discarded (they happened "before" the simulation).
-    for (uint64_t i = 0; i < params.functionalWarmupRecords; ++i) {
-        const TraceRecord tr = trace_->next();
-        const Addr line = lineOf(tr.addr);
-        if (!llc_.access(line, tr.isStore).hit)
-            llc_.fill(line, tr.isStore);
+void
+CoreModel::functionalWarmup(uint64_t traceSeed)
+{
+    const uint64_t records = params_.functionalWarmupRecords;
+    if (records == 0)
+        return;
+    // Replay a trace prefix through the LLC with no timing so
+    // measurement starts from a warm cache, as the paper's
+    // fast-forwarded checkpoints do. Writebacks generated here are
+    // discarded (they happened "before" the simulation).
+    auto replay = [&] {
+        for (uint64_t i = 0; i < records; ++i) {
+            const TraceRecord tr = trace_->next();
+            const Addr line = lineOf(tr.addr);
+            if (!llc_.access(line, tr.isStore).hit)
+                llc_.fill(line, tr.isStore);
+        }
+    };
+    WarmupMemo &memo = warmupMemo();
+    // Only synthetic generators are memoized. A trace file can change
+    // on disk under the same path, and open-loop domains skip warmup
+    // unless a config asks for it explicitly.
+    const bool synthetic =
+        dynamic_cast<const SyntheticTraceGenerator *>(trace_.get());
+    if (!synthetic || params_.warmupMemoEntries == 0) {
+        replay();
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        ++memo.stats.bypasses;
+        return;
     }
+
+    const std::string key = warmupKey(profile_, traceSeed, records,
+                                      params_.llcBytes, params_.llcWays);
+    auto find = [&] {
+        return std::find_if(
+            memo.lru.begin(), memo.lru.end(),
+            [&](const WarmState &w) { return w.key == key; });
+    };
+    {
+        const std::lock_guard<std::mutex> lock(memo.mutex);
+        const auto it = find();
+        if (it != memo.lru.end()) {
+            memo.lru.splice(memo.lru.begin(), memo.lru, it);
+            ++memo.stats.hits;
+            llc_ = it->llc;
+            Deserializer d(it->trace);
+            trace_->restoreState(d);
+            return;
+        }
+    }
+
+    // Replayed outside the lock so parallel campaign workers warm
+    // different keys concurrently. Two workers racing on one key
+    // compute the same state; the first to finish stores it.
+    replay();
+    Serializer s;
+    trace_->saveState(s);
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    ++memo.stats.misses;
+    if (find() != memo.lru.end())
+        return;
+    if (memo.lru.size() < params_.warmupMemoEntries) {
+        memo.lru.push_front({key, llc_, s.take()});
+    } else {
+        // Full: overwrite the least recently used entry in place, so
+        // an equal-geometry cache reuses its buffer. Freeing it and
+        // allocating a fresh one fragments the heap enough to keep
+        // about half a MiB more resident once the runs are over.
+        memo.lru.splice(memo.lru.begin(), memo.lru,
+                        std::prev(memo.lru.end()));
+        WarmState &w = memo.lru.front();
+        w.key = key;
+        w.llc = llc_;
+        w.trace = s.take();
+    }
+    while (memo.lru.size() > params_.warmupMemoEntries)
+        memo.lru.pop_back();
 }
 
 double

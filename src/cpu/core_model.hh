@@ -36,6 +36,25 @@
 
 namespace memsec::cpu {
 
+/**
+ * Counts of the process-wide functional-warmup memo. Warm state is a
+ * pure function of warmupKey() (cpu/trace.hh), so a core whose key
+ * was warmed earlier in the process copies that LLC and generator
+ * state instead of replaying the records. Only synthetic generators
+ * are memoized; trace-file and open-loop cores replay every time.
+ */
+struct WarmupMemoStats
+{
+    uint64_t hits = 0;     ///< warm state copied from the memo
+    uint64_t misses = 0;   ///< warmup replayed, then memoized
+    uint64_t bypasses = 0; ///< warmup replayed without the memo
+};
+
+WarmupMemoStats warmupMemoStats();
+
+/** Forget every memoized warm state and zero the counts (tests). */
+void resetWarmupMemo();
+
 /** One simulated hardware thread / security domain. */
 class CoreModel : public Component, public mem::MemClient
 {
@@ -57,6 +76,10 @@ class CoreModel : public Component, public mem::MemClient
          *  the LLC at construction — the stand-in for the paper's
          *  50-billion-instruction fast-forward. */
         uint64_t functionalWarmupRecords = 0;
+        /** LRU bound of the process-wide warmup memo while this core
+         *  is built; the harness passes the system's core count.
+         *  0 runs the warmup unmemoized. */
+        unsigned warmupMemoEntries = 0;
     };
 
     CoreModel(std::string name, DomainId domain, const Params &params,
@@ -115,6 +138,10 @@ class CoreModel : public Component, public mem::MemClient
         bool demandTouched = false; ///< usefulness counted already
     };
 
+    /** Replay params_.functionalWarmupRecords records through the
+     *  LLC with no timing, or copy the identical warm state from the
+     *  process-wide memo (see WarmupMemoStats). */
+    void functionalWarmup(uint64_t traceSeed);
     /** Single point of ROB state transition, so the NeedsIssue count
      *  used by the retry/wake fast paths can never drift. */
     void setState(Record &rec, Record::State s);

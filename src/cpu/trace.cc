@@ -8,6 +8,54 @@
 
 namespace memsec::cpu {
 
+// Growing WorkloadProfile trips this on the reference ABI: put the new
+// field into warmupKey(), then update the size.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(WorkloadProfile) == 296,
+              "WorkloadProfile changed: extend warmupKey()");
+#endif
+
+std::string
+warmupKey(const WorkloadProfile &p, uint64_t traceSeed, uint64_t records,
+          uint64_t llcBytes, unsigned llcWays)
+{
+    Serializer s;
+    s.putString(p.name);
+    s.putDouble(p.memRatio);
+    s.putDouble(p.storeFraction);
+    s.putU64(p.footprintLines);
+    s.putDouble(p.streamFraction);
+    s.putU32(p.numStreams);
+    s.putU32(p.strideLines);
+    s.putDouble(p.reuseFraction);
+    s.putU32(p.mshrs);
+    s.putU64(p.phaseLength);
+    s.putDouble(p.phaseLowFactor);
+    s.putDouble(p.phaseHighFactor);
+    s.putU64(p.modWindowCycles);
+    s.putU64(p.modSecretSeed);
+    s.putU32(p.modSecretBits);
+    s.putDouble(p.modOffFactor);
+    s.putU64(p.modSymbols.size());
+    for (uint8_t sym : p.modSymbols)
+        s.putU8(sym);
+    s.putString(p.tracePath);
+    s.putString(p.trafficProcess);
+    s.putDouble(p.trafficRate);
+    s.putU32(p.trafficClients);
+    s.putDouble(p.trafficBurstFactor);
+    s.putDouble(p.trafficIdleFactor);
+    s.putDouble(p.trafficBurstLen);
+    s.putDouble(p.trafficIdleLen);
+    s.putDouble(p.trafficDiurnalPeriod);
+    s.putDouble(p.trafficDiurnalAmp);
+    s.putU64(traceSeed);
+    s.putU64(records);
+    s.putU64(llcBytes);
+    s.putU32(llcWays);
+    return s.take();
+}
+
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const WorkloadProfile &profile, uint64_t seed)
     : profile_(profile), rng_(seed ^ 0xABCD1234FEED5678ull)

@@ -168,6 +168,18 @@ struct WorkloadProfile
     double trafficDiurnalAmp = 0.0;
 };
 
+/**
+ * Identity of a core's functional warmup: every WorkloadProfile field
+ * bit for bit (doubles by their IEEE-754 pattern), then the trace
+ * seed, the warmup record count and the LLC geometry. Equal keys
+ * yield byte-identical warm LLC and generator state; the warmup memo
+ * (cpu/core_model.hh) relies on that. A new profile field must be
+ * added here.
+ */
+std::string warmupKey(const WorkloadProfile &profile, uint64_t traceSeed,
+                      uint64_t records, uint64_t llcBytes,
+                      unsigned llcWays);
+
 /** Profile-driven synthetic generator. */
 class SyntheticTraceGenerator : public TraceGenerator
 {

@@ -1,13 +1,13 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "cpu/core_model.hh"
 #include "cpu/workload.hh"
@@ -424,11 +424,23 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         // SLA issue-slot weights: "2,1,1,..." (one entry per domain).
         const std::string weights = cfg.getString("fs.slot_weights", "");
         if (!weights.empty()) {
-            std::istringstream ws(weights);
-            std::string tok;
-            while (std::getline(ws, tok, ','))
-                p.slotWeights.push_back(
-                    static_cast<unsigned>(std::stoul(tok)));
+            // Every comma-separated token must be a whole decimal
+            // number: "2,,1", "2,1," and "1x,1" are typos, not weights.
+            for (size_t pos = 0;;) {
+                const size_t comma = weights.find(',', pos);
+                const std::string tok = weights.substr(pos, comma - pos);
+                unsigned w = 0;
+                const char *end = tok.data() + tok.size();
+                const auto [ptr, ec] = std::from_chars(tok.data(), end, w);
+                fatal_if(tok.empty() || ec != std::errc() || ptr != end,
+                         "config key 'fs.slot_weights' has bad weight "
+                         "'{}' in '{}'",
+                         tok, weights);
+                p.slotWeights.push_back(w);
+                if (comma == std::string::npos)
+                    break;
+                pos = comma + 1;
+            }
         }
         for (unsigned m = 0; m < numMcs; ++m) {
             sched::FsScheduler::Params pm = p;
@@ -611,6 +623,7 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
                                         freshFrac));
         cp.functionalWarmupRecords =
             cfg.getUint("core.functional_warmup", warmDefault);
+        cp.warmupMemoEntries = cores;
         if (auditCore >= 0 && static_cast<unsigned>(auditCore) == i) {
             cp.captureTimeline = true;
             cp.progressInterval =

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <utility>
 
 #include "harness/experiment.hh"
 #include "sim/config.hh"
@@ -243,4 +244,31 @@ TEST(Config, RemovedReplayKeysFatal)
                     std::string("'") + key + "' was removed")
             << key;
     }
+}
+
+TEST(Config, SlotWeightsParseStrict)
+{
+    // Each comma-separated weight must be a whole decimal number; a
+    // bad token fails before the first cycle, naming the key and the
+    // token, instead of escaping as an exception or being truncated.
+    const std::pair<const char *, const char *> cases[] = {
+        {"2,,1", ""},  {"1x,1", "1x"}, {"2,1,", ""},
+        {",1", ""},    {"-1,1", "-1"}, {"1 ,1", "1 "},
+        {"99999999999,1", "99999999999"}};
+    for (const auto &[bad, token] : cases) {
+        Config c = harness::defaultConfig();
+        c.merge(harness::schemeConfig("fs_rp"));
+        c.set("cores", 2);
+        c.set("fs.slot_weights", bad);
+        EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                    ::testing::ExitedWithCode(1),
+                    std::string("'fs.slot_weights' has bad weight '") +
+                        token + "'")
+            << bad;
+    }
+    Config c = harness::defaultConfig();
+    c.merge(harness::schemeConfig("fs_rp"));
+    c.set("cores", 2);
+    c.set("fs.slot_weights", "2,1");
+    harness::ExperimentSystem ok(c);
 }
