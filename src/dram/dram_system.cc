@@ -37,6 +37,7 @@ DramSystem::DramSystem(const TimingParams &tp, const Geometry &geo)
     ranks_.reserve(geo.ranksPerChannel);
     for (unsigned r = 0; r < geo.ranksPerChannel; ++r)
         ranks_.emplace_back(geo.banksPerRank, tp_);
+    rankVersion_.assign(geo.ranksPerChannel, 0);
     crashHandlerId_ = addCrashHandler([this] {
         // Straight to stderr: this runs on the panic path, where the
         // quiet flag must not eat the post-mortem.
@@ -92,6 +93,9 @@ DramSystem::restoreState(Deserializer &d)
     commandsIssued_ = d.getU64();
     illegalIssues_ = d.getU64();
     cmdLog_.restoreState(d);
+    for (uint64_t &v : rankVersion_)
+        ++v;
+    ++busVersion_;
 }
 
 DramSystem::~DramSystem()
@@ -122,37 +126,53 @@ DramSystem::attachFaultInjector(fault::FaultInjector *inj)
     }
 }
 
-bool
-DramSystem::canIssue(const Command &cmd, Cycle now, std::string *why) const
+/**
+ * Folds the windows one command must clear into its earliest legal
+ * cycle. For canIssue()'s report it also remembers the first window,
+ * in rule order, still closed at the probe cycle.
+ */
+struct DramSystem::LegalWindow
 {
-    auto blocked = [&](const char *reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
+    Cycle probe = kNoCycle;
+    Cycle from = 0;
+    const char *why = nullptr;
 
-    if (!buses_.cmdBusFree(now))
-        return blocked("command bus busy");
+    void
+    atLeast(Cycle bound, const char *reason)
+    {
+        from = std::max(from, bound);
+        if (!why && bound > probe)
+            why = reason;
+    }
 
+    Cycle
+    never(const char *reason)
+    {
+        if (!why)
+            why = reason;
+        return kNoCycle;
+    }
+};
+
+Cycle
+DramSystem::legalFrom(const Command &cmd, LegalWindow &w) const
+{
     fatal_if(cmd.rank >= ranks_.size(), "rank {} out of range", cmd.rank);
     const Rank &rk = ranks_[cmd.rank];
     if (cmd.type != CmdType::PdExit) {
-        if (now < rk.refreshEndsAt())
-            return blocked("rank refreshing");
+        w.atLeast(rk.refreshEndsAt(), "rank refreshing");
         if (rk.isPoweredDown())
-            return blocked("rank powered down");
+            return w.never("rank powered down");
     }
 
     switch (cmd.type) {
       case CmdType::Act: {
         const Bank &bk = rk.bank(cmd.bank);
         if (bk.isOpen())
-            return blocked("bank has open row");
-        if (now < bk.nextAct())
-            return blocked("bank tRC/tRP");
-        if (now < rk.nextActRankLimit())
-            return blocked("rank tRRD/tFAW");
-        return true;
+            return w.never("bank has open row");
+        w.atLeast(bk.nextAct(), "bank tRC/tRP");
+        w.atLeast(rk.nextActRankLimit(), "rank tRRD/tFAW");
+        return w.from;
       }
       case CmdType::Rd:
       case CmdType::RdA:
@@ -161,46 +181,68 @@ DramSystem::canIssue(const Command &cmd, Cycle now, std::string *why) const
         const Bank &bk = rk.bank(cmd.bank);
         const bool rd = isRead(cmd.type);
         if (!bk.isOpen() || bk.openRow() != cmd.row)
-            return blocked("row not open");
-        if (rd && now < bk.nextRead())
-            return blocked("bank tRCD (read)");
-        if (!rd && now < bk.nextWrite())
-            return blocked("bank tRCD (write)");
-        if (rd && now < rk.nextRead())
-            return blocked("rank CAS turnaround (read)");
-        if (!rd && now < rk.nextWrite())
-            return blocked("rank CAS turnaround (write)");
-        const Cycle dataStart = now + (rd ? tp_.cas : tp_.cwd);
-        if (!buses_.dataBusFree(dataStart, cmd.rank))
-            return blocked("data bus / tRTRS");
-        return true;
+            return w.never("row not open");
+        if (rd) {
+            w.atLeast(bk.nextRead(), "bank tRCD (read)");
+            w.atLeast(rk.nextRead(), "rank CAS turnaround (read)");
+        } else {
+            w.atLeast(bk.nextWrite(), "bank tRCD (write)");
+            w.atLeast(rk.nextWrite(), "rank CAS turnaround (write)");
+        }
+        // The burst starts a fixed latency after the CAS.
+        const Cycle latency = rd ? tp_.cas : tp_.cwd;
+        const Cycle busFrom = buses_.earliestDataStart(cmd.rank);
+        w.atLeast(busFrom > latency ? busFrom - latency : 0,
+                  "data bus / tRTRS");
+        return w.from;
       }
       case CmdType::Pre: {
         const Bank &bk = rk.bank(cmd.bank);
         if (!bk.isOpen())
-            return blocked("bank already closed");
-        if (now < bk.nextPre())
-            return blocked("bank tRAS/tRTP/tWR");
-        return true;
+            return w.never("bank already closed");
+        w.atLeast(bk.nextPre(), "bank tRAS/tRTP/tWR");
+        return w.from;
       }
       case CmdType::Ref:
-        if (!rk.allBanksIdleBy(now))
-            return blocked("banks not precharged for REF");
-        return true;
+        if (rk.anyBankOpen())
+            return w.never("banks not precharged for REF");
+        for (unsigned b = 0; b < rk.numBanks(); ++b)
+            w.atLeast(rk.bank(b).nextAct(), "banks not precharged for REF");
+        return w.from;
       case CmdType::PdEnter:
         if (rk.anyBankOpen())
-            return blocked("open rows prevent power-down");
-        if (now < rk.pdExitReadyAt())
-            return blocked("tXP after power-down exit");
-        return true;
+            return w.never("open rows prevent power-down");
+        w.atLeast(rk.pdExitReadyAt(), "tXP after power-down exit");
+        return w.from;
       case CmdType::PdExit:
         if (!rk.isPoweredDown())
-            return blocked("rank not powered down");
-        if (now < rk.earliestPdExit())
-            return blocked("tCKE residency");
-        return true;
+            return w.never("rank not powered down");
+        w.atLeast(rk.earliestPdExit(), "tCKE residency");
+        return w.from;
     }
-    return blocked("unknown command");
+    return w.never("unknown command");
+}
+
+bool
+DramSystem::canIssue(const Command &cmd, Cycle now, std::string *why) const
+{
+    const char *reason = "command bus busy";
+    if (buses_.cmdBusFree(now)) {
+        LegalWindow w{now};
+        if (now >= legalFrom(cmd, w))
+            return true;
+        reason = w.why;
+    }
+    if (why)
+        *why = reason;
+    return false;
+}
+
+Cycle
+DramSystem::earliestIssue(const Command &cmd) const
+{
+    LegalWindow w;
+    return legalFrom(cmd, w);
 }
 
 IssueResult
@@ -242,6 +284,9 @@ DramSystem::issue(const Command &cmd, Cycle now)
     }
 
     buses_.useCmdBus(now);
+    ++rankVersion_[cmd.rank];
+    if (isColumn(cmd.type))
+        ++busVersion_;
 
     Rank &rk = ranks_[cmd.rank];
     IssueResult res;

@@ -54,10 +54,22 @@ class DramSystem
     DramSystem(const DramSystem &) = delete;
     DramSystem &operator=(const DramSystem &) = delete;
 
-    /** True if `cmd` may legally issue at cycle `now`; optionally
-     *  reports the blocking rule. */
+    /**
+     * True if `cmd` may legally issue at cycle `now`; optionally
+     * reports the blocking rule. Exactly
+     * `buses().cmdBusFree(now) && now >= earliestIssue(cmd)`.
+     */
     bool canIssue(const Command &cmd, Cycle now,
                   std::string *why = nullptr) const;
+
+    /**
+     * First cycle at which `cmd` is legal if no other command issues
+     * meanwhile, command bus aside; kNoCycle if it cannot become
+     * legal without another command (row state, power-down). Every
+     * window is a lower bound, so `cmd` stays legal at every later
+     * cycle with a free command bus.
+     */
+    Cycle earliestIssue(const Command &cmd) const;
 
     /**
      * Issue a command at cycle `now`. Panics if illegal. For column
@@ -90,6 +102,16 @@ class DramSystem
 
     /** Total commands issued. */
     uint64_t commandsIssued() const { return commandsIssued_; }
+
+    /**
+     * Legality versions, for callers caching earliestIssue(): the
+     * value for a command to rank `r` can change only when
+     * rankVersion(r) does, and for a column command also when
+     * dataBusVersion() does. Derived, never serialized; a restore
+     * advances them all.
+     */
+    uint64_t rankVersion(unsigned r) const { return rankVersion_[r]; }
+    uint64_t dataBusVersion() const { return busVersion_; }
 
     /**
      * Attach a fault injector: the checker observes the injector's
@@ -132,12 +154,21 @@ class DramSystem
     void restoreState(Deserializer &d);
 
   private:
+    /** Lower-bound accumulator behind canIssue()/earliestIssue(). */
+    struct LegalWindow;
+
+    /** The legality rules, written once: folds every window `cmd`
+     *  must clear into `w` and returns its earliest legal cycle. */
+    Cycle legalFrom(const Command &cmd, LegalWindow &w) const;
+
     TimingParams tp_;
     Geometry geo_;
     std::vector<Rank> ranks_;
     ChannelBuses buses_;
     TimingChecker checker_;
     uint64_t commandsIssued_ = 0;
+    std::vector<uint64_t> rankVersion_;
+    uint64_t busVersion_ = 0;
 
     fault::FaultInjector *injector_ = nullptr;
     RunReport *report_ = nullptr;

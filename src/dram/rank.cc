@@ -122,16 +122,6 @@ Rank::anyBankOpen() const
     return false;
 }
 
-bool
-Rank::allBanksIdleBy(Cycle t) const
-{
-    for (const auto &b : banks_) {
-        if (b.isOpen() || b.nextAct() > t)
-            return false;
-    }
-    return true;
-}
-
 void
 Rank::startRefresh(Cycle t)
 {

@@ -77,10 +77,6 @@ class Rank
     /** True iff any bank has an open row. */
     bool anyBankOpen() const;
 
-    /** True iff every bank can accept an ACT at or before cycle t
-     *  (used to check refresh preconditions). */
-    bool allBanksIdleBy(Cycle t) const;
-
     /** Begin a refresh at cycle t; blocks all banks for tRFC. */
     void startRefresh(Cycle t);
 

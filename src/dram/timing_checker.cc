@@ -138,8 +138,7 @@ TimingChecker::fail(Cycle t, const std::string &rule,
 }
 
 void
-TimingChecker::require(bool ok, Cycle t, RuleId rule,
-                       const std::string &detail)
+TimingChecker::require(bool ok, Cycle t, RuleId rule, const char *detail)
 {
     if (!ok)
         fail(t, ruleName(rule), detail);
@@ -153,9 +152,11 @@ TimingChecker::observe(const Command &cmd, Cycle t)
 
     // Shared command bus: exactly one command per cycle, time monotone.
     require(lastCmdCycle_ == kNoCycle || t > lastCmdCycle_, t,
-            RuleId::CmdBus,
-            "command at cycle " + std::to_string(t) +
-                " but bus last used at " + std::to_string(lastCmdCycle_));
+            RuleId::CmdBus, [&] {
+                return "command at cycle " + std::to_string(t) +
+                       " but bus last used at " +
+                       std::to_string(lastCmdCycle_);
+            });
     lastCmdCycle_ = t;
 
     // No commands to a refreshing or powered-down rank.
@@ -163,8 +164,9 @@ TimingChecker::observe(const Command &cmd, Cycle t)
     if (cmd.type != CmdType::PdExit) {
         require(t >= rk.refreshEnd || cmd.type == CmdType::Ref, t,
                 RuleId::Rfc, "command to rank during refresh");
-        require(!rk.poweredDown, t, RuleId::PowerDown,
-                std::string(cmdName(cmd.type)) + " to powered-down rank");
+        require(!rk.poweredDown, t, RuleId::PowerDown, [&] {
+            return std::string(cmdName(cmd.type)) + " to powered-down rank";
+        });
     }
     require(t >= rk.pdExitReadyAt || cmd.type == CmdType::PdExit, t,
             RuleId::Xp, "command before power-down exit latency elapsed");
@@ -216,25 +218,30 @@ TimingChecker::checkAct(const Command &cmd, Cycle t)
     require(bk.openRow == kNoRow, t, RuleId::RowState,
             "ACT to bank with open row");
     if (bk.lastAct != kNoCycle) {
-        require(t >= bk.lastAct + need(RuleId::Rc), t, RuleId::Rc,
-                "ACT-to-ACT gap " + std::to_string(t - bk.lastAct) +
-                    " < tRC");
+        require(t >= bk.lastAct + need(RuleId::Rc), t, RuleId::Rc, [&] {
+            return "ACT-to-ACT gap " + std::to_string(t - bk.lastAct) +
+                   " < tRC";
+        });
     }
-    require(t >= bk.preReadyAt, t, RuleId::Rp,
-            "ACT " + std::to_string(t) + " before precharge completes at " +
-                std::to_string(bk.preReadyAt));
+    require(t >= bk.preReadyAt, t, RuleId::Rp, [&] {
+        return "ACT " + std::to_string(t) + " before precharge completes at " +
+               std::to_string(bk.preReadyAt);
+    });
     if (!rk.actHistory.empty()) {
         require(t >= rk.actHistory.back() + need(RuleId::Rrd), t,
-                RuleId::Rrd,
-                "rank ACT-to-ACT gap " +
-                    std::to_string(t - rk.actHistory.back()) + " < tRRD");
+                RuleId::Rrd, [&] {
+                    return "rank ACT-to-ACT gap " +
+                           std::to_string(t - rk.actHistory.back()) +
+                           " < tRRD";
+                });
     }
     if (rk.actHistory.size() >= 4) {
         const Cycle fourth = rk.actHistory[rk.actHistory.size() - 4];
-        require(t >= fourth + need(RuleId::Faw), t, RuleId::Faw,
-                "fifth ACT within tFAW window (" +
-                    std::to_string(t - fourth) + " < " +
-                    std::to_string(need(RuleId::Faw)) + ")");
+        require(t >= fourth + need(RuleId::Faw), t, RuleId::Faw, [&] {
+            return "fifth ACT within tFAW window (" +
+                   std::to_string(t - fourth) + " < " +
+                   std::to_string(need(RuleId::Faw)) + ")";
+        });
     }
 
     bk.openRow = cmd.row;
@@ -255,12 +262,15 @@ TimingChecker::checkColumn(const Command &cmd, Cycle t)
 
     require(bk.openRow != kNoRow, t, RuleId::RowState,
             "column command to closed bank");
-    require(bk.openRow == cmd.row, t, RuleId::RowState,
-            "column command to row " + std::to_string(cmd.row) +
-                " but open row is " + std::to_string(bk.openRow));
+    require(bk.openRow == cmd.row, t, RuleId::RowState, [&] {
+        return "column command to row " + std::to_string(cmd.row) +
+               " but open row is " + std::to_string(bk.openRow);
+    });
     require(bk.lastAct == kNoCycle || t >= bk.lastAct + need(RuleId::Rcd),
-            t, RuleId::Rcd,
-            "CAS " + std::to_string(t - bk.lastAct) + " after ACT < tRCD");
+            t, RuleId::Rcd, [&] {
+                return "CAS " + std::to_string(t - bk.lastAct) +
+                       " after ACT < tRCD";
+            });
 
     // Same-rank CAS-to-CAS turnaround.
     if (rk.lastRdCas != kNoCycle) {
@@ -269,19 +279,21 @@ TimingChecker::checkColumn(const Command &cmd, Cycle t)
                     "RD-to-RD same rank < tCCD");
         } else {
             require(t >= rk.lastRdCas + need(RuleId::Rd2Wr), t,
-                    RuleId::Rd2Wr,
-                    "RD-to-WR same rank gap " +
-                        std::to_string(t - rk.lastRdCas) + " < " +
-                        std::to_string(need(RuleId::Rd2Wr)));
+                    RuleId::Rd2Wr, [&] {
+                        return "RD-to-WR same rank gap " +
+                               std::to_string(t - rk.lastRdCas) + " < " +
+                               std::to_string(need(RuleId::Rd2Wr));
+                    });
         }
     }
     if (rk.lastWrCas != kNoCycle) {
         if (rd) {
             require(t >= rk.lastWrCas + need(RuleId::Wr2Rd), t,
-                    RuleId::Wr2Rd,
-                    "WR-to-RD same rank gap " +
-                        std::to_string(t - rk.lastWrCas) + " < " +
-                        std::to_string(need(RuleId::Wr2Rd)));
+                    RuleId::Wr2Rd, [&] {
+                        return "WR-to-RD same rank gap " +
+                               std::to_string(t - rk.lastWrCas) + " < " +
+                               std::to_string(need(RuleId::Wr2Rd));
+                    });
         } else {
             require(t >= rk.lastWrCas + need(RuleId::Ccd), t, RuleId::Ccd,
                     "WR-to-WR same rank < tCCD");
@@ -291,16 +303,17 @@ TimingChecker::checkColumn(const Command &cmd, Cycle t)
     // Data-bus occupancy and rank-to-rank switching.
     const Cycle dataStart = t + (rd ? tp_.cas : tp_.cwd);
     if (lastDataStart_ != kNoCycle) {
-        require(dataStart >= lastDataEnd_, t, RuleId::DataBus,
-                "burst at " + std::to_string(dataStart) +
-                    " overlaps burst ending " +
-                    std::to_string(lastDataEnd_));
+        require(dataStart >= lastDataEnd_, t, RuleId::DataBus, [&] {
+            return "burst at " + std::to_string(dataStart) +
+                   " overlaps burst ending " + std::to_string(lastDataEnd_);
+        });
         if (cmd.rank != lastDataRank_) {
             require(dataStart >= lastDataEnd_ + need(RuleId::Rtrs), t,
-                    RuleId::Rtrs,
-                    "rank switch gap " +
-                        std::to_string(dataStart - lastDataEnd_) +
-                        " < tRTRS");
+                    RuleId::Rtrs, [&] {
+                        return "rank switch gap " +
+                               std::to_string(dataStart - lastDataEnd_) +
+                               " < tRTRS";
+                    });
         }
     }
     lastDataStart_ = dataStart;
@@ -336,8 +349,10 @@ TimingChecker::checkPre(const Command &cmd, Cycle t)
     require(bk.openRow != kNoRow, t, RuleId::RowState,
             "PRE to closed bank");
     require(bk.lastAct == kNoCycle || t >= bk.lastAct + need(RuleId::Ras),
-            t, RuleId::Ras,
-            "PRE " + std::to_string(t - bk.lastAct) + " after ACT < tRAS");
+            t, RuleId::Ras, [&] {
+                return "PRE " + std::to_string(t - bk.lastAct) +
+                       " after ACT < tRAS";
+            });
     if (bk.lastRdCas != kNoCycle) {
         require(t >= bk.lastRdCas + need(RuleId::Rtp), t, RuleId::Rtp,
                 "PRE too soon after column read");
@@ -358,11 +373,13 @@ TimingChecker::checkRef(const Command &cmd, Cycle t)
     for (unsigned b = 0; b < nbanks_; ++b) {
         const BankShadow &bk =
             banks_[static_cast<size_t>(cmd.rank) * nbanks_ + b];
-        require(bk.openRow == kNoRow, t, RuleId::RowState,
-                "REF with open row in bank " + std::to_string(b));
-        require(t >= bk.preReadyAt, t, RuleId::Rp,
-                "REF before precharge completes in bank " +
-                    std::to_string(b));
+        require(bk.openRow == kNoRow, t, RuleId::RowState, [&] {
+            return "REF with open row in bank " + std::to_string(b);
+        });
+        require(t >= bk.preReadyAt, t, RuleId::Rp, [&] {
+            return "REF before precharge completes in bank " +
+                   std::to_string(b);
+        });
     }
     require(t >= rk.refreshEnd, t, RuleId::Rfc, "REF during REF");
     rk.refreshEnd = t + need(RuleId::Rfc);

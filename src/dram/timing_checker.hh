@@ -17,6 +17,7 @@
 #ifndef MEMSEC_DRAM_TIMING_CHECKER_HH
 #define MEMSEC_DRAM_TIMING_CHECKER_HH
 
+#include <concepts>
 #include <deque>
 #include <map>
 #include <string>
@@ -119,7 +120,18 @@ class TimingChecker
     };
 
     void fail(Cycle t, const std::string &rule, const std::string &detail);
-    void require(bool ok, Cycle t, RuleId rule, const std::string &detail);
+    void require(bool ok, Cycle t, RuleId rule, const char *detail);
+
+    /** require() with a computed message: `detail()` builds it, and
+     *  runs only when the rule fails (a passing check formats
+     *  nothing). */
+    template <std::invocable Detail>
+    void
+    require(bool ok, Cycle t, RuleId rule, Detail &&detail)
+    {
+        if (!ok)
+            fail(t, ruleName(rule), detail());
+    }
 
     /** Shared-table minimum gap, as a Cycle for horizon arithmetic. */
     Cycle need(RuleId id) const

@@ -1,9 +1,27 @@
 #include "mem/transaction_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace memsec::mem {
+
+namespace {
+
+TransactionQueue::Entry
+entryFor(MemRequest &r)
+{
+    return {&r, r.arrival, r.id, r.loc.row, r.loc.rank, r.loc.bank};
+}
+
+bool
+isWrite(const MemRequest &r)
+{
+    return r.type == ReqType::Write;
+}
+
+} // namespace
 
 void
 TransactionQueue::saveState(Serializer &s) const
@@ -22,7 +40,10 @@ TransactionQueue::restoreState(
     d.section("txq");
     const uint64_t n = d.getU64();
     entries_.clear();
+    views_[0].clear();
+    views_[1].clear();
     reads_ = 0;
+    ++mutations_;
     for (uint64_t i = 0; i < n; ++i) {
         bool hadClient = false;
         auto req = deserializeRequest(d, &hadClient);
@@ -30,6 +51,7 @@ TransactionQueue::restoreState(
             req->client = clientOf(*req);
         if (req->isRead())
             ++reads_;
+        views_[isWrite(*req)].push_back(entryFor(*req));
         entries_.push_back(std::move(req));
     }
 }
@@ -49,7 +71,9 @@ TransactionQueue::push(std::unique_ptr<MemRequest> req)
              "push to full transaction queue (domain {})", req->domain);
     if (req->isRead())
         ++reads_;
+    views_[isWrite(*req)].push_back(entryFor(*req));
     entries_.push_back(std::move(req));
+    ++mutations_;
 }
 
 const MemRequest *
@@ -84,26 +108,24 @@ std::unique_ptr<MemRequest>
 TransactionQueue::popOldest()
 {
     panic_if(entries_.empty(), "popOldest on empty queue");
-    auto req = std::move(entries_.front());
-    entries_.pop_front();
-    if (req->isRead())
-        --reads_;
-    return req;
+    return take(entries_.front().get());
 }
 
 std::unique_ptr<MemRequest>
 TransactionQueue::take(const MemRequest *req)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->get() == req) {
-            auto out = std::move(*it);
-            entries_.erase(it);
-            if (out->isRead())
-                --reads_;
-            return out;
-        }
-    }
-    panic("take: request not in queue");
+    auto it = std::find_if(entries_.begin(), entries_.end(),
+                           [req](const auto &e) { return e.get() == req; });
+    panic_if(it == entries_.end(), "take: request not in queue");
+    std::vector<Entry> &view = views_[isWrite(*req)];
+    view.erase(std::find_if(view.begin(), view.end(),
+                            [req](const Entry &e) { return e.req == req; }));
+    auto out = std::move(*it);
+    entries_.erase(it);
+    if (out->isRead())
+        --reads_;
+    ++mutations_;
+    return out;
 }
 
 bool

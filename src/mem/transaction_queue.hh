@@ -15,6 +15,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "mem/request.hh"
 
@@ -29,6 +31,23 @@ namespace memsec::mem {
 class TransactionQueue
 {
   public:
+    /**
+     * Compact copy of the fields FR-FCFS selects on, kept per class
+     * (reads, writes) in queue order beside the owned requests, so
+     * its per-tick scan reads one contiguous array of the class it
+     * serves instead of chasing MemRequest pointers. The copied
+     * fields never change while a request is queued.
+     */
+    struct Entry
+    {
+        MemRequest *req = nullptr; ///< owned by the queue
+        Cycle arrival = 0;
+        ReqId id = 0;
+        unsigned row = 0;
+        unsigned rank = 0;
+        unsigned bank = 0;
+    };
+
     TransactionQueue(size_t readCapacity, size_t writeCapacity);
 
     size_t readCapacity() const { return readCap_; }
@@ -56,6 +75,19 @@ class TransactionQueue
 
     /** Entry at position i (0 = oldest). */
     const MemRequest *at(size_t i) const { return entries_.at(i).get(); }
+
+    /**
+     * The queued writes (`writes`) or reads (incl. prefetches), oldest
+     * first. Non-const because it hands out the requests themselves
+     * (a scheduler stamps firstCommand on a queued request).
+     */
+    std::span<const Entry> view(bool writes) { return views_[writes]; }
+
+    /**
+     * Bumped by every push, take, pop and restore: equal values mean
+     * the queue's contents are unchanged. Derived, never serialized.
+     */
+    uint64_t mutations() const { return mutations_; }
 
     /** Oldest entry satisfying pred, or nullptr. A const queue hands
      *  out a const pointer — the old single const method returned a
@@ -93,6 +125,8 @@ class TransactionQueue
     size_t writeCap_ = 0;
     size_t reads_ = 0;
     std::deque<std::unique_ptr<MemRequest>> entries_;
+    std::vector<Entry> views_[2]; ///< [write]: entries_ of one class
+    uint64_t mutations_ = 0;
 };
 
 } // namespace memsec::mem

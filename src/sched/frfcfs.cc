@@ -8,176 +8,170 @@
 namespace memsec::sched {
 
 using mem::MemRequest;
-using mem::ReqType;
 using dram::CmdType;
-using dram::Command;
+using Entry = mem::TransactionQueue::Entry;
 
 FrFcfsEngine::FrFcfsEngine(mem::MemoryController &mc, const Options &opt)
-    : mc_(mc), dram_(mc.dram()), opt_(opt)
+    : mc_(mc), dram_(mc.dram()), opt_(opt),
+      banksPerRank_(dram_.geometry().banksPerRank)
 {
-}
-
-void
-FrFcfsEngine::updateDrainMode(const std::vector<DomainId> &domains)
-{
-    size_t writes = 0;
-    size_t reads = 0;
-    for (DomainId d : domains) {
-        writes += mc_.queue(d).writeCount();
-        reads += mc_.queue(d).readCount();
-    }
-    if (drainingWrites_) {
-        if (writes <= opt_.writeLoWatermark)
-            drainingWrites_ = false;
-    } else if (writes >= opt_.writeHiWatermark ||
-               (reads == 0 && writes > 0)) {
-        drainingWrites_ = true;
-    }
+    for (DomainId d = 0; d < mc.numDomains(); ++d)
+        queues_.push_back(&mc.queue(d));
+    const size_t banks =
+        static_cast<size_t>(dram_.numRanks()) * banksPerRank_;
+    memo_.resize(banks);
+    touched_.reserve(banks);
+    useful_.resize((banks + 63) / 64);
 }
 
 bool
-FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
-                   const TurnGate &gate)
+FrFcfsEngine::nextDrainMode() const
 {
-    updateDrainMode(domains);
-    const bool wantWrites = drainingWrites_;
-
-    // Type-aware turn-end gates (see TurnGate): each bound keeps the
-    // command's shared-state footprint inside the current turn.
-    const auto &tp = dram_.timing();
-    bool mayAct = true;
-    bool mayCasRead = true;
-    bool mayCasWrite = true;
-    bool inDeadTime = false;
-    if (gate.turnEnd != kNoCycle) {
-        const Cycle tE = gate.turnEnd;
-        // Reads: burst plus a rank switch must end by tE.
-        mayCasRead = now + tp.cas + tp.burst + tp.rtrs <= tE;
-        if (gate.sharedBanks) {
-            // Writes must also reach precharged state by tE.
-            mayCasWrite =
-                now + tp.cwd + tp.burst + tp.wr + tp.rp <= tE;
-            // An ACT must allow tRAS + tRP before tE.
-            mayAct = now + tp.ras + tp.rp <= tE;
-        } else {
-            // Private banks: rows persist, but the write-to-read
-            // turnaround and the tFAW window must not spill.
-            mayCasWrite = now + tp.wr2rd() <= tE;
-            mayAct = now + (tp.faw - 3 * tp.rrd) + 1 <= tE;
-        }
-        if (gate.deadTime > 0)
-            mayAct = mayAct && now + gate.deadTime <= tE;
-        inDeadTime = !mayAct;
+    size_t writes = 0;
+    size_t reads = 0;
+    for (const mem::TransactionQueue *q : queues_) {
+        writes += q->writeCount();
+        reads += q->readCount();
     }
+    if (drainingWrites_)
+        return writes > opt_.writeLoWatermark;
+    return writes >= opt_.writeHiWatermark || (reads == 0 && writes > 0);
+}
+
+uint64_t
+FrFcfsEngine::epoch() const
+{
+    uint64_t e = dram_.commandsIssued();
+    for (const mem::TransactionQueue *q : queues_)
+        e += q->mutations();
+    return e;
+}
+
+bool
+FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
+{
+    hintValid_ = false;
+    drainingWrites_ = nextDrainMode();
+    const bool wantWrites = drainingWrites_;
+    const CmdType casType = wantWrites ? CmdType::Wr : CmdType::Rd;
+
+    ++tickSerial_;
+    touched_.clear();
+    std::fill(useful_.begin(), useful_.end(), 0);
+    // Only the issuing scheduler uses the command bus, so it is free
+    // here unless a refresh command took this cycle.
+    const bool busFree = dram_.buses().cmdBusFree(now);
+    const uint64_t busVersion = dram_.dataBusVersion();
+
+    // A bank's memo is touched once per tick and re-read from the
+    // device only when a command to its rank has changed its state.
+    auto memoFor = [&](unsigned rank, unsigned bank) -> BankMemo & {
+        const unsigned idx = rank * banksPerRank_ + bank;
+        BankMemo &m = memo_[idx];
+        if (m.tick == tickSerial_)
+            return m;
+        m.tick = tickSerial_;
+        m.missSeen = false;
+        touched_.push_back(idx);
+        const uint64_t version = dram_.rankVersion(rank);
+        if (m.rankVersion != version) {
+            const dram::Bank &bk = dram_.rank(rank).bank(bank);
+            m.rankVersion = version;
+            m.open = bk.isOpen();
+            m.openRow = bk.openRow();
+            m.hitKnown = false;
+            m.missKnown = false;
+        }
+        return m;
+    };
 
     // Single pass over the queues: find the oldest ready row-hit CAS,
-    // the oldest ACT for a closed bank, and the oldest PRE candidate
+    // the oldest ready ACT for a closed bank, and the oldest ready PRE
     // for a conflicting open row. Also remember which open rows still
     // have pending hits so PRE never closes a useful row.
-    MemRequest *casCand = nullptr;
-    MemRequest *actCand = nullptr;
-    MemRequest *preCand = nullptr;
-    // (rank,bank) pairs whose open row has at least one pending hit.
-    std::vector<std::pair<unsigned, unsigned>> usefulRows;
-
-    auto older = [](MemRequest *a, MemRequest *b) {
-        return !b || a->arrival < b->arrival ||
-               (a->arrival == b->arrival && a->id < b->id);
+    const Entry *casCand = nullptr;
+    const Entry *actCand = nullptr;
+    const Entry *preCand = nullptr;
+    auto older = [](const Entry &a, const Entry *b) {
+        return !b || a.arrival < b->arrival ||
+               (a.arrival == b->arrival && a.id < b->id);
     };
     // Rank affinity: back-to-back bursts from one rank are gapless,
     // while switching ranks costs tRTRS — prefer CAS candidates on
     // the rank that last owned the data bus.
     const unsigned affineRank = dram_.buses().lastDataRank();
-    auto betterCas = [&](MemRequest *a, MemRequest *b) {
+    auto betterCas = [&](const Entry &a, const Entry *b) {
         if (!b)
             return true;
-        const bool aAff = a->loc.rank == affineRank;
-        const bool bAff = b->loc.rank == affineRank;
+        const bool aAff = a.rank == affineRank;
+        const bool bAff = b->rank == affineRank;
         if (aAff != bAff)
             return aAff;
         return older(a, b);
     };
 
-    for (DomainId d : domains) {
-        const mem::TransactionQueue &q = mc_.queue(d);
-        for (size_t i = 0; i < q.size(); ++i) {
-            MemRequest *r = const_cast<MemRequest *>(q.at(i));
-            const bool isWrite = r->type == ReqType::Write;
-            if (isWrite != wantWrites)
+    for (mem::TransactionQueue *q : queues_) {
+        for (const Entry &e : q->view(wantWrites)) {
+            if (e.rank == avoidRank)
                 continue;
-            if (r->loc.rank == gate.avoidRank)
+            BankMemo &m = memoFor(e.rank, e.bank);
+            if (m.open && m.openRow == e.row) {
+                const unsigned idx = e.rank * banksPerRank_ + e.bank;
+                useful_[idx / 64] |= uint64_t{1} << (idx % 64);
+                if (!m.hitKnown || m.hitBusVersion != busVersion ||
+                    m.hitWrite != wantWrites) {
+                    m.hitAt = dram_.earliestIssue(
+                        {casType, e.rank, e.bank, e.row, 0, false});
+                    m.hitKnown = true;
+                    m.hitBusVersion = busVersion;
+                    m.hitWrite = wantWrites;
+                }
+                if (busFree && now >= m.hitAt && betterCas(e, casCand))
+                    casCand = &e;
                 continue;
-            const dram::Bank &bk = dram_.rank(r->loc.rank).bank(r->loc.bank);
-            if (bk.isOpen() && bk.openRow() == r->loc.row) {
-                usefulRows.emplace_back(r->loc.rank, r->loc.bank);
-                if (isWrite ? !mayCasWrite : !mayCasRead)
-                    continue;
-                Command cas{isWrite ? CmdType::Wr : CmdType::Rd,
-                            r->loc.rank, r->loc.bank, r->loc.row, r->id,
-                            false};
-                if (dram_.canIssue(cas, now) && betterCas(r, casCand))
-                    casCand = r;
-            } else if (!bk.isOpen()) {
-                if (!mayAct)
-                    continue;
-                Command act{CmdType::Act, r->loc.rank, r->loc.bank,
-                            r->loc.row, r->id, false};
-                if (dram_.canIssue(act, now) && older(r, actCand))
-                    actCand = r;
-            } else {
-                if (!mayAct)
-                    continue;
-                Command pre{CmdType::Pre, r->loc.rank, r->loc.bank,
-                            bk.openRow(), r->id, false};
-                if (dram_.canIssue(pre, now) && older(r, preCand))
-                    preCand = r;
             }
+            m.missSeen = true;
+            if (!m.missKnown) {
+                const CmdType t = m.open ? CmdType::Pre : CmdType::Act;
+                m.missAt = dram_.earliestIssue(
+                    {t, e.rank, e.bank, m.openRow, 0, false});
+                m.missKnown = true;
+            }
+            if (!busFree || now < m.missAt)
+                continue;
+            const Entry *&cand = m.open ? preCand : actCand;
+            if (older(e, cand))
+                cand = &e;
         }
     }
 
+    auto isUseful = [&](unsigned idx) {
+        return (useful_[idx / 64] >> (idx % 64)) & 1;
+    };
+
     if (casCand) {
-        issueFor(casCand, true, now);
+        issueCas(*casCand, wantWrites, now);
         return true;
     }
     if (actCand) {
-        issueFor(actCand, false, now);
+        const Entry &e = *actCand;
+        dram_.issue({CmdType::Act, e.rank, e.bank, e.row, e.id, false},
+                    now);
+        if (e.req->firstCommand == kNoCycle)
+            e.req->firstCommand = now;
         return true;
     }
-    if (preCand) {
-        // Only close a row nobody still wants.
-        const auto key = std::make_pair(preCand->loc.rank,
-                                        preCand->loc.bank);
-        if (std::find(usefulRows.begin(), usefulRows.end(), key) ==
-            usefulRows.end()) {
-            const dram::Bank &bk =
-                dram_.rank(preCand->loc.rank).bank(preCand->loc.bank);
-            Command pre{CmdType::Pre, preCand->loc.rank, preCand->loc.bank,
-                        bk.openRow(), preCand->id, false};
-            dram_.issue(pre, now);
-            ++rowConflicts_;
-            return true;
-        }
+    // Only close a row nobody still wants.
+    if (preCand && !isUseful(preCand->rank * banksPerRank_ + preCand->bank)) {
+        const Entry &e = *preCand;
+        const unsigned openRow = memoFor(e.rank, e.bank).openRow;
+        dram_.issue({CmdType::Pre, e.rank, e.bank, openRow, e.id, false},
+                    now);
+        ++rowConflicts_;
+        return true;
     }
 
-    if (inDeadTime && gate.sharedBanks &&
-        now + tp.rp <= gate.turnEnd) {
-        // Dead time with shared banks: close any open rows so the
-        // next turn starts from a precharged state (TP cleanup).
-        for (unsigned r = 0; r < dram_.numRanks(); ++r) {
-            for (unsigned b = 0; b < dram_.rank(r).numBanks(); ++b) {
-                const dram::Bank &bk = dram_.rank(r).bank(b);
-                if (!bk.isOpen())
-                    continue;
-                Command pre{CmdType::Pre, r, b, bk.openRow(), 0, false};
-                if (dram_.canIssue(pre, now)) {
-                    dram_.issue(pre, now);
-                    return true;
-                }
-            }
-        }
-    }
-
-    if (opt_.allowPrefetchPromote && !inDeadTime) {
+    if (opt_.allowPrefetchPromote) {
         // Update the utilisation window every 1024 cycles.
         if (now - utilWindowStart_ >= 1024) {
             const uint64_t busy = dram_.buses().dataBusyCycles();
@@ -187,27 +181,52 @@ FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
             utilWindowStart_ = now;
         }
         if (prefetchUtilOk_)
-            promotePrefetches(domains, now);
+            promotePrefetches();
+        return false;
     }
+
+    // A drain-mode flip on the next tick changes the candidates.
+    if (nextDrainMode() != drainingWrites_)
+        return false;
+    // Otherwise nothing issues until the first candidate becomes
+    // legal. A PRE on a bank with a pending hit is withheld whatever
+    // the cycle, so it does not count.
+    Cycle wake = kNoCycle;
+    for (const unsigned idx : touched_) {
+        const BankMemo &m = memo_[idx];
+        if (isUseful(idx))
+            wake = std::min(wake, m.hitAt);
+        else if (m.missSeen)
+            wake = std::min(wake, m.missAt);
+    }
+    hint_ = wake;
+    hintEpoch_ = epoch();
+    hintValid_ = true;
     return false;
 }
 
-bool
-FrFcfsEngine::issueFor(MemRequest *req, bool isCas, Cycle now)
+Cycle
+FrFcfsEngine::nextWakeCycle(Cycle now) const
 {
-    if (!isCas) {
-        Command act{CmdType::Act, req->loc.rank, req->loc.bank,
-                    req->loc.row, req->id, false};
-        dram_.issue(act, now);
-        if (req->firstCommand == kNoCycle)
-            req->firstCommand = now;
-        return true;
-    }
+    const Cycle next = now + 1;
+    // Prefetch promotion mutates the utilisation window every 1024
+    // cycles and can move prefetch-queue entries into the demand
+    // queues on any idle tick: never skip.
+    if (opt_.allowPrefetchPromote)
+        return next;
+    if (!hintValid_ || epoch() != hintEpoch_)
+        return next;
+    return std::max(hint_, next);
+}
 
-    const bool isWrite = req->type == ReqType::Write;
-    Command cas{isWrite ? CmdType::Wr : CmdType::Rd, req->loc.rank,
-                req->loc.bank, req->loc.row, req->id, false};
-    const dram::IssueResult res = dram_.issue(cas, now);
+void
+FrFcfsEngine::issueCas(const Entry &e, bool write, Cycle now)
+{
+    const dram::IssueResult res = dram_.issue(
+        {write ? CmdType::Wr : CmdType::Rd, e.rank, e.bank, e.row, e.id,
+         false},
+        now);
+    MemRequest *req = e.req;
     if (req->firstCommand == kNoCycle) {
         req->firstCommand = now;
         ++rowHits_;
@@ -215,21 +234,18 @@ FrFcfsEngine::issueFor(MemRequest *req, bool isCas, Cycle now)
         ++rowMisses_;
     }
     mc_.noteBurst(false);
-    auto owned = mc_.queue(req->domain).take(req);
-    mc_.finishRequest(std::move(owned), res.dataEnd);
-    return true;
+    mc_.finishRequest(mc_.queue(req->domain).take(req), res.dataEnd);
 }
 
 void
-FrFcfsEngine::promotePrefetches(const std::vector<DomainId> &domains,
-                                Cycle now)
+FrFcfsEngine::promotePrefetches()
 {
-    (void)now;
-    for (DomainId d : domains) {
+    const unsigned n = mc_.numDomains();
+    for (DomainId d = 0; d < n; ++d) {
         auto &pq = mc_.prefetchQueue(d);
         if (pq.empty())
             continue;
-        mem::TransactionQueue &q = mc_.queue(d);
+        mem::TransactionQueue &q = *queues_[d];
         // Throttle: prefetches only ride along when the domain has
         // little demand waiting, so they never add queueing delay.
         if (q.readCount() > 2)
@@ -245,8 +261,6 @@ FrFcfsScheduler::FrFcfsScheduler(mem::MemoryController &mc,
       engine_(mc, FrFcfsEngine::Options{24, 8, enablePrefetch}),
       refreshEnabled_(refresh)
 {
-    for (DomainId d = 0; d < mc.numDomains(); ++d)
-        allDomains_.push_back(d);
     // Stagger the per-rank refresh deadlines across tREFI.
     const auto &tp = dram_.timing();
     for (unsigned r = 0; r < dram_.numRanks(); ++r)
@@ -259,7 +273,7 @@ FrFcfsScheduler::serviceRefresh(Cycle now, unsigned &avoidRank)
     for (unsigned r = 0; r < dram_.numRanks(); ++r) {
         if (now < nextRefresh_[r])
             continue;
-        Command ref{CmdType::Ref, r, 0, 0, 0, false};
+        dram::Command ref{CmdType::Ref, r, 0, 0, 0, false};
         if (dram_.canIssue(ref, now)) {
             dram_.issue(ref, now);
             nextRefresh_[r] += dram_.timing().refi;
@@ -272,7 +286,7 @@ FrFcfsScheduler::serviceRefresh(Cycle now, unsigned &avoidRank)
             const dram::Bank &bk = dram_.rank(r).bank(b);
             if (!bk.isOpen())
                 continue;
-            Command pre{CmdType::Pre, r, b, bk.openRow(), 0, false};
+            dram::Command pre{CmdType::Pre, r, b, bk.openRow(), 0, false};
             if (dram_.canIssue(pre, now)) {
                 dram_.issue(pre, now);
                 return true;
@@ -286,31 +300,17 @@ FrFcfsScheduler::serviceRefresh(Cycle now, unsigned &avoidRank)
 void
 FrFcfsScheduler::tick(Cycle now)
 {
-    FrFcfsEngine::TurnGate gate;
-    if (refreshEnabled_ && serviceRefresh(now, gate.avoidRank))
+    unsigned avoidRank = FrFcfsEngine::kNoRank;
+    if (refreshEnabled_ && serviceRefresh(now, avoidRank))
         return;
-    engine_.tick(now, allDomains_, gate);
+    engine_.tick(now, avoidRank);
 }
 
 Cycle
 FrFcfsScheduler::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
-    // Pending work anywhere needs per-cycle FR-FCFS decisions.
-    for (DomainId d : allDomains_) {
-        if (!mc_.queue(d).empty())
-            return next;
-    }
-    // Prefetch promotion mutates the utilisation window every 1024
-    // cycles and can move prefetch-queue entries into the demand
-    // queues even while those are empty: never skip.
-    if (engine_.promotesPrefetches())
-        return next;
-    // An armed drain mode settles (to false) on the next idle tick;
-    // skipping that tick would leave it armed when a write arrives.
-    if (engine_.drainingWrites())
-        return next;
-    Cycle wake = kNoCycle;
+    Cycle wake = engine_.nextWakeCycle(now);
     if (refreshEnabled_) {
         for (const Cycle r : nextRefresh_) {
             if (next >= r)
@@ -362,6 +362,9 @@ FrFcfsEngine::restoreState(Deserializer &d)
     rowHits_ = d.getU64();
     rowMisses_ = d.getU64();
     rowConflicts_ = d.getU64();
+    // Derived scan state never crosses a checkpoint.
+    std::fill(memo_.begin(), memo_.end(), BankMemo{});
+    hintValid_ = false;
 }
 
 void

@@ -4,10 +4,9 @@
  *
  * The engine implements first-ready, first-come-first-served
  * scheduling with open-page row management, watermark-based write
- * draining, and optional prefetch promotion. It is reusable: the
- * baseline runs it over all domains with no time horizon; Temporal
- * Partitioning runs it over the single active domain with a
- * turn-end horizon (the dead time).
+ * draining, and optional prefetch promotion, over every domain's
+ * queue at once: the baseline the paper's secure schemes are
+ * normalised against.
  */
 
 #ifndef MEMSEC_SCHED_FRFCFS_HH
@@ -20,8 +19,13 @@
 namespace memsec::sched {
 
 /**
- * One cycle of FR-FCFS decision-making over a set of domains.
- * Stateless between calls except for the read/write drain mode.
+ * One cycle of FR-FCFS decision-making over all domains. Stateless
+ * between calls except for the read/write drain mode, the prefetch
+ * throttle and the derived (never serialized) idle-skip hint.
+ *
+ * A tick costs O(queued entries) plain comparisons: legality is asked
+ * of DramSystem::earliestIssue() once per (bank, command class), not
+ * once per entry, since every entry of one bank and class shares it.
  */
 class FrFcfsEngine
 {
@@ -33,55 +37,30 @@ class FrFcfsEngine
         bool allowPrefetchPromote = false;
     };
 
+    /** No rank is being drained for refresh. */
+    static constexpr unsigned kNoRank = ~0u;
+
     FrFcfsEngine(mem::MemoryController &mc, const Options &opt);
 
     /**
-     * Turn-end gating for Temporal Partitioning: every command's
-     * side effects on shared state (data bus occupancy, rank CAS
-     * turnaround windows, tRRD/tFAW, row state for shared banks)
-     * must be clean by `turnEnd` so the next domain's service cannot
-     * depend on this one's behaviour. Pass turnEnd == kNoCycle for
-     * unrestricted operation (the non-secure baseline).
+     * Try to issue one command at `now`, leaving rank `avoidRank`
+     * alone (it is being drained for refresh). Returns true if a
+     * command was issued.
      */
-    struct TurnGate
-    {
-        Cycle turnEnd = kNoCycle;
-        /** Extra margin on transaction starts (the configured TP
-         *  "dead time"); the effective ACT gate is the larger of
-         *  this and the timing-derived bound. */
-        unsigned deadTime = 0;
-        /** Banks shared between domains (no spatial partitioning):
-         *  rows must also be precharged by turn end. */
-        bool sharedBanks = false;
-        /** Rank being drained for refresh: no new commands to it. */
-        unsigned avoidRank = ~0u;
-    };
+    bool tick(Cycle now, unsigned avoidRank = kNoRank);
 
     /**
-     * Try to issue one command at `now` for domains in `domains`,
-     * honouring the turn gate. Returns true if a command was issued.
+     * Earliest cycle > now at which tick() could issue or change
+     * state, queried after tick(now). After a tick that issued
+     * nothing and left the drain mode settled, this is the first
+     * cycle any of its candidates becomes legal, valid while no queue
+     * and no DRAM state has changed since; otherwise (and always
+     * with prefetch promotion on) it is now + 1.
      */
-    bool tick(Cycle now, const std::vector<DomainId> &domains,
-              const TurnGate &gate);
+    Cycle nextWakeCycle(Cycle now) const;
 
-    /** Ungated tick (the non-secure baseline). */
-    bool
-    tick(Cycle now, const std::vector<DomainId> &domains)
-    {
-        return tick(now, domains, TurnGate{});
-    }
-
-    /** Forget the read/write drain mode (TP calls this at turn
-     *  boundaries so one domain's drain state never carries into
-     *  another domain's turn — that would be an information leak). */
-    void resetDrainState() { drainingWrites_ = false; }
-
-    /** Drain mode still armed (it settles on the next idle tick). */
+    /** Drain mode currently armed. */
     bool drainingWrites() const { return drainingWrites_; }
-
-    /** Prefetch promotion enabled: the engine mutates its utilisation
-     *  window and may move prefetch-queue entries on any tick. */
-    bool promotesPrefetches() const { return opt_.allowPrefetchPromote; }
 
     uint64_t rowHits() const { return rowHits_; }
     uint64_t rowMisses() const { return rowMisses_; }
@@ -91,20 +70,46 @@ class FrFcfsEngine
     void restoreState(Deserializer &d);
 
   private:
-    struct Candidate
+    /**
+     * One bank's row state and the earliest legal cycle of each
+     * command class its entries need, kept across ticks and re-read
+     * only when DramSystem's legality versions say they may have
+     * changed. An entry hitting the open row needs a CAS (`hitAt`);
+     * any other entry an ACT (bank closed) or a PRE (bank open),
+     * both `missAt`.
+     */
+    struct BankMemo
     {
-        mem::MemRequest *req = nullptr;
-        enum class Action { None, Cas, Act, Pre } action = Action::None;
+        uint64_t tick = 0;            ///< tickSerial_ of the last touch
+        bool missSeen = false;        ///< a miss entry this tick
+        uint64_t rankVersion = ~0ull; ///< rankVersion() of the fields below
+        bool open = false;
+        unsigned openRow = 0;
+        bool missKnown = false;
+        Cycle missAt = kNoCycle;
+        bool hitKnown = false;
+        uint64_t hitBusVersion = 0; ///< dataBusVersion() of hitAt
+        bool hitWrite = false;      ///< CAS direction of hitAt
+        Cycle hitAt = kNoCycle;
     };
 
-    bool issueFor(mem::MemRequest *req, bool isCas, Cycle now);
-    void updateDrainMode(const std::vector<DomainId> &domains);
-    void promotePrefetches(const std::vector<DomainId> &domains,
-                           Cycle now);
+    /** Drain mode the next updateDrainMode() would set. */
+    bool nextDrainMode() const;
+
+    /** Sum of the queues' mutation counters and the commands issued:
+     *  unchanged iff no queue and no DRAM state has changed. */
+    uint64_t epoch() const;
+
+    void issueCas(const mem::TransactionQueue::Entry &e, bool write,
+                  Cycle now);
+    void promotePrefetches();
 
     mem::MemoryController &mc_;
     dram::DramSystem &dram_;
     Options opt_;
+    /** Every domain's queue, bound once. */
+    std::vector<mem::TransactionQueue *> queues_;
+    unsigned banksPerRank_ = 0;
     bool drainingWrites_ = false;
     // Feedback-directed prefetch throttle: promotion is paused while
     // the data bus runs hot (prefetch waste would displace demand).
@@ -114,6 +119,18 @@ class FrFcfsEngine
     uint64_t rowHits_ = 0;
     uint64_t rowMisses_ = 0;
     uint64_t rowConflicts_ = 0;
+
+    // Scan scratch, sized once (derived, never serialized).
+    uint64_t tickSerial_ = 0;
+    std::vector<BankMemo> memo_;    ///< [rank * banksPerRank_ + bank]
+    std::vector<unsigned> touched_; ///< memo_ indices touched this tick
+    std::vector<uint64_t> useful_;  ///< bitmask: open row has a hit
+
+    // Idle-skip hint of the last tick that issued nothing (derived,
+    // never serialized; invalid after construction and restore).
+    bool hintValid_ = false;
+    Cycle hint_ = kNoCycle;
+    uint64_t hintEpoch_ = 0;
 };
 
 /** The optimised non-secure baseline (stand-in for the MSC winner). */
@@ -143,7 +160,6 @@ class FrFcfsScheduler : public Scheduler
     bool serviceRefresh(Cycle now, unsigned &avoidRank);
 
     FrFcfsEngine engine_;
-    std::vector<DomainId> allDomains_;
     bool refreshEnabled_ = false;
     std::vector<Cycle> nextRefresh_;
     Counter refreshes_;

@@ -185,6 +185,11 @@ TEST(CheckpointDiff, FrFcfsBaseline)
 {
     expectIdentical("baseline", "mcf", 1);
     expectIdentical("baseline_prefetch", "mcf", 1);
+    // The scheduler's idle-skip hint is derived state: a restore must
+    // start without it, refresh deadlines included.
+    Config refresh = diffConfig("baseline", "mcf", 1);
+    refresh.set("dram.refresh", true);
+    expectIdentical(refresh, "baseline/mcf seed=1 dram.refresh=true");
 }
 
 TEST(CheckpointDiff, FrFcfsChannelPartition)

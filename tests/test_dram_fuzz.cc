@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dram/dram_system.hh"
 #include "util/random.hh"
 
@@ -74,6 +76,69 @@ TEST_P(DramFuzz, RandomLegalStreamNeverTripsTheAuditor)
     // The stream must have made real progress.
     EXPECT_GT(issued, 2000u);
     EXPECT_EQ(sys.checker().observed(), issued);
+    EXPECT_TRUE(sys.checker().violations().empty());
+}
+
+/**
+ * Legality is written once: canIssue(cmd, t) must equal
+ * cmdBusFree(t) && t >= earliestIssue(cmd) for every command class
+ * and every t in a window ahead of the stream, and a finite
+ * earliestIssue() must really be legal at that cycle. The states come
+ * from the same random legal streams as above.
+ */
+TEST_P(DramFuzz, CanIssueAgreesWithEarliestIssue)
+{
+    const Geometry geo;
+    DramSystem sys(TimingParams::ddr3_1600_4gb(), geo);
+    Rng rng(GetParam() ^ 0xBEEF);
+
+    uint64_t probes = 0;
+    uint64_t finite = 0;
+    for (Cycle now = 0; now < 6000; ++now) {
+        Command c = randomCommand(rng, geo);
+        if (isColumn(c.type)) {
+            const Bank &bk = sys.rank(c.rank).bank(c.bank);
+            if (bk.isOpen() && rng.chance(0.8))
+                c.row = bk.openRow();
+        }
+        if (now % 16 == 0) {
+            // Probe every class against the frozen state. A column
+            // probe targets the open row when there is one, so the
+            // timing windows (not just row state) get exercised.
+            Command probe = c;
+            for (const CmdType type :
+                 {CmdType::Act, CmdType::Rd, CmdType::RdA, CmdType::Wr,
+                  CmdType::WrA, CmdType::Pre, CmdType::Ref,
+                  CmdType::PdEnter, CmdType::PdExit}) {
+                probe.type = type;
+                const Bank &bk = sys.rank(probe.rank).bank(probe.bank);
+                if (isColumn(type) && bk.isOpen())
+                    probe.row = bk.openRow();
+                const Cycle from = sys.earliestIssue(probe);
+                for (Cycle t = now; t <= now + 64; ++t) {
+                    const bool expect =
+                        sys.buses().cmdBusFree(t) && t >= from;
+                    ASSERT_EQ(sys.canIssue(probe, t), expect)
+                        << probe.toString() << " at " << t
+                        << ", earliestIssue " << from;
+                    ++probes;
+                }
+                if (from != kNoCycle) {
+                    ++finite;
+                    // Nothing has issued at `now` yet: the bus is
+                    // free from here on.
+                    const Cycle at = std::max(from, now);
+                    ASSERT_TRUE(sys.canIssue(probe, at))
+                        << probe.toString() << " at " << at;
+                }
+            }
+        }
+        if (sys.canIssue(c, now))
+            sys.issue(c, now);
+        sys.tick(now);
+    }
+    EXPECT_GT(probes, 100000u);
+    EXPECT_GT(finite, 1000u);
     EXPECT_TRUE(sys.checker().violations().empty());
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -59,6 +60,79 @@ TEST_F(DramSystemTest, CanIssueReportsBlockingRule)
     sys.issue(mk(CmdType::Act, 0, 0, 9), 0);
     EXPECT_FALSE(sys.canIssue(mk(CmdType::Act, 0, 1, 9), 2, &why));
     EXPECT_EQ(why, "rank tRRD/tFAW");
+}
+
+TEST_F(DramSystemTest, CanIssueReportsTheFirstBlockingRuleInOrder)
+{
+    // A refreshing rank reports the refresh even where a bank window
+    // or the row state would block too.
+    std::string why;
+    sys.issue(mk(CmdType::Ref, 0, 0), 0);
+    EXPECT_FALSE(sys.canIssue(mk(CmdType::Rd, 0, 0, 9), 1, &why));
+    EXPECT_EQ(why, "rank refreshing");
+    EXPECT_FALSE(sys.canIssue(mk(CmdType::Act, 0, 0, 9), 1, &why));
+    EXPECT_EQ(why, "rank refreshing");
+    EXPECT_FALSE(sys.canIssue(mk(CmdType::Act, 1, 0, 9), 0, &why));
+    EXPECT_EQ(why, "command bus busy");
+}
+
+TEST_F(DramSystemTest, EarliestIssueIsTheFirstLegalCycle)
+{
+    const auto &tp = sys.timing();
+    sys.issue(mk(CmdType::Act, 0, 0, 9), 0);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Rd, 0, 0, 9)), tp.rcd);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Rd, 0, 0, 8)), kNoCycle);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Act, 0, 0, 9)), kNoCycle);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Act, 0, 1, 9)), tp.rrd);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Pre, 0, 0)), tp.ras);
+    EXPECT_EQ(sys.earliestIssue(mk(CmdType::Pre, 0, 1)), kNoCycle);
+
+    // A read on another rank waits for the data bus plus tRTRS, which
+    // here binds after its own tRCD.
+    sys.issue(mk(CmdType::Act, 1, 0, 4), tp.rrd);
+    sys.issue(mk(CmdType::Rd, 0, 0, 9), tp.rcd);
+    const Cycle busFree = tp.rcd + tp.cas + tp.burst + tp.rtrs;
+    const Cycle want = std::max<Cycle>(tp.rrd + tp.rcd, busFree - tp.cas);
+    ASSERT_GT(busFree - tp.cas, tp.rrd + tp.rcd);
+    const Command rd1 = mk(CmdType::Rd, 1, 0, 4);
+    EXPECT_EQ(sys.earliestIssue(rd1), want);
+    std::string why;
+    EXPECT_FALSE(sys.canIssue(rd1, want - 1, &why));
+    EXPECT_EQ(why, "data bus / tRTRS");
+    EXPECT_TRUE(sys.canIssue(rd1, want));
+}
+
+TEST_F(DramSystemTest, RefreshWaitsForEveryBankToPrecharge)
+{
+    const auto &tp = sys.timing();
+    const Command ref = mk(CmdType::Ref, 0, 0);
+    EXPECT_EQ(sys.earliestIssue(ref), 0u);
+    sys.issue(mk(CmdType::Act, 0, 3, 1), 0);
+    EXPECT_EQ(sys.earliestIssue(ref), kNoCycle);
+    std::string why;
+    EXPECT_FALSE(sys.canIssue(ref, 100, &why));
+    EXPECT_EQ(why, "banks not precharged for REF");
+    sys.issue(mk(CmdType::Pre, 0, 3), tp.ras);
+    // The bank's next ACT: the later of tRAS + tRP and tRC.
+    EXPECT_EQ(sys.earliestIssue(ref), std::max(tp.ras + tp.rp, tp.rc));
+    EXPECT_FALSE(sys.canIssue(ref, tp.rc - 1, &why));
+    EXPECT_EQ(why, "banks not precharged for REF");
+    EXPECT_TRUE(sys.canIssue(ref, tp.rc));
+}
+
+TEST_F(DramSystemTest, LegalityVersionsTrackWhatACommandTouches)
+{
+    const auto &tp = sys.timing();
+    const uint64_t r0 = sys.rankVersion(0);
+    const uint64_t r1 = sys.rankVersion(1);
+    const uint64_t bus = sys.dataBusVersion();
+    sys.issue(mk(CmdType::Act, 0, 0, 9), 0);
+    EXPECT_GT(sys.rankVersion(0), r0);
+    EXPECT_EQ(sys.rankVersion(1), r1);
+    EXPECT_EQ(sys.dataBusVersion(), bus);
+    sys.issue(mk(CmdType::Rd, 0, 0, 9), tp.rcd);
+    EXPECT_GT(sys.dataBusVersion(), bus);
+    EXPECT_EQ(sys.rankVersion(1), r1);
 }
 
 TEST_F(DramSystemTest, IllegalIssuePanics)

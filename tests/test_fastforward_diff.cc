@@ -157,6 +157,18 @@ TEST(FastForwardDiff, FrFcfsBaseline)
 {
     expectIdentical("baseline", "mcf", 1);
     expectIdentical("baseline", "libquantum", 42);
+    // Write-drain heavy: exercises the drain-mode flips the idle-skip
+    // hint must never sleep through.
+    expectIdentical("baseline", "lbm", 1);
+}
+
+TEST(FastForwardDiff, FrFcfsWithRefresh)
+{
+    // Refresh drains a rank (avoidRank) and wakes on its deadlines.
+    Config refresh;
+    refresh.set("dram.refresh", true);
+    expectIdentical("baseline", "mcf", 1, refresh);
+    expectIdentical("baseline", "lbm", 7, refresh);
 }
 
 TEST(FastForwardDiff, FrFcfsWithPrefetchPromotion)

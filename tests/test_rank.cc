@@ -130,14 +130,3 @@ TEST(Rank, SuppressedActivateNotCharged)
     // Timing windows still advance.
     EXPECT_EQ(r.nextActRankLimit(), tp.rrd);
 }
-
-TEST(Rank, AllBanksIdleBy)
-{
-    Rank r(8, tp);
-    EXPECT_TRUE(r.allBanksIdleBy(0));
-    r.bank(3).doActivate(0, 1, tp);
-    EXPECT_FALSE(r.allBanksIdleBy(100));
-    r.bank(3).doPrecharge(tp.ras, tp);
-    EXPECT_FALSE(r.allBanksIdleBy(tp.ras + tp.rp - 1));
-    EXPECT_TRUE(r.allBanksIdleBy(tp.rc));
-}

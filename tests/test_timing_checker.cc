@@ -283,3 +283,77 @@ TEST_F(CheckerTest, ObservedCountIncrements)
     ck.observe(cmd(CmdType::Rd, 0, 0, 5), tp.rcd);
     EXPECT_EQ(ck.observed(), 2u);
 }
+
+/**
+ * Violation records are checkpointed and land in fault-campaign
+ * reports, so their detail text is part of the result, not a log
+ * message: pin it verbatim (rule and detail, in the order the checks
+ * fire) for the rule classes whose text carries computed numbers.
+ */
+TEST_F(CheckerTest, NonStrictDetailTextIsPinned)
+{
+    auto records = [](const TimingChecker &c) {
+        std::vector<std::string> out;
+        for (const auto &v : c.violations())
+            out.push_back(std::to_string(v.cycle) + " " + v.rule + ": " +
+                          v.detail);
+        return out;
+    };
+    using Lines = std::vector<std::string>;
+
+    // tFAW: a fifth ACT one cycle inside the window.
+    ck.observe(act(0, 0, 1), 0);
+    ck.observe(act(0, 1, 1), 5);
+    ck.observe(act(0, 2, 1), 10);
+    ck.observe(act(0, 3, 1), 15);
+    ck.observe(act(0, 4, 1), tp.faw - 1);
+    EXPECT_EQ(records(ck),
+              Lines{"23 tFAW: fifth ACT within tFAW window (23 < 24)"});
+
+    // Data-bus overlap across ranks, inside the second bank's tRCD
+    // (the rank-switch gap underflows: the text carries the raw
+    // unsigned difference).
+    TimingChecker bus(tp, 8, 8);
+    bus.setStrict(false);
+    bus.observe(act(0, 0, 5), 0);
+    bus.observe(act(1, 0, 6), tp.rrd);
+    bus.observe(cmd(CmdType::Rd, 0, 0, 5), 11);
+    bus.observe(cmd(CmdType::Rd, 1, 0, 6), 13);
+    EXPECT_EQ(records(bus),
+              (Lines{"13 tRCD: CAS 8 after ACT < tRCD",
+                     "13 data-bus: burst at 24 overlaps burst ending 26",
+                     "13 tRTRS: rank switch gap 18446744073709551614 "
+                     "< tRTRS"}));
+
+    // RD-to-WR turnaround on one rank, with the burst overlap it
+    // implies.
+    TimingChecker rw(tp, 8, 8);
+    rw.setStrict(false);
+    rw.observe(act(0, 0, 5), 0);
+    rw.observe(act(0, 1, 6), tp.rrd);
+    rw.observe(cmd(CmdType::Rd, 0, 0, 5), 11);
+    rw.observe(cmd(CmdType::Wr, 0, 1, 6), 11 + 9);
+    EXPECT_EQ(records(rw),
+              (Lines{"20 rd2wr: RD-to-WR same rank gap 9 < 10",
+                     "20 data-bus: burst at 25 overlaps burst ending 26"}));
+
+    // Row state: ACT to an open bank (the checker still applies it,
+    // so row 6 is open afterwards), CAS to the wrong row, PRE and CAS
+    // to a closed bank.
+    TimingChecker row(tp, 8, 8);
+    row.setStrict(false);
+    row.observe(act(0, 0, 5), 0);
+    row.observe(act(0, 0, 6), 100);
+    row.observe(cmd(CmdType::Rd, 0, 0, 5), 200);
+    row.observe(cmd(CmdType::Pre, 0, 0, 5), 300);
+    row.observe(cmd(CmdType::Pre, 0, 0, 5), 400);
+    row.observe(cmd(CmdType::Rd, 0, 0, 5), 500);
+    EXPECT_EQ(records(row),
+              (Lines{"100 row-state: ACT to bank with open row",
+                     "200 row-state: column command to row 5 but open "
+                     "row is 6",
+                     "400 row-state: PRE to closed bank",
+                     "500 row-state: column command to closed bank",
+                     "500 row-state: column command to row 5 but open "
+                     "row is 4294967295"}));
+}

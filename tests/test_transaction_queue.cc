@@ -155,3 +155,58 @@ TEST(TransactionQueue, PopEmptyPanics)
     TransactionQueue q(2, 2);
     EXPECT_THROW(q.popOldest(), std::logic_error);
 }
+
+TEST(TransactionQueue, ClassViewsMirrorQueueOrder)
+{
+    TransactionQueue q(4, 4);
+    auto w = mk(1, ReqType::Write, 0x100);
+    w->loc.rank = 3;
+    w->loc.bank = 5;
+    w->loc.row = 77;
+    w->arrival = 9;
+    q.push(std::move(w));
+    q.push(mk(2, ReqType::Read, 0x200));
+    q.push(mk(3, ReqType::Prefetch, 0x300));
+    q.push(mk(4, ReqType::Write, 0x400));
+
+    auto ids = [&](bool writes) {
+        std::vector<ReqId> out;
+        for (const auto &e : q.view(writes))
+            out.push_back(e.id);
+        return out;
+    };
+    EXPECT_EQ(ids(false), (std::vector<ReqId>{2, 3}));
+    EXPECT_EQ(ids(true), (std::vector<ReqId>{1, 4}));
+    const TransactionQueue::Entry &e = q.view(true)[0];
+    EXPECT_EQ(e.req, q.at(0));
+    EXPECT_EQ(e.rank, 3u);
+    EXPECT_EQ(e.bank, 5u);
+    EXPECT_EQ(e.row, 77u);
+    EXPECT_EQ(e.arrival, 9u);
+
+    // Removal from the middle and the front keeps both views in step.
+    q.take(q.at(2));
+    EXPECT_EQ(ids(false), (std::vector<ReqId>{2}));
+    q.popOldest();
+    EXPECT_EQ(ids(true), (std::vector<ReqId>{4}));
+    EXPECT_EQ(ids(false), (std::vector<ReqId>{2}));
+}
+
+TEST(TransactionQueue, MutationCounterTracksContentChanges)
+{
+    TransactionQueue q(4, 4);
+    const uint64_t m0 = q.mutations();
+    q.push(mk(1, ReqType::Read, 0x100));
+    q.push(mk(2, ReqType::Write, 0x200));
+    const uint64_t m1 = q.mutations();
+    EXPECT_GT(m1, m0);
+    // Queries leave it alone.
+    (void)q.findOldest([](const MemRequest &) { return true; });
+    (void)q.hasWriteTo(0x200);
+    EXPECT_EQ(q.mutations(), m1);
+    q.take(q.at(1));
+    const uint64_t m2 = q.mutations();
+    EXPECT_GT(m2, m1);
+    q.popOldest();
+    EXPECT_GT(q.mutations(), m2);
+}
