@@ -72,7 +72,7 @@ DramSystem::saveState(Serializer &s) const
     s.section("dram");
     s.putU64(ranks_.size());
     for (const Rank &rk : ranks_)
-        rk.saveState(s);
+        rk.saveState(s, energyClock_);
     buses_.saveState(s);
     checker_.saveState(s);
     s.putU64(commandsIssued_);
@@ -88,6 +88,9 @@ DramSystem::restoreState(Deserializer &d)
         d.fail("rank count mismatch");
     for (Rank &rk : ranks_)
         rk.restoreState(d);
+    // The ranks restart residency at cycle 0; the first cycle
+    // accounted after the restore re-anchors them all there.
+    energyClock_ = 0;
     buses_.restoreState(d);
     checker_.restoreState(d);
     commandsIssued_ = d.getU64();
@@ -288,42 +291,32 @@ DramSystem::issue(const Command &cmd, Cycle now)
     if (isColumn(cmd.type))
         ++busVersion_;
 
+    // Charge the rank's residency, through the last accounted cycle,
+    // in the state it is about to leave.
     Rank &rk = ranks_[cmd.rank];
+    rk.chargeEnergy(energyClock_);
     IssueResult res;
 
     switch (cmd.type) {
       case CmdType::Act:
-        rk.bank(cmd.bank).doActivate(now, cmd.row, tp_);
-        rk.recordActivate(now, cmd.suppressed);
+        rk.activate(cmd.bank, now, cmd.row, cmd.suppressed);
         break;
       case CmdType::Rd:
-      case CmdType::RdA: {
-        rk.bank(cmd.bank).doRead(now, isAutoPrecharge(cmd.type), tp_);
-        rk.recordRead(now);
+      case CmdType::RdA:
+        rk.read(cmd.bank, now, isAutoPrecharge(cmd.type), cmd.suppressed);
         res.dataStart = now + tp_.cas;
         res.dataEnd = res.dataStart + tp_.burst;
         buses_.reserveData(res.dataStart, cmd.rank);
-        if (cmd.suppressed)
-            ++rk.energy().suppressedCas;
-        else
-            ++rk.energy().reads;
         break;
-      }
       case CmdType::Wr:
-      case CmdType::WrA: {
-        rk.bank(cmd.bank).doWrite(now, isAutoPrecharge(cmd.type), tp_);
-        rk.recordWrite(now);
+      case CmdType::WrA:
+        rk.write(cmd.bank, now, isAutoPrecharge(cmd.type), cmd.suppressed);
         res.dataStart = now + tp_.cwd;
         res.dataEnd = res.dataStart + tp_.burst;
         buses_.reserveData(res.dataStart, cmd.rank);
-        if (cmd.suppressed)
-            ++rk.energy().suppressedCas;
-        else
-            ++rk.energy().writes;
         break;
-      }
       case CmdType::Pre:
-        rk.bank(cmd.bank).doPrecharge(now, tp_);
+        rk.precharge(cmd.bank, now);
         break;
       case CmdType::Ref:
         rk.startRefresh(now);
@@ -339,17 +332,42 @@ DramSystem::issue(const Command &cmd, Cycle now)
 }
 
 void
+DramSystem::reanchorEnergy(Cycle at)
+{
+    for (Rank &rk : ranks_) {
+        rk.chargeEnergy(energyClock_);
+        rk.anchorEnergy(at);
+    }
+    energyClock_ = at;
+}
+
+void
 DramSystem::tick(Cycle now)
 {
-    for (auto &rk : ranks_)
-        rk.tickEnergy(now);
+    fastForwardEnergy(now, now + 1);
 }
 
 void
 DramSystem::fastForwardEnergy(Cycle from, Cycle to)
 {
-    for (auto &rk : ranks_)
-        rk.accountEnergySpan(from, to);
+    // A span never accounted (a gap, or a restore) is skipped.
+    if (from != energyClock_)
+        reanchorEnergy(from);
+    energyClock_ = to;
+}
+
+RankEnergyCounters
+DramSystem::energy(unsigned r) const
+{
+    return ranks_.at(r).energy(energyClock_);
+}
+
+void
+DramSystem::creditPowerDown(unsigned r, uint64_t cycles)
+{
+    Rank &rk = ranks_.at(r);
+    rk.chargeEnergy(energyClock_);
+    rk.creditPowerDown(cycles);
 }
 
 } // namespace memsec::dram

@@ -78,18 +78,28 @@ class DramSystem
      */
     IssueResult issue(const Command &cmd, Cycle now);
 
-    /** Per-cycle housekeeping (energy state accounting). */
+    /**
+     * Account cycle `now` in the energy books, in the state left by
+     * the commands issued at `now`. O(1): it only advances the energy
+     * clock; a rank's residency is charged when a command changes its
+     * state or when its books are read.
+     */
     void tick(Cycle now);
 
-    /**
-     * Closed-form tick() over a skipped span [from, to): legal only
-     * when no command issues inside the span, so each rank's power
-     * state is constant except for a refresh completing mid-span.
-     */
+    /** tick() for every cycle of a quiet span [from, to) at once. A
+     *  span that does not start at the energy clock (a gap, or the
+     *  first after a restore) re-anchors every rank at `from`. */
     void fastForwardEnergy(Cycle from, Cycle to);
 
-    Rank &rank(unsigned r) { return ranks_.at(r); }
     const Rank &rank(unsigned r) const { return ranks_.at(r); }
+
+    /** Rank `r`'s energy books, residency charged through every
+     *  cycle accounted so far. */
+    RankEnergyCounters energy(unsigned r) const;
+
+    /** Move up to `cycles` of rank `r`'s precharge-standby residency
+     *  to power-down (see Rank::creditPowerDown). */
+    void creditPowerDown(unsigned r, uint64_t cycles);
     unsigned numRanks() const { return static_cast<unsigned>(ranks_.size()); }
 
     ChannelBuses &buses() { return buses_; }
@@ -161,6 +171,10 @@ class DramSystem
      *  must clear into `w` and returns its earliest legal cycle. */
     Cycle legalFrom(const Command &cmd, LegalWindow &w) const;
 
+    /** Charge every rank through the energy clock, then restart the
+     *  books (and the clock) at `at`: cycles in between never count. */
+    void reanchorEnergy(Cycle at);
+
     TimingParams tp_;
     Geometry geo_;
     std::vector<Rank> ranks_;
@@ -169,6 +183,9 @@ class DramSystem
     uint64_t commandsIssued_ = 0;
     std::vector<uint64_t> rankVersion_;
     uint64_t busVersion_ = 0;
+    /** One past the last cycle accounted by tick()/fastForwardEnergy()
+     *  (the energy clock). Never serialized: a restore resets it. */
+    Cycle energyClock_ = 0;
 
     fault::FaultInjector *injector_ = nullptr;
     RunReport *report_ = nullptr;

@@ -8,8 +8,9 @@
 namespace memsec::dram {
 
 void
-Rank::saveState(Serializer &s) const
+Rank::saveState(Serializer &s, Cycle energyClock) const
 {
+    const RankEnergyCounters e = energy(energyClock);
     s.section("rank");
     for (const auto &b : banks_)
         b.saveState(s);
@@ -23,24 +24,27 @@ Rank::saveState(Serializer &s) const
     s.putBool(poweredDown_);
     s.putU64(pdEnteredAt_);
     s.putU64(pdExitReadyAt_);
-    s.putU64(energy_.activates);
-    s.putU64(energy_.reads);
-    s.putU64(energy_.writes);
-    s.putU64(energy_.suppressedActs);
-    s.putU64(energy_.suppressedCas);
-    s.putU64(energy_.refreshes);
-    s.putU64(energy_.cyclesActive);
-    s.putU64(energy_.cyclesPrecharge);
-    s.putU64(energy_.cyclesPowerDown);
-    s.putU64(energy_.cyclesRefreshing);
+    s.putU64(e.activates);
+    s.putU64(e.reads);
+    s.putU64(e.writes);
+    s.putU64(e.suppressedActs);
+    s.putU64(e.suppressedCas);
+    s.putU64(e.refreshes);
+    s.putU64(e.cyclesActive);
+    s.putU64(e.cyclesPrecharge);
+    s.putU64(e.cyclesPowerDown);
+    s.putU64(e.cyclesRefreshing);
 }
 
 void
 Rank::restoreState(Deserializer &d)
 {
     d.section("rank");
-    for (auto &b : banks_)
+    openBanks_ = 0;
+    for (auto &b : banks_) {
         b.restoreState(d);
+        openBanks_ += b.isOpen();
+    }
     nextActRrd_ = d.getU64();
     const uint64_t acts = d.getU64();
     actWindow_.clear();
@@ -62,6 +66,7 @@ Rank::restoreState(Deserializer &d)
     energy_.cyclesPrecharge = d.getU64();
     energy_.cyclesPowerDown = d.getU64();
     energy_.cyclesRefreshing = d.getU64();
+    chargedTo_ = 0;
 }
 
 Rank::Rank(unsigned banks, const TimingParams &tp)
@@ -79,7 +84,7 @@ Rank::nextActRankLimit() const
 }
 
 void
-Rank::recordActivate(Cycle t, bool suppressed)
+Rank::recordActivate(Cycle t)
 {
     panic_if(t < nextActRankLimit(),
              "rank ACT at {} violates tRRD/tFAW limit {}", t,
@@ -88,10 +93,6 @@ Rank::recordActivate(Cycle t, bool suppressed)
     actWindow_.push_back(t);
     while (actWindow_.size() > 4)
         actWindow_.pop_front();
-    if (suppressed)
-        ++energy_.suppressedActs;
-    else
-        ++energy_.activates;
 }
 
 void
@@ -112,14 +113,53 @@ Rank::recordWrite(Cycle t)
     nextRead_ = std::max(nextRead_, t + tp_.wr2rd());
 }
 
-bool
-Rank::anyBankOpen() const
+template <typename Op>
+void
+Rank::mutateBank(unsigned b, Op &&op)
 {
-    for (const auto &b : banks_) {
-        if (b.isOpen())
-            return true;
-    }
-    return false;
+    Bank &bk = banks_.at(b);
+    const bool wasOpen = bk.isOpen();
+    op(bk);
+    openBanks_ = openBanks_ - wasOpen + bk.isOpen();
+}
+
+void
+Rank::activate(unsigned b, Cycle t, unsigned row, bool suppressed)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doActivate(t, row, tp_); });
+    recordActivate(t);
+    if (suppressed)
+        ++energy_.suppressedActs;
+    else
+        ++energy_.activates;
+}
+
+void
+Rank::read(unsigned b, Cycle t, bool autoPre, bool suppressed)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doRead(t, autoPre, tp_); });
+    recordRead(t);
+    if (suppressed)
+        ++energy_.suppressedCas;
+    else
+        ++energy_.reads;
+}
+
+void
+Rank::write(unsigned b, Cycle t, bool autoPre, bool suppressed)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doWrite(t, autoPre, tp_); });
+    recordWrite(t);
+    if (suppressed)
+        ++energy_.suppressedCas;
+    else
+        ++energy_.writes;
+}
+
+void
+Rank::precharge(unsigned b, Cycle t)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doPrecharge(t, tp_); });
 }
 
 void
@@ -176,44 +216,52 @@ Rank::powerState(Cycle now) const
 }
 
 void
-Rank::tickEnergy(Cycle now)
-{
-    switch (powerState(now)) {
-      case PowerState::PowerDown:
-        ++energy_.cyclesPowerDown;
-        break;
-      case PowerState::Refreshing:
-        ++energy_.cyclesRefreshing;
-        break;
-      case PowerState::ActiveStandby:
-        ++energy_.cyclesActive;
-        break;
-      case PowerState::PrechargeStandby:
-        ++energy_.cyclesPrecharge;
-        break;
-    }
-}
-
-void
-Rank::accountEnergySpan(Cycle from, Cycle to)
+Rank::accountEnergySpan(RankEnergyCounters &e, Cycle from, Cycle to) const
 {
     uint64_t span = to - from;
     if (poweredDown_) {
-        energy_.cyclesPowerDown += span;
+        e.cyclesPowerDown += span;
         return;
     }
     if (from < refreshEnd_) {
         const uint64_t refreshing =
             std::min<Cycle>(to, refreshEnd_) - from;
-        energy_.cyclesRefreshing += refreshing;
+        e.cyclesRefreshing += refreshing;
         span -= refreshing;
     }
     if (span == 0)
         return;
     if (anyBankOpen())
-        energy_.cyclesActive += span;
+        e.cyclesActive += span;
     else
-        energy_.cyclesPrecharge += span;
+        e.cyclesPrecharge += span;
+}
+
+void
+Rank::chargeEnergy(Cycle to)
+{
+    panic_if(to < chargedTo_, "rank energy charged to {} after {}", to,
+             chargedTo_);
+    accountEnergySpan(energy_, chargedTo_, to);
+    chargedTo_ = to;
+}
+
+RankEnergyCounters
+Rank::energy(Cycle to) const
+{
+    panic_if(to < chargedTo_, "rank energy read at {} after {}", to,
+             chargedTo_);
+    RankEnergyCounters e = energy_;
+    accountEnergySpan(e, chargedTo_, to);
+    return e;
+}
+
+void
+Rank::creditPowerDown(uint64_t cycles)
+{
+    const uint64_t credit = std::min(cycles, energy_.cyclesPrecharge);
+    energy_.cyclesPrecharge -= credit;
+    energy_.cyclesPowerDown += credit;
 }
 
 } // namespace memsec::dram

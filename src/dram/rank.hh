@@ -45,13 +45,20 @@ struct RankEnergyCounters
     uint64_t cyclesRefreshing = 0;
 };
 
-/** One rank: a set of banks sharing activation and column resources. */
+/**
+ * One rank: a set of banks sharing activation and column resources.
+ *
+ * Every bank mutation goes through a Rank method, so the rank keeps an
+ * exact open-bank count. Residency (the four cycle counters) is kept
+ * lazily: the owner charges the books with chargeEnergy() just before
+ * a command changes the rank's state, and reads them with energy(). Between two commands the only transition is a
+ * refresh completing, which accountEnergySpan() splits at.
+ */
 class Rank
 {
   public:
     Rank(unsigned banks, const TimingParams &tp);
 
-    Bank &bank(unsigned b) { return banks_.at(b); }
     const Bank &bank(unsigned b) const { return banks_.at(b); }
     unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
 
@@ -63,19 +70,23 @@ class Rank
     /** Earliest cycle a column-write may issue rank-wide. */
     Cycle nextWrite() const { return nextWrite_; }
 
-    /** Record an ACT at cycle t (updates tRRD/tFAW windows). A
-     *  suppressed ACT keeps all timing state but is not charged to
-     *  the activate energy counter (energy optimisation 1). */
-    void recordActivate(Cycle t, bool suppressed = false);
+    /** ACT to bank `b` at cycle t opening `row` (bank windows plus
+     *  tRRD/tFAW). A suppressed ACT keeps all timing state but is not
+     *  charged to the activate energy counter (energy optimisation 1). */
+    void activate(unsigned b, Cycle t, unsigned row, bool suppressed = false);
 
-    /** Record a column read at cycle t. */
-    void recordRead(Cycle t);
+    /** Column read to bank `b` at cycle t, optionally auto-precharging.
+     *  A suppressed CAS is counted as suppressedCas, not as a read. */
+    void read(unsigned b, Cycle t, bool autoPre, bool suppressed = false);
 
-    /** Record a column write at cycle t. */
-    void recordWrite(Cycle t);
+    /** Column write; as read(). */
+    void write(unsigned b, Cycle t, bool autoPre, bool suppressed = false);
+
+    /** Explicit PRE to bank `b` at cycle t. */
+    void precharge(unsigned b, Cycle t);
 
     /** True iff any bank has an open row. */
-    bool anyBankOpen() const;
+    bool anyBankOpen() const { return openBanks_ != 0; }
 
     /** Begin a refresh at cycle t; blocks all banks for tRFC. */
     void startRefresh(Cycle t);
@@ -98,29 +109,50 @@ class Rank
      *  the last power-down exit (tXP). */
     Cycle pdExitReadyAt() const { return pdExitReadyAt_; }
 
-    /** Per-cycle energy accounting; call once per cycle. */
-    void tickEnergy(Cycle now);
+    /** Charge residency from the last charge (or anchor) up to `to`,
+     *  in the current state; call before any command changes it. */
+    void chargeEnergy(Cycle to);
 
-    /**
-     * tickEnergy() for every cycle in [from, to) at once. Valid only
-     * while no command issues in the span: bank open/closed state and
-     * power-down are command-driven, so the only transition inside an
-     * idle span is a refresh completing at refreshEnd_.
-     */
-    void accountEnergySpan(Cycle from, Cycle to);
+    /** Charge nothing before `at`: residency restarts there. */
+    void anchorEnergy(Cycle at) { chargedTo_ = at; }
 
-    const RankEnergyCounters &energy() const { return energy_; }
-    RankEnergyCounters &energy() { return energy_; }
+    /** The energy books with residency charged through cycle `to`
+     *  (exclusive), without charging the rank itself. */
+    RankEnergyCounters energy(Cycle to) const;
+
+    /** Move up to `cycles` of charged precharge-standby residency to
+     *  power-down (credit for power-down cycles never simulated). */
+    void creditPowerDown(uint64_t cycles);
 
     /** Current power state (derived). */
     PowerState powerState(Cycle now) const;
 
-    void saveState(Serializer &s) const;
+    /** Writes the books charged through `energyClock`, so the bytes do
+     *  not depend on when the rank was last charged. */
+    void saveState(Serializer &s, Cycle energyClock) const;
+    /** Restores the books charged through the save; residency restarts
+     *  at cycle 0 until the owner re-anchors it. */
     void restoreState(Deserializer &d);
 
   private:
+    /** The residency rule: add [from, to) to `e`. Valid only while no
+     *  command issues in the span, so the only transition inside it
+     *  is a refresh completing at refreshEnd_. */
+    void accountEnergySpan(RankEnergyCounters &e, Cycle from,
+                           Cycle to) const;
+
+    /** Rank-wide halves of activate()/read()/write(). */
+    void recordActivate(Cycle t);
+    void recordRead(Cycle t);
+    void recordWrite(Cycle t);
+
+    /** Apply `op` to bank `b`, keeping the open-bank count exact. */
+    template <typename Op>
+    void mutateBank(unsigned b, Op &&op);
+
     const TimingParams &tp_;
     std::vector<Bank> banks_;
+    unsigned openBanks_ = 0;
 
     Cycle nextActRrd_ = 0;
     std::deque<Cycle> actWindow_; ///< recent ACT times for tFAW
@@ -133,6 +165,7 @@ class Rank
     Cycle pdExitReadyAt_ = 0;
 
     RankEnergyCounters energy_;
+    Cycle chargedTo_ = 0; ///< residency charged for [.., chargedTo_)
 };
 
 } // namespace memsec::dram

@@ -758,6 +758,12 @@ ExperimentSystem::injector()
     return *impl_->injector;
 }
 
+mem::MemoryController &
+ExperimentSystem::controller(unsigned ch)
+{
+    return *impl_->mcs.at(ch);
+}
+
 void
 ExperimentSystem::saveState(Serializer &s) const
 {
@@ -914,7 +920,7 @@ ExperimentSystem::finish()
     energy::PowerModel pm(energy::DeviceParams::ddr3_1600_4gb(), im.tp);
     for (auto &m : mcs) {
         for (unsigned r = 0; r < m->dram().numRanks(); ++r)
-            res.energy += pm.rankEnergy(m->dram().rank(r).energy());
+            res.energy += pm.rankEnergy(m->dram().energy(r));
     }
 
     // Optional full statistics dump ("stats.dump" = file path, or

@@ -35,6 +35,10 @@ namespace memsec::fault {
 class FaultInjector;
 } // namespace memsec::fault
 
+namespace memsec::mem {
+class MemoryController;
+} // namespace memsec::mem
+
 namespace memsec::harness {
 
 /** Everything one run produces. */
@@ -177,6 +181,9 @@ class ExperimentSystem
 
     /** The run's fault injector (snapshot corruption hooks). */
     fault::FaultInjector &injector();
+
+    /** Channel `ch`'s memory controller (state inspection). */
+    mem::MemoryController &controller(unsigned ch);
 
   private:
     struct Impl;

@@ -296,8 +296,7 @@ MemoryController::nextWakeCycle(Cycle now) const
 void
 MemoryController::fastForward(Cycle from, Cycle to)
 {
-    // The span is quiet; only the per-cycle energy state residency
-    // needs catching up.
+    // The span is quiet; only the DRAM energy clock moves.
     dram_.fastForwardEnergy(from, to);
 }
 

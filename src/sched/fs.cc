@@ -499,11 +499,7 @@ FsScheduler::finalize(Cycle now)
     // never simulated; Section 5.2 argues the command bus has free
     // cycles for PDE/PDX in every interval).
     for (unsigned r = 0; r < dram_.numRanks(); ++r) {
-        auto &e = dram_.rank(r).energy();
-        const uint64_t credit =
-            std::min(pdCreditCycles_[r], e.cyclesPrecharge);
-        e.cyclesPrecharge -= credit;
-        e.cyclesPowerDown += credit;
+        dram_.creditPowerDown(r, pdCreditCycles_[r]);
         pdCreditCycles_[r] = 0;
     }
 }

@@ -110,6 +110,10 @@ class FsScheduler : public Scheduler
     uint64_t dummyOps() const { return dummyOps_.value(); }
     uint64_t prefetchOps() const { return prefetchOps_.value(); }
 
+    /** End of rank `r`'s current power-down frame (energy opt 3); the
+     *  rank is powered down at `now` iff this is later. */
+    Cycle poweredDownUntil(unsigned r) const { return rankDownUntil_.at(r); }
+
   private:
     struct PlannedOp
     {

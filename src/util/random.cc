@@ -103,7 +103,18 @@ Rng::geometric(double p)
     // Avoid log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::log(u) / std::log(1.0 - p));
+    // Callers draw many times at one p; log(1 - p) is a pure function
+    // of it, so the memo leaves every quotient bit-identical.
+    if (p != logBaseP_) {
+        logBaseP_ = p;
+        logBase_ = std::log(1.0 - p);
+    }
+    const double q = std::log(u) / logBase_;
+    // 1 - p rounds to 1 for p below ~1.1e-16: log(1 - p) is 0 and the
+    // quotient -inf, which no integer can hold.
+    if (!(q >= 0.0 && q < 0x1.0p64))
+        return UINT64_MAX;
+    return static_cast<uint64_t>(q);
 }
 
 } // namespace memsec

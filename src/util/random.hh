@@ -40,7 +40,8 @@ class Rng
     /** Bernoulli draw with probability p of true. */
     bool chance(double p);
 
-    /** Geometric-ish draw: number of failures before success(p). */
+    /** Geometric-ish draw: number of failures before success(p),
+     *  UINT64_MAX when p is too small for 1 - p to differ from 1. */
     uint64_t geometric(double p);
 
     /** Copy the raw 256-bit state out (snapshot support). */
@@ -51,6 +52,11 @@ class Rng
 
   private:
     uint64_t s[4];
+    /** geometric()'s memo: logBase_ == log(1 - logBaseP_). Derived,
+     *  so not part of the snapshot state. 1.0 is never memoised
+     *  (geometric(1) returns before it). */
+    double logBaseP_ = 1.0;
+    double logBase_ = 0.0;
 };
 
 } // namespace memsec

@@ -20,12 +20,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
+#include "mem/memory_controller.hh"
+#include "sched/fs.hh"
 #include "util/serialize.hh"
 
 using namespace memsec;
@@ -103,6 +106,53 @@ runWithRestores(const Config &cfg, unsigned snapshots)
     return sys->finish();
 }
 
+/** A state of the system a chop can land in. */
+using ChopPredicate = std::function<bool(ExperimentSystem &)>;
+
+/**
+ * Chops that land inside an interval: the cycles, from one probe run
+ * stepped cycle by cycle, at which `inside` has held for four cycles
+ * in a row (one per interval). Then the real run steps straight to
+ * each chop in one chunk, with fast-forward free to jump, checks it
+ * is still inside, and carries on in a fresh system restored from
+ * the serialized state.
+ */
+void
+expectIdenticalChoppedInside(const Config &cfg, const ChopPredicate &inside,
+                             const std::string &what)
+{
+    std::vector<Cycle> chops;
+    {
+        ExperimentSystem probe(cfg);
+        unsigned held = 0;
+        while (!probe.done()) {
+            probe.step(1);
+            held = inside(probe) ? held + 1 : 0;
+            if (held == 4 && !probe.done())
+                chops.push_back(probe.now());
+        }
+    }
+    ASSERT_GE(chops.size(), 2u) << what << ": too few intervals to chop";
+
+    auto sys = std::make_unique<ExperimentSystem>(cfg);
+    for (Cycle chop : chops) {
+        sys->step(chop - sys->now());
+        ASSERT_EQ(sys->now(), chop) << what;
+        ASSERT_TRUE(inside(*sys)) << what << ": chop at " << chop;
+        Serializer s;
+        sys->saveState(s);
+        auto fresh = std::make_unique<ExperimentSystem>(cfg);
+        Deserializer d(s.data());
+        fresh->restoreState(d);
+        sys = std::move(fresh);
+    }
+    while (!sys->done())
+        sys->step(100000);
+    EXPECT_EQ(resultDigest(runExperiment(cfg)),
+              resultDigest(sys->finish()))
+        << what;
+}
+
 void
 expectIdentical(const Config &cfg, const std::string &what)
 {
@@ -145,6 +195,46 @@ TEST(CheckpointDiff, FsNoPartition)
 TEST(CheckpointDiff, FsEnergyVariants)
 {
     expectIdentical("fs_rp_powerdown", "mcf", 1);
+}
+
+// Residency is charged lazily, so a restore must re-anchor every rank
+// at the first cycle after it; chop where a rank is refreshing and
+// where FS has powered one down.
+TEST(CheckpointDiff, ChopInsideRefresh)
+{
+    Config c = diffConfig("fs_rp", "mcf", 1);
+    c.set("dram.refresh", true);
+    ASSERT_TRUE(c.getBool("sim.fastforward"));
+    expectIdenticalChoppedInside(
+        c,
+        [](ExperimentSystem &sys) {
+            const dram::DramSystem &dram = sys.controller(0).dram();
+            for (unsigned r = 0; r < dram.numRanks(); ++r) {
+                if (sys.now() < dram.rank(r).refreshEndsAt())
+                    return true;
+            }
+            return false;
+        },
+        "fs_rp/mcf seed=1 dram.refresh=true");
+}
+
+TEST(CheckpointDiff, ChopInsidePowerDown)
+{
+    const Config c = diffConfig("fs_rp_powerdown", "mcf", 1);
+    ASSERT_TRUE(c.getBool("sim.fastforward"));
+    expectIdenticalChoppedInside(
+        c,
+        [](ExperimentSystem &sys) {
+            const auto &fs = dynamic_cast<const sched::FsScheduler &>(
+                sys.controller(0).scheduler());
+            const unsigned ranks = sys.controller(0).dram().numRanks();
+            for (unsigned r = 0; r < ranks; ++r) {
+                if (fs.poweredDownUntil(r) > sys.now())
+                    return true;
+            }
+            return false;
+        },
+        "fs_rp_powerdown/mcf seed=1");
 }
 
 TEST(CheckpointDiff, FsWithPrefetch)

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dram/dram_system.hh"
+#include "util/random.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::dram;
@@ -155,9 +159,9 @@ TEST_F(DramSystemTest, EnergyCountersTrackCommands)
     const auto &tp = sys.timing();
     sys.issue(mk(CmdType::Act, 2, 3, 9), 0);
     sys.issue(mk(CmdType::RdA, 2, 3, 9), tp.rcd);
-    EXPECT_EQ(sys.rank(2).energy().activates, 1u);
-    EXPECT_EQ(sys.rank(2).energy().reads, 1u);
-    EXPECT_EQ(sys.rank(2).energy().writes, 0u);
+    EXPECT_EQ(sys.energy(2).activates, 1u);
+    EXPECT_EQ(sys.energy(2).reads, 1u);
+    EXPECT_EQ(sys.energy(2).writes, 0u);
 }
 
 TEST_F(DramSystemTest, SuppressedCommandsNotCharged)
@@ -169,10 +173,10 @@ TEST_F(DramSystemTest, SuppressedCommandsNotCharged)
     Command r = mk(CmdType::RdA, 1, 0, 9);
     r.suppressed = true;
     sys.issue(r, tp.rcd);
-    EXPECT_EQ(sys.rank(1).energy().activates, 0u);
-    EXPECT_EQ(sys.rank(1).energy().reads, 0u);
-    EXPECT_EQ(sys.rank(1).energy().suppressedActs, 1u);
-    EXPECT_EQ(sys.rank(1).energy().suppressedCas, 1u);
+    EXPECT_EQ(sys.energy(1).activates, 0u);
+    EXPECT_EQ(sys.energy(1).reads, 0u);
+    EXPECT_EQ(sys.energy(1).suppressedActs, 1u);
+    EXPECT_EQ(sys.energy(1).suppressedCas, 1u);
 }
 
 TEST_F(DramSystemTest, CheckerSeesEveryCommand)
@@ -214,7 +218,127 @@ TEST_F(DramSystemTest, TickAccumulatesEnergyResidency)
 {
     for (Cycle t = 0; t < 100; ++t)
         sys.tick(t);
-    EXPECT_EQ(sys.rank(0).energy().cyclesPrecharge, 100u);
+    EXPECT_EQ(sys.energy(0).cyclesPrecharge, 100u);
+}
+
+/**
+ * Residency oracle. Seeded random legal command streams, accounted
+ * by tick(), by fastForwardEnergy() idle spans, and across spans never
+ * accounted at all, with mid-stream reads, charging power-down credits
+ * and a save/restore. Every rank's four residency counters must equal
+ * a brute-force tally of powerState(c) over every accounted cycle c,
+ * taken after the commands issued at c.
+ */
+TEST(DramResidency, LazyBooksMatchAPerCycleTally)
+{
+    const TimingParams tp = TimingParams::ddr3_1600_4gb();
+    const Geometry geo;
+    static const CmdType kinds[] = {
+        CmdType::Act,     CmdType::Act,    CmdType::Rd,  CmdType::RdA,
+        CmdType::Wr,      CmdType::WrA,    CmdType::Pre, CmdType::Pre,
+        CmdType::Pre,     CmdType::Pre,    CmdType::Ref, CmdType::Ref,
+        CmdType::PdEnter, CmdType::PdExit,
+    };
+    for (uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE(seed);
+        auto sys = std::make_unique<DramSystem>(tp, geo);
+        Rng rng(seed);
+        // tally[r][PowerState] = cycles rank r was seen in that state.
+        std::vector<std::array<uint64_t, 4>> tally(geo.ranksPerChannel);
+        const auto account = [&](Cycle c) {
+            for (unsigned r = 0; r < geo.ranksPerChannel; ++r)
+                ++tally[r][static_cast<size_t>(
+                    sys->rank(r).powerState(c))];
+        };
+        const auto expectBooks = [&](Cycle at) {
+            for (unsigned r = 0; r < geo.ranksPerChannel; ++r) {
+                const RankEnergyCounters e = sys->energy(r);
+                const auto &want = tally[r];
+                ASSERT_EQ(e.cyclesPrecharge,
+                          want[size_t(PowerState::PrechargeStandby)])
+                    << "rank " << r << " at " << at;
+                ASSERT_EQ(e.cyclesActive,
+                          want[size_t(PowerState::ActiveStandby)])
+                    << "rank " << r << " at " << at;
+                ASSERT_EQ(e.cyclesPowerDown,
+                          want[size_t(PowerState::PowerDown)])
+                    << "rank " << r << " at " << at;
+                ASSERT_EQ(e.cyclesRefreshing,
+                          want[size_t(PowerState::Refreshing)])
+                    << "rank " << r << " at " << at;
+            }
+        };
+
+        const Cycle end = 60000;
+        bool restored = false;
+        uint64_t issued = 0;
+        Cycle t = 0;
+        while (t < end) {
+            const uint64_t roll = rng.below(1000);
+            if (roll < 40) {
+                // An idle span, accounted in one step.
+                const Cycle span = 1 + rng.below(300);
+                sys->fastForwardEnergy(t, t + span);
+                for (Cycle c = t; c < t + span; ++c)
+                    account(c);
+                t += span;
+                continue;
+            }
+            if (roll < 43) {
+                // Cycles nobody accounts; the books skip them too.
+                t += 1 + rng.below(50);
+                continue;
+            }
+            for (int attempt = 0; attempt < 6; ++attempt) {
+                Command c{kinds[rng.below(std::size(kinds))],
+                          static_cast<unsigned>(
+                              rng.below(geo.ranksPerChannel)),
+                          static_cast<unsigned>(
+                              rng.below(geo.banksPerRank)),
+                          static_cast<unsigned>(rng.below(4)), 0, false};
+                const Bank &bk = sys->rank(c.rank).bank(c.bank);
+                if (isColumn(c.type) && bk.isOpen())
+                    c.row = bk.openRow();
+                if (sys->canIssue(c, t)) {
+                    sys->issue(c, t);
+                    ++issued;
+                    break;
+                }
+            }
+            sys->tick(t);
+            account(t);
+            ++t;
+            if (roll < 60) {
+                expectBooks(t);
+            } else if (roll < 70) {
+                // A charging read, as FsScheduler::finalize makes.
+                sys->creditPowerDown(
+                    static_cast<unsigned>(rng.below(geo.ranksPerChannel)),
+                    0);
+            }
+            if (!restored && t >= end / 2) {
+                // Odd seeds restore into a fresh system, even seeds
+                // over the live one (its energy clock is mid-run).
+                Serializer out;
+                sys->saveState(out);
+                if (seed % 2)
+                    sys = std::make_unique<DramSystem>(tp, geo);
+                Deserializer in(out.data());
+                sys->restoreState(in);
+                restored = true;
+                expectBooks(t);
+            }
+        }
+        expectBooks(t);
+        EXPECT_GT(issued, 3000u);
+        // The stream must have visited every state.
+        for (size_t st = 0; st < 4; ++st) {
+            uint64_t total = 0;
+            for (const auto &r : tally)
+                total += r[st];
+            EXPECT_GT(total, 0u) << "power state " << st;
+        }
+    }
 }
 
 TEST_F(DramSystemTest, DataBusUtilisationCounted)

@@ -115,8 +115,9 @@ TEST(FastForwardDiff, FsTripleAlternation)
 }
 
 // The energy-optimisation variants exercise ACT suppression and
-// precharge power-down, the two paths where Rank::accountEnergySpan
-// must agree with per-cycle tickEnergy() residency accounting.
+// precharge power-down: rank residency charged lazily across
+// fast-forwarded spans must equal the naive loop's, whose energy
+// clock advances one tick() at a time.
 TEST(FastForwardDiff, FsEnergyVariants)
 {
     expectIdentical("fs_rp_suppress", "mcf", 1);

@@ -88,7 +88,7 @@ TEST_F(FrFcfsTest, OpenPageKeepsRowForHits)
     runTo(120);
     ASSERT_EQ(done.size(), 3u);
     // One activate serves all three CASes.
-    EXPECT_EQ(mc->dram().rank(0).energy().activates, 1u);
+    EXPECT_EQ(mc->dram().energy(0).activates, 1u);
 }
 
 TEST_F(FrFcfsTest, WritesDrainWhenNoReads)

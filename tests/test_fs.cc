@@ -144,7 +144,7 @@ TEST_F(FsTest, DummiesTargetOwnPartition)
     // rank must come from its owner; cross-checking energy counters:
     // every rank saw activity (its owner's dummies).
     for (unsigned r = 0; r < 8; ++r) {
-        const auto &e = mc->dram().rank(r).energy();
+        const auto e = mc->dram().energy(r);
         EXPECT_GT(e.activates, 0u) << "rank " << r;
     }
 }
@@ -213,8 +213,8 @@ TEST_F(FsTest, SuppressedDummiesKeepTimingSkipEnergy)
     uint64_t real = 0;
     uint64_t suppressed = 0;
     for (unsigned r = 0; r < 8; ++r) {
-        real += mc->dram().rank(r).energy().activates;
-        suppressed += mc->dram().rank(r).energy().suppressedActs;
+        real += mc->dram().energy(r).activates;
+        suppressed += mc->dram().energy(r).suppressedActs;
     }
     EXPECT_EQ(real, 0u);
     EXPECT_GT(suppressed, 0u);
@@ -244,7 +244,7 @@ TEST_F(FsTest, PowerDownCreditsIdleRanks)
     fs->finalize(now);
     uint64_t pd = 0;
     for (unsigned r = 0; r < 8; ++r)
-        pd += mc->dram().rank(r).energy().cyclesPowerDown;
+        pd += mc->dram().energy(r).cyclesPowerDown;
     EXPECT_GT(pd, 0u);
     StatGroup g;
     fs->registerStats(g);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "util/random.hh"
 
@@ -107,4 +110,42 @@ TEST(Random, GeometricPOneIsZero)
     Rng r(23);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(r.geometric(1.0), 0u);
+}
+
+TEST(Random, GeometricSaturatesWhenOneMinusPRoundsToOne)
+{
+    // 1 - p == 1.0 makes log(1 - p) zero and the quotient infinite;
+    // the draw saturates instead of casting inf to an integer.
+    Rng r(29);
+    for (double p : {1e-17, 1e-300}) {
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(r.geometric(p), UINT64_MAX) << p;
+    }
+    // The smallest p with 1 - p < 1 still draws a finite value.
+    EXPECT_LT(r.geometric(0x1.0p-53), UINT64_MAX);
+}
+
+TEST(Random, GeometricDrawsArePinned)
+{
+    // Values recorded before geometric() memoised log(1 - p): the memo
+    // must leave every draw bit-identical, including when p alternates
+    // the way the phase generator interleaves its two draws.
+    Rng r(42);
+    const std::pair<double, std::array<uint64_t, 4>> fixed[] = {
+        {0.5, {3, 1, 0, 0}},
+        {0.25, {0, 0, 1, 0}},
+        {0.03, {8, 17, 12, 40}},
+        {1e-6, {221863, 1135032, 340871, 130373}},
+        {0.95, {0, 0, 0, 0}},
+    };
+    for (const auto &[p, want] : fixed) {
+        for (uint64_t w : want)
+            EXPECT_EQ(r.geometric(p), w) << p;
+    }
+    const uint64_t alternating[] = {9505, 142, 10, 2029, 14, 59, 3674, 19};
+    for (int i = 0; i < 8; ++i) {
+        const double p =
+            i % 3 == 0 ? 1.0 / 4000.0 : 0.03 * (i % 2 ? 0.4 : 2.5);
+        EXPECT_EQ(r.geometric(p), alternating[i]) << i;
+    }
 }

@@ -59,7 +59,7 @@ TEST(RefreshFs, EveryRankRefreshedEachEpoch)
     const auto &tp = rig.mc->dram().timing();
     rig.run(3 * tp.refi + 1000);
     for (unsigned r = 0; r < 8; ++r) {
-        EXPECT_EQ(rig.mc->dram().rank(r).energy().refreshes, 3u)
+        EXPECT_EQ(rig.mc->dram().energy(r).refreshes, 3u)
             << "rank " << r;
     }
 }
@@ -68,7 +68,7 @@ TEST(RefreshFs, NoRefreshWithoutFlag)
 {
     FsRig rig(false);
     rig.run(10000);
-    EXPECT_EQ(rig.mc->dram().rank(0).energy().refreshes, 0u);
+    EXPECT_EQ(rig.mc->dram().energy(0).refreshes, 0u);
 }
 
 TEST(RefreshFs, EpochStealsBoundedSlots)
@@ -133,8 +133,8 @@ TEST(RefreshBaseline, StaggeredRefreshMeetsDeadlines)
     EXPECT_GE(fr->refreshes(), 16u);
     EXPECT_LE(fr->refreshes(), 24u);
     for (unsigned r = 0; r < 8; ++r) {
-        EXPECT_GE(mc.dram().rank(r).energy().refreshes, 2u) << r;
-        EXPECT_LE(mc.dram().rank(r).energy().refreshes, 3u) << r;
+        EXPECT_GE(mc.dram().energy(r).refreshes, 2u) << r;
+        EXPECT_LE(mc.dram().energy(r).refreshes, 3u) << r;
     }
 }
 
@@ -165,7 +165,7 @@ TEST(RefreshBaseline, RefreshDrainsOpenRowsFirst)
         }
         mc.tick(t); // panics if REF issued over an open row
     }
-    EXPECT_GE(mc.dram().rank(0).energy().refreshes, 1u);
+    EXPECT_GE(mc.dram().energy(0).refreshes, 1u);
 }
 
 TEST(RefreshBaseline, PerformanceCostIsSmall)
