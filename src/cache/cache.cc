@@ -96,6 +96,39 @@ Cache::fill(Addr addr, bool dirty, bool prefetched)
 }
 
 void
+Cache::accessOrFill(Addr addr, bool isStore)
+{
+    Line *set = setOf(addr);
+    const uint64_t want = kValid | tagOf(addr);
+    // fill()'s victim: the first invalid way, else the first way
+    // with the oldest stamp.
+    Line *invalid = nullptr;
+    Line *oldest = set;
+    for (unsigned w = 0; w < ways_; ++w) {
+        Line &line = set[w];
+        if ((line.tagFlags & ~(kDirty | kPrefetched)) == want) {
+            // access()'s hit: touch, dirty on a store, consume the
+            // prefetched mark.
+            line.lruStamp = ++stamp_;
+            line.tagFlags = (line.tagFlags & ~kPrefetched) |
+                            (isStore ? kDirty : 0);
+            hits_.inc();
+            return;
+        }
+        if (!(line.tagFlags & kValid)) {
+            if (invalid == nullptr)
+                invalid = &line;
+        } else if (line.lruStamp < oldest->lruStamp) {
+            oldest = &line;
+        }
+    }
+    misses_.inc();
+    Line *victim = invalid != nullptr ? invalid : oldest;
+    victim->tagFlags = want | (isStore ? kDirty : 0);
+    victim->lruStamp = ++stamp_;
+}
+
+void
 Cache::markDirty(Addr addr)
 {
     if (Line *line = find(addr))

@@ -63,6 +63,15 @@ class Cache
      *  `prefetched` marks the line for usefulness accounting. */
     FillResult fill(Addr addr, bool dirty, bool prefetched = false);
 
+    /**
+     * access(), then fill() on a miss, in one set scan: the
+     * functional warmup's lookup. Counters, LRU stamps and the dirty
+     * and prefetched bits end exactly as after
+     * `if (!access(addr, isStore).hit) fill(addr, isStore);`.
+     * A dirty victim is dropped, as warmup drops its writebacks.
+     */
+    void accessOrFill(Addr addr, bool isStore);
+
     /** Mark a resident line dirty (store completing after fill). */
     void markDirty(Addr addr);
 

@@ -102,21 +102,27 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
     // measurement starts from a warm cache, as the paper's
     // fast-forwarded checkpoints do. Writebacks generated here are
     // discarded (they happened "before" the simulation).
+    auto *synthetic =
+        dynamic_cast<SyntheticTraceGenerator *>(trace_.get());
     auto replay = [&] {
+        // A synthetic stream skips its unused gaps (draw-exact, see
+        // skipRecords); other generators produce whole records.
+        if (synthetic != nullptr) {
+            synthetic->skipRecords(records, [&](Addr addr, bool isStore) {
+                llc_.accessOrFill(lineOf(addr), isStore);
+            });
+            return;
+        }
         for (uint64_t i = 0; i < records; ++i) {
             const TraceRecord tr = trace_->next();
-            const Addr line = lineOf(tr.addr);
-            if (!llc_.access(line, tr.isStore).hit)
-                llc_.fill(line, tr.isStore);
+            llc_.accessOrFill(lineOf(tr.addr), tr.isStore);
         }
     };
     WarmupMemo &memo = warmupMemo();
     // Only synthetic generators are memoized. A trace file can change
     // on disk under the same path, and open-loop domains skip warmup
     // unless a config asks for it explicitly.
-    const bool synthetic =
-        dynamic_cast<const SyntheticTraceGenerator *>(trace_.get());
-    if (!synthetic || params_.warmupMemoEntries == 0) {
+    if (synthetic == nullptr || params_.warmupMemoEntries == 0) {
         replay();
         const std::lock_guard<std::mutex> lock(memo.mutex);
         ++memo.stats.bypasses;

@@ -81,7 +81,6 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
     // collide bank-for-bank.
     for (unsigned s = 0; s < streams; ++s)
         streamPos_.push_back(rng_.below(profile.footprintLines));
-    recent_.assign(64, 0);
 }
 
 Addr
@@ -89,26 +88,25 @@ SyntheticTraceGenerator::pickLine()
 {
     const uint64_t fp = profile_.footprintLines;
 
-    if (!recent_.empty() && rng_.chance(profile_.reuseFraction)) {
+    if (rng_.chance(profile_.reuseFraction)) {
         // Temporal reuse of a recently touched line.
-        return recent_[rng_.below(recent_.size())];
+        return recent_[rng_.below(kReuseRing)];
     }
 
     uint64_t line;
     if (rng_.chance(profile_.streamFraction)) {
-        const unsigned s = streamRr_++ % streamPos_.size();
-        streamPos_[s] =
-            (streamPos_[s] + profile_.strideLines) % fp;
+        const uint64_t s = modulo(streamRr_++, streamPos_.size());
+        streamPos_[s] = modulo(streamPos_[s] + profile_.strideLines, fp);
         line = streamPos_[s];
     } else {
         line = rng_.below(fp);
     }
-    recent_[recentIdx_++ % recent_.size()] = line * kLineBytes;
+    recent_[recentIdx_++ % kReuseRing] = line * kLineBytes;
     return line * kLineBytes;
 }
 
-TraceRecord
-SyntheticTraceGenerator::next()
+double
+SyntheticTraceGenerator::recordRatio()
 {
     double ratio = profile_.memRatio;
     if (!modSecret_.empty()) {
@@ -134,13 +132,32 @@ SyntheticTraceGenerator::next()
                             : profile_.phaseLowFactor;
         ratio = std::min(0.95, std::max(1e-6, ratio));
     }
+    return ratio;
+}
 
+TraceRecord
+SyntheticTraceGenerator::next()
+{
+    const double ratio = recordRatio();
     TraceRecord rec;
     rec.gap = static_cast<uint32_t>(
         std::min<uint64_t>(rng_.geometric(ratio), 1u << 20));
     rec.isStore = rng_.chance(profile_.storeFraction);
     rec.addr = pickLine();
     return rec;
+}
+
+void
+SyntheticTraceGenerator::skipRecords(uint64_t n, const RecordSink &sink)
+{
+    for (uint64_t i = 0; i < n; ++i) {
+        // geometric(ratio) draws exactly one uniform() below 1 and
+        // none at 1 (it returns first); the gap itself is unused.
+        if (recordRatio() < 1.0)
+            rng_.uniform();
+        const bool isStore = rng_.chance(profile_.storeFraction);
+        sink(pickLine(), isStore);
+    }
 }
 
 void
@@ -155,7 +172,7 @@ SyntheticTraceGenerator::saveState(Serializer &s) const
     for (uint64_t p : streamPos_)
         s.putU64(p);
     s.putU32(streamRr_);
-    s.putU64(recent_.size());
+    s.putU64(kReuseRing);
     for (Addr a : recent_)
         s.putU64(a);
     s.putU64(recentIdx_);
@@ -177,7 +194,7 @@ SyntheticTraceGenerator::restoreState(Deserializer &d)
     for (uint64_t &p : streamPos_)
         p = d.getU64();
     streamRr_ = d.getU32();
-    if (d.getU64() != recent_.size())
+    if (d.getU64() != kReuseRing)
         d.fail("trace reuse-ring size mismatch");
     for (Addr &a : recent_)
         a = d.getU64();

@@ -12,11 +12,14 @@
 #ifndef MEMSEC_CPU_TRACE_HH
 #define MEMSEC_CPU_TRACE_HH
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/types.hh"
+#include "util/bitops.hh"
 #include "util/random.hh"
 
 namespace memsec {
@@ -186,8 +189,23 @@ class SyntheticTraceGenerator : public TraceGenerator
   public:
     SyntheticTraceGenerator(const WorkloadProfile &profile, uint64_t seed);
 
+    /** Called with each skipped record's address and store flag. */
+    using RecordSink = std::function<void(Addr addr, bool isStore)>;
+
     TraceRecord next() override;
     void observeCycle(Cycle now) override { memCycle_ = now; }
+
+    /**
+     * Advance the stream by `n` records, handing each one's address
+     * and store flag to `sink`: the functional warmup's kernel. It
+     * makes the same RNG draws in the same order as `n` calls of
+     * next(), so the records and the saveState() bytes afterwards are
+     * identical. Only the gap is skipped: its one uniform() draw is
+     * made and discarded rather than turned into a geometric value,
+     * and at a ratio of 1 nothing is drawn, as geometric(1) draws
+     * nothing.
+     */
+    void skipRecords(uint64_t n, const RecordSink &sink);
 
     void saveState(Serializer &s) const override;
     void restoreState(Deserializer &d) override;
@@ -195,13 +213,21 @@ class SyntheticTraceGenerator : public TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    /** Recently touched lines that reuse draws from. */
+    static constexpr size_t kReuseRing = 64;
+    static_assert(isPowerOf2(kReuseRing), "the reuse ring is masked");
+
+    /** This record's memory-op probability: the profile's memRatio
+     *  keyed by the covert sender's window or by the phase machine,
+     *  which it advances. The one copy of that logic. */
+    double recordRatio();
     Addr pickLine();
 
     WorkloadProfile profile_;
     Rng rng_;
     std::vector<uint64_t> streamPos_;
     unsigned streamRr_ = 0;
-    std::vector<Addr> recent_;
+    std::array<Addr, kReuseRing> recent_{};
     size_t recentIdx_ = 0;
     bool busyPhase_ = true;
     uint64_t phaseLeft_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Small bit-manipulation helpers used by address mapping.
+ * Small bit-manipulation helpers used by address mapping and the
+ * trace generator.
  */
 
 #ifndef MEMSEC_UTIL_BITOPS_HH
@@ -15,6 +16,14 @@ constexpr bool
 isPowerOf2(uint64_t x)
 {
     return x != 0 && (x & (x - 1)) == 0;
+}
+
+/** x mod m for nonzero m. A power-of-two m masks: the same value,
+ *  without the divide. */
+constexpr uint64_t
+modulo(uint64_t x, uint64_t m)
+{
+    return (m & (m - 1)) == 0 ? x & (m - 1) : x % m;
 }
 
 /** floor(log2(x)); x must be nonzero. */

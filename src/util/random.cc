@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace memsec {
@@ -18,12 +19,6 @@ splitMix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -34,26 +29,12 @@ Rng::Rng(uint64_t seed)
 }
 
 uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-}
-
-uint64_t
 Rng::below(uint64_t bound)
 {
     panic_if(bound == 0, "Rng::below(0)");
     // Rejection-free Lemire reduction is overkill here; modulo bias is
     // negligible for bounds << 2^64 used in workload synthesis.
-    return next() % bound;
+    return modulo(next(), bound);
 }
 
 uint64_t
@@ -61,22 +42,6 @@ Rng::range(uint64_t lo, uint64_t hi)
 {
     panic_if(lo > hi, "Rng::range with lo {} > hi {}", lo, hi);
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 void

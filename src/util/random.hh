@@ -26,7 +26,18 @@ class Rng
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound); bound must be nonzero. */
     uint64_t below(uint64_t bound);
@@ -35,10 +46,18 @@ class Rng
     uint64_t range(uint64_t lo, uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform() { return (next() >> 11) * 0x1.0p-53; }
 
-    /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
+    /** Bernoulli draw with probability p of true; p <= 0 and p >= 1
+     *  draw nothing. */
+    bool chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Geometric-ish draw: number of failures before success(p),
      *  UINT64_MAX when p is too small for 1 - p to differ from 1. */
@@ -51,6 +70,11 @@ class Rng
     void setState(const uint64_t in[4]);
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s[4];
     /** geometric()'s memo: logBase_ == log(1 - logBaseP_). Derived,
      *  so not part of the snapshot state. 1.0 is never memoised

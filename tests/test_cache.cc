@@ -251,3 +251,38 @@ TEST(Cache, CopyEvictsLikeOriginal)
     copy.fill(4096 * kLineBytes, true);
     EXPECT_NE(stateOf(copy), stateOf(orig));
 }
+
+TEST(Cache, AccessOrFillMatchesAccessThenFill)
+{
+    // The fused warmup lookup against the two-call sequence it
+    // replaces, on a small cache so sets overflow: dirty victims,
+    // prefetched lines consumed by a hit, and stores to resident
+    // lines all occur. Bytes (tags, flags, LRU stamps) and the hit
+    // and miss counters must agree after every operation.
+    Cache fused(8 * 1024, 4); // 32 sets
+    Cache split(8 * 1024, 4);
+    Rng ops(17);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr a = ops.below(512) * kLineBytes;
+        const bool store = ops.chance(0.3);
+        if (ops.chance(0.1)) {
+            // Prefetched fills (and markDirty) come from the timed
+            // core; they interleave with warmup-style lookups here.
+            const bool dirty = ops.chance(0.2);
+            fused.fill(a, dirty, true);
+            split.fill(a, dirty, true);
+        } else if (ops.chance(0.05)) {
+            fused.markDirty(a);
+            split.markDirty(a);
+        } else {
+            fused.accessOrFill(a, store);
+            if (!split.access(a, store).hit)
+                split.fill(a, store);
+        }
+        ASSERT_EQ(stateOf(fused), stateOf(split)) << i;
+    }
+    EXPECT_EQ(fused.hits().value(), split.hits().value());
+    EXPECT_EQ(fused.misses().value(), split.misses().value());
+    EXPECT_GT(fused.hits().value(), 0u);
+    EXPECT_GT(fused.misses().value(), 0u);
+}

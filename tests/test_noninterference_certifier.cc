@@ -162,7 +162,7 @@ TEST(Certifier, LeakyToySchedulerYieldsWitness)
 
 TEST(Certifier, SummaryNamesSchedulerAndVerdict)
 {
-    const PaperCertPoint &p = paperCertPoints().front();
+    const PaperCertPoint p = paperCertPoints().front();
     const CertifyResult res = NoninterferenceCertifier(p.cfg).certify();
     const std::string s = res.summary();
     EXPECT_NE(s.find(res.scheduler), std::string::npos) << s;

@@ -149,3 +149,29 @@ TEST(Random, GeometricDrawsArePinned)
         EXPECT_EQ(r.geometric(p), alternating[i]) << i;
     }
 }
+
+TEST(Random, BelowDrawsArePinned)
+{
+    // Values recorded while below() reduced every bound with `%`. A
+    // power-of-two bound may mask instead, but every value, and the
+    // one raw draw per call (below(1) included), must stay the same.
+    Rng r(2024);
+    const std::pair<uint64_t, std::array<uint64_t, 4>> fixed[] = {
+        {1, {0, 0, 0, 0}},
+        {2, {1, 1, 0, 0}},
+        {64, {21, 36, 32, 3}},
+        {1ull << 20, {145030, 466805, 335119, 141573}},
+        {1ull << 63,
+         {790500823250529545ull, 2817320505095676646ull,
+          5719482954650854441ull, 7414169184860983331ull}},
+        {3, {2, 2, 1, 0}},
+        {6, {3, 3, 3, 4}},
+        {8800, {5019, 7676, 6735, 7737}},
+        {1000000007, {456951272, 400594098, 810945061, 493681910}},
+    };
+    for (const auto &[bound, want] : fixed) {
+        for (uint64_t w : want)
+            EXPECT_EQ(r.below(bound), w) << bound;
+    }
+    EXPECT_EQ(r.next(), 1052166744257669394ull);
+}

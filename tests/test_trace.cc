@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "cpu/trace.hh"
 #include "cpu/workload.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::cpu;
@@ -21,6 +25,58 @@ simpleProfile()
     p.strideLines = 1;
     p.reuseFraction = 0.0;
     return p;
+}
+
+std::string
+stateOf(const TraceGenerator &g)
+{
+    Serializer s;
+    g.saveState(s);
+    return s.take();
+}
+
+/**
+ * skipRecords(n) on one generator against n next() calls on a twin:
+ * the sink must see the same (addr, isStore) sequence, and the
+ * checkpoint bytes afterwards must be equal.
+ */
+void
+expectSkipMatchesNext(const WorkloadProfile &p, uint64_t seed,
+                      Cycle observed, uint64_t n)
+{
+    SyntheticTraceGenerator skipped(p, seed);
+    SyntheticTraceGenerator stepped(p, seed);
+    skipped.observeCycle(observed);
+    stepped.observeCycle(observed);
+    uint64_t seen = 0;
+    uint64_t firstMismatch = UINT64_MAX;
+    skipped.skipRecords(n, [&](Addr addr, bool isStore) {
+        const TraceRecord r = stepped.next();
+        if ((r.addr != addr || r.isStore != isStore) &&
+            firstMismatch == UINT64_MAX)
+            firstMismatch = seen;
+        ++seen;
+    });
+    const std::string what = p.name + " seed " + std::to_string(seed) +
+                             " cycle " + std::to_string(observed) +
+                             " n " + std::to_string(n);
+    EXPECT_EQ(seen, n) << what;
+    EXPECT_EQ(firstMismatch, UINT64_MAX) << what;
+    // Bytes, compared without printing them.
+    EXPECT_TRUE(stateOf(skipped) == stateOf(stepped)) << what;
+}
+
+void
+expectSkipMatchesNextForAllN(const WorkloadProfile &p, uint64_t seed,
+                             Cycle observed = 0)
+{
+    // Phase lengths are geometric with mean phaseLength; ten means
+    // cross several phase boundaries.
+    const uint64_t phaseCrossing =
+        p.phaseLength > 0 ? 10 * p.phaseLength : 15000;
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                       phaseCrossing, uint64_t{400000}})
+        expectSkipMatchesNext(p, seed, observed, n);
 }
 
 } // namespace
@@ -120,4 +176,32 @@ TEST(Trace, InvalidProfileFatal)
     p2.footprintLines = 0;
     EXPECT_EXIT(SyntheticTraceGenerator(p2, 1),
                 ::testing::ExitedWithCode(1), "footprint");
+}
+
+TEST(Trace, SkipRecordsMatchesNext)
+{
+    // Every registered profile, in rate mode.
+    for (const std::string &name : allProfileNames())
+        expectSkipMatchesNextForAllN(profileByName(name), 7);
+    // Both mixes, one seed per core.
+    for (const char *mix : {"mix1", "mix2"}) {
+        uint64_t seed = 100;
+        for (const WorkloadProfile &p : workloadMix(mix, 4))
+            expectSkipMatchesNextForAllN(p, seed++);
+    }
+    // A modulated covert sender. Its ratio is a function of the
+    // observed cycle, constant during warmup. Seed 1's 8-bit secret
+    // is 00110011, so windows 0, 3 and 6 run keyed off, on and on.
+    WorkloadProfile sender = profileByName("modsender");
+    sender.modWindowCycles = 2000;
+    sender.modSecretBits = 8;
+    for (Cycle window = 0; window < 8; window += 3)
+        expectSkipMatchesNextForAllN(sender, 11, window * 2000);
+    // memRatio 1 with no phases: geometric(1) draws nothing, so the
+    // skipped gap must not draw either.
+    WorkloadProfile dense = simpleProfile();
+    dense.memRatio = 1.0;
+    dense.phaseLength = 0;
+    dense.reuseFraction = 0.5;
+    expectSkipMatchesNextForAllN(dense, 13);
 }
