@@ -3,10 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 
 #include "cpu/workload.hh"
 #include "util/logging.hh"
@@ -200,102 +197,6 @@ printFigure(const std::string &title, const std::vector<SuiteRow> &rows,
             std::cout << metricNote << "\n";
     }
     printTable("", t, opts);
-}
-
-const PerfMetric *
-PerfReporter::find(const std::string &name) const
-{
-    for (const auto &m : metrics_) {
-        if (m.name == name)
-            return &m;
-    }
-    return nullptr;
-}
-
-std::string
-modeMetricName(const std::string &base, const std::string &mode)
-{
-    return mode.empty() ? base : base + "_" + mode;
-}
-
-void
-PerfReporter::writeJson(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::trunc);
-    fatal_if(!out.good(), "cannot write perf report '{}'", path);
-    out << "{\n  \"metrics\": [\n";
-    for (size_t i = 0; i < metrics_.size(); ++i) {
-        const PerfMetric &m = metrics_[i];
-        // One object per line: the baseline comparator is a line
-        // scanner, and line diffs stay readable in review.
-        out << "    { \"name\": \"" << m.name << "\"";
-        if (!m.mode.empty())
-            out << ", \"mode\": \"" << m.mode << "\"";
-        out << ", \"cycles_per_sec\": " << std::setprecision(6)
-            << m.cyclesPerSec << ", \"wall_seconds\": "
-            << m.wallSeconds << ", \"skip_ratio\": " << m.skipRatio
-            << ", \"sim_cycles\": " << m.simCycles << " }"
-            << (i + 1 < metrics_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-}
-
-std::map<std::string, double>
-PerfReporter::readBaseline(const std::string &path)
-{
-    std::map<std::string, double> out;
-    std::ifstream in(path);
-    if (!in.good())
-        return out;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto namePos = line.find("\"name\": \"");
-        const auto ratePos = line.find("\"cycles_per_sec\": ");
-        if (namePos == std::string::npos ||
-            ratePos == std::string::npos)
-            continue;
-        const auto nameStart = namePos + std::strlen("\"name\": \"");
-        const auto nameEnd = line.find('"', nameStart);
-        if (nameEnd == std::string::npos)
-            continue;
-        const std::string name =
-            line.substr(nameStart, nameEnd - nameStart);
-        const double rate = std::strtod(
-            line.c_str() + ratePos + std::strlen("\"cycles_per_sec\": "),
-            nullptr);
-        out[name] = rate;
-    }
-    return out;
-}
-
-std::vector<std::string>
-PerfReporter::compareBaseline(const std::string &baselinePath,
-                              double tolerance) const
-{
-    std::vector<std::string> failures;
-    const auto baseline = readBaseline(baselinePath);
-    if (baseline.empty()) {
-        failures.push_back("baseline '" + baselinePath +
-                           "' missing or empty — regenerate with "
-                           "MEMSEC_PERF_NO_GATE=1 and commit "
-                           "BENCH_PERF.json as the baseline");
-        return failures;
-    }
-    for (const auto &m : metrics_) {
-        const auto it = baseline.find(m.name);
-        if (it == baseline.end())
-            continue; // new metric: no baseline yet, passes
-        const double floor = it->second * (1.0 - tolerance);
-        if (m.cyclesPerSec < floor) {
-            std::ostringstream os;
-            os << m.name << ": " << std::setprecision(4)
-               << m.cyclesPerSec << " cycles/s < " << floor
-               << " (baseline " << it->second << " - "
-               << tolerance * 100 << "% tolerance)";
-            failures.push_back(os.str());
-        }
-    }
-    return failures;
 }
 
 } // namespace memsec::bench

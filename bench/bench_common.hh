@@ -110,72 +110,6 @@ void printFigure(const std::string &title,
 void printTable(const std::string &title, const Table &t,
                 const BenchOptions &opts);
 
-// -- perf-regression reporting (BENCH_PERF.json) -------------------
-
-/**
- * One throughput point of the perf-regression harness: an end-to-end
- * experiment or a kernel microbenchmark, identified by a stable name
- * that the committed baseline keys on.
- */
-struct PerfMetric
-{
-    std::string name;
-    double cyclesPerSec = 0.0; ///< simulated cycles per wall second
-    double wallSeconds = 0.0;  ///< total wall time measured
-    double skipRatio = 0.0;    ///< skipped / (executed + skipped)
-    uint64_t simCycles = 0;    ///< simulated cycles measured
-    /** Execution mode that produced the point (naive / fastforward);
-     *  empty for kernel micro metrics. */
-    std::string mode;
-};
-
-/**
- * Canonical metric name for an execution mode: `base` + "_" + mode.
- * Keeps every BENCH_PERF.json point self-describing — a baseline row
- * can never be compared against a run from a different kernel mode.
- */
-std::string modeMetricName(const std::string &base,
-                           const std::string &mode);
-
-/**
- * Shared reporter for the perf harness binaries (bench/micro_perf,
- * bench/perf_e2e): collects PerfMetrics, writes them as
- * BENCH_PERF.json (one metric object per line, so the baseline
- * comparator stays a line scanner, no JSON library needed), and
- * gates against a committed baseline. See docs/PERF.md.
- */
-class PerfReporter
-{
-  public:
-    void add(const PerfMetric &m) { metrics_.push_back(m); }
-    bool empty() const { return metrics_.empty(); }
-    const std::vector<PerfMetric> &metrics() const { return metrics_; }
-
-    /** Find a collected metric by name (nullptr if absent). */
-    const PerfMetric *find(const std::string &name) const;
-
-    /** Write all metrics to `path` in BENCH_PERF.json format. */
-    void writeJson(const std::string &path) const;
-
-    /**
-     * Compare against a committed baseline file: a metric more than
-     * `tolerance` (fractional) slower than its baseline
-     * cycles_per_sec is a failure. Metrics absent from the baseline
-     * and faster-than-baseline runs pass. Returns human-readable
-     * failure lines (empty = gate passed).
-     */
-    std::vector<std::string>
-    compareBaseline(const std::string &baselinePath,
-                    double tolerance) const;
-
-    /** Parse name -> cycles_per_sec out of a BENCH_PERF.json file. */
-    static std::map<std::string, double>
-    readBaseline(const std::string &path);
-
-  private:
-    std::vector<PerfMetric> metrics_;
-};
-
 } // namespace memsec::bench
 
 #endif // MEMSEC_BENCH_COMMON_HH

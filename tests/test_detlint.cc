@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <stdexcept>
 
 #include "detlint.hh"
@@ -333,10 +334,42 @@ TEST(DetlintGate, SourceTreeCleanUnderCheckedInAllowlist)
 
 TEST(DetlintGate, AllowlistEntriesAreLoadBearing)
 {
-    // Without the allowlist the tree must NOT be clean — otherwise
-    // the checked-in entries are stale and should be deleted.
+    // Every checked-in entry must suppress something in the trees the
+    // detlint_src ctest gates: with that one entry removed there must
+    // be more findings than with the full list. Otherwise the entry
+    // is stale (its file or line is gone) and should be deleted.
     const std::string root = MEMSEC_SOURCE_DIR;
-    const auto fs = lintTree(root + "/src", Allowlist());
-    EXPECT_FALSE(fs.empty());
-    EXPECT_TRUE(hasRule(fs, "wall-clock"));
+    const std::string path = root + "/tools/detlint/allowlist.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    auto withoutLine = [&](std::size_t skip) {
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            if (i != skip)
+                text += lines[i] + "\n";
+        return Allowlist::fromString(text);
+    };
+    auto findings = [&](const Allowlist &al) {
+        std::size_t n = 0;
+        for (const char *dir : {"/src", "/bench", "/tools"})
+            n += lintTree(root + dir, al).size();
+        return n;
+    };
+
+    const Allowlist full = Allowlist::fromFile(path);
+    const std::size_t fullFindings = findings(full);
+    std::size_t entries = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::size_t start = lines[i].find_first_not_of(" \t");
+        if (start == std::string::npos || lines[i][start] == '#')
+            continue;
+        ++entries;
+        EXPECT_GT(findings(withoutLine(i)), fullFindings)
+            << "stale allowlist entry: " << lines[i];
+    }
+    EXPECT_EQ(entries, full.size());
+    EXPECT_GT(entries, 0u);
 }

@@ -105,7 +105,8 @@ TEST(FastForwardDiff, FsNoPartition)
 {
     expectIdentical("fs_np", "mcf", 1);
     expectIdentical("fs_np", "xalancbmk", 42);
-    // The perf harness's headline idle-heavy point (bench/perf_e2e).
+    // The idle-heavy point whose skip ratio KernelEngagement.FsNpHog
+    // pins (test_kernel_engagement.cc).
     expectIdentical("fs_np", "hog", 1);
 }
 

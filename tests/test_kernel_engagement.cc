@@ -2,12 +2,12 @@
  * @file
  * Deterministic engagement gate for the idle-skip kernel. The
  * differential suite (test_fastforward_diff.cc) proves a skipped
- * cycle is invisible; this test proves the kernel still skips. On
- * the idle-heavy fixed-service points (fs_np x hog, fs_np x mcf) the
- * number of cycles the tick loop executes and the fraction it skips
- * are simulated counts, so they are pinned exactly as upper and
- * lower bounds: a wake hint that stops engaging fails here on any
- * host, under load and under sanitizers, unlike a wall-clock gate.
+ * cycle is invisible; this test proves the kernel still skips. At
+ * each point (scheme x workload) the number of cycles the tick loop
+ * executes and the fraction it skips are simulated counts, so they
+ * are pinned exactly as upper and lower bounds: a wake hint that
+ * stops engaging fails here on any host, under load and under
+ * sanitizers, unlike a wall-clock gate.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +22,10 @@ using namespace memsec::harness;
 namespace {
 
 ExperimentResult
-runPoint(const std::string &workload)
+runPoint(const std::string &scheme, const std::string &workload)
 {
     Config c = defaultConfig();
-    c.merge(schemeConfig("fs_np"));
+    c.merge(schemeConfig(scheme));
     c.set("workload", workload);
     c.set("cores", 8);
     c.set("sim.warmup", 1000);
@@ -47,16 +47,16 @@ skipRatio(const ExperimentResult &r)
  *  change that executes more cycles or skips a smaller share has
  *  lost a fast path; one that does better should lower the pins. */
 void
-expectEngaged(const std::string &workload, uint64_t maxExecuted,
-              double minSkipRatio)
+expectEngaged(const std::string &scheme, const std::string &workload,
+              uint64_t maxExecuted, double minSkipRatio)
 {
-    const ExperimentResult r = runPoint(workload);
-    ASSERT_TRUE(r.simErrors.empty()) << workload;
-    EXPECT_EQ(r.cyclesExecuted + r.cyclesSkipped, r.cyclesRun)
-        << workload;
-    EXPECT_LE(r.cyclesExecuted, maxExecuted) << workload;
+    const std::string point = scheme + " x " + workload;
+    const ExperimentResult r = runPoint(scheme, workload);
+    ASSERT_TRUE(r.simErrors.empty()) << point;
+    EXPECT_EQ(r.cyclesExecuted + r.cyclesSkipped, r.cyclesRun) << point;
+    EXPECT_LE(r.cyclesExecuted, maxExecuted) << point;
     EXPECT_GE(skipRatio(r), minSkipRatio)
-        << workload << ": executed " << r.cyclesExecuted << ", skipped "
+        << point << ": executed " << r.cyclesExecuted << ", skipped "
         << r.cyclesSkipped;
 }
 
@@ -65,10 +65,23 @@ expectEngaged(const std::string &workload, uint64_t maxExecuted,
 TEST(KernelEngagement, FsNpHog)
 {
     // ~91% of cycles skip: every core waits on a distant slot.
-    expectEngaged("hog", 55241, 0.9080);
+    expectEngaged("fs_np", "hog", 55241, 0.9080);
 }
 
 TEST(KernelEngagement, FsNpMcf)
 {
-    expectEngaged("mcf", 144458, 0.7596);
+    expectEngaged("fs_np", "mcf", 144458, 0.7596);
+}
+
+TEST(KernelEngagement, FsRpMcf)
+{
+    // Rank partitioning gives the densest schedule (l = 7): the least
+    // dead time to skip, the hardest case for the fast path.
+    expectEngaged("fs_rp", "mcf", 489198, 0.1860);
+}
+
+TEST(KernelEngagement, BaselineMcf)
+{
+    // An idle FR-FCFS baseline sleeps until its next legal command.
+    expectEngaged("baseline", "mcf", 575292, 0.0427);
 }

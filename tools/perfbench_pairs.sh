@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Paired perfbench comparison of this checkout against a base commit.
+#
+#     tools/perfbench_pairs.sh BASE_REF
+#
+# Checks BASE_REF out in a temporary git worktree. Then, for every
+# workload in BENCHMARK.json, runs perfbench/run.py at seed 1 on both
+# sides PAIRS times, alternating: the base first in odd pairs, the
+# change first in even ones. The change side is this checkout's
+# working tree, uncommitted edits included. perfbench/compare.py then
+# gives a verdict for every workload x end-to-end metric.
+#
+# Exits nonzero if any verdict is "regressed", or if any change-side
+# run failed a check. At seed 1 the checks include the result digest
+# recorded in perfbench/digests.json, so this is also the digest gate.
+#
+# The records (base.jsonl, change.jsonl) and the comparison
+# (compare.txt) are left in perfbench-pairs/ at the checkout root.
+# Each side builds the simulator once, into its own .bench_build/.
+set -euo pipefail
+
+PAIRS=5
+SECONDS_PER_RUN=3
+SEED=1
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE_REF" >&2
+    exit 2
+fi
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+base_rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
+out="$root/perfbench-pairs"
+workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "$root/BENCHMARK.json")
+
+tmp=$(mktemp -d)
+base="$tmp/base"
+cleanup() {
+    git -C "$root" worktree remove --force "$base" 2>/dev/null || true
+    rm -rf "$tmp"
+    git -C "$root" worktree prune
+}
+trap cleanup EXIT
+git -C "$root" worktree add --quiet --detach "$base" "$base_rev"
+
+mkdir -p "$out"
+rm -f "$out/base.jsonl" "$out/change.jsonl" "$out/compare.txt"
+
+# run CHECKOUT RECORD_FILE WORKLOAD: one run, its failures and verdict.
+run() {
+    python3 "$1/perfbench/run.py" --workload "$3" --seed "$SEED" \
+        --seconds "$SECONDS_PER_RUN" --trace 0 --out "$2" |
+        grep -E '^FAILED|^\{"correct"' | cut -c 1-160
+}
+
+echo "perfbench pairs: base $base_rev vs working tree of $root"
+for w in $workloads; do
+    for ((p = 1; p <= PAIRS; p++)); do
+        echo "== $w pair $p/$PAIRS"
+        if ((p % 2 == 1)); then
+            run "$base" "$out/base.jsonl" "$w"
+            run "$root" "$out/change.jsonl" "$w"
+        else
+            run "$root" "$out/change.jsonl" "$w"
+            run "$base" "$out/base.jsonl" "$w"
+        fi
+    done
+done
+
+python3 "$root/perfbench/compare.py" "$out/base.jsonl" \
+    "$out/change.jsonl" | tee "$out/compare.txt"
+
+status=0
+regressed=$(awk '$NF == "regressed"' "$out/compare.txt")
+if [ -n "$regressed" ]; then
+    echo "perfbench pairs: regressed against $base_rev:"
+    printf '%s\n' "$regressed"
+    status=1
+fi
+if ! python3 - "$out/change.jsonl" <<'EOF'; then
+import json, sys
+bad = [r for r in map(json.loads, open(sys.argv[1])) if r["failed"] > 0]
+for r in bad:
+    print(f"perfbench pairs: change-side {r['workload']} run failed "
+          f"{r['failed']} of {r['attempted']} checks")
+sys.exit(1 if bad else 0)
+EOF
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "perfbench pairs: no regression"
+exit "$status"
