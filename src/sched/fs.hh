@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "sched/closed_row_plan.hh"
 #include "sched/scheduler.hh"
 #include "util/random.hh"
 
@@ -115,23 +116,8 @@ class FsScheduler : public Scheduler
     Cycle poweredDownUntil(unsigned r) const { return rankDownUntil_.at(r); }
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req; ///< null after CAS issue
-        bool write = false;
-        bool dummy = false;
-        bool suppressAct = false;
-        bool suppressCas = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        bool actIssued = false;
-    };
-
     /** Pick and plan the operation for slot `slot` (decided at now). */
     void decideSlot(uint64_t slot, Cycle now);
-
-    /** True if an op on (rank,bank) may plan its ACT at actAt. */
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
 
     /**
      * True if rank-level constraints (tRRD, tFAW, CAS turnaround)
@@ -144,10 +130,6 @@ class FsScheduler : public Scheduler
     bool rankFree(unsigned rank, Cycle actAt, Cycle casAt,
                   bool write) const;
 
-    /** Record the planned op's bank-reuse horizon. */
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
-
     /** Record the planned op's rank-level footprint. */
     void reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
                      bool write);
@@ -156,7 +138,6 @@ class FsScheduler : public Scheduler
     void plan(uint64_t slot, std::unique_ptr<mem::MemRequest> req,
               bool write, bool dummy, Cycle ref);
 
-    void issueDue(Cycle now);
     void frameBoundary(uint64_t frame, Cycle now);
 
     Params params_;
@@ -169,10 +150,7 @@ class FsScheduler : public Scheduler
     std::vector<DomainId> slotTable_;  ///< slot index -> domain (or ~0)
     static constexpr DomainId kPhantom = ~0u;
 
-    std::deque<PlannedOp> planned_;
-    /** Earliest cycle a new ACT may be planned per (rank, bank),
-     *  covering planned-but-unissued auto-precharges. */
-    std::vector<Cycle> plannedBankFree_;
+    ClosedRowPlan plan_;
 
     /** Planned rank-level windows, mirroring dram::Rank. */
     struct RankPlan

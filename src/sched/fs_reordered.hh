@@ -14,10 +14,10 @@
 #ifndef MEMSEC_SCHED_FS_REORDERED_HH
 #define MEMSEC_SCHED_FS_REORDERED_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "sched/closed_row_plan.hh"
 #include "sched/scheduler.hh"
 #include "util/random.hh"
 
@@ -49,24 +49,9 @@ class FsReorderedScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req;
-        bool write = false;
-        bool dummy = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        Cycle completeAt = 0;
-        bool actIssued = false;
-    };
-
     void decideInterval(uint64_t interval, Cycle now);
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
     std::unique_ptr<mem::MemRequest> makeDummy(DomainId domain, bool write,
                                                Cycle actAt, Cycle now);
-    void issueDue(Cycle now);
 
     Params params_;
     core::ReorderedSolution sol_;
@@ -74,8 +59,7 @@ class FsReorderedScheduler : public Scheduler
     Cycle q_ = 0;
     Cycle lead_ = 0;
 
-    std::deque<PlannedOp> planned_;
-    std::vector<Cycle> plannedBankFree_;
+    ClosedRowPlan plan_;
     std::vector<Rng> domainRng_;
     std::vector<size_t> dummyRr_;
 

@@ -20,12 +20,9 @@
 #ifndef MEMSEC_SCHED_TP_HH
 #define MEMSEC_SCHED_TP_HH
 
-#include <deque>
-#include <vector>
-
 #include "core/pipeline_solver.hh"
+#include "sched/closed_row_plan.hh"
 #include "sched/scheduler.hh"
-#include "util/random.hh"
 
 namespace memsec::sched {
 
@@ -67,20 +64,7 @@ class TpScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req;
-        bool write = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        bool actIssued = false;
-    };
-
     void decideSlot(Cycle now);
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
-    void issueDue(Cycle now);
 
     Params params_;
     bool sharedBanks_ = false;
@@ -89,8 +73,7 @@ class TpScheduler : public Scheduler
     unsigned footRead_ = 0;
     unsigned footWrite_ = 0;
 
-    std::deque<PlannedOp> planned_;
-    std::vector<Cycle> plannedBankFree_;
+    ClosedRowPlan plan_;
 
     Counter turns_;
     Counter served_;
