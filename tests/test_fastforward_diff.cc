@@ -194,12 +194,18 @@ TEST(FastForwardDiff, ChannelPartition)
 
 TEST(FastForwardDiff, FaultInjectionRuleTotals)
 {
-    Config c = diffConfig("fs_rp", "mcf", 1);
-    c.set("fault.kind", "slot-skew");
-    const DiffOutcome o = runBothModes(c);
-    EXPECT_EQ(resultDigest(o.naive), resultDigest(o.fast));
-    EXPECT_EQ(o.naive.violationRules, o.fast.violationRules);
-    EXPECT_EQ(o.naive.timingViolations, o.fast.timingViolations);
+    // Magnitude 20 skews ops past later-planned ones, so commands
+    // issue overdue and out of plan order.
+    for (Cycle magnitude : {Cycle{1}, Cycle{20}}) {
+        Config c = diffConfig("fs_rp", "mcf", 1);
+        c.set("fault.kind", "slot-skew");
+        c.set("fault.magnitude", magnitude);
+        const DiffOutcome o = runBothModes(c);
+        EXPECT_EQ(resultDigest(o.naive), resultDigest(o.fast))
+            << "magnitude " << magnitude;
+        EXPECT_EQ(o.naive.violationRules, o.fast.violationRules);
+        EXPECT_EQ(o.naive.timingViolations, o.fast.timingViolations);
+    }
 }
 
 // -- Covert-channel sender: cycle-keyed trace modulation -----------
