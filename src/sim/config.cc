@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -107,9 +108,11 @@ Config::getInt(const std::string &key, int64_t dflt) const
     auto it = values_.find(key);
     if (it == values_.end())
         return dflt;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    fatal_if(end == it->second.c_str() || *end != '\0',
+    errno = 0;
+    int64_t v = std::strtoll(text, &end, 0);
+    fatal_if(end == text || *end != '\0' || errno == ERANGE,
              "config key '{}' has non-integer value '{}'", key, it->second);
     return v;
 }
@@ -120,9 +123,17 @@ Config::getUint(const std::string &key, uint64_t dflt) const
     auto it = values_.find(key);
     if (it == values_.end())
         return dflt;
+    // strtoull accepts a leading '-' and negates in unsigned
+    // arithmetic, so "-1" would read as 2^64 - 1.
+    const char *text = it->second.c_str();
+    const char *first = text;
+    while (std::isspace(static_cast<unsigned char>(*first)))
+        ++first;
     char *end = nullptr;
-    uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    fatal_if(end == it->second.c_str() || *end != '\0',
+    errno = 0;
+    uint64_t v = std::strtoull(text, &end, 0);
+    fatal_if(end == text || *end != '\0' || errno == ERANGE ||
+                 *first == '-',
              "config key '{}' has non-integer value '{}'", key, it->second);
     return v;
 }

@@ -92,6 +92,17 @@ TEST(Config, NonNumericValueFatal)
     c.set("k", "abc");
     EXPECT_EXIT(c.getInt("k"), ::testing::ExitedWithCode(1),
                 "non-integer");
+    // strtoull would read "-1" as 2^64 - 1, and out-of-range literals
+    // saturate; both must be rejected, not silently clamped.
+    c.set("k", "-1");
+    EXPECT_EXIT(c.getUint("k"), ::testing::ExitedWithCode(1),
+                "non-integer");
+    c.set("k", "18446744073709551616");
+    EXPECT_EXIT(c.getUint("k"), ::testing::ExitedWithCode(1),
+                "non-integer");
+    c.set("k", "9223372036854775808");
+    EXPECT_EXIT(c.getInt("k"), ::testing::ExitedWithCode(1),
+                "non-integer");
 }
 
 TEST(Config, TryParseIniReportsFileAndLine)
