@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "isolint.hh"
 
@@ -269,9 +272,47 @@ TEST(IsolintGate, SchedTreeCleanUnderCheckedInAllowlist)
 
 TEST(IsolintGate, AllowlistEntriesAreLoadBearing)
 {
+    // Every checked-in entry must suppress something in src/sched:
+    // with that one entry removed there must be more findings than
+    // with the full list. Otherwise the entry is stale (its file or
+    // flow is gone) and should be deleted.
+    const std::string root = MEMSEC_SOURCE_DIR;
+    const std::string path = root + "/tools/isolint/allowlist.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    auto withoutLine = [&](std::size_t skip) {
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            if (i != skip)
+                text += lines[i] + "\n";
+        return Allowlist::fromString(text);
+    };
+    auto findings = [&](const Allowlist &al) {
+        return lintTree(root + "/src/sched", al).size();
+    };
+
+    const Allowlist full = Allowlist::fromFile(path);
+    const std::size_t fullFindings = findings(full);
+    std::size_t entries = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::size_t start = lines[i].find_first_not_of(" \t");
+        if (start == std::string::npos || lines[i][start] == '#')
+            continue;
+        ++entries;
+        EXPECT_GT(findings(withoutLine(i)), fullFindings)
+            << "stale allowlist entry: " << lines[i];
+    }
+    EXPECT_EQ(entries, full.size());
+    EXPECT_GT(entries, 0u);
+}
+
+TEST(IsolintGate, SchedulersFlowWithoutAllowlist)
+{
     // Without the allowlist the schedulers must NOT be clean: the
-    // FR-FCFS baseline's global scan is a real, documented flow. If
-    // this fails the checked-in entries are stale.
+    // FR-FCFS baseline's global scan is a real, documented flow.
     const std::string root = MEMSEC_SOURCE_DIR;
     const auto fs = lintTree(root + "/src/sched", Allowlist());
     EXPECT_FALSE(fs.empty());
