@@ -958,7 +958,7 @@ ExperimentSystem::finish()
 ExperimentResult
 runExperiment(const Config &cfg)
 {
-    ExperimentSystem sys(cfg);
+    auto sys = std::make_unique<ExperimentSystem>(cfg);
 
     // Checkpoint/resume (docs/CHECKPOINT.md). ckpt.dir names the
     // snapshot directory; a valid <fingerprint>.snap continues the
@@ -975,18 +975,27 @@ runExperiment(const Config &cfg)
         snapPath = ckptDir + "/" + fp + ".snap";
         std::string bytes;
         if (readFileBytes(snapPath, bytes)) {
-            sys.injector().corruptSnapshotBytes(bytes);
+            sys->injector().corruptSnapshotBytes(bytes);
+            bool restoring = false;
             try {
                 const std::string payload = decodeSnapshot(bytes, fp);
                 Deserializer d(payload);
-                sys.restoreState(d);
+                restoring = true;
+                sys->restoreState(d);
                 resumed = true;
             } catch (const SerializeError &e) {
                 warn("snapshot {} rejected ({}); restarting run from "
                      "cycle 0",
                      snapPath, e.toString());
-                sys.report().record(SimError{
-                    sys.now(), e.category,
+                // A payload that passed the container checks can still
+                // fail part-way through the restore (an older layout
+                // behind a renamed section tag), after the sections
+                // before it were already applied. Start again from a
+                // freshly built system, not a half-restored one.
+                if (restoring)
+                    sys = std::make_unique<ExperimentSystem>(cfg);
+                sys->report().record(SimError{
+                    sys->now(), e.category,
                     "snapshot rejected: " + e.message});
             }
         }
@@ -998,16 +1007,16 @@ runExperiment(const Config &cfg)
     const uint64_t killAfter =
         cfg.getUint("ckpt.kill_after_snapshots", 0);
     if (snapPath.empty() || interval == 0) {
-        while (!sys.done())
-            sys.step(kNoCycle);
+        while (!sys->done())
+            sys->step(kNoCycle);
     } else {
         uint64_t written = 0;
-        while (!sys.done()) {
-            sys.step(interval);
-            if (sys.done())
+        while (!sys->done()) {
+            sys->step(interval);
+            if (sys->done())
                 break;
             Serializer s;
-            sys.saveState(s);
+            sys->saveState(s);
             writeFileAtomic(snapPath, encodeSnapshot(fp, s.data()));
             ++written;
             if (killAfter > 0 && written >= killAfter)
@@ -1015,7 +1024,7 @@ runExperiment(const Config &cfg)
         }
     }
 
-    ExperimentResult res = sys.finish();
+    ExperimentResult res = sys->finish();
     res.resumedFromSnapshot = resumed;
     if (!snapPath.empty())
         std::remove(snapPath.c_str());
