@@ -2,14 +2,16 @@
  * @file
  * The single source of truth for DRAM timing rules.
  *
- * Three independent consumers enforce the same JEDEC constraints:
- * the dynamic TimingChecker (audits every simulated command), the
- * PipelineSolver (derives the paper's minimum slot spacings), and the
- * static ScheduleVerifier (model-checks a whole hyperperiod offline).
- * Before this table existed each kept its own copy of the rule
- * constants and names, which could drift apart silently; now all
- * three consume TimingRuleTable, so a disagreement between them can
- * only be a logic bug, never a constant mismatch.
+ * Independent consumers enforce the same JEDEC constraints: the
+ * dynamic TimingChecker (audits every simulated command), the
+ * PipelineSolver (derives the paper's minimum slot spacings), the
+ * static ScheduleVerifier (model-checks a whole hyperperiod offline),
+ * and the secure schedulers' planning shadow (sched::ClosedRowPlan,
+ * whose same-bank reuse horizon is max(gap(Rc), gap(ActToActRdA |
+ * ActToActWrA))). Before this table existed each kept its own copy of
+ * the rule constants and names, which could drift apart silently; now
+ * all of them consume TimingRuleTable, so a disagreement between them
+ * can only be a logic bug, never a constant mismatch.
  *
  * Two views are provided:
  *  - gap(RuleId): the scalar minimum-separation (or duration) each
