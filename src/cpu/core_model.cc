@@ -204,7 +204,6 @@ CoreModel::demandMshrs() const
 void
 CoreModel::tick(Cycle now)
 {
-    wakeMemoValid_ = false;
     memNow_ = now;
     // Time-keyed generators (covert-channel senders) see the bus
     // cycle before dispatch pulls any record of this tick. Skipped
@@ -220,63 +219,23 @@ CoreModel::tick(Cycle now)
 Cycle
 CoreModel::nextWakeCycle(Cycle now) const
 {
-    if (wakeMemoValid_ && wakeMemo_ > now &&
-        (wakeMemoAcceptRead_ < 0 ||
-         wakeMemoAcceptRead_ == int8_t(mc_.canAccept(domain_))) &&
-        (wakeMemoAcceptWrite_ < 0 ||
-         wakeMemoAcceptWrite_ ==
-             int8_t(mc_.canAccept(domain_, mem::ReqType::Write)))) {
-        // Untouched since the last computation and every controller
-        // bit the computation consumed still matches: the claim
-        // "no-op until wakeMemo_" still holds, now over a shorter
-        // suffix of the same span. Bits never consumed (-1) cannot
-        // have influenced the result and are not requeried.
-        return wakeMemo_;
-    }
-    wakeMemoAcceptRead_ = -1;
-    wakeMemoAcceptWrite_ = -1;
-    const Cycle wake = computeNextWake(now);
-    wakeMemoValid_ = true;
-    wakeMemo_ = wake;
-    return wake;
-}
-
-bool
-CoreModel::probeAcceptRead() const
-{
-    if (wakeMemoAcceptRead_ < 0)
-        wakeMemoAcceptRead_ = mc_.canAccept(domain_) ? 1 : 0;
-    return wakeMemoAcceptRead_ != 0;
-}
-
-bool
-CoreModel::probeAcceptWrite() const
-{
-    if (wakeMemoAcceptWrite_ < 0)
-        wakeMemoAcceptWrite_ =
-            mc_.canAccept(domain_, mem::ReqType::Write) ? 1 : 0;
-    return wakeMemoAcceptWrite_ != 0;
-}
-
-Cycle
-CoreModel::computeNextWake(Cycle now) const
-{
     const Cycle next = now + 1;
     // Dispatch has ROB space: new trace records enter every cycle.
     if (robInstrs_ < params_.robSize || rob_.empty())
         return next;
     // Writebacks drain whenever the controller has write space.
-    if (!writebacks_.empty() && probeAcceptWrite())
+    if (!writebacks_.empty() && mc_.canAccept(domain_, ReqType::Write))
         return next;
     // Mirror retryBlocked()'s gating exactly: if its next tick would
     // mutate anything, the cycle cannot be skipped. Entries it would
-    // break on are blocked on controller/MSHR state, which is frozen
-    // until some component executes a cycle anyway.
+    // break on are blocked on MSHR state, which only a response or a
+    // drop changes, or on queue space, which the controller announces
+    // with a poke when it frees up.
     if (!pendingStoreFetches_.empty()) {
         const Addr addr = pendingStoreFetches_.front();
         if (llc_.contains(addr) || mshr_.count(addr) > 0)
             return next;
-        if (demandMshrs() < profile_.mshrs && probeAcceptRead())
+        if (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_))
             return next;
     }
     if (needsIssue_ > 0) {
@@ -285,13 +244,13 @@ CoreModel::computeNextWake(Cycle now) const
                 continue;
             auto it = mshr_.find(rec.addr);
             if (it != mshr_.end()) {
-                if (it->second.isPrefetch && !probeAcceptRead())
+                if (it->second.isPrefetch && !mc_.canAccept(domain_))
                     break; // retryBlocked() stops at this entry too
                 return next; // it would re-link the waiter / upgrade
             }
             if (llc_.contains(rec.addr))
                 return next;
-            if (demandMshrs() < profile_.mshrs && probeAcceptRead())
+            if (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_))
                 return next;
             break;
         }
@@ -410,7 +369,6 @@ CoreModel::saveState(Serializer &s) const
 void
 CoreModel::restoreState(Deserializer &d)
 {
-    wakeMemoValid_ = false;
     d.section("core");
     trace_->restoreState(d);
     llc_.restoreState(d);
@@ -724,7 +682,7 @@ CoreModel::retire()
 void
 CoreModel::memResponse(const MemRequest &req)
 {
-    wakeMemoValid_ = false;
+    poke();
     if (req.type == ReqType::Write)
         return;
     const Addr line = lineOf(req.addr);
@@ -752,7 +710,7 @@ CoreModel::memResponse(const MemRequest &req)
 void
 CoreModel::memDropped(const MemRequest &req)
 {
-    wakeMemoValid_ = false;
+    poke();
     // A prefetch hint was discarded: clear its MSHR entry. Any demand
     // loads that merged with it must be re-issued as real reads.
     const Addr line = lineOf(req.addr);

@@ -145,13 +145,6 @@ class CoreModel : public Component, public mem::MemClient
     /** Single point of ROB state transition, so the NeedsIssue count
      *  used by the retry/wake fast paths can never drift. */
     void setState(Record &rec, Record::State s);
-    /** The full wake computation behind nextWakeCycle(). Controller
-     *  acceptability is read through probeAcceptRead/Write(), which
-     *  record the consumed answers in the memo so it can revalidate
-     *  against exactly the bits the computation depended on. */
-    Cycle computeNextWake(Cycle now) const;
-    bool probeAcceptRead() const;
-    bool probeAcceptWrite() const;
     void cpuCycle();
     void dispatch();
     void retire();
@@ -193,19 +186,6 @@ class CoreModel : public Component, public mem::MemClient
 
     core::VictimTimeline timeline_;
     uint64_t nextProgressMark_ = 0;
-
-    /** Memoized nextWakeCycle() result. The computation reads only
-     *  core-local state plus the controller's two canAccept() bits;
-     *  the memo is therefore valid until this core is ticked or
-     *  receives a response/drop, or a consumed bit changes (-1 marks
-     *  a bit the computation never read). fastForward() does not
-     *  invalidate: it only advances cpuCycles_, under which the
-     *  absolute wake value is stable. Derived state, never
-     *  serialized. */
-    mutable bool wakeMemoValid_ = false;
-    mutable Cycle wakeMemo_ = 0;
-    mutable int8_t wakeMemoAcceptRead_ = -1;
-    mutable int8_t wakeMemoAcceptWrite_ = -1;
 
     Counter loads_;
     Counter stores_;

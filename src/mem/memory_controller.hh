@@ -86,6 +86,8 @@ class MemoryController : public Component
      * requests store only a has-client bit; restoreState() rebinds
      * them to the client registered here, so every client must
      * register before restore (CoreModel does so in its constructor).
+     * A client that is also a Component is poked whenever its
+     * domain's queue frees read or write space.
      */
     void registerClient(DomainId domain, MemClient *client);
 
@@ -198,6 +200,9 @@ class MemoryController : public Component
 
     static constexpr size_t kPrefetchQueueCap = 8;
 
+    /** Domain d's full budgets: bit 0 reads, bit 1 writes. */
+    uint8_t fullBudgets(size_t d) const;
+
     const AddressMap &map_;
     dram::DramSystem dram_;
     // deque: TransactionQueue is move-only and constructed in place.
@@ -211,6 +216,11 @@ class MemoryController : public Component
     uint64_t completionSeq_ = 0;
     ReqId reqIdSeq_ = 0;
     std::vector<MemClient *> clients_; ///< completion sink per domain
+    /** clients_[d] as a tick-loop Component, poked when domain d's
+     *  queue frees space; null for clients outside the tick loop. */
+    std::vector<Component *> clientComponents_;
+    /** Per domain, fullBudgets() when the current tick began. */
+    std::vector<uint8_t> fullAtTickStart_;
     FixedPool<MemRequest> requestPool_;
     ControllerStats stats_;
     RunReport *report_ = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -146,7 +147,10 @@ Config::getDouble(const std::string &key, double dflt) const
         return dflt;
     char *end = nullptr;
     double v = std::strtod(it->second.c_str(), &end);
-    fatal_if(end == it->second.c_str() || *end != '\0',
+    // strtod also consumes "nan", "inf" and overflowing literals; a
+    // non-finite value slips past every range guard downstream.
+    fatal_if(end == it->second.c_str() || *end != '\0' ||
+                 !std::isfinite(v),
              "config key '{}' has non-numeric value '{}'", key, it->second);
     return v;
 }

@@ -17,10 +17,10 @@ Simulator::saveState(Serializer &s) const
     s.putU64(jumps_);
     s.putU64(watchdogLastValue_);
     s.putU64(watchdogLastProgress_);
-    s.putU64(components_.size());
-    for (const Component *c : components_) {
-        s.section(c->name());
-        c->saveState(s);
+    s.putU64(slots_.size());
+    for (const Slot &slot : slots_) {
+        s.section(slot.c->name());
+        slot.c->saveState(s);
     }
 }
 
@@ -35,11 +35,11 @@ Simulator::restoreState(Deserializer &d)
     watchdogLastValue_ = d.getU64();
     watchdogLastProgress_ = d.getU64();
     const uint64_t n = d.getU64();
-    if (n != components_.size())
+    if (n != slots_.size())
         d.fail("component count mismatch");
-    for (Component *c : components_) {
-        d.section(c->name());
-        c->restoreState(d);
+    for (Slot &slot : slots_) {
+        d.section(slot.c->name());
+        slot.c->restoreState(d);
     }
 }
 
@@ -47,7 +47,11 @@ void
 Simulator::add(Component *c)
 {
     panic_if(c == nullptr, "Simulator::add(nullptr)");
-    components_.push_back(c);
+    panic_if(c->sim_ != nullptr, "{} is already registered",
+             c->name());
+    c->sim_ = this;
+    c->slot_ = slots_.size();
+    slots_.push_back(Slot{c});
 }
 
 void
@@ -82,54 +86,70 @@ Simulator::checkWatchdog()
 }
 
 void
-Simulator::tickDue()
+Simulator::catchUp(Slot &s, Cycle to)
 {
-    // A component whose cached wake lies in the future declared this
-    // cycle a no-op; give it the equivalent fastForward() catch-up
-    // instead of a full tick. This is the same contract the global
-    // jump relies on, applied per component: blocked cores skip their
-    // ROB scans while the controller executes a slot, and vice versa.
-    //
-    // The cached hint was computed after the previous cycle, so a
-    // component ticked earlier THIS cycle may have invalidated it (a
-    // core enqueuing into an idle FR-FCFS controller, whose hint
-    // depends on queue emptiness). The global jump never faced this —
-    // it only fired when every component slept at once — so before
-    // trusting a stale hint, revalidate against live state: re-asking
-    // with the previous cycle as the anchor answers "is tick(now_)
-    // still a no-op given everything that already happened this
-    // cycle?". Mutations by LATER-ordered components need no such
-    // care: in the naive loop this component's turn precedes them
-    // within the cycle, and refreshWakes() sees them before the next.
-    for (size_t i = 0; i < components_.size(); ++i) {
-        if (wakes_[i] <= now_ ||
-            components_[i]->nextWakeCycle(now_ - 1) <= now_)
-            components_[i]->tick(now_);
-        else
-            components_[i]->fastForward(now_, now_ + 1);
+    if (s.caughtUp < to) {
+        s.c->fastForward(s.caughtUp, to);
+        s.caughtUp = to;
+    }
+}
+
+void
+Simulator::poke(size_t i)
+{
+    if (ticking_ == kNotTicking || i == ticking_)
+        return;
+    // Account the target's cycles before the mutation lands. Its turn
+    // this cycle is either still ahead (it is caught up to now_ and
+    // revalidates at its turn) or already taken as a no-op (caught up
+    // through now_).
+    Slot &s = slots_[i];
+    catchUp(s, i > ticking_ ? now_ : now_ + 1);
+    if (!s.poked) {
+        s.poked = true;
+        poked_.push_back(i);
     }
 }
 
 Cycle
-Simulator::refreshWakes(Cycle end)
+Simulator::tickDue(Cycle end)
 {
-    // Requery every component after the tick phase, exactly as the
-    // pre-gating kernel did: cross-component mutations during this
-    // cycle (a completion delivered into a sleeping core, a request
-    // enqueued into an idle controller) are visible here, so a cached
-    // wake can never outlive the state it was computed from. No early
-    // exit: a stale conservative hint would make an idle component
-    // tick spuriously on every busy cycle, which costs far more than
-    // the (memoized) queries saved.
-    Cycle wake = end;
-    for (size_t i = 0; i < components_.size(); ++i) {
-        const Cycle w =
-            std::max(components_[i]->nextWakeCycle(now_), now_ + 1);
-        wakes_[i] = w;
-        if (w < wake)
-            wake = w;
+    // A component whose cached wake lies in the future declared this
+    // cycle a no-op, and nothing has touched it since: leave it alone.
+    // A poke from an earlier-ordered component this very cycle may
+    // have invalidated the hint (a core enqueuing into an idle FR-FCFS
+    // controller, whose hint depends on queue emptiness), so a poked
+    // component re-asks with the previous cycle as the anchor: "is
+    // tick(now_) still a no-op given everything that already happened
+    // this cycle?".
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        Slot &s = slots_[i];
+        if (s.wake > now_ &&
+            !(s.poked && s.c->nextWakeCycle(now_ - 1) <= now_))
+            continue;
+        ticking_ = i;
+        catchUp(s, now_);
+        s.c->tick(now_);
+        s.caughtUp = now_ + 1;
+        s.poked = false;
+        s.wake = std::max(s.c->nextWakeCycle(now_), now_ + 1);
     }
-    return std::max(wake, now_ + 1);
+    ticking_ = kNotTicking;
+    // Components poked after their turn, or poked before it without
+    // becoming due, requery once the whole cycle has happened to them.
+    for (size_t i : poked_) {
+        Slot &s = slots_[i];
+        if (!s.poked)
+            continue;
+        s.poked = false;
+        catchUp(s, now_ + 1);
+        s.wake = std::max(s.c->nextWakeCycle(now_), now_ + 1);
+    }
+    poked_.clear();
+    Cycle wake = end;
+    for (const Slot &s : slots_)
+        wake = std::min(wake, s.wake);
+    return wake;
 }
 
 void
@@ -143,8 +163,6 @@ Simulator::jumpTo(Cycle wake)
         wake = std::min(wake, watchdogLastProgress_ + watchdogWindow_);
     if (wake <= now_)
         return;
-    for (Component *c : components_)
-        c->fastForward(now_, wake);
     cyclesSkipped_ += wake - now_;
     ++jumps_;
     now_ = wake;
@@ -159,8 +177,8 @@ Simulator::run(Cycle n)
         // Naive mode: the digest anchor. Every component ticks every
         // cycle; no hints are consulted at all.
         while (now_ < end) {
-            for (Component *c : components_)
-                c->tick(now_);
+            for (Slot &s : slots_)
+                s.c->tick(now_);
             ++now_;
             ++cyclesExecuted_;
             checkWatchdog();
@@ -170,47 +188,23 @@ Simulator::run(Cycle n)
     // Harness code may mutate components between run() calls (fault
     // injection, measurement boundaries); start each entry with every
     // component due, which is always safe.
-    wakes_.assign(components_.size(), now_);
+    for (Slot &s : slots_) {
+        s.wake = now_;
+        s.caughtUp = now_;
+        s.poked = false;
+    }
     while (now_ < end) {
-        tickDue();
-        const Cycle wake = refreshWakes(end);
+        const Cycle wake = tickDue(end);
         ++now_;
         ++cyclesExecuted_;
         checkWatchdog();
         if (wake > now_)
             jumpTo(wake);
     }
-}
-
-Cycle
-Simulator::runUntil(const std::function<bool()> &pred, Cycle maxCycles)
-{
-    const Cycle start = now_;
-    const Cycle end = now_ + maxCycles;
-    if (!fastForward_) {
-        while (now_ < end && !pred()) {
-            for (Component *c : components_)
-                c->tick(now_);
-            ++now_;
-            ++cyclesExecuted_;
-            checkWatchdog();
-        }
-        return now_ - start;
-    }
-    wakes_.assign(components_.size(), now_);
-    while (now_ < end && !pred()) {
-        tickDue();
-        const Cycle wake = refreshWakes(end);
-        ++now_;
-        ++cyclesExecuted_;
-        checkWatchdog();
-        // Component state is frozen across a skip, so pred() is too —
-        // but a predicate already true here must stop the loop at this
-        // exact cycle, as the naive loop would.
-        if (wake > now_ && !pred())
-            jumpTo(wake);
-    }
-    return now_ - start;
+    // Whatever reads components between runs (measurement boundaries,
+    // stats, checkpoints) sees them accounted through now_.
+    for (Slot &s : slots_)
+        catchUp(s, now_);
 }
 
 } // namespace memsec

@@ -12,29 +12,28 @@
  * Fixed service policies make the complementary case common too: the
  * next interesting cycle is statically known (the next slot boundary,
  * the next planned command, the next refresh epoch), so long idle
- * stretches can be skipped wholesale. After ticking a cycle the
- * kernel asks every component for its next wake cycle and, when all
- * of them agree the immediate future is dead time, jumps the clock —
- * with a fastForward() catch-up call so per-cycle accounting (CPU
- * clocks, stall counters, energy state residency) stays byte-
- * identical to the naive loop.
+ * stretches can be skipped wholesale. The kernel caches each
+ * component's wake hint and ticks, on an executed cycle, only the
+ * components that are due or were poked; when none is due next cycle
+ * it jumps the clock. A sleeping component is not called at all: when
+ * it next runs (or when run() returns) one fastForward() call catches
+ * up the whole span it slept through, so per-cycle accounting (CPU
+ * clocks, stall counters, energy state residency) stays byte-identical
+ * to the naive loop.
  *
- * The same hint gates ticks per component: on an executed cycle, only
- * components whose wake hint is due tick; the rest revalidate the
- * hint against live state (an earlier-ordered component may have
- * mutated them within this very cycle) and, if still asleep, get the
- * one-cycle fastForward() equivalent. A memory-blocked core therefore
- * never rescans its ROB just because the controller executed a slot.
- * Hints are requeried for every component after every tick phase, so
- * a cross-component mutation (a completion delivered into a sleeping
- * core) invalidates the stale hint before the next cycle begins. See
- * docs/PERF.md for the contract and tests/test_fastforward_diff.cc
- * for the proof obligations.
+ * A cached hint stays valid until the component ticks (it is
+ * requeried right after) or another component mutates it. Such a
+ * cross-component mutation must call poke() on its target first; the
+ * kernel then catches the target up to the mutation point and
+ * revalidates its hint. See docs/PERF.md for the contract and
+ * tests/test_fastforward_diff.cc for the proof obligations.
  */
 
 #ifndef MEMSEC_SIM_SIMULATOR_HH
 #define MEMSEC_SIM_SIMULATOR_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -45,10 +44,12 @@ namespace memsec {
 
 class Serializer;
 class Deserializer;
+class Simulator;
 
 /**
  * Base class for everything that participates in the tick loop.
- * Components are ticked in registration order each memory cycle.
+ * Components are ticked in registration order; with fast-forward on,
+ * only the ones that are due or were poked tick on a given cycle.
  */
 class Component
 {
@@ -60,12 +61,13 @@ class Component
     virtual void tick(Cycle now) = 0;
 
     /**
-     * Fast-forward hint, queried right after tick(now): the earliest
-     * cycle > now at which this component's tick() would do anything
-     * observable. Returning kNoCycle means "no self-scheduled work; I
-     * only react to other components". The contract: for every cycle
-     * c in (now, nextWakeCycle(now)), tick(c) must be a no-op except
-     * for per-cycle accounting that fastForward() reproduces exactly.
+     * Fast-forward hint, queried right after tick(now) and after a
+     * poke(): the earliest cycle > now at which this component's
+     * tick() would do anything observable. Returning kNoCycle means
+     * "no self-scheduled work; I only react to other components". The
+     * contract: for every cycle c in (now, nextWakeCycle(now)), tick(c)
+     * must be a no-op except for per-cycle accounting that
+     * fastForward() reproduces exactly, unless poke() is called first.
      * The default (now + 1) declares every cycle interesting and
      * preserves the naive loop for components without a hint.
      */
@@ -76,12 +78,13 @@ class Component
     }
 
     /**
-     * Catch up over the skipped span [from, to): called once per
-     * kernel jump on every component, in registration order, before
-     * the clock moves. Must reproduce byte-for-byte the per-cycle
-     * accounting tick() would have performed over those cycles (CPU
-     * clock advance, stall counters, energy state residency); the
-     * default assumes tick() keeps no per-cycle books.
+     * Catch up over the skipped span [from, to). Spans are contiguous
+     * and in order: each starts where the previous tick or catch-up
+     * ended, and one call may cover any number of skipped cycles.
+     * Must reproduce byte-for-byte the per-cycle accounting tick()
+     * would have performed over those cycles (CPU clock advance,
+     * stall counters, energy state residency); the default assumes
+     * tick() keeps no per-cycle books.
      */
     virtual void
     fastForward(Cycle from, Cycle to)
@@ -89,6 +92,16 @@ class Component
         (void)from;
         (void)to;
     }
+
+    /**
+     * Announce that this component is about to be mutated by another
+     * one (a request enqueued, a completion delivered) or that an
+     * input of its wake hint changed. Call it before the mutation:
+     * the kernel first catches the component up to the current point
+     * of the cycle, then revalidates its hint. A no-op on the
+     * component that is ticking and outside a running kernel.
+     */
+    void poke();
 
     /**
      * Serialize this component's evolving state. The obligation is
@@ -117,7 +130,11 @@ class Component
     const std::string &name() const { return name_; }
 
   private:
+    friend class Simulator;
+
     std::string name_;
+    Simulator *sim_ = nullptr; ///< set by Simulator::add()
+    size_t slot_ = 0;          ///< index in sim_'s tick order
 };
 
 /**
@@ -127,21 +144,20 @@ class Simulator
 {
   public:
     Simulator() = default;
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
 
-    /** Register a component; ticked in registration order. */
+    /** Register a component; ticked in registration order. A
+     *  component belongs to at most one simulator, which must outlive
+     *  every call that pokes it. */
     void add(Component *c);
 
     /** Current time in memory cycles. */
     Cycle now() const { return now_; }
 
-    /** Advance the simulation by exactly n memory cycles. */
+    /** Advance the simulation by exactly n memory cycles. On return
+     *  every component is caught up to now(). */
     void run(Cycle n);
-
-    /**
-     * Advance until pred() returns true (checked once per cycle) or
-     * maxCycles elapse. Returns the number of cycles actually run.
-     */
-    Cycle runUntil(const std::function<bool()> &pred, Cycle maxCycles);
 
     /**
      * Arm the livelock watchdog: `probe` must return a monotone
@@ -178,38 +194,51 @@ class Simulator
     void restoreState(Deserializer &d);
 
   private:
+    friend class Component;
+
+    /** One registered component and the kernel's books on it. */
+    struct Slot
+    {
+        Component *c = nullptr;
+        Cycle wake = 0;     ///< cached nextWakeCycle() answer
+        Cycle caughtUp = 0; ///< first cycle not yet accounted
+        bool poked = false; ///< poked this cycle, hint not requeried
+    };
+
+    static constexpr size_t kNotTicking = SIZE_MAX;
+
     /** Per-cycle watchdog check; fatal on a stall. */
     void checkWatchdog();
 
-    /**
-     * Tick phase of one executed cycle: components whose cached wake
-     * hint is due tick normally; the rest revalidate their hint
-     * against live state (an earlier-ordered component may have
-     * mutated them this very cycle) and, if still asleep, receive a
-     * one-cycle fastForward() catch-up, which the hint contract
-     * guarantees is byte-identical to the tick they skipped.
-     */
-    void tickDue();
+    /** Account slot s's cycles up to `to` with one fastForward(). */
+    static void catchUp(Slot &s, Cycle to);
+
+    /** Component::poke() on slot i. */
+    void poke(size_t i);
 
     /**
-     * Requery every component's wake hint after a tick phase and
-     * cache them in wakes_, returning their minimum clamped into
-     * [now + 1, end].
+     * One executed cycle in fast-forward mode: tick the components
+     * that are due or were poked with a live hint, requery the hints
+     * of every ticked or poked component, and return the earliest
+     * cached hint clamped into [now + 1, end].
      */
-    Cycle refreshWakes(Cycle end);
+    Cycle tickDue(Cycle end);
 
     /**
-     * Jump now_ forward to `wake` if the watchdog deadline allows:
-     * calls fastForward() on every component, advances the clock and
-     * re-checks the watchdog at the landing cycle (so a stalled run
-     * dies at the identical cycle in both modes).
+     * Jump now_ forward to `wake` if the watchdog deadline allows,
+     * and re-check the watchdog at the landing cycle (so a stalled
+     * run dies at the identical cycle in both modes). Calls no
+     * component: sleepers are caught up when they next run.
      */
     void jumpTo(Cycle wake);
 
-    std::vector<Component *> components_;
-    /** Cached per-component wake hints, refreshed every executed
-     *  cycle; derived state, reset on every run() entry. */
-    std::vector<Cycle> wakes_;
+    /** Registration order; derived books reset on every run() entry. */
+    std::vector<Slot> slots_;
+    /** Slots poked this cycle, in poke order (may repeat). */
+    std::vector<size_t> poked_;
+    /** Slot whose tick() is running (the last one ticked, between
+     *  ticks of a tick phase), or kNotTicking. */
+    size_t ticking_ = kNotTicking;
     Cycle now_ = 0;
 
     bool fastForward_ = true;
@@ -222,6 +251,13 @@ class Simulator
     uint64_t watchdogLastValue_ = 0;
     Cycle watchdogLastProgress_ = 0;
 };
+
+inline void
+Component::poke()
+{
+    if (sim_)
+        sim_->poke(slot_);
+}
 
 } // namespace memsec
 

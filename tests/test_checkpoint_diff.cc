@@ -113,23 +113,25 @@ using ChopPredicate = std::function<bool(ExperimentSystem &)>;
 /**
  * Chops that land inside an interval: the cycles, from one probe run
  * stepped cycle by cycle, at which `inside` has held for four cycles
- * in a row (one per interval). Then the real run steps straight to
- * each chop in one chunk, with fast-forward free to jump, checks it
- * is still inside, and carries on in a fresh system restored from
- * the serialized state.
+ * in a row (one per interval; with `every` > 1, one per `every`
+ * intervals). Then the real run steps straight to each chop in one
+ * chunk, with fast-forward free to jump, checks it is still inside,
+ * and carries on in a fresh system restored from the serialized
+ * state.
  */
 void
 expectIdenticalChoppedInside(const Config &cfg, const ChopPredicate &inside,
-                             const std::string &what)
+                             const std::string &what, unsigned every = 1)
 {
     std::vector<Cycle> chops;
     {
         ExperimentSystem probe(cfg);
         unsigned held = 0;
+        unsigned intervals = 0;
         while (!probe.done()) {
             probe.step(1);
             held = inside(probe) ? held + 1 : 0;
-            if (held == 4 && !probe.done())
+            if (held == 4 && !probe.done() && intervals++ % every == 0)
                 chops.push_back(probe.now());
         }
     }
@@ -236,6 +238,27 @@ TEST(CheckpointDiff, ChopInsidePowerDown)
             return false;
         },
         "fs_rp_powerdown/mcf seed=1");
+}
+
+TEST(CheckpointDiff, ChopWhileDomainQueueFull)
+{
+    // A core blocked on a full queue sleeps until the controller frees
+    // space and pokes it. Chop while some domain's queue is full, so
+    // the run restores across a core asleep on that poke.
+    const Config c = diffConfig("fs_rp", "hog", 1);
+    ASSERT_TRUE(c.getBool("sim.fastforward"));
+    expectIdenticalChoppedInside(
+        c,
+        [](ExperimentSystem &sys) {
+            const mem::MemoryController &mc = sys.controller(0);
+            for (DomainId d = 0; d < mc.numDomains(); ++d) {
+                if (!mc.canAccept(d) ||
+                    !mc.canAccept(d, mem::ReqType::Write))
+                    return true;
+            }
+            return false;
+        },
+        "fs_rp/hog seed=1 domain queue full", 16);
 }
 
 TEST(CheckpointDiff, FsWithPrefetch)

@@ -103,6 +103,13 @@ TEST(Config, NonNumericValueFatal)
     c.set("k", "9223372036854775808");
     EXPECT_EXIT(c.getInt("k"), ::testing::ExitedWithCode(1),
                 "non-integer");
+    // strtod parses all three, but none is a usable number.
+    for (const char *v : {"nan", "inf", "1e999"}) {
+        c.set("k", v);
+        EXPECT_EXIT(c.getDouble("k"), ::testing::ExitedWithCode(1),
+                    "non-numeric")
+            << v;
+    }
 }
 
 TEST(Config, TryParseIniReportsFileAndLine)

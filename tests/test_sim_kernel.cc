@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "mem/request.hh"
@@ -78,6 +81,58 @@ class IdleProbe : public Component
     Cycle stride_;
 };
 
+using Span = std::pair<Cycle, Cycle>;
+
+/**
+ * Counts every call the kernel makes on it. It has work at cycle
+ * `due` (consumed by the tick that does it), or every cycle when
+ * `busy`; `onTick` runs inside its tick, so a test can poke another
+ * component mid-cycle or observe it. Every tick and catch-up must
+ * start at the first cycle not yet accounted.
+ */
+class Counter : public Component
+{
+  public:
+    explicit Counter(std::string name) : Component(std::move(name)) {}
+
+    void
+    tick(Cycle now) override
+    {
+        EXPECT_EQ(now, accounted) << name() << ": tick leaves a gap";
+        accounted = now + 1;
+        ticks.push_back(now);
+        if (due <= now)
+            due = kNoCycle;
+        if (onTick)
+            onTick(now);
+    }
+
+    Cycle
+    nextWakeCycle(Cycle now) const override
+    {
+        ++wakeQueries;
+        return busy ? now + 1 : std::max(due, now + 1);
+    }
+
+    void
+    fastForward(Cycle from, Cycle to) override
+    {
+        EXPECT_EQ(from, accounted) << name() << ": span leaves a gap";
+        EXPECT_LT(from, to) << name();
+        accounted = to;
+        spans.push_back({from, to});
+    }
+
+    bool busy = false;
+    Cycle due = kNoCycle;
+    std::function<void(Cycle)> onTick;
+
+    Cycle accounted = 0; ///< first cycle not yet ticked or caught up
+    std::vector<Cycle> ticks;
+    std::vector<Span> spans;
+    mutable uint64_t wakeQueries = 0;
+};
+
 } // namespace
 
 TEST(Simulator, RunAdvancesExactCycles)
@@ -110,26 +165,6 @@ TEST(Simulator, ComponentsTickInRegistrationOrder)
     EXPECT_EQ(log[3], 2);
 }
 
-TEST(Simulator, RunUntilStopsOnPredicate)
-{
-    Simulator sim;
-    Probe p("p", nullptr, 0);
-    sim.add(&p);
-    const Cycle ran =
-        sim.runUntil([&] { return p.ticks >= 7; }, 100);
-    EXPECT_EQ(ran, 7u);
-    EXPECT_EQ(sim.now(), 7u);
-}
-
-TEST(Simulator, RunUntilRespectsBudget)
-{
-    Simulator sim;
-    Probe p("p", nullptr, 0);
-    sim.add(&p);
-    const Cycle ran = sim.runUntil([] { return false; }, 25);
-    EXPECT_EQ(ran, 25u);
-}
-
 TEST(Simulator, AddNullPanics)
 {
     Simulator sim;
@@ -146,28 +181,6 @@ TEST(Simulator, RunZeroCyclesIsNoOp)
     EXPECT_EQ(p.ticks, 0u);
     EXPECT_EQ(sim.cyclesExecuted(), 0u);
     EXPECT_EQ(sim.cyclesSkipped(), 0u);
-}
-
-TEST(Simulator, RunUntilZeroBudgetReturnsZero)
-{
-    Simulator sim;
-    Probe p("p", nullptr, 0);
-    sim.add(&p);
-    const Cycle ran = sim.runUntil([] { return false; }, 0);
-    EXPECT_EQ(ran, 0u);
-    EXPECT_EQ(sim.now(), 0u);
-    EXPECT_EQ(p.ticks, 0u);
-}
-
-TEST(Simulator, RunUntilPredTrueAtEntryRunsNothing)
-{
-    Simulator sim;
-    Probe p("p", nullptr, 0);
-    sim.add(&p);
-    const Cycle ran = sim.runUntil([] { return true; }, 100);
-    EXPECT_EQ(ran, 0u);
-    EXPECT_EQ(sim.now(), 0u);
-    EXPECT_EQ(p.ticks, 0u);
 }
 
 // -- fast-forward kernel mechanics ---------------------------------
@@ -231,8 +244,8 @@ TEST(Simulator, EarliestHintAcrossComponentsWins)
     sim.run(100);
     // The 7-stride component's wakes dominate the executed cycles:
     // 0, 7, 14, ..., 98 (15 wakes). The 100-stride component is due
-    // only at cycle 0; per-component gating fast-forwards it through
-    // every other cycle instead of ticking it alongside.
+    // only at cycle 0; it sleeps through every other cycle instead of
+    // ticking alongside, and is caught up when the run returns.
     EXPECT_EQ(fast.ticks, 15u);
     EXPECT_EQ(slow.ticks, 1u);
     // Tick or fast-forward, both components account all 100 cycles.
@@ -240,32 +253,148 @@ TEST(Simulator, EarliestHintAcrossComponentsWins)
     EXPECT_EQ(slow.ticks + slow.ffCycles, 100u);
 }
 
-TEST(Simulator, RunUntilDoesNotJumpPastSatisfiedPredicate)
+// -- lazy kernel contract ------------------------------------------
+
+TEST(Simulator, SleeperIsNotCalledWhileOthersExecute)
 {
     Simulator sim;
-    IdleProbe p(1000);
-    sim.add(&p);
-    // Pred becomes true after the first tick; the far wake hint must
-    // not drag now() past the stopping cycle.
-    const Cycle ran =
-        sim.runUntil([&] { return p.ticks >= 1; }, 5000);
-    EXPECT_EQ(ran, 1u);
-    EXPECT_EQ(sim.now(), 1u);
-    EXPECT_EQ(sim.cyclesSkipped(), 0u);
+    Counter busy("busy");
+    Counter sleeper("sleeper");
+    busy.busy = true;
+    sim.add(&busy);
+    sim.add(&sleeper);
+    // After its entry tick at cycle 0 (queried once), the sleeper
+    // must see no hint query and no catch-up while the busy component
+    // executes every cycle.
+    busy.onTick = [&](Cycle now) {
+        if (now == 0)
+            return;
+        EXPECT_EQ(sleeper.wakeQueries, 1u) << "cycle " << now;
+        EXPECT_TRUE(sleeper.spans.empty()) << "cycle " << now;
+    };
+    sim.run(50);
+    EXPECT_EQ(sim.cyclesExecuted(), 50u);
+    EXPECT_EQ(busy.ticks.size(), 50u);
+    EXPECT_EQ(sleeper.ticks, std::vector<Cycle>{0});
+    EXPECT_EQ(sleeper.wakeQueries, 1u);
 }
 
-TEST(Simulator, RunUntilJumpLandsOnPredicateRecheck)
+TEST(Simulator, WakingSleeperGetsOneCatchUpSpan)
 {
     Simulator sim;
-    IdleProbe p(10);
-    sim.add(&p);
-    const Cycle ran = sim.runUntil([&] { return p.ticks >= 3; }, 5000);
-    // Ticks at 0, 10, 20 — pred satisfied after the tick at 20, so
-    // the loop stops at cycle 21 having skipped the idle gaps.
-    EXPECT_EQ(p.ticks, 3u);
-    EXPECT_EQ(ran, 21u);
-    EXPECT_EQ(sim.now(), 21u);
-    EXPECT_EQ(sim.cyclesSkipped(), 18u);
+    Counter busy("busy");
+    Counter sleeper("sleeper");
+    busy.busy = true;
+    sleeper.due = 30;
+    sim.add(&busy);
+    sim.add(&sleeper);
+    sleeper.onTick = [&](Cycle now) {
+        if (now == 30) {
+            EXPECT_EQ(sleeper.spans, (std::vector<Span>{{1, 30}}));
+        }
+    };
+    sim.run(40);
+    // One fastForward() covers exactly the 29 skipped cycles, and it
+    // arrives before the tick it precedes.
+    EXPECT_EQ(sleeper.ticks, (std::vector<Cycle>{0, 30}));
+    EXPECT_EQ(sleeper.spans, (std::vector<Span>{{1, 30}, {31, 40}}));
+    EXPECT_EQ(sleeper.wakeQueries, 2u);
+}
+
+TEST(Simulator, PokeFromEarlierComponentTicksTargetSameCycle)
+{
+    Simulator sim;
+    Counter early("early");
+    Counter late("late");
+    early.due = 10;
+    sim.add(&early);
+    sim.add(&late);
+    early.onTick = [&](Cycle now) {
+        if (now != 10)
+            return;
+        late.poke(); // announce, then mutate
+        late.due = now;
+    };
+    sim.run(40);
+    EXPECT_EQ(late.ticks, (std::vector<Cycle>{0, 10}));
+    // Caught up to the poke point, then ticked in the same cycle.
+    ASSERT_FALSE(late.spans.empty());
+    EXPECT_EQ(late.spans.front(), (Span{1, 10}));
+    // Cycles 0 and 10 executed; both gaps were jumped.
+    EXPECT_EQ(sim.cyclesExecuted(), 2u);
+}
+
+TEST(Simulator, PokeFromLaterComponentTicksTargetNextCycle)
+{
+    Simulator sim;
+    Counter early("early");
+    Counter late("late");
+    late.due = 20;
+    sim.add(&early);
+    sim.add(&late);
+    late.onTick = [&](Cycle now) {
+        if (now != 20)
+            return;
+        early.poke();
+        early.due = now;
+    };
+    sim.run(40);
+    // Its turn at cycle 20 had already passed as a no-op, so the poke
+    // caught it up through cycle 20 and the new work runs at 21.
+    EXPECT_EQ(early.ticks, (std::vector<Cycle>{0, 21}));
+    ASSERT_FALSE(early.spans.empty());
+    EXPECT_EQ(early.spans.front(), (Span{1, 21}));
+    EXPECT_EQ(sim.cyclesExecuted(), 3u);
+}
+
+TEST(Simulator, PokeOfTickingComponentOrIdleKernelIsNoOp)
+{
+    Simulator sim;
+    Counter self("self");
+    Counter other("other");
+    sim.add(&self);
+    sim.add(&other);
+    self.due = 5;
+    self.onTick = [&](Cycle) { self.poke(); };
+    other.poke(); // no run in progress
+    sim.run(10);
+    EXPECT_EQ(self.ticks, (std::vector<Cycle>{0, 5}));
+    EXPECT_EQ(other.ticks, std::vector<Cycle>{0});
+    EXPECT_EQ(self.wakeQueries, 2u);
+}
+
+TEST(Simulator, RunReturnsWithEveryComponentCaughtUp)
+{
+    Simulator sim;
+    Counter busy("busy");
+    Counter stride("stride");
+    Counter reactive("reactive");
+    busy.busy = true;
+    sim.add(&stride);
+    sim.add(&reactive);
+    sim.add(&busy);
+    // The stride component works every 7 cycles and pokes the
+    // reactive one on every other wake; the busy one stops at 60.
+    stride.due = 7;
+    stride.onTick = [&](Cycle now) {
+        stride.due = now + 7;
+        if (now % 14 == 0) {
+            reactive.poke();
+            reactive.due = now;
+        }
+    };
+    busy.onTick = [&](Cycle now) {
+        if (now == 60)
+            busy.busy = false;
+    };
+    for (Cycle n : {0u, 1u, 13u, 50u, 100u, 3u}) {
+        sim.run(n);
+        for (const Counter *c : {&busy, &stride, &reactive})
+            EXPECT_EQ(c->accounted, sim.now()) << c->name();
+    }
+    EXPECT_EQ(sim.now(), 167u);
+    EXPECT_GT(sim.cyclesSkipped(), 0u);
+    EXPECT_GT(reactive.ticks.size(), 2u);
 }
 
 // -- watchdog ------------------------------------------------------

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Paired perfbench comparison of this checkout against a base commit.
 #
-#     tools/perfbench_pairs.sh BASE_REF
+#     tools/perfbench_pairs.sh BASE_REF [PAIRS]
 #
 # Checks BASE_REF out in a temporary git worktree. Then, for every
 # workload in BENCHMARK.json, runs perfbench/run.py at seed 1 on both
-# sides PAIRS times, alternating: the base first in odd pairs, the
+# sides PAIRS times (default 5), alternating: the base first in odd pairs, the
 # change first in even ones. The change side is this checkout's
 # working tree, uncommitted edits included. perfbench/compare.py then
 # gives a verdict for every workload x end-to-end metric.
+#
+# compare.py rates a metric "improved" only from 10 pairs up, so a
+# claimed gain needs PAIRS >= 10; the default 5 can only show a
+# regression.
 #
 # Exits nonzero if any verdict is "regressed", or if any change-side
 # run failed a check. At seed 1 the checks include the result digest
@@ -19,14 +23,14 @@
 # Each side builds the simulator once, into its own .bench_build/.
 set -euo pipefail
 
-PAIRS=5
 SECONDS_PER_RUN=3
 SEED=1
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 BASE_REF" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ] || ! [[ ${2:-5} =~ ^[1-9][0-9]*$ ]]; then
+    echo "usage: $0 BASE_REF [PAIRS]" >&2
     exit 2
 fi
+PAIRS=${2:-5}
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 base_rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
