@@ -23,8 +23,8 @@
  *
  * Scope note: under rank partitioning, a domain's *own* consecutive
  * slots (one frame apart) may reuse a bank; like the solver, the
- * verifier treats that as dynamically guarded (the scheduler's
- * bankFree/rankFree hazard deferrals, Section 7) and exposes the
+ * verifier treats that as dynamically guarded (the planned shadow's
+ * hazard deferrals, sched::ClosedRowPlan, Section 7) and exposes the
  * boundary separately via domainReuseHazard().
  */
 

@@ -85,7 +85,7 @@ edgeOf(const SlotCmds &c, dram::CmdEdge e)
  * Which sharing scopes two *distinct* slots can realise at a given
  * partition level. Under rank partitioning no two slots of one frame
  * share a rank (same-domain reuse across frames is guarded
- * dynamically by the scheduler's bankFree/rankFree hazard checks);
+ * dynamically by the schedulers' planned shadow, sched::ClosedRowPlan);
  * under bank partitioning slots may share a rank but never a bank.
  */
 bool
@@ -102,14 +102,14 @@ scopeApplies(dram::RuleScope s, PartitionLevel level)
 } // namespace
 
 bool
-PipelineSolver::checkPair(PeriodicRef ref, PartitionLevel level, unsigned l,
-                          unsigned d, bool laterWrite, bool earlierWrite,
-                          std::string *why) const
+PipelineSolver::checkPair(PeriodicRef ref, PartitionLevel level,
+                          unsigned spacing, unsigned d, bool laterWrite,
+                          bool earlierWrite, std::string *why) const
 {
     const SlotOffsets off = offsets(ref);
     const SlotCmds later = cmdsOf(off, laterWrite);
     const SlotCmds earlier = cmdsOf(off, earlierWrite);
-    const long gap = static_cast<long>(d) * l;
+    const long gap = static_cast<long>(d) * spacing;
 
     auto blocked = [&](const char *rule, long have, long need) {
         if (why) {
@@ -225,98 +225,38 @@ ReorderedSolution
 PipelineSolver::solveReordered(unsigned threads) const
 {
     fatal_if(threads == 0, "reordered interval needs >= 1 thread");
-    const SlotOffsets off = offsets(PeriodicRef::Data);
+    // Every thread may target one rank under bank partitioning, so the
+    // rank-level rules bind between any two slots of an interval.
+    constexpr PeriodicRef ref = PeriodicRef::Data;
+    constexpr PartitionLevel level = PartitionLevel::Bank;
 
     // Within an interval the data-slot order is reads then writes, so
-    // adjacent type pairs are (R,R), (R,W) and (W,W) only. Find the
-    // smallest uniform spacing s satisfying every rule for every pair
-    // distance (threads may all target one rank under bank
-    // partitioning, so rank-level rules apply).
-    auto pairOk = [&](unsigned s, unsigned d, bool earlierWrite,
-                      bool laterWrite) {
-        const SlotCmds later = cmdsOf(off, laterWrite);
-        const SlotCmds earlier = cmdsOf(off, earlierWrite);
-        const long gap = static_cast<long>(d) * s;
-        const int lc[2] = {later.act, later.cas};
-        const int ec[2] = {earlier.act, earlier.cas};
-        for (int a : lc) {
-            for (int b : ec) {
-                if (gap + a - b == 0)
-                    return false;
-            }
-        }
-        if (gap + later.data - earlier.data <
-            rules_.gap(dram::RuleId::DataBus))
-            return false;
-        const long actGap = gap + later.act - earlier.act;
-        if (actGap < rules_.gap(dram::RuleId::Rrd))
-            return false;
-        if (d == 4 && actGap < rules_.gap(dram::RuleId::Faw))
-            return false;
-        const long casGap = gap + later.cas - earlier.cas;
-        long need;
-        if (earlierWrite == laterWrite)
-            need = rules_.gap(dram::RuleId::Ccd);
-        else if (!earlierWrite && laterWrite)
-            need = rules_.gap(dram::RuleId::Rd2Wr);
-        else
-            return true; // (W,R) never adjacent within an interval
-        return casGap >= need;
-    };
-
-    ReorderedSolution out;
-    for (unsigned s = tp_.burst; s <= 256 && out.spacing == 0; ++s) {
-        bool ok = true;
-        for (unsigned d = 1; d <= threads && ok; ++d) {
+    // the pairs at each distance are (R,R), (R,W) and (W,W) only.
+    auto spacingOk = [&](unsigned s) {
+        for (unsigned d = 1; d <= threads; ++d) {
             for (bool ew : {false, true}) {
                 for (bool lw : {false, true}) {
-                    // Skip the impossible in-interval (W,R) order.
-                    if (ew && !lw)
-                        continue;
-                    if (!pairOk(s, d, ew, lw)) {
-                        ok = false;
-                        break;
-                    }
+                    if ((!ew || lw) &&
+                        !checkPair(ref, level, s, d, lw, ew, nullptr))
+                        return false;
                 }
-                if (!ok)
-                    break;
             }
         }
-        if (ok)
+        return true;
+    };
+    ReorderedSolution out;
+    out.offsets = offsets(ref);
+    for (unsigned s = tp_.burst; s <= 256 && out.spacing == 0; ++s) {
+        if (spacingOk(s))
             out.spacing = s;
     }
     fatal_if(out.spacing == 0, "no feasible reordered spacing found");
 
-    // Across the interval boundary the last write is followed by the
-    // first read of the next interval: the binding rule is the
-    // write-to-read column turnaround.
-    // Data-start gap G: write CAS at T+dataW->casW, read CAS at
-    // T+G+casR-dataR; require casGap >= wr2rd, plus the generic rules.
+    // Across the interval boundary the last write is followed, one
+    // data gap later, by the first read of the next interval.
     unsigned endGap = out.spacing;
-    for (;; ++endGap) {
-        const SlotCmds wr = cmdsOf(off, true);
-        const SlotCmds rd = cmdsOf(off, false);
-        const long g = endGap;
-        const long casGap = g + rd.cas - wr.cas;
-        if (casGap < rules_.gap(dram::RuleId::Wr2Rd))
-            continue;
-        const long actGap = g + rd.act - wr.act;
-        if (actGap < rules_.gap(dram::RuleId::Rrd))
-            continue;
-        if (g + rd.data - wr.data < rules_.gap(dram::RuleId::DataBus))
-            continue;
-        bool conflict = false;
-        const int lc[2] = {rd.act, rd.cas};
-        const int ec[2] = {wr.act, wr.cas};
-        for (int a : lc) {
-            for (int b : ec) {
-                if (g + a - b == 0)
-                    conflict = true;
-            }
-        }
-        if (!conflict)
-            break;
-    }
+    while (!checkPair(ref, level, endGap, 1, false, true, nullptr))
+        ++endGap;
 
     out.endGap = endGap;
     out.q = (threads - 1) * out.spacing + endGap;
@@ -325,12 +265,23 @@ PipelineSolver::solveReordered(unsigned threads) const
     return out;
 }
 
+long
+PipelineSolver::sameBankReuse() const
+{
+    long reuse = 0;
+    for (const dram::PairRule &r : rules_.pairRules()) {
+        if (r.scope == dram::RuleScope::SameBank)
+            reuse = std::max(reuse, r.minGap);
+    }
+    return reuse;
+}
+
 unsigned
 PipelineSolver::alternationFactor() const
 {
     const PipelineSolution bank = solveBest(PartitionLevel::Bank);
     panic_if(!bank.feasible, "no bank-partitioned pipeline exists");
-    const unsigned reuse = std::max(tp_.actToActWrA(), tp_.actToActRdA());
+    const auto reuse = static_cast<unsigned>(sameBankReuse());
     return (reuse + bank.l - 1) / bank.l;
 }
 
@@ -344,7 +295,7 @@ PipelineSolver::rankPartSameBankHazard(unsigned threads, unsigned l) const
     const long skew = std::abs(static_cast<long>(off.actRead) -
                                static_cast<long>(off.actWrite));
     const long worstGap = static_cast<long>(threads) * l - skew;
-    return worstGap < static_cast<long>(tp_.actToActWrA());
+    return worstGap < sameBankReuse();
 }
 
 } // namespace memsec::core

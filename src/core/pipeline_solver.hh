@@ -78,6 +78,7 @@ struct PipelineSolution
 /** Result of the reordered bank-partitioning analysis (Section 4.2). */
 struct ReorderedSolution
 {
+    SlotOffsets offsets{};  ///< the fixed-periodic-data template
     unsigned spacing = 0;   ///< data-burst spacing within the interval
     unsigned endGap = 0;    ///< extra data gap after the last write
     unsigned q = 0;         ///< interval length for N threads
@@ -121,7 +122,7 @@ class PipelineSolver
      * (Section 4.3): the number of bank groups g such that slots g
      * apart (the closest same-group, potentially same-bank slots) are
      * separated by at least the worst-case same-bank reuse time.
-     * ceil(actToActWrA / l_bank); 3 for the paper's DDR3 part.
+     * ceil(reuse / l_bank); 3 for the paper's DDR3 part.
      */
     unsigned alternationFactor() const;
 
@@ -129,7 +130,8 @@ class PipelineSolver
      * Minimum slots-per-interval N under rank partitioning before a
      * thread's back-to-back accesses to one rank can violate the
      * same-bank reuse constraint (Section 7's sensitivity discussion:
-     * N * l < actToActWrA needs hazard avoidance).
+     * N * l below the worst-case same-bank reuse needs hazard
+     * avoidance).
      */
     bool rankPartSameBankHazard(unsigned threads, unsigned l) const;
 
@@ -139,9 +141,14 @@ class PipelineSolver
     const dram::TimingRuleTable &rules() const { return rules_; }
 
   private:
-    bool checkPair(PeriodicRef ref, PartitionLevel level, unsigned l,
+    /** True if every rule binding at `level` holds between slots d
+     *  apart at `spacing`; optionally reports the violated rule. */
+    bool checkPair(PeriodicRef ref, PartitionLevel level, unsigned spacing,
                    unsigned d, bool laterWrite, bool earlierWrite,
                    std::string *why) const;
+
+    /** Worst-case same-bank ACT-to-ACT gap over the table's rows. */
+    long sameBankReuse() const;
 
     dram::TimingParams tp_;
     dram::TimingRuleTable rules_;

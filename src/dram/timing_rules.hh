@@ -7,8 +7,9 @@
  * PipelineSolver (derives the paper's minimum slot spacings), the
  * static ScheduleVerifier (model-checks a whole hyperperiod offline),
  * and the secure schedulers' planning shadow (sched::ClosedRowPlan,
- * whose same-bank reuse horizon is max(gap(Rc), gap(ActToActRdA |
- * ActToActWrA))). Before this table existed each kept its own copy of
+ * which turns every SameBank and SameRank pair rule, tFAW included,
+ * into per-bank and per-rank horizons; TP's turn footprints also read
+ * their gaps here). Before this table existed each kept its own copy of
  * the rule constants and names, which could drift apart silently; now
  * all of them consume TimingRuleTable, so a disagreement between them
  * can only be a logic bug, never a constant mismatch.

@@ -8,9 +8,11 @@
 
 namespace memsec::sched {
 
+using dram::CmdEdge;
 using dram::CmdType;
 using dram::Command;
 using dram::RuleId;
+using dram::RuleScope;
 
 ClosedRowPlan::ClosedRowPlan(mem::MemoryController &mc,
                              const core::SlotOffsets &off)
@@ -23,16 +25,87 @@ ClosedRowPlan::ClosedRowPlan(mem::MemoryController &mc,
              "closed-row template must put the CAS tRCD = {} after the "
              "ACT (read {}, write {})",
              rcd, off.casRead - off.actRead, off.casWrite - off.actWrite);
-    const long rc = rules.gap(RuleId::Rc);
-    reuseRead_ = static_cast<Cycle>(
-        std::max(rc, rules.gap(RuleId::ActToActRdA)));
-    reuseWrite_ = static_cast<Cycle>(
-        std::max(rc, rules.gap(RuleId::ActToActWrA)));
+    edgeAt_[0] = {0, static_cast<Cycle>(rcd),
+                  static_cast<Cycle>(off.dataRead - off.actRead)};
+    edgeAt_[1] = {0, static_cast<Cycle>(rcd),
+                  static_cast<Cycle>(off.dataWrite - off.actWrite)};
+
+    for (const dram::PairRule &r : rules.pairRules()) {
+        if (r.scope == RuleScope::AnyPair)
+            continue;
+        if (r.actWindow == 1) {
+            rows_.push_back(r);
+            continue;
+        }
+        // One ring per rank holds every planned ACT.
+        panic_if(window_.actWindow > 1 || r.scope != RuleScope::SameRank ||
+                     r.from != CmdEdge::Act ||
+                     r.earlier != dram::TypePred::Any,
+                 "window rule {} must be the only one, over every ACT of "
+                 "a rank",
+                 dram::ruleName(r.id));
+        window_ = r;
+    }
 
     const auto &geo = dram_.geometry();
     banksPerRank_ = geo.banksPerRank;
-    bankFree_.assign(
-        static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, 0);
+    banks_ = geo.ranksPerChannel * geo.banksPerRank;
+    horizon_.assign((banks_ + geo.ranksPerChannel) * kSlots, 0);
+    windowEnds_.assign(
+        static_cast<size_t>(geo.ranksPerChannel) * window_.actWindow, 0);
+}
+
+size_t
+ClosedRowPlan::slotsOf(RuleScope scope, unsigned rank, unsigned bank) const
+{
+    panic_if(scope == RuleScope::AnyPair,
+             "the plan shadows only bank and rank scopes");
+    return (scope == RuleScope::SameRank
+                ? banks_ + rank
+                : static_cast<size_t>(rank) * banksPerRank_ + bank) *
+           kSlots;
+}
+
+bool
+ClosedRowPlan::admits(RuleScope scope, unsigned rank, unsigned bank,
+                      Cycle actAt, bool write) const
+{
+    const Cycle *h = &horizon_[slotsOf(scope, rank, bank)];
+    for (size_t e = 0; e < 3; ++e) {
+        if (actAt + edgeAt_[write][e] < h[e * 2 + write])
+            return false;
+    }
+    return true;
+}
+
+void
+ClosedRowPlan::reserve(unsigned rank, unsigned bank, Cycle actAt,
+                       bool write)
+{
+    // A row binding a later op's `to` edge at `need` raises the
+    // horizon of that edge for each later type the row matches.
+    const auto raise = [&](const dram::PairRule &r, Cycle need) {
+        Cycle *h = &horizon_[slotsOf(r.scope, rank, bank) +
+                             static_cast<size_t>(r.to) * 2];
+        for (bool later : {false, true}) {
+            if (dram::typeMatches(r.later, later))
+                h[later] = std::max(h[later], need);
+        }
+    };
+    for (const dram::PairRule &r : rows_) {
+        if (dram::typeMatches(r.earlier, write))
+            raise(r, actAt + edgeAt_[write][static_cast<size_t>(r.from)] +
+                         static_cast<Cycle>(r.minGap));
+    }
+
+    if (window_.actWindow == 1)
+        return;
+    // ring[0] closes the window of the actWindow-th ACT before the
+    // next one; it stays 0 until the rank has had that many ACTs.
+    Cycle *ring = &windowEnds_[rank * window_.actWindow];
+    std::copy(ring + 1, ring + window_.actWindow, ring);
+    ring[window_.actWindow - 1] = actAt + static_cast<Cycle>(window_.minGap);
+    raise(window_, ring[0]);
 }
 
 void
@@ -99,9 +172,11 @@ ClosedRowPlan::saveState(Serializer &s) const
         s.putBool(op.actIssued);
         s.putU64(op.completeAt);
     }
-    s.putU64(bankFree_.size());
-    for (Cycle c : bankFree_)
-        s.putU64(c);
+    for (const std::vector<Cycle> *v : {&horizon_, &windowEnds_}) {
+        s.putU64(v->size());
+        for (Cycle c : *v)
+            s.putU64(c);
+    }
 }
 
 void
@@ -127,10 +202,12 @@ ClosedRowPlan::restoreState(Deserializer &d)
         op.completeAt = d.getU64();
         ops_.push_back(std::move(op));
     }
-    if (d.getU64() != bankFree_.size())
-        d.fail("planned bank count mismatch");
-    for (Cycle &c : bankFree_)
-        c = d.getU64();
+    for (std::vector<Cycle> *v : {&horizon_, &windowEnds_}) {
+        if (d.getU64() != v->size())
+            d.fail("planned horizon count mismatch");
+        for (Cycle &c : *v)
+            c = d.getU64();
+    }
 }
 
 } // namespace memsec::sched

@@ -40,9 +40,8 @@ levelOf(FsMode m)
 }
 
 core::PipelineSolution
-solveFs(const dram::TimingParams &tp, const FsScheduler::Params &p)
+solveFs(const core::PipelineSolver &solver, const FsScheduler::Params &p)
 {
-    const core::PipelineSolver solver(tp);
     const core::PipelineSolution sol =
         p.pinRef ? solver.solve(p.ref, levelOf(p.mode))
                  : solver.solveBest(levelOf(p.mode));
@@ -54,11 +53,15 @@ solveFs(const dram::TimingParams &tp, const FsScheduler::Params &p)
 } // namespace
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
-    : Scheduler(mc), params_(params),
-      sol_(solveFs(mc.dram().timing(), params)),
+    : FsScheduler(mc, params, core::PipelineSolver(mc.dram().timing()))
+{
+}
+
+FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params,
+                         const core::PipelineSolver &solver)
+    : Scheduler(mc), params_(params), sol_(solveFs(solver, params)),
       plan_(mc, sol_.offsets)
 {
-    const core::PipelineSolver solver(dram_.timing());
     l_ = sol_.l;
 
     const auto &off = sol_.offsets;
@@ -109,7 +112,6 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
     const auto &geo = dram_.geometry();
     lastRow_.assign(
         static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, ~0u);
-    rankPlan_.assign(geo.ranksPerChannel, RankPlan{});
     rankDownUntil_.assign(geo.ranksPerChannel, 0);
     pdCreditCycles_.assign(geo.ranksPerChannel, 0);
     dummyRr_.assign(n, 0);
@@ -136,45 +138,10 @@ FsScheduler::name() const
     return fsModeName(params_.mode);
 }
 
-bool
-FsScheduler::rankFree(unsigned rank, Cycle actAt, Cycle casAt,
-                      bool write) const
-{
-    const auto &tp = dram_.timing();
-    const RankPlan &rp = rankPlan_[rank];
-    if (actAt < rp.nextAct)
-        return false;
-    if (rp.acts.size() >= 4 && actAt < rp.acts.front() + tp.faw)
-        return false;
-    if (casAt < (write ? rp.nextWrite : rp.nextRead))
-        return false;
-    return true;
-}
-
 void
-FsScheduler::reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
-                         bool write)
+FsScheduler::plan(std::unique_ptr<MemRequest> req, bool write, bool dummy,
+                  Cycle ref)
 {
-    const auto &tp = dram_.timing();
-    RankPlan &rp = rankPlan_[rank];
-    rp.nextAct = actAt + tp.rrd;
-    rp.acts.push_back(actAt);
-    while (rp.acts.size() > 4)
-        rp.acts.pop_front();
-    if (write) {
-        rp.nextWrite = std::max(rp.nextWrite, casAt + tp.ccd);
-        rp.nextRead = std::max(rp.nextRead, casAt + tp.wr2rd());
-    } else {
-        rp.nextRead = std::max(rp.nextRead, casAt + tp.ccd);
-        rp.nextWrite = std::max(rp.nextWrite, casAt + tp.rd2wr());
-    }
-}
-
-void
-FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
-                  bool write, bool dummy, Cycle ref)
-{
-    (void)slot;
     const auto &off = sol_.offsets;
     ClosedRowPlan::Op op;
     op.write = write;
@@ -196,7 +163,6 @@ FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
     last = req->loc.row;
 
     plan_.reserve(rank, bank, op.actAt, write);
-    reserveRank(rank, op.actAt, op.casAt, write);
 
     // Slot-skew injection: shift a real op's commands *after* the
     // reservations, so the planner's books still assume the nominal
@@ -300,16 +266,20 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
                                ? static_cast<unsigned>(slot % groups_)
                                : 0;
 
+    // Both scopes bind only on a domain's own close slots (Section 7).
+    auto admits = [&](unsigned rank, unsigned bank, Cycle act, bool w) {
+        return plan_.admits(dram::RuleScope::SameBank, rank, bank, act,
+                            w) &&
+               plan_.admits(dram::RuleScope::SameRank, rank, bank, act, w);
+    };
     auto eligible = [&](const MemRequest &r) {
         if (groups_ > 1 && r.loc.bank % groups_ != group)
             return false;
         const bool w = r.type == ReqType::Write;
         const Cycle act = ref + (w ? off.actWrite : off.actRead);
-        const Cycle cas = ref + (w ? off.casWrite : off.casRead);
         if (rankDownUntil_[r.loc.rank] > now)
             return false;
-        return plan_.bankFree(r.loc.rank, r.loc.bank, act) &&
-               rankFree(r.loc.rank, act, cas, w);
+        return admits(r.loc.rank, r.loc.bank, act, w);
     };
 
     // 1. A real transaction from this domain's queue, oldest first.
@@ -321,7 +291,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
         auto owned = q.take(r);
         owned->firstCommand = ref + (w ? off.actWrite : off.actRead);
         realOps_.inc();
-        plan(slot, std::move(owned), w, false, ref);
+        plan(std::move(owned), w, false, ref);
         return;
     }
     if (!q.empty())
@@ -336,7 +306,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
                 pq.erase(it);
                 owned->firstCommand = ref + off.actRead;
                 prefetchOps_.inc();
-                plan(slot, std::move(owned), false, false, ref);
+                plan(std::move(owned), false, false, ref);
                 return;
             }
         }
@@ -358,9 +328,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             skippedSlots_.inc();
             return;
         }
-        if (!plan_.bankFree(rank, bank, ref + off.actRead) ||
-            !rankFree(rank, ref + off.actRead, ref + off.casRead,
-                      false))
+        if (!admits(rank, bank, ref + off.actRead, false))
             continue;
         dummyRr_[domain] = cursor + 1;
         auto dummy = mc_.acquireRequest();
@@ -380,7 +348,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             dummy->loc.row = 0;
         dummyOps_.inc();
         mc_.noteDummy();
-        plan(slot, std::move(dummy), false, true, ref);
+        plan(std::move(dummy), false, true, ref);
         return;
     }
     // Only reachable at very low thread counts, where rank-level
@@ -481,17 +449,8 @@ FsScheduler::registerStats(StatGroup &group) const
 void
 FsScheduler::saveState(Serializer &s) const
 {
-    s.section("fs/v2");
+    s.section("fs/v3");
     plan_.saveState(s);
-    s.putU64(rankPlan_.size());
-    for (const RankPlan &rp : rankPlan_) {
-        s.putU64(rp.nextRead);
-        s.putU64(rp.nextWrite);
-        s.putU64(rp.nextAct);
-        s.putU64(rp.acts.size());
-        for (Cycle c : rp.acts)
-            s.putU64(c);
-    }
     s.putU64(lastRow_.size());
     for (unsigned r : lastRow_)
         s.putU32(r);
@@ -525,19 +484,8 @@ FsScheduler::saveState(Serializer &s) const
 void
 FsScheduler::restoreState(Deserializer &d)
 {
-    d.section("fs/v2");
+    d.section("fs/v3");
     plan_.restoreState(d);
-    if (d.getU64() != rankPlan_.size())
-        d.fail("rank plan count mismatch");
-    for (RankPlan &rp : rankPlan_) {
-        rp.nextRead = d.getU64();
-        rp.nextWrite = d.getU64();
-        rp.nextAct = d.getU64();
-        const uint64_t acts = d.getU64();
-        rp.acts.clear();
-        for (uint64_t i = 0; i < acts; ++i)
-            rp.acts.push_back(d.getU64());
-    }
     if (d.getU64() != lastRow_.size())
         d.fail("last-row table size mismatch");
     for (unsigned &r : lastRow_)

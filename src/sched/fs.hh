@@ -25,7 +25,6 @@
 #ifndef MEMSEC_SCHED_FS_HH
 #define MEMSEC_SCHED_FS_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/pipeline_solver.hh"
@@ -116,27 +115,16 @@ class FsScheduler : public Scheduler
     Cycle poweredDownUntil(unsigned r) const { return rankDownUntil_.at(r); }
 
   private:
+    /** Builds everything from the one solver the public form makes. */
+    FsScheduler(mem::MemoryController &mc, const Params &params,
+                const core::PipelineSolver &solver);
+
     /** Pick and plan the operation for slot `slot` (decided at now). */
     void decideSlot(uint64_t slot, Cycle now);
 
-    /**
-     * True if rank-level constraints (tRRD, tFAW, CAS turnaround)
-     * admit an op with the given command cycles. The solver already
-     * guarantees these *between* slots of one frame; this guards the
-     * low-thread-count case where a domain's consecutive slots are
-     * closer than the turnaround times (Section 7's sensitivity
-     * discussion).
-     */
-    bool rankFree(unsigned rank, Cycle actAt, Cycle casAt,
-                  bool write) const;
-
-    /** Record the planned op's rank-level footprint. */
-    void reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
-                     bool write);
-
     /** Plan the op's commands. */
-    void plan(uint64_t slot, std::unique_ptr<mem::MemRequest> req,
-              bool write, bool dummy, Cycle ref);
+    void plan(std::unique_ptr<mem::MemRequest> req, bool write,
+              bool dummy, Cycle ref);
 
     void frameBoundary(uint64_t frame, Cycle now);
 
@@ -152,15 +140,6 @@ class FsScheduler : public Scheduler
 
     ClosedRowPlan plan_;
 
-    /** Planned rank-level windows, mirroring dram::Rank. */
-    struct RankPlan
-    {
-        Cycle nextRead = 0;
-        Cycle nextWrite = 0;
-        Cycle nextAct = 0;
-        std::deque<Cycle> acts; ///< recent planned ACTs (tFAW)
-    };
-    std::vector<RankPlan> rankPlan_;
     /** Last row used per (rank, bank), for the row-buffer boost. */
     std::vector<unsigned> lastRow_;
 

@@ -13,16 +13,15 @@ using mem::ReqType;
 FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
                                            const Params &params)
     : Scheduler(mc), params_(params),
-      off_(core::PipelineSolver(mc.dram().timing())
-               .offsets(core::PeriodicRef::Data)),
-      plan_(mc, off_)
+      sol_(core::PipelineSolver(mc.dram().timing())
+               .solveReordered(mc.numDomains())),
+      plan_(mc, sol_.offsets)
 {
-    const core::PipelineSolver solver(dram_.timing());
-    sol_ = solver.solveReordered(mc.numDomains());
     q_ = sol_.q;
 
-    const int minOff = std::min({off_.actRead, off_.actWrite,
-                                 off_.casRead, off_.casWrite, 0});
+    const auto &off = sol_.offsets;
+    const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
+                                 off.casWrite, 0});
     lead_ = static_cast<Cycle>(-minOff);
 
     dummyRr_.assign(mc.numDomains(), 0);
@@ -41,7 +40,8 @@ FsReorderedScheduler::makeDummy(DomainId domain, bool write, Cycle actAt,
         const size_t cursor = (dummyRr_[domain] + tries) % combos;
         const unsigned bank = banks[cursor % banks.size()];
         const unsigned rank = ranks[cursor / banks.size()];
-        if (!plan_.bankFree(rank, bank, actAt))
+        if (!plan_.admits(dram::RuleScope::SameBank, rank, bank, actAt,
+                          write))
             continue;
         dummyRr_[domain] = cursor + 1;
         auto dummy = mc_.acquireRequest();
@@ -90,19 +90,19 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
     // Eligibility is judged at the interval's EARLIEST possible act
     // cycle, not the op's actual slot position: the position depends
     // on the other domains' read/write mix, so a position-sensitive
-    // pick would leak it. Under bank partitioning plannedBankFree of
-    // a domain's banks is a function of that domain's own history
-    // only, so this predicate is leak-free.
-    const Cycle earliestAct =
-        base + std::min(off_.actRead, off_.actWrite);
+    // pick would leak it. Under bank partitioning the plan's
+    // bank-scope horizons of a domain's banks are a function of that
+    // domain's own history only, so this predicate is leak-free.
+    const auto &off = sol_.offsets;
+    const Cycle earliestAct = base + std::min(off.actRead, off.actWrite);
 
     for (unsigned i = 0; i < order.size(); ++i) {
         const Pick &p = order[i];
         const Cycle data = base + static_cast<Cycle>(i) * sol_.spacing;
         const Cycle actAt =
-            data + (p.write ? off_.actWrite : off_.actRead);
+            data + (p.write ? off.actWrite : off.actRead);
         const Cycle casAt =
-            data + (p.write ? off_.casWrite : off_.casRead);
+            data + (p.write ? off.casWrite : off.casRead);
 
         // Oldest safe same-type transaction from the domain; falling
         // back to a same-type dummy keeps the read/write split (and
@@ -110,8 +110,8 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
         mem::TransactionQueue &q = mc_.queue(p.domain);
         MemRequest *r = q.findOldest([&](const MemRequest &cand) {
             return (cand.type == ReqType::Write) == p.write &&
-                   plan_.bankFree(cand.loc.rank, cand.loc.bank,
-                                  earliestAct);
+                   plan_.admits(dram::RuleScope::SameBank, cand.loc.rank,
+                                cand.loc.bank, earliestAct, p.write);
         });
 
         ClosedRowPlan::Op op;
@@ -146,7 +146,7 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
         const Cycle worstData =
             base + static_cast<Cycle>(n - 1) * sol_.spacing;
         plan_.reserve(op.req->loc.rank, op.req->loc.bank,
-                      worstData + (p.write ? off_.actWrite : off_.actRead),
+                      worstData + (p.write ? off.actWrite : off.actRead),
                       p.write);
         plan_.push(std::move(op));
     }
@@ -182,7 +182,7 @@ FsReorderedScheduler::registerStats(StatGroup &group) const
 void
 FsReorderedScheduler::saveState(Serializer &s) const
 {
-    s.section("fs-reordered/v2");
+    s.section("fs-reordered/v3");
     plan_.saveState(s);
     s.putU64(domainRng_.size());
     for (const Rng &rng : domainRng_) {
@@ -202,7 +202,7 @@ FsReorderedScheduler::saveState(Serializer &s) const
 void
 FsReorderedScheduler::restoreState(Deserializer &d)
 {
-    d.section("fs-reordered/v2");
+    d.section("fs-reordered/v3");
     plan_.restoreState(d);
     if (d.getU64() != domainRng_.size())
         d.fail("domain RNG count mismatch");

@@ -55,7 +55,6 @@ class FsReorderedScheduler : public Scheduler
 
     Params params_;
     core::ReorderedSolution sol_;
-    core::SlotOffsets off_{};
     Cycle q_ = 0;
     Cycle lead_ = 0;
 

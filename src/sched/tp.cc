@@ -7,6 +7,7 @@
 
 namespace memsec::sched {
 
+using dram::RuleId;
 using mem::MemRequest;
 using mem::ReqType;
 
@@ -35,18 +36,21 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
     l_ = sol_.l;
 
     // Per-type footprint: cycles from the slot's ACT until every
-    // piece of shared state is clean (and, with shared banks, the
-    // bank is precharged again).
-    const auto &tp = dram_.timing();
-    const unsigned dataReadDone = tp.rcd + tp.cas + tp.burst + tp.rtrs;
-    const unsigned dataWriteDone = tp.rcd + tp.cwd + tp.burst + tp.rtrs;
+    // piece of shared state is clean: the data burst plus the rank
+    // switch, a write's CAS-to-read turnaround and, with shared banks,
+    // the bank's reuse after its auto-precharge.
+    const dram::TimingRuleTable rules(dram_.timing());
+    const auto &off = sol_.offsets;
+    const auto gap = [&](RuleId id) {
+        return static_cast<unsigned>(rules.gap(id));
+    };
+    const unsigned bus = gap(RuleId::DataBus);
+    footRead_ = off.dataRead - off.actRead + bus;
+    footWrite_ = std::max(off.dataWrite - off.actWrite + bus,
+                          off.casWrite - off.actWrite + gap(RuleId::Wr2Rd));
     if (sharedBanks_) {
-        footRead_ = std::max(dataReadDone, tp.actToActRdA());
-        footWrite_ = tp.actToActWrA();
-    } else {
-        footRead_ = dataReadDone;
-        footWrite_ =
-            std::max(dataWriteDone, tp.rcd + tp.wr2rd());
+        footRead_ = std::max(footRead_, gap(RuleId::ActToActRdA));
+        footWrite_ = std::max(footWrite_, gap(RuleId::ActToActWrA));
     }
     footRead_ += params_.extraDead;
     footWrite_ += params_.extraDead;
@@ -83,8 +87,9 @@ TpScheduler::decideSlot(Cycle now)
         if (now + (w ? footWrite_ : footRead_) > tE)
             return false;
         // ...and respect same-bank reuse against earlier slots.
-        return plan_.bankFree(r.loc.rank, r.loc.bank,
-                              now + (w ? off.actWrite : off.actRead));
+        return plan_.admits(dram::RuleScope::SameBank, r.loc.rank,
+                            r.loc.bank,
+                            now + (w ? off.actWrite : off.actRead), w);
     };
 
     mem::TransactionQueue &q = mc_.queue(domain);
@@ -145,7 +150,7 @@ TpScheduler::registerStats(StatGroup &group) const
 void
 TpScheduler::saveState(Serializer &s) const
 {
-    s.section("tp/v2");
+    s.section("tp/v3");
     plan_.saveState(s);
     turns_.saveState(s);
     served_.saveState(s);
@@ -155,7 +160,7 @@ TpScheduler::saveState(Serializer &s) const
 void
 TpScheduler::restoreState(Deserializer &d)
 {
-    d.section("tp/v2");
+    d.section("tp/v3");
     plan_.restoreState(d);
     turns_.restoreState(d);
     served_.restoreState(d);

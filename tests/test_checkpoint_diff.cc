@@ -472,9 +472,9 @@ TEST(CheckpointDiff, StaleFingerprintDetected)
 TEST(CheckpointDiff, OldSchedulerLayoutRestartsFromScratch)
 {
     const std::pair<const char *, const char *> points[] = {
-        {"fs_rp", "fs/v2"},
-        {"fs_reordered_bp", "fs-reordered/v2"},
-        {"tp_bp", "tp/v2"},
+        {"fs_rp", "fs/v3"},
+        {"fs_reordered_bp", "fs-reordered/v3"},
+        {"tp_bp", "tp/v3"},
     };
     for (const auto &[scheme, tag] : points) {
         const Config base = diffConfig(scheme, "mcf", 1);
@@ -490,7 +490,7 @@ TEST(CheckpointDiff, OldSchedulerLayoutRestartsFromScratch)
             // Same-length stand-in for the previous layout's tag.
             std::string payload = s.data();
             std::string oldTag = tag;
-            oldTag.back() = '1';
+            --oldTag.back();
             const size_t at = payload.find(tag);
             ASSERT_NE(at, std::string::npos) << scheme;
             payload.replace(at, oldTag.size(), oldTag);

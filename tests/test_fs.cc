@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "core/pipeline_solver.hh"
+#include "dram/timing_rules.hh"
 #include "mem/memory_controller.hh"
+#include "sched/closed_row_plan.hh"
 #include "sched/fs.hh"
 
 using namespace memsec;
@@ -300,4 +304,147 @@ TEST_F(FsTest, DummyFractionFormula)
     const double frac = g.lookup("dummy_fraction");
     EXPECT_GT(frac, 0.9);
     EXPECT_LT(frac, 1.0);
+}
+
+// ---- The planned shadow interprets every bank- and rank-scope row of
+// the timing-rule table, for each DRAM part. ----
+
+namespace {
+
+struct ShadowPart
+{
+    const char *name;
+    dram::TimingParams (*make)();
+};
+
+const ShadowPart kShadowParts[] = {
+    {"ddr3_1600", &dram::TimingParams::ddr3_1600_4gb},
+    {"ddr3_2133", &dram::TimingParams::ddr3_2133},
+    {"ddr4_2400", &dram::TimingParams::ddr4_2400},
+};
+
+/** A controller on one part, for driving a ClosedRowPlan directly. */
+struct ShadowRig
+{
+    explicit ShadowRig(const dram::TimingParams &tp)
+        : map(dram::Geometry{}, Partition::None, Interleave::ClosePage, 1),
+          mc("mc", params(tp), map),
+          off(core::PipelineSolver(tp).offsets(core::PeriodicRef::Data))
+    {
+    }
+
+    static MemoryController::Params
+    params(const dram::TimingParams &tp)
+    {
+        MemoryController::Params p;
+        p.timing = tp;
+        p.numDomains = 1;
+        return p;
+    }
+
+    /** Cycles from an op's ACT to `e`, from the template offsets. */
+    Cycle
+    edge(bool write, dram::CmdEdge e) const
+    {
+        const int act = write ? off.actWrite : off.actRead;
+        switch (e) {
+          case dram::CmdEdge::Act: return 0;
+          case dram::CmdEdge::Cas:
+            return static_cast<Cycle>((write ? off.casWrite : off.casRead) -
+                                      act);
+          case dram::CmdEdge::Data:
+            return static_cast<Cycle>(
+                (write ? off.dataWrite : off.dataRead) - act);
+        }
+        return 0;
+    }
+
+    AddressMap map;
+    MemoryController mc;
+    core::SlotOffsets off;
+};
+
+} // namespace
+
+TEST(ClosedRowPlanShadow, EveryAdjacentRowRefusesOneCycleEarly)
+{
+    constexpr Cycle kPrior = 1000;
+    for (const ShadowPart &part : kShadowParts) {
+        const dram::TimingParams tp = part.make();
+        const dram::TimingRuleTable table(tp);
+        for (dram::RuleScope scope :
+             {dram::RuleScope::SameBank, dram::RuleScope::SameRank}) {
+            // A same-rank later op goes to another bank, so only the
+            // rank's horizons can refuse it.
+            const unsigned laterBank =
+                scope == dram::RuleScope::SameBank ? 0 : 1;
+            for (bool ew : {false, true}) {
+                for (bool lw : {false, true}) {
+                    ShadowRig rig(tp);
+                    ClosedRowPlan plan(rig.mc, rig.off);
+                    plan.reserve(0, 0, kPrior, ew);
+                    // The ACT cycle each row demands of the later op;
+                    // the latest of them is where the scope admits it.
+                    Cycle admitAt = 0;
+                    unsigned rows = 0;
+                    for (const dram::PairRule &r : table.pairRules()) {
+                        if (r.scope != scope || r.actWindow != 1 ||
+                            !dram::typeMatches(r.earlier, ew) ||
+                            !dram::typeMatches(r.later, lw))
+                            continue;
+                        ++rows;
+                        const Cycle need = kPrior + rig.edge(ew, r.from) +
+                                           static_cast<Cycle>(r.minGap) -
+                                           rig.edge(lw, r.to);
+                        EXPECT_FALSE(plan.admits(scope, 0, laterBank,
+                                                 need - 1, lw))
+                            << part.name << " " << dram::ruleName(r.id)
+                            << " ew=" << ew << " lw=" << lw;
+                        admitAt = std::max(admitAt, need);
+                    }
+                    ASSERT_GT(rows, 0u) << part.name;
+                    EXPECT_TRUE(plan.admits(scope, 0, laterBank, admitAt, lw))
+                        << part.name << " ew=" << ew << " lw=" << lw;
+                    // Another rank shares neither scope.
+                    EXPECT_TRUE(plan.admits(scope, 1, 0, kPrior, lw));
+                }
+            }
+        }
+    }
+}
+
+TEST(ClosedRowPlanShadow, ActWindowBindsOnlyWithAFullWindow)
+{
+    constexpr Cycle kPrior = 1000;
+    for (const ShadowPart &part : kShadowParts) {
+        const dram::TimingParams tp = part.make();
+        const dram::TimingRuleTable table(tp);
+        const dram::PairRule *window = nullptr;
+        for (const dram::PairRule &r : table.pairRules()) {
+            if (r.actWindow > 1)
+                window = &r;
+        }
+        ASSERT_NE(window, nullptr) << part.name;
+        ASSERT_EQ(window->scope, dram::RuleScope::SameRank);
+
+        // Prior ACTs one cycle apart on distinct banks: the adjacent
+        // rows then bind well before the window does.
+        ShadowRig rig(tp);
+        ClosedRowPlan plan(rig.mc, rig.off);
+        const unsigned n = window->actWindow;
+        for (unsigned i = 0; i + 1 < n; ++i)
+            plan.reserve(0, i, kPrior + i, false);
+        const Cycle faw = kPrior + static_cast<Cycle>(window->minGap);
+        EXPECT_TRUE(plan.admits(dram::RuleScope::SameRank, 0, n, faw - 1,
+                                false))
+            << part.name << ": window bound with " << n - 1 << " ACTs";
+
+        plan.reserve(0, n - 1, kPrior + n - 1, false);
+        EXPECT_FALSE(plan.admits(dram::RuleScope::SameRank, 0, n, faw - 1,
+                                 false))
+            << part.name;
+        EXPECT_TRUE(
+            plan.admits(dram::RuleScope::SameRank, 0, n, faw, false))
+            << part.name;
+    }
 }

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/pipeline_solver.hh"
 #include "core/slot_schedule.hh"
 
@@ -148,6 +152,132 @@ TEST(PipelineSolver, ReorderedScalesWithThreads)
         const auto r = s.solveReordered(n);
         EXPECT_EQ(r.q, (n - 1) * r.spacing + r.endGap);
         EXPECT_GT(r.peakUtilisation, 0.0);
+    }
+}
+
+namespace {
+
+/** One transaction of an unrolled reordered interval. */
+struct UnrolledOp
+{
+    long act = 0;
+    long cas = 0;
+    long data = 0;
+    bool write = false;
+};
+
+/**
+ * Checks an unrolled command stream against the part's bus and
+ * rank-level rules, straight from TimingParams; every op may target
+ * one rank. Returns the first violation, or "".
+ */
+std::string
+unrolledViolation(const std::vector<UnrolledOp> &ops,
+                  const dram::TimingParams &tp)
+{
+    std::vector<long> cmds, acts, data;
+    for (const UnrolledOp &o : ops) {
+        cmds.insert(cmds.end(), {o.act, o.cas});
+        acts.push_back(o.act);
+        data.push_back(o.data);
+    }
+    std::sort(cmds.begin(), cmds.end());
+    std::sort(acts.begin(), acts.end());
+    std::sort(data.begin(), data.end());
+    for (size_t i = 1; i < cmds.size(); ++i) {
+        if (cmds[i] == cmds[i - 1])
+            return "cmd-bus at " + std::to_string(cmds[i]);
+    }
+    for (size_t i = 1; i < data.size(); ++i) {
+        if (data[i] - data[i - 1] < static_cast<long>(tp.burst + tp.rtrs))
+            return "data-bus at " + std::to_string(data[i]);
+    }
+    for (size_t i = 1; i < acts.size(); ++i) {
+        if (acts[i] - acts[i - 1] < static_cast<long>(tp.rrd))
+            return "tRRD at " + std::to_string(acts[i]);
+        if (i >= 4 && acts[i] - acts[i - 4] < static_cast<long>(tp.faw))
+            return "tFAW at " + std::to_string(acts[i]);
+    }
+    for (const UnrolledOp &a : ops) {
+        for (const UnrolledOp &b : ops) {
+            if (b.cas <= a.cas)
+                continue;
+            const long need = a.write == b.write
+                                  ? tp.ccd
+                                  : (a.write ? tp.wr2rd() : tp.rd2wr());
+            if (b.cas - a.cas < need)
+                return std::string(a.write ? "W" : "R") + "->" +
+                       (b.write ? "W" : "R") + " CAS at " +
+                       std::to_string(b.cas);
+        }
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(PipelineSolver, ReorderedTemplateLegalAcrossIntervals)
+{
+    // Reads first, then writes, with the pinned spacing and end gap:
+    // every write count in each of three consecutive intervals.
+    struct Part
+    {
+        const char *name;
+        dram::TimingParams (*make)();
+        unsigned spacing;       ///< for N below wideFrom
+        unsigned wideSpacing;   ///< for N >= wideFrom
+        unsigned wideFrom;
+        unsigned endGap;
+    };
+    // DDR3-2133 widens at N = 4, where tFAW first binds in-interval.
+    const Part parts[] = {
+        {"ddr3_1600", &dram::TimingParams::ddr3_1600_4gb, 6, 6, 1, 21},
+        {"ddr3_2133", &dram::TimingParams::ddr3_2133, 6, 8, 4, 26},
+        {"ddr4_2400", &dram::TimingParams::ddr4_2400, 7, 7, 1, 29},
+    };
+    constexpr unsigned kIntervals = 3;
+    for (const Part &part : parts) {
+        const dram::TimingParams tp = part.make();
+        const PipelineSolver solver(tp);
+        const core::SlotOffsets off = solver.offsets(PeriodicRef::Data);
+        for (unsigned n = 1; n <= 12; ++n) {
+            const auto r = solver.solveReordered(n);
+            EXPECT_EQ(r.spacing,
+                      n < part.wideFrom ? part.spacing : part.wideSpacing)
+                << part.name << " N=" << n;
+            EXPECT_EQ(r.endGap, part.endGap) << part.name << " N=" << n;
+
+            unsigned writes[kIntervals] = {};
+            for (bool more = true; more;) {
+                std::vector<UnrolledOp> ops;
+                for (unsigned k = 0; k < kIntervals; ++k) {
+                    for (unsigned i = 0; i < n; ++i) {
+                        UnrolledOp o;
+                        o.write = i >= n - writes[k];
+                        o.data = static_cast<long>(k) * r.q +
+                                 static_cast<long>(i) * r.spacing;
+                        o.act = o.data + (o.write ? off.actWrite
+                                                  : off.actRead);
+                        o.cas = o.data + (o.write ? off.casWrite
+                                                  : off.casRead);
+                        ops.push_back(o);
+                    }
+                }
+                EXPECT_EQ(unrolledViolation(ops, tp), "")
+                    << part.name << " N=" << n << " writes=" << writes[0]
+                    << "," << writes[1] << "," << writes[2];
+                // Next write-count combination, odometer style.
+                more = false;
+                for (unsigned &w : writes) {
+                    if (w < n) {
+                        ++w;
+                        more = true;
+                        break;
+                    }
+                    w = 0;
+                }
+            }
+        }
     }
 }
 
