@@ -30,7 +30,7 @@ profileConfig(const std::string &scheme, const std::string &corunner)
     c.set("sim.warmup", 0);
     // Longer run and finer checkpoints than the other figures: the
     // whole point is the shape of the progress curve.
-    c.set("sim.measure", 4 * c.getUint("sim.measure", 120000));
+    c.set("sim.measure", 4 * c.getUint("sim.measure"));
     c.set("audit.core", 0);
     c.set("audit.progress_interval", 2000);
     return c;

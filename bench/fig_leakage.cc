@@ -107,20 +107,16 @@ pointConfig(const Point &pt)
     // keeps a measurement floor even under MEMSEC_QUICK (full run is
     // a few seconds; the quick default would leave ~40 pilots).
     c.set("sim.measure",
-          std::max<uint64_t>(480000,
-                             4 * c.getUint("sim.measure", 120000)));
-    // The covert-channel protocol (docs/CONFIG.md, leak.*). Explicit
-    // so the campaign fingerprint pins every parameter. The secret
-    // seed is chosen *balanced* (16 ones in 32 bits): source entropy
-    // is exactly 1 bit/window, so measured MI is comparable to the
-    // closed-form bound and a refused decode sits at BER 0.5 exactly.
+          std::max<uint64_t>(480000, 4 * c.getUint("sim.measure")));
+    // The covert-channel protocol (docs/CONFIG.md, leak.*); keys left
+    // out take their declared defaults. The secret seed is chosen
+    // *balanced* (16 ones in 32 bits): source entropy is exactly
+    // 1 bit/window, so measured MI is comparable to the closed-form
+    // bound and a refused decode sits at BER 0.5 exactly.
     c.set("leak.window", pt.window);
     c.set("leak.secret_seed", 0xC0FFF2);
     c.set("leak.secret_bits", 32);
     c.set("leak.skip_windows", 2);
-    c.set("leak.off_factor", 0.02);
-    c.set("leak.mi_bins", 8);
-    c.set("leak.mi_shuffles", 64);
     // The attacker's code: 9 alternating pilots per frame, payload
     // uncoded — soft voting across cyclic frame repetitions is the
     // repetition code. 9 + 32 makes the frame 41 windows, *prime*:
@@ -131,13 +127,7 @@ pointConfig(const Point &pt)
     // separation by aliasing. (An even frame length lets window
     // parity align with the pilots and produced exactly that
     // artifact.)
-    c.set("leak.code.scheme", "onoff");
     c.set("leak.code.preamble", 9);
-    c.set("leak.code.repeat", 1);
-    c.set("leak.code.adapt_timing", true);
-    c.set("leak.code.adapt_guard", true);
-    c.set("leak.code.min_separation", 0.5);
-    c.set("leak.code.mi_bins", 4);
     return c;
 }
 
@@ -214,10 +204,9 @@ main(int argc, char **argv)
             certConfigFor(pt));
         const bool certified = cert.certify().certified;
         analysis::QueueModel qm;
-        qm.numDomains =
-            campaign.outcome(i).config.getUint("cores", 8);
-        qm.queueCapacity = campaign.outcome(i).config.getUint(
-            "mc.queue_capacity", 16);
+        const Config &cfg = campaign.outcome(i).config;
+        qm.numDomains = cfg.getUint("cores");
+        qm.queueCapacity = cfg.getUint("mc.queue_capacity");
         qm.windowCycles = params.windowCycles;
         const analysis::LeakageBound bound =
             analysis::boundFor(qm, certified);

@@ -43,16 +43,20 @@ main(int argc, char **argv)
         }
     }
 
-    std::cout << "memsec quickstart: '" << workload << "' on the "
-              << "paper's 8-core / 1-channel / 8-rank DDR3-1600 "
-                 "system\n\n";
+    Config system = harness::defaultConfig();
+    system.merge(user);
+    const uint64_t channels = system.getUint("dram.channels");
+    std::cout << "memsec quickstart: '" << workload
+              << "' on the configured " << system.getUint("cores")
+              << "-core / " << channels << "-channel / "
+              << system.getUint("dram.ranks")
+              << "-rank DDR3-1600 system\n\n";
 
     Table t;
     t.header({"scheme", "IPC sum", "read latency", "bus util",
               "dummy frac", "energy (uJ)"});
-    const bool multiChannel = user.getUint("dram.channels", 1) > 1;
     for (const char *scheme : {"baseline", "fs_rp", "tp_bp"}) {
-        if (multiChannel && std::string(scheme) == "tp_bp")
+        if (channels > 1 && std::string(scheme) == "tp_bp")
             continue; // multi-channel TP is not modelled
         Config cfg = harness::defaultConfig();
         cfg.merge(harness::schemeConfig(scheme));

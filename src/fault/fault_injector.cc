@@ -38,6 +38,19 @@ constexpr KindName kKindNames[] = {
 
 } // namespace
 
+using enum ConfigType;
+
+constexpr ConfigKey kFaultKeys[] = {
+    {"fault.kind", String, "none", choiceNames<kKindNames>},
+    {"fault.seed", Uint, "1"},
+    {"fault.rate", Double, "1.0", nullptr, 0, 1},
+    {"fault.magnitude", Uint, "1"},
+    {"fault.param", String, ""},
+    {"fault.scale", Double, "2.0"},
+    {"fault.window", String},
+};
+const std::span<const ConfigKey> faultConfigKeys = kFaultKeys;
+
 const char *
 faultKindName(FaultKind kind)
 {
@@ -59,19 +72,20 @@ faultKindByName(const std::string &name)
 }
 
 FaultSpec
-FaultSpec::fromConfig(const Config &cfg)
+FaultSpec::fromConfig(const Config &config)
 {
+    const Config cfg = withDefaults(config, kFaultKeys);
     FaultSpec spec;
-    spec.kind = faultKindByName(cfg.getString("fault.kind", "none"));
-    spec.seed = cfg.getUint("fault.seed", 1);
-    spec.rate = cfg.getDouble("fault.rate", 1.0);
-    spec.magnitude = cfg.getUint("fault.magnitude", 1);
-    spec.param = cfg.getString("fault.param", "");
-    spec.scale = cfg.getDouble("fault.scale", 2.0);
+    spec.kind = faultKindByName(cfg.getString("fault.kind"));
+    spec.seed = cfg.getUint("fault.seed");
+    spec.rate = cfg.getDouble("fault.rate");
+    spec.magnitude = cfg.getUint("fault.magnitude");
+    spec.param = cfg.getString("fault.param");
+    spec.scale = cfg.getDouble("fault.scale");
     fatal_if(spec.rate < 0.0 || spec.rate > 1.0,
              "fault.rate {} outside [0, 1]", spec.rate);
 
-    const std::string window = cfg.getString("fault.window", "");
+    const std::string window = cfg.getString("fault.window");
     if (!window.empty()) {
         const auto colon = window.find(':');
         fatal_if(colon == std::string::npos,

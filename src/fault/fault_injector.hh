@@ -21,17 +21,18 @@
 #ifndef MEMSEC_FAULT_FAULT_INJECTOR_HH
 #define MEMSEC_FAULT_FAULT_INJECTOR_HH
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dram/command.hh"
 #include "dram/timing.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
 #include "util/random.hh"
 
 namespace memsec {
-class Config;
 class Serializer;
 class Deserializer;
 } // namespace memsec
@@ -65,6 +66,9 @@ const char *faultKindName(FaultKind kind);
 
 /** Inverse of faultKindName(); fatal on an unknown name. */
 FaultKind faultKindByName(const std::string &name);
+
+/** The fault.* config keys, declared once. */
+extern const std::span<const ConfigKey> faultConfigKeys;
 
 /** Full parameterisation of one injection campaign. */
 struct FaultSpec

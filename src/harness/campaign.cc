@@ -38,16 +38,16 @@ fnv1a64(const std::string &s)
     return h;
 }
 
-// The canonical identity of a run: its config minus durability
-// plumbing (checkpoint cadence, crash-dump routing), which affects
-// how a run persists, never what it computes.
+// The canonical identity of a run: its config with the static defaults
+// filled in, minus the non-digest keys (checkpoint cadence, crash-dump
+// routing), which affect how a run persists, never what it computes.
 std::string
 canonicalConfigString(const Config &cfg)
 {
-    Config canon = cfg;
-    for (const std::string &key : cfg.keys()) {
-        if (key.rfind("ckpt.", 0) == 0 || key.rfind("crash.", 0) == 0)
-            canon.erase(key);
+    Config canon = withDefaults(cfg, configSchema());
+    for (const ConfigKey &k : configSchema()) {
+        if (!k.digest)
+            canon.erase(k.name);
     }
     return canon.toString();
 }
@@ -118,7 +118,7 @@ Campaign::execute(size_t idx, const CampaignOptions &opts,
     // persisted result instead of re-simulating. Stale or corrupt
     // entries are warned about and ignored; the run then executes
     // normally.
-    const std::string journalDir = o.config.getString("ckpt.dir", "");
+    const std::string journalDir = o.config.getString("ckpt.dir");
     std::string journalPath;
     std::string fp;
     if (!journalDir.empty()) {

@@ -124,11 +124,12 @@ class Campaign
 
     /**
      * Canonical fingerprint of a Config: stable across key insertion
-     * order (keys are stored sorted). Runs with equal fingerprints
-     * are executed once per campaign. Durability keys (ckpt.*,
-     * crash.*) are stripped first — they steer checkpoint plumbing,
-     * not simulated behaviour, so a resumed rerun with a different
-     * cadence still matches its journal entries.
+     * order (keys are stored sorted) and over configSchema()'s static
+     * defaults, so spelling out a default keeps the fingerprint. Runs
+     * with equal fingerprints are executed once per campaign. Keys
+     * declared non-digest (ckpt.*, crash.*) are dropped — they steer
+     * checkpoint plumbing, not simulated behaviour, so a resumed rerun
+     * with a different cadence still matches its journal entries.
      */
     static std::string fingerprint(const Config &cfg);
 

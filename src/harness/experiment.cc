@@ -4,10 +4,13 @@
 #include <charconv>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
+#include <utility>
 
 #include "cpu/core_model.hh"
 #include "cpu/workload.hh"
@@ -44,129 +47,194 @@ ExperimentResult::weightedIpc(const std::vector<double> &baseIpc) const
     return sum;
 }
 
+namespace {
+
+using enum ConfigType;
+
+enum class SchedKind { FrFcfs, Tp, Fs, FsReordered };
+
+constexpr ConfigChoice<SchedKind> kSchedulers[] = {
+    {"baseline", SchedKind::FrFcfs}, {"tp", SchedKind::Tp},
+    {"fs", SchedKind::Fs}, {"fs_reordered", SchedKind::FsReordered}};
+
+constexpr ConfigChoice<Partition> kPartitions[] = {
+    {"none", Partition::None}, {"channel", Partition::Channel},
+    {"rank", Partition::Rank}, {"bank", Partition::Bank}};
+
+constexpr ConfigChoice<Interleave> kInterleaves[] = {
+    {"open", Interleave::OpenPage}, {"close", Interleave::ClosePage}};
+
+constexpr ConfigChoice<sched::FsMode> kFsModes[] = {
+    {"rank", sched::FsMode::RankPart}, {"bank", sched::FsMode::BankPart},
+    {"none", sched::FsMode::NoPart}, {"triple", sched::FsMode::TripleAlt}};
+
+constexpr ConfigChoice<core::PeriodicRef> kFsRefs[] = {
+    {"data", core::PeriodicRef::Data}, {"ras", core::PeriodicRef::Ras},
+    {"cas", core::PeriodicRef::Cas}};
+
+/** traffic.process values, each mapped to "is open-loop". */
+constexpr ConfigChoice<bool> kTrafficProcesses[] = {
+    {"none", false}, {"poisson", true}, {"mmpp", true}};
+
+/** What each scheme name sets; the energy optimisations of Figure 9
+ *  are cumulative. */
+constexpr std::pair<const char *, const char *> kSchemes[] = {
+    {"baseline", "sched=baseline map.partition=none map.interleave=open"},
+    {"baseline_prefetch", "sched=baseline map.partition=none "
+                          "map.interleave=open core.prefetch=true"},
+    {"fs_rp", "sched=fs fs.mode=rank map.partition=rank"},
+    {"fs_rp_prefetch", "sched=fs fs.mode=rank map.partition=rank "
+                       "core.prefetch=true fs.prefetch=true"},
+    {"fs_rp_suppress",
+     "sched=fs fs.mode=rank map.partition=rank fs.suppress=true"},
+    {"fs_rp_boost", "sched=fs fs.mode=rank map.partition=rank "
+                    "fs.suppress=true fs.boost=true"},
+    {"fs_rp_powerdown", "sched=fs fs.mode=rank map.partition=rank "
+                        "fs.suppress=true fs.boost=true fs.powerdown=true"},
+    {"fs_bp", "sched=fs fs.mode=bank map.partition=bank"},
+    {"fs_reordered_bp", "sched=fs_reordered map.partition=bank"},
+    {"fs_np", "sched=fs fs.mode=none map.partition=none"},
+    {"fs_np_triple", "sched=fs fs.mode=triple map.partition=none"},
+    {"tp_bp", "sched=tp map.partition=bank map.interleave=open tp.turn=60"},
+    {"tp_np", "sched=tp map.partition=none map.interleave=open tp.turn=172"},
+    // Section 4.1: with at most one domain per channel nothing is
+    // shared, so the non-secure scheduler is already leak-free.
+    {"channel_part",
+     "sched=baseline map.partition=channel map.interleave=open"},
+};
+
+/** Cycles each channel shard runs between barriers; shards never
+ *  interact, so the length cannot change a result. */
+constexpr Cycle kShardEpoch = 8192;
+
+constexpr const char *kEpochRemoved =
+    "because shards never interact, so its length could not change a "
+    "result; delete it (shards meet every 8192 cycles)";
+constexpr const char *kReplayRemoved =
+    "along with compiled schedule replay; delete it (every run is "
+    "interpreted and audited by the TimingChecker)";
+
+// The traffic.* rows also cover each per-domain traffic.d<i>.<key>.
+// A null default is computed by the reader (docs/CONFIG.md).
+constexpr ConfigKey kHarnessKeys[] = {
+    {"scheme", String},
+    {"sched", String, "baseline", choiceNames<kSchedulers>},
+    {"cores", Uint, "8", nullptr, 1},
+    {"workload", String, "mcf"},
+    {"seed", Uint, "1"},
+    {"dram.channels", Uint, "1", nullptr, 1},
+    {"dram.ranks", Uint, "8", nullptr, 1},
+    {"dram.banks", Uint, "8", nullptr, 1},
+    {"dram.rows", Uint, "32768", nullptr, 1},
+    {"dram.cols", Uint, "128", nullptr, 1},
+    {"dram.refresh", Bool, "false"},
+    {"map.partition", String, "none", choiceNames<kPartitions>},
+    {"map.interleave", String, "close", choiceNames<kInterleaves>},
+    {"mc.queue_capacity", Uint, "16", nullptr, 1},
+    {"mc.request_pool", Uint, "64"},
+    {"core.rob", Uint, "64", nullptr, 1},
+    {"core.retire_width", Uint, "4", nullptr, 1},
+    {"core.cpu_mult", Uint, "4", nullptr, 1},
+    {"core.llc_kb", Uint, "512", nullptr, 1},
+    {"core.llc_ways", Uint, "8", nullptr, 1},
+    {"core.llc_hit_latency", Uint, "10"},
+    {"core.prefetch", Bool, "false"},
+    {"core.functional_warmup", Uint},
+    {"fs.mode", String, "rank", choiceNames<kFsModes>},
+    {"fs.ref", String, nullptr, choiceNames<kFsRefs>},
+    {"fs.slot_weights", String},
+    {"fs.suppress", Bool, "false"},
+    {"fs.boost", Bool, "false"},
+    {"fs.powerdown", Bool, "false"},
+    {"fs.prefetch", Bool, "false"},
+    {"tp.turn", Uint, "60", nullptr, 1},
+    {"tp.extra_dead", Uint, "0"},
+    {"sim.warmup", Uint, "20000"},
+    {"sim.measure", Uint, "200000"},
+    {"sim.watchdog", Uint, "100000"},
+    {"sim.fastforward", Bool, "true"},
+    {"sim.shards", Uint, "1", nullptr, 1},
+    {.name = "sim.shard_epoch", .type = Uint, .removed = kEpochRemoved},
+    {.name = "sim.compiled", .type = String, .removed = kReplayRemoved},
+    {.name = "sim.compiled_ring", .type = String, .removed = kReplayRemoved},
+    {.name = "sim.compiled_intervals", .type = String,
+     .removed = kReplayRemoved},
+    {"audit.core", Int, "-1", nullptr, -1},
+    {"audit.progress_interval", Uint, "10000"},
+    {"stats.dump", String},
+    {"traffic.process", String, "none", choiceNames<kTrafficProcesses>},
+    {"traffic.rate", Double},
+    {"traffic.clients", Uint},
+    {"traffic.burst_factor", Double},
+    {"traffic.idle_factor", Double},
+    {"traffic.burst_len", Double},
+    {"traffic.idle_len", Double},
+    {"traffic.diurnal_period", Double},
+    {"traffic.diurnal_amp", Double},
+    {"traffic.store_fraction", Double},
+    {"traffic.mshrs", Uint},
+    {.name = "ckpt.dir", .type = String, .digest = false},
+    {.name = "ckpt.interval_cycles", .type = Uint, .digest = false},
+    {.name = "ckpt.kill_after_snapshots", .type = Uint, .digest = false},
+    {.name = "crash.dir", .type = String, .digest = false},
+};
+
+/** Fatal unless configSchema() accepts `cfg`. A per-domain
+ *  traffic.d<i>.<key> is checked as traffic.<key>, for i < cores. */
+void
+validateConfig(const Config &cfg)
+{
+    const uint64_t cores = std::strtoull(
+        withDefaults(cfg, kHarnessKeys).getString("cores").c_str(),
+        nullptr, 10);
+    const auto rowOf = [cores](const std::string &key) -> std::string {
+        if (key.rfind("traffic.d", 0) != 0)
+            return key;
+        unsigned d = 0;
+        const char *last = key.data() + key.size();
+        const auto [dot, ec] = std::from_chars(key.data() + 9, last, d);
+        if (ec != std::errc() || dot == last || *dot != '.')
+            return key; // not per-domain, e.g. traffic.diurnal_amp
+        return d < cores ? "traffic." + std::string(dot + 1, last) : "";
+    };
+    const std::string errors = configErrors(cfg, configSchema(), rowOf);
+    fatal_if(!errors.empty(), "invalid config:{}", errors);
+}
+
+} // namespace
+
+std::span<const ConfigKey>
+configSchema()
+{
+    static const std::vector<ConfigKey> all = [] {
+        std::vector<ConfigKey> v(std::begin(kHarnessKeys),
+                                 std::end(kHarnessKeys));
+        for (auto keys : {leakage::leakConfigKeys, fault::faultConfigKeys})
+            v.insert(v.end(), keys.begin(), keys.end());
+        return v;
+    }();
+    return all;
+}
+
 Config
 defaultConfig()
 {
-    Config c;
-    c.set("cores", 8);
-    c.set("sched", "baseline");
-    c.set("workload", "mcf");
-    c.set("dram.channels", 1);
-    c.set("dram.ranks", 8);
-    c.set("dram.banks", 8);
-    c.set("dram.rows", 32768);
-    c.set("dram.cols", 128);
-    c.set("mc.queue_capacity", 16);
-    c.set("map.partition", "none");
-    c.set("map.interleave", "close");
-    c.set("core.rob", 64);
-    c.set("core.retire_width", 4);
-    c.set("core.cpu_mult", 4);
-    c.set("core.llc_kb", 512);
-    c.set("core.llc_ways", 8);
-    c.set("core.llc_hit_latency", 10);
-    c.set("sim.warmup", 20000);
-    c.set("sim.measure", 200000);
-    c.set("tp.turn", 60);
-    c.set("audit.core", -1);
-    c.set("audit.progress_interval", 10000);
-    c.set("seed", 1);
-    // Livelock watchdog window in memory cycles (0 disables). Large
-    // enough that any live run — even an idle FS frame between
-    // refresh epochs — makes progress well within it.
-    c.set("sim.watchdog", 100000);
-    // Idle-skip fast forward (byte-identical to the naive loop; see
-    // tests/test_fastforward_diff.cc). Off = force the naive loop.
-    c.set("sim.fastforward", true);
-    // Fixed-capacity request pool for scheduler-internal operations
-    // (dummies); heap fallback beyond this is a structured SimError,
-    // never UB (tests/test_fixed_pool.cc).
-    c.set("mc.request_pool", 64);
-    // Open-loop arrival process ("none" keeps the closed-loop trace
-    // generators). See traffic.* in docs/CONFIG.md for the per-domain
-    // rate/burstiness keys layered on top of this switch.
-    c.set("traffic.process", "none");
-    // Channel shards stepped in parallel on the thread pool. Shards
-    // share no mutable state, so any value produces byte-identical
-    // digests (tests/test_shard_diff.cc); 1 = serial.
-    c.set("sim.shards", 1);
-    // Cycles each shard runs between barriers. Purely a scheduling
-    // granularity: shards never interact, so the epoch length cannot
-    // change observables, only synchronisation overhead.
-    c.set("sim.shard_epoch", 8192);
-    return c;
+    return withDefaults(Config{}, configSchema());
 }
 
 Config
 schemeConfig(const std::string &scheme)
 {
+    const auto it = std::find_if(
+        std::begin(kSchemes), std::end(kSchemes),
+        [&](const auto &entry) { return scheme == entry.first; });
+    fatal_if(it == std::end(kSchemes), "unknown scheme '{}'", scheme);
     Config c;
     c.set("scheme", scheme);
-    auto fsRp = [&] {
-        c.set("sched", "fs");
-        c.set("fs.mode", "rank");
-        c.set("map.partition", "rank");
-    };
-    if (scheme == "baseline") {
-        c.set("sched", "baseline");
-        c.set("map.partition", "none");
-        c.set("map.interleave", "open");
-    } else if (scheme == "baseline_prefetch") {
-        c.set("sched", "baseline");
-        c.set("map.partition", "none");
-        c.set("map.interleave", "open");
-        c.set("core.prefetch", true);
-    } else if (scheme == "fs_rp") {
-        fsRp();
-    } else if (scheme == "fs_rp_prefetch") {
-        fsRp();
-        c.set("core.prefetch", true);
-        c.set("fs.prefetch", true);
-    } else if (scheme == "fs_rp_suppress") {
-        fsRp();
-        c.set("fs.suppress", true);
-    } else if (scheme == "fs_rp_boost") {
-        fsRp();
-        c.set("fs.suppress", true);
-        c.set("fs.boost", true);
-    } else if (scheme == "fs_rp_powerdown") {
-        fsRp();
-        c.set("fs.suppress", true);
-        c.set("fs.boost", true);
-        c.set("fs.powerdown", true);
-    } else if (scheme == "fs_bp") {
-        c.set("sched", "fs");
-        c.set("fs.mode", "bank");
-        c.set("map.partition", "bank");
-    } else if (scheme == "fs_reordered_bp") {
-        c.set("sched", "fs_reordered");
-        c.set("map.partition", "bank");
-    } else if (scheme == "fs_np") {
-        c.set("sched", "fs");
-        c.set("fs.mode", "none");
-        c.set("map.partition", "none");
-    } else if (scheme == "fs_np_triple") {
-        c.set("sched", "fs");
-        c.set("fs.mode", "triple");
-        c.set("map.partition", "none");
-    } else if (scheme == "tp_bp") {
-        c.set("sched", "tp");
-        c.set("map.partition", "bank");
-        c.set("map.interleave", "open");
-        c.set("tp.turn", 60);
-    } else if (scheme == "tp_np") {
-        c.set("sched", "tp");
-        c.set("map.partition", "none");
-        c.set("map.interleave", "open");
-        c.set("tp.turn", 172);
-    } else if (scheme == "channel_part") {
-        // Section 4.1: with at most one domain per channel nothing is
-        // shared, so the non-secure scheduler is already leak-free.
-        c.set("sched", "baseline");
-        c.set("map.partition", "channel");
-        c.set("map.interleave", "open");
-    } else {
-        fatal("unknown scheme '{}'", scheme);
+    std::istringstream settings(it->second);
+    for (std::string kv; settings >> kv;) {
+        const size_t eq = kv.find('=');
+        c.set(kv.substr(0, eq), kv.substr(eq + 1));
     }
     return c;
 }
@@ -174,38 +242,13 @@ schemeConfig(const std::string &scheme)
 std::vector<std::string>
 allSchemes()
 {
-    return {"baseline",        "baseline_prefetch", "fs_rp",
-            "fs_rp_prefetch",  "fs_rp_suppress",    "fs_rp_boost",
-            "fs_rp_powerdown", "fs_bp",             "fs_reordered_bp",
-            "fs_np",           "fs_np_triple",      "tp_bp",
-            "tp_np",           "channel_part"};
+    std::vector<std::string> out;
+    for (const auto &entry : kSchemes)
+        out.push_back(entry.first);
+    return out;
 }
 
 namespace {
-
-Partition
-parsePartition(const std::string &s)
-{
-    if (s == "none")
-        return Partition::None;
-    if (s == "channel")
-        return Partition::Channel;
-    if (s == "rank")
-        return Partition::Rank;
-    if (s == "bank")
-        return Partition::Bank;
-    fatal("unknown partition '{}'", s);
-}
-
-Interleave
-parseInterleave(const std::string &s)
-{
-    if (s == "open")
-        return Interleave::OpenPage;
-    if (s == "close")
-        return Interleave::ClosePage;
-    fatal("unknown interleave '{}'", s);
-}
 
 uint64_t
 traceSeed(const std::string &profileName, unsigned coreIdx,
@@ -240,9 +283,6 @@ traceSeed(const std::string &profileName, unsigned coreIdx,
 struct ExperimentSystem::Impl
 {
     Config cfg;
-    unsigned cores = 0;
-    std::string schedName;
-    std::string workload;
     dram::TimingParams tp;
     dram::Geometry geo;
     bool geometryOverridden = false;
@@ -264,7 +304,6 @@ struct ExperimentSystem::Impl
     std::vector<std::unique_ptr<cpu::CoreModel>> coreModels;
     std::vector<std::unique_ptr<Simulator>> sims;
     unsigned shards = 1;
-    Cycle shardEpoch = 0;
     std::unique_ptr<ThreadPool> pool; ///< only when shards > 1
     Cycle warmup = 0;
     Cycle measure = 0;
@@ -284,8 +323,7 @@ struct ExperimentSystem::Impl
             return;
         }
         while (n > 0) {
-            const Cycle e =
-                shardEpoch > 0 ? std::min(n, shardEpoch) : n;
+            const Cycle e = std::min(n, kShardEpoch);
             for (auto &sm : sims) {
                 Simulator *sp = sm.get();
                 pool->submit([sp, e] { sp->run(e); });
@@ -296,48 +334,47 @@ struct ExperimentSystem::Impl
     }
 };
 
-ExperimentSystem::ExperimentSystem(const Config &cfg)
+ExperimentSystem::ExperimentSystem(const Config &config)
     : impl_(std::make_unique<Impl>())
 {
     Impl &im = *impl_;
-    im.cfg = cfg;
-    const unsigned cores =
-        static_cast<unsigned>(cfg.getUint("cores", 8));
-    const std::string schedName = cfg.getString("sched", "baseline");
-    const std::string workload = cfg.getString("workload", "mcf");
-    im.cores = cores;
-    im.schedName = schedName;
-    im.workload = workload;
+    validateConfig(config);
+    im.cfg = withDefaults(config, configSchema());
+    const Config &cfg = im.cfg;
+    const unsigned cores = static_cast<unsigned>(cfg.getUint("cores"));
+    const std::string schedName = cfg.getString("sched");
+    const SchedKind sched = choiceValue(kSchedulers, "sched", schedName);
+    const std::string workload = cfg.getString("workload");
 
     dram::TimingParams tp = dram::TimingParams::ddr3_1600_4gb();
     dram::Geometry geo;
     const unsigned requestedChannels =
-        static_cast<unsigned>(cfg.getUint("dram.channels", 1));
+        static_cast<unsigned>(cfg.getUint("dram.channels"));
     geo.channels = requestedChannels;
     // Convenience: channel partitioning needs one channel per domain.
     // Say so out loud — a silently rewritten geometry makes bandwidth
     // and energy figures impossible to interpret — and record the
     // effective value in the result.
-    if (cfg.getString("map.partition", "none") == "channel" &&
-        geo.channels < cores) {
+    const Partition partition = choiceValue(
+        kPartitions, "map.partition", cfg.getString("map.partition"));
+    if (partition == Partition::Channel && geo.channels < cores) {
         geo.channels = cores;
         im.geometryOverridden = true;
         warn("channel partitioning needs one channel per domain: "
              "widening dram.channels {} -> {}",
              requestedChannels, geo.channels);
     }
-    geo.ranksPerChannel =
-        static_cast<unsigned>(cfg.getUint("dram.ranks", 8));
-    geo.banksPerRank = static_cast<unsigned>(cfg.getUint("dram.banks", 8));
-    geo.rowsPerBank =
-        static_cast<unsigned>(cfg.getUint("dram.rows", 32768));
-    geo.colsPerRow = static_cast<unsigned>(cfg.getUint("dram.cols", 128));
+    geo.ranksPerChannel = static_cast<unsigned>(cfg.getUint("dram.ranks"));
+    geo.banksPerRank = static_cast<unsigned>(cfg.getUint("dram.banks"));
+    geo.rowsPerBank = static_cast<unsigned>(cfg.getUint("dram.rows"));
+    geo.colsPerRow = static_cast<unsigned>(cfg.getUint("dram.cols"));
 
     im.tp = tp;
     im.geo = geo;
     im.map = std::make_unique<AddressMap>(
-        geo, parsePartition(cfg.getString("map.partition", "none")),
-        parseInterleave(cfg.getString("map.interleave", "close")),
+        geo, partition,
+        choiceValue(kInterleaves, "map.interleave",
+                    cfg.getString("map.interleave")),
         cores);
     AddressMap &map = *im.map;
 
@@ -345,13 +382,13 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     mcp.timing = tp;
     mcp.geo = geo;
     mcp.numDomains = cores;
-    mcp.queueCapacity = cfg.getUint("mc.queue_capacity", 16);
-    mcp.requestPoolCapacity = cfg.getUint("mc.request_pool", 64);
+    mcp.queueCapacity = cfg.getUint("mc.queue_capacity");
+    mcp.requestPoolCapacity = cfg.getUint("mc.request_pool");
     // One controller per channel; all domains' queues exist on each
     // controller, but a core only ever talks to its own channel's.
     const unsigned numMcs = geo.channels;
     fatal_if(numMcs > 1 && map.partition() == Partition::Channel &&
-                 schedName != "baseline",
+                 sched != SchedKind::FrFcfs,
              "channel partitioning runs a per-channel non-secure "
              "scheduler (nothing is shared); got '{}'",
              schedName);
@@ -364,65 +401,47 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     // Crash command-log dumps: with a directory configured, parallel
     // campaign workers each write to a distinct fingerprint-tagged,
     // sequence-numbered file instead of racing over stderr.
-    const std::string crashDir = cfg.getString("crash.dir", "");
+    const std::string crashDir = cfg.getString("crash.dir");
     if (!crashDir.empty()) {
         const std::string tag = Campaign::fingerprint(cfg);
         for (auto &m : mcs)
             m->dram().setCrashDumpDir(crashDir, tag);
     }
 
-    const bool refresh = cfg.getBool("dram.refresh", false);
-    if (schedName == "baseline") {
+    const bool refresh = cfg.getBool("dram.refresh");
+    if (sched == SchedKind::FrFcfs) {
         for (auto &m : mcs) {
             m->setScheduler(std::make_unique<sched::FrFcfsScheduler>(
-                *m, cfg.getBool("core.prefetch", false), refresh));
+                *m, cfg.getBool("core.prefetch"), refresh));
         }
-    } else if (schedName == "tp") {
+    } else if (sched == SchedKind::Tp) {
         sched::TpScheduler::Params p;
-        p.turnLength = static_cast<unsigned>(cfg.getUint("tp.turn", 60));
-        p.extraDead =
-            static_cast<unsigned>(cfg.getUint("tp.extra_dead", 0));
+        p.turnLength = static_cast<unsigned>(cfg.getUint("tp.turn"));
+        p.extraDead = static_cast<unsigned>(cfg.getUint("tp.extra_dead"));
         // Each channel runs its own turn wheel over every domain;
         // domains mapped elsewhere simply present empty queues during
         // their turns. Dead turns cost bandwidth, never isolation.
         for (auto &m : mcs)
             m->setScheduler(std::make_unique<sched::TpScheduler>(*m, p));
-    } else if (schedName == "fs") {
+    } else if (sched == SchedKind::Fs) {
         sched::FsScheduler::Params p;
-        const std::string mode = cfg.getString("fs.mode", "rank");
-        if (mode == "rank")
-            p.mode = sched::FsMode::RankPart;
-        else if (mode == "bank")
-            p.mode = sched::FsMode::BankPart;
-        else if (mode == "none")
-            p.mode = sched::FsMode::NoPart;
-        else if (mode == "triple")
-            p.mode = sched::FsMode::TripleAlt;
-        else
-            fatal("unknown fs.mode '{}'", mode);
-        p.prefetchInDummies = cfg.getBool("fs.prefetch", false);
-        p.suppressDummies = cfg.getBool("fs.suppress", false);
-        p.rowBufferBoost = cfg.getBool("fs.boost", false);
-        p.powerDown = cfg.getBool("fs.powerdown", false);
+        p.mode = choiceValue(kFsModes, "fs.mode", cfg.getString("fs.mode"));
+        p.prefetchInDummies = cfg.getBool("fs.prefetch");
+        p.suppressDummies = cfg.getBool("fs.suppress");
+        p.rowBufferBoost = cfg.getBool("fs.boost");
+        p.powerDown = cfg.getBool("fs.powerdown");
         p.refresh = refresh;
-        p.rngSeed = cfg.getUint("seed", 1);
+        p.rngSeed = cfg.getUint("seed");
         // Pin the periodic reference (fs.ref = data|ras|cas) instead
         // of the per-partition smallest-l winner, so configs can
         // reach all five paper (reference, partition) design points.
-        const std::string ref = cfg.getString("fs.ref", "");
+        const std::string ref = cfg.getString("fs.ref");
         if (!ref.empty()) {
             p.pinRef = true;
-            if (ref == "data")
-                p.ref = core::PeriodicRef::Data;
-            else if (ref == "ras")
-                p.ref = core::PeriodicRef::Ras;
-            else if (ref == "cas")
-                p.ref = core::PeriodicRef::Cas;
-            else
-                fatal("unknown fs.ref '{}'", ref);
+            p.ref = choiceValue(kFsRefs, "fs.ref", ref);
         }
         // SLA issue-slot weights: "2,1,1,..." (one entry per domain).
-        const std::string weights = cfg.getString("fs.slot_weights", "");
+        const std::string weights = cfg.getString("fs.slot_weights");
         if (!weights.empty()) {
             // Every comma-separated token must be a whole decimal
             // number: "2,,1", "2,1," and "1x,1" are typos, not weights.
@@ -454,15 +473,13 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
             mcs[m]->setScheduler(
                 std::make_unique<sched::FsScheduler>(*mcs[m], pm));
         }
-    } else if (schedName == "fs_reordered") {
+    } else {
         sched::FsReorderedScheduler::Params p;
-        p.rngSeed = cfg.getUint("seed", 1);
+        p.rngSeed = cfg.getUint("seed");
         for (auto &m : mcs) {
             m->setScheduler(
                 std::make_unique<sched::FsReorderedScheduler>(*m, p));
         }
-    } else {
-        fatal("unknown scheduler '{}'", schedName);
     }
 
     // Fault injection (fault.kind != "none"): attach the injector and
@@ -507,18 +524,6 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         }
     }
 
-    // Table-driven schedule replay was removed; a config that still
-    // sets one of its keys would otherwise run interpreted in silence
-    // while the stale key kept moving the campaign fingerprint.
-    for (const char *key :
-         {"sim.compiled", "sim.compiled_ring", "sim.compiled_intervals"}) {
-        fatal_if(cfg.has(key),
-                 "config key '{}' was removed along with compiled "
-                 "schedule replay; delete it (every run is interpreted "
-                 "and audited by the TimingChecker)",
-                 key);
-    }
-
     auto profiles = cpu::workloadMix(workload, cores);
     // Covert-channel senders: apply the leak.* protocol parameters to
     // every "modsender" profile so the sender and the analysis side
@@ -548,15 +553,14 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     // can stay closed-loop while its co-runners model many clients.
     // The profile keeps supplying the address behaviour either way.
     {
-        const std::string globalProc =
-            cfg.getString("traffic.process", "none");
+        const std::string globalProc = cfg.getString("traffic.process");
         for (unsigned i = 0; i < cores; ++i) {
             cpu::WorkloadProfile &p = profiles[i];
             const std::string pre =
                 "traffic.d" + std::to_string(i) + ".";
             const std::string proc =
                 cfg.getString(pre + "process", globalProc);
-            if (proc.empty() || proc == "none")
+            if (!choiceValue(kTrafficProcesses, pre + "process", proc))
                 continue;
             auto dbl = [&](const char *key, double dflt) {
                 return cfg.getDouble(
@@ -585,24 +589,22 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
             p.mshrs = uns("mshrs", p.mshrs);
         }
     }
-    const int64_t auditCore = cfg.getInt("audit.core", -1);
+    const int64_t auditCore = cfg.getInt("audit.core");
     im.auditCore = auditCore;
 
     std::vector<std::unique_ptr<cpu::CoreModel>> &coreModels =
         im.coreModels;
     for (unsigned i = 0; i < cores; ++i) {
         cpu::CoreModel::Params cp;
-        cp.robSize = static_cast<unsigned>(cfg.getUint("core.rob", 64));
+        cp.robSize = static_cast<unsigned>(cfg.getUint("core.rob"));
         cp.retireWidth =
-            static_cast<unsigned>(cfg.getUint("core.retire_width", 4));
-        cp.cpuMult =
-            static_cast<unsigned>(cfg.getUint("core.cpu_mult", 4));
-        cp.llcHitLatency = static_cast<unsigned>(
-            cfg.getUint("core.llc_hit_latency", 10));
-        cp.llcBytes = cfg.getUint("core.llc_kb", 512) * 1024;
-        cp.llcWays =
-            static_cast<unsigned>(cfg.getUint("core.llc_ways", 8));
-        cp.prefetchEnabled = cfg.getBool("core.prefetch", false);
+            static_cast<unsigned>(cfg.getUint("core.retire_width"));
+        cp.cpuMult = static_cast<unsigned>(cfg.getUint("core.cpu_mult"));
+        cp.llcHitLatency =
+            static_cast<unsigned>(cfg.getUint("core.llc_hit_latency"));
+        cp.llcBytes = cfg.getUint("core.llc_kb") * 1024;
+        cp.llcWays = static_cast<unsigned>(cfg.getUint("core.llc_ways"));
+        cp.prefetchEnabled = cfg.getBool("core.prefetch");
         // Functional warmup must cover the footprint despite the
         // profile's temporal-reuse fraction diluting unique touches.
         // Open-loop domains default to none: pulling records outside
@@ -626,14 +628,13 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         cp.warmupMemoEntries = cores;
         if (auditCore >= 0 && static_cast<unsigned>(auditCore) == i) {
             cp.captureTimeline = true;
-            cp.progressInterval =
-                cfg.getUint("audit.progress_interval", 10000);
+            cp.progressInterval = cfg.getUint("audit.progress_interval");
         }
         MemoryController &myMc =
             *mcs[numMcs > 1 ? map.channelOf(i) % numMcs : 0];
         coreModels.push_back(std::make_unique<cpu::CoreModel>(
             "core" + std::to_string(i), i, cp, profiles[i],
-            traceSeed(profiles[i].name, i, cfg.getUint("seed", 1)),
+            traceSeed(profiles[i].name, i, cfg.getUint("seed")),
             myMc));
     }
 
@@ -642,18 +643,14 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     // Components keep the historical registration order (cores
     // ascending, then controllers ascending) within each shard, so
     // shards == 1 reproduces the single-simulator run byte for byte.
-    unsigned shards =
-        static_cast<unsigned>(cfg.getUint("sim.shards", 1));
-    if (shards < 1)
-        shards = 1;
+    unsigned shards = static_cast<unsigned>(cfg.getUint("sim.shards"));
     if (shards > numMcs) {
         warn("sim.shards {} exceeds channel count {}; clamping",
              shards, numMcs);
         shards = numMcs;
     }
     im.shards = shards;
-    im.shardEpoch = cfg.getUint("sim.shard_epoch", 8192);
-    const bool fastForward = cfg.getBool("sim.fastforward", true);
+    const bool fastForward = cfg.getBool("sim.fastforward");
     for (unsigned k = 0; k < shards; ++k) {
         im.sims.push_back(std::make_unique<Simulator>());
         im.sims.back()->setFastForward(fastForward);
@@ -668,7 +665,7 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     for (unsigned m = 0; m < numMcs; ++m)
         im.sims[m % shards]->add(mcs[m].get());
 
-    const Cycle watchdog = cfg.getUint("sim.watchdog", 100000);
+    const Cycle watchdog = cfg.getUint("sim.watchdog");
     if (watchdog > 0) {
         // Progress = instructions retired + DRAM commands issued; if
         // neither moves for a whole window the run is livelocked.
@@ -700,8 +697,8 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         }
     }
 
-    im.warmup = cfg.getUint("sim.warmup", 20000);
-    im.measure = cfg.getUint("sim.measure", 200000);
+    im.warmup = cfg.getUint("sim.warmup");
+    im.measure = cfg.getUint("sim.measure");
 }
 
 ExperimentSystem::~ExperimentSystem() = default;
@@ -820,9 +817,9 @@ ExperimentSystem::finish()
         m->scheduler().finalize(now);
 
     ExperimentResult res;
-    res.scheme = cfg.getString("scheme", im.schedName);
-    res.workload = im.workload;
-    res.cores = im.cores;
+    res.scheme = cfg.getString("scheme", cfg.getString("sched"));
+    res.workload = cfg.getString("workload");
+    res.cores = static_cast<unsigned>(cfg.getUint("cores"));
     res.cyclesRun = now;
     res.effectiveChannels = im.geo.channels;
     res.geometryOverridden = im.geometryOverridden;
@@ -863,13 +860,13 @@ ExperimentSystem::finish()
     // Client-observed per-domain latency, merged across controllers
     // (a domain's requests all land on one channel under channel
     // partitioning, but interleaved maps spread them).
-    res.domainReadLatency.resize(im.cores);
+    res.domainReadLatency.resize(res.cores);
     for (auto &h : res.domainReadLatency)
         h.init(0.0, 16.0, 1024);
     for (auto &m : mcs) {
         const auto &per = m->stats().domainReadLatency;
         for (unsigned dIdx = 0;
-             dIdx < im.cores && dIdx < per.size(); ++dIdx)
+             dIdx < res.cores && dIdx < per.size(); ++dIdx)
             res.domainReadLatency[dIdx].merge(per[dIdx]);
     }
 
@@ -925,7 +922,7 @@ ExperimentSystem::finish()
 
     // Optional full statistics dump ("stats.dump" = file path, or
     // "-" for stdout): every controller, scheduler, and core stat.
-    const std::string dump = cfg.getString("stats.dump", "");
+    const std::string dump = cfg.getString("stats.dump");
     if (!dump.empty()) {
         StatGroup all("experiment");
         std::deque<StatGroup> groups;
@@ -965,7 +962,7 @@ runExperiment(const Config &cfg)
     // run mid-flight, any rejected snapshot is reported as a
     // structured SimError and the run restarts from cycle 0 — never
     // a silent wrong digest.
-    const std::string ckptDir = cfg.getString("ckpt.dir", "");
+    const std::string ckptDir = cfg.getString("ckpt.dir");
     std::string snapPath;
     std::string fp;
     bool resumed = false;

@@ -2,13 +2,8 @@
  * @file
  * Experiment harness: builds a full system (cores + private LLC
  * slices + memory controller + DRAM) from a Config, runs it, and
- * extracts the metrics the paper reports.
- *
- * Schemes are addressed by the names used in Section 6/7:
- *   baseline, baseline_prefetch, fs_rp, fs_rp_prefetch,
- *   fs_reordered_bp, fs_bp, fs_np, fs_np_triple, tp_bp, tp_np
- * plus energy-optimisation variants fs_rp_suppress, fs_rp_boost,
- * fs_rp_powerdown (cumulative, as in Figure 9).
+ * extracts the metrics the paper reports. Schemes are addressed by
+ * the names used in Section 6/7 (allSchemes()).
  */
 
 #ifndef MEMSEC_HARNESS_EXPERIMENT_HH
@@ -16,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,7 +105,10 @@ struct ExperimentResult
     double weightedIpc(const std::vector<double> &baseIpc) const;
 };
 
-/** The paper's Table 1 system configuration as a Config. */
+/** Every declared config key: the harness's, leak.* and fault.*. */
+std::span<const ConfigKey> configSchema();
+
+/** The paper's Table 1 system: every static default of configSchema(). */
 Config defaultConfig();
 
 /**
@@ -141,6 +140,8 @@ ExperimentResult deserializeResult(Deserializer &d);
 class ExperimentSystem
 {
   public:
+    /** Fatal, before anything is built, unless configSchema()
+     *  accepts `cfg`; absent keys take their declared defaults. */
     explicit ExperimentSystem(const Config &cfg);
     ~ExperimentSystem();
     ExperimentSystem(const ExperimentSystem &) = delete;

@@ -10,40 +10,60 @@
 
 namespace memsec::leakage {
 
+using enum ConfigType;
+
+constexpr ConfigChoice<MiBinning> kBinnings[] = {
+    {"width", MiBinning::Width}, {"quantile", MiBinning::Quantile}};
+
+// leak.window, leak.secret_bits and leak.guard are checked here, before
+// a run starts; extractObservations() re-checks them for direct callers.
+constexpr ConfigKey kLeakKeys[] = {
+    {"leak.window", Uint, "1500", nullptr, 1},
+    {"leak.secret_seed", Uint, "1"},
+    {"leak.secret_bits", Uint, "32", nullptr, 1},
+    {"leak.skip_windows", Uint, "1"},
+    {"leak.guard", Double, "0.25", nullptr, 0, 1, true},
+    {"leak.off_factor", Double, "0.02"},
+    {"leak.mi_bins", Uint, "8"},
+    {"leak.mi_binning", String, "width", choiceNames<kBinnings>},
+    {"leak.mi_shuffles", Uint, "64"},
+    {"leak.shuffle_seed", Uint, "0xB1A5F100D5EED"},
+    {"leak.code.scheme", String, "onoff", choiceNames<kCodeSchemes>},
+    {"leak.code.preamble", Uint, "0"},
+    {"leak.code.repeat", Uint, "1", nullptr, 1},
+    {"leak.code.adapt_timing", Bool, "true"},
+    {"leak.code.timing_span", Double, "0.25"},
+    {"leak.code.timing_steps", Uint, "41"},
+    {"leak.code.adapt_guard", Bool, "true"},
+    {"leak.code.min_separation", Double, "0.5"},
+    {"leak.code.mi_bins", Uint, "4"},
+};
+const std::span<const ConfigKey> leakConfigKeys = kLeakKeys;
+
 ChannelParams
-ChannelParams::fromConfig(const Config &cfg)
+ChannelParams::fromConfig(const Config &config)
 {
+    const Config cfg = withDefaults(config, kLeakKeys);
     ChannelParams p;
-    p.windowCycles = cfg.getUint("leak.window", 1500);
-    p.secretSeed = cfg.getUint("leak.secret_seed", 1);
-    p.secretBits =
-        static_cast<size_t>(cfg.getUint("leak.secret_bits", 32));
-    p.skipWindows =
-        static_cast<size_t>(cfg.getUint("leak.skip_windows", 1));
-    p.guardFraction = cfg.getDouble("leak.guard", 0.25);
-    p.offFactor = cfg.getDouble("leak.off_factor", 0.02);
-    p.mi.bins = static_cast<size_t>(cfg.getUint("leak.mi_bins", 8));
-    p.mi.shuffles =
-        static_cast<size_t>(cfg.getUint("leak.mi_shuffles", 64));
-    p.mi.shuffleSeed =
-        cfg.getUint("leak.shuffle_seed", MiOptions{}.shuffleSeed);
-    const std::string binning =
-        cfg.getString("leak.mi_binning", "width");
-    if (binning == "quantile")
-        p.mi.binning = MiBinning::Quantile;
-    else if (binning != "width")
-        fatal("unknown leak.mi_binning '{}' (width|quantile)",
-              binning);
+    p.windowCycles = cfg.getUint("leak.window");
+    p.secretSeed = cfg.getUint("leak.secret_seed");
+    p.secretBits = static_cast<size_t>(cfg.getUint("leak.secret_bits"));
+    p.skipWindows = static_cast<size_t>(cfg.getUint("leak.skip_windows"));
+    p.guardFraction = cfg.getDouble("leak.guard");
+    p.offFactor = cfg.getDouble("leak.off_factor");
+    p.mi.bins = static_cast<size_t>(cfg.getUint("leak.mi_bins"));
+    p.mi.shuffles = static_cast<size_t>(cfg.getUint("leak.mi_shuffles"));
+    p.mi.shuffleSeed = cfg.getUint("leak.shuffle_seed");
+    p.mi.binning = choiceValue(kBinnings, "leak.mi_binning",
+                               cfg.getString("leak.mi_binning"));
     p.code = CodeParams::fromConfig(cfg);
-    p.adaptTiming = cfg.getBool("leak.code.adapt_timing", true);
-    p.timingSpan = cfg.getDouble("leak.code.timing_span", 0.25);
+    p.adaptTiming = cfg.getBool("leak.code.adapt_timing");
+    p.timingSpan = cfg.getDouble("leak.code.timing_span");
     p.timingSteps =
-        static_cast<size_t>(cfg.getUint("leak.code.timing_steps", 41));
-    p.adaptGuard = cfg.getBool("leak.code.adapt_guard", true);
-    p.minSeparation =
-        cfg.getDouble("leak.code.min_separation", 0.5);
-    p.llrMiBins =
-        static_cast<size_t>(cfg.getUint("leak.code.mi_bins", 4));
+        static_cast<size_t>(cfg.getUint("leak.code.timing_steps"));
+    p.adaptGuard = cfg.getBool("leak.code.adapt_guard");
+    p.minSeparation = cfg.getDouble("leak.code.min_separation");
+    p.llrMiBins = static_cast<size_t>(cfg.getUint("leak.code.mi_bins"));
     return p;
 }
 

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,9 +92,12 @@ struct ChannelParams
     /** Quantile bins for the (symbol, LLR) MI estimate. */
     size_t llrMiBins = 4;
 
-    /** Read every leak.* key (with these defaults) from a config. */
+    /** Read every leak.* key; absent keys take their defaults. */
     static ChannelParams fromConfig(const Config &cfg);
 };
+
+/** The leak.* config keys, declared once. */
+extern const std::span<const ConfigKey> leakConfigKeys;
 
 /** One modulation window as the receiver observed it. */
 struct WindowObservation

@@ -1,5 +1,6 @@
 #include "leakage/codec.hh"
 
+#include "leakage/channel.hh"
 #include "sim/config.hh"
 #include "util/logging.hh"
 
@@ -8,33 +9,23 @@ namespace memsec::leakage {
 const char *
 schemeName(CodeParams::Scheme s)
 {
-    switch (s) {
-    case CodeParams::Scheme::OnOff:
-        return "onoff";
-    case CodeParams::Scheme::Manchester:
-        return "manchester";
+    for (const auto &entry : kCodeSchemes) {
+        if (entry.value == s)
+            return entry.name;
     }
     panic("unreachable code scheme");
 }
 
-CodeParams::Scheme
-schemeFromName(const std::string &name)
-{
-    if (name == "onoff")
-        return CodeParams::Scheme::OnOff;
-    if (name == "manchester")
-        return CodeParams::Scheme::Manchester;
-    fatal("unknown leak.code.scheme '{}' (onoff|manchester)", name);
-}
-
 CodeParams
-CodeParams::fromConfig(const Config &cfg)
+CodeParams::fromConfig(const Config &config)
 {
+    const Config cfg = withDefaults(config, leakConfigKeys);
     CodeParams p;
-    p.scheme = schemeFromName(cfg.getString("leak.code.scheme", "onoff"));
+    p.scheme = choiceValue(kCodeSchemes, "leak.code.scheme",
+                           cfg.getString("leak.code.scheme"));
     p.preambleSymbols =
-        static_cast<size_t>(cfg.getUint("leak.code.preamble", 0));
-    p.repeat = static_cast<unsigned>(cfg.getUint("leak.code.repeat", 1));
+        static_cast<size_t>(cfg.getUint("leak.code.preamble"));
+    p.repeat = static_cast<unsigned>(cfg.getUint("leak.code.repeat"));
     fatal_if(p.repeat == 0, "leak.code.repeat must be positive");
     return p;
 }

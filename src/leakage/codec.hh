@@ -45,9 +45,7 @@
 #include <string>
 #include <vector>
 
-namespace memsec {
-class Config;
-}
+#include "sim/config.hh"
 
 namespace memsec::leakage {
 
@@ -76,8 +74,12 @@ struct CodeParams
     double codeRate(size_t payloadBits) const;
 };
 
+/** The leak.code.scheme values. */
+inline constexpr ConfigChoice<CodeParams::Scheme> kCodeSchemes[] = {
+    {"onoff", CodeParams::Scheme::OnOff},
+    {"manchester", CodeParams::Scheme::Manchester}};
+
 const char *schemeName(CodeParams::Scheme s);
-CodeParams::Scheme schemeFromName(const std::string &name);
 
 /** What one frame window carries. */
 struct SymbolRole

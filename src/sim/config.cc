@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -24,6 +25,25 @@ trim(const std::string &s)
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
     return s.substr(b, e - b);
+}
+
+size_t
+editDistance(const std::string &a, const std::string &b)
+{
+    std::vector<size_t> d(b.size() + 1);
+    for (size_t j = 0; j <= b.size(); ++j)
+        d[j] = j;
+    for (size_t i = 1; i <= a.size(); ++i) {
+        size_t diag = d[0];
+        d[0] = i;
+        for (size_t j = 1; j <= b.size(); ++j) {
+            const size_t up = d[j];
+            d[j] = std::min({up + 1, d[j - 1] + 1,
+                             diag + (a[i - 1] != b[j - 1])});
+            diag = up;
+        }
+    }
+    return d[b.size()];
 }
 
 } // namespace
@@ -295,6 +315,76 @@ Config::toString() const
     for (const auto &kv : values_)
         os << kv.first << " = " << kv.second << "\n";
     return os.str();
+}
+
+Config
+withDefaults(const Config &cfg, std::span<const ConfigKey> keys)
+{
+    Config out = cfg;
+    for (const ConfigKey &k : keys) {
+        if (k.dflt && !k.removed && !out.has(k.name))
+            out.set(k.name, k.dflt);
+    }
+    return out;
+}
+
+std::string
+configErrors(const Config &cfg, std::span<const ConfigKey> keys,
+             const std::function<std::string(const std::string &)> &rowOf)
+{
+    std::string errors;
+    auto error = [&](const char *fmt, const auto &...args) {
+        errors += "\n  config key " + detail::format(fmt, args...);
+    };
+    auto rowFor = [&](const std::string &key) {
+        const std::string name = rowOf ? rowOf(key) : key;
+        return std::ranges::find_if(
+            keys, [&](const ConfigKey &k) { return name == k.name; });
+    };
+    for (const std::string &key : cfg.keys()) {
+        const auto row = rowFor(key);
+        if (row != keys.end() && row->removed) {
+            error("'{}' was removed {}", key, row->removed);
+        } else if (row == keys.end()) {
+            const auto nearest = std::min_element(
+                keys.begin(), keys.end(),
+                [&](const ConfigKey &a, const ConfigKey &b) {
+                    return std::pair(!!a.removed, editDistance(key, a.name)) <
+                           std::pair(!!b.removed, editDistance(key, b.name));
+                });
+            error("'{}' is not a known key; did you mean '{}'?", key,
+                  nearest->name);
+        }
+    }
+    if (!errors.empty())
+        return errors;
+    for (const std::string &key : cfg.keys()) {
+        const ConfigKey &row = *rowFor(key);
+        const std::string value = cfg.getString(key);
+        if (row.choices) {
+            const auto names = row.choices();
+            std::string list;
+            for (const std::string &name : names)
+                list += (list.empty() ? "" : ", ") + name;
+            if (std::ranges::find(names, value) == names.end())
+                error("'{}' has value '{}'; expected one of: {}", key, value,
+                      list);
+        }
+        // The typed getters are fatal on an ill-typed value.
+        double v = 0.0;
+        if (row.type == ConfigType::Bool)
+            cfg.getBool(key);
+        else if (row.type == ConfigType::Int)
+            v = static_cast<double>(cfg.getInt(key));
+        else if (row.type == ConfigType::Uint)
+            v = static_cast<double>(cfg.getUint(key));
+        else if (row.type == ConfigType::Double)
+            v = cfg.getDouble(key);
+        if (v < row.lo || v > row.hi || (row.hiOpen && v == row.hi))
+            error("'{}' = {} is outside [{}, {}{}", key, value, row.lo,
+                  row.hi, row.hiOpen ? ")" : "]");
+    }
+    return errors;
 }
 
 } // namespace memsec

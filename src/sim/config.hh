@@ -4,18 +4,25 @@
  *
  * Experiments are assembled from a flat Config: keys are dotted names
  * ("dram.ranks", "sched.policy"). Values are stored as strings and
- * converted on read; unknown keys fall back to the supplied default so
- * benches only set what they vary. An INI-style parser is provided so
- * the example programs can load configs from files.
+ * converted on read. Each subsystem declares the keys it reads once,
+ * as ConfigKey rows; withDefaults() fills absent keys from the rows and
+ * configErrors() rejects a config the rows do not describe. An
+ * INI-style parser is provided so the example programs can load
+ * configs from files.
  */
 
 #ifndef MEMSEC_SIM_CONFIG_HH
 #define MEMSEC_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/logging.hh"
 
 namespace memsec {
 
@@ -102,6 +109,71 @@ class Config
   private:
     std::map<std::string, std::string> values_;
 };
+
+/** How a key's value is read. */
+enum class ConfigType { String, Bool, Int, Uint, Double };
+
+/** One declared config key. */
+struct ConfigKey
+{
+    const char *name;
+    ConfigType type;
+    const char *dflt = nullptr; ///< static default; null if computed
+    /** The closed set of accepted strings; null accepts any string. */
+    std::vector<std::string> (*choices)() = nullptr;
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool hiOpen = false; ///< the range is [lo, hi), not [lo, hi]
+    bool digest = true;  ///< false: never changes what a run computes
+    const char *removed = nullptr; ///< why the key went, if it did
+};
+
+/** One accepted string value of a key and what it selects. */
+template <typename T>
+struct ConfigChoice
+{
+    const char *name;
+    T value;
+};
+
+/** The names in a table of {name, ...} entries, as a key's choices. */
+template <const auto &Table>
+std::vector<std::string>
+choiceNames()
+{
+    std::vector<std::string> out;
+    for (const auto &entry : Table)
+        out.push_back(entry.name);
+    return out;
+}
+
+/** The value `name` selects in `table`; fatal naming `key` otherwise. */
+template <typename T, size_t N>
+T
+choiceValue(const ConfigChoice<T> (&table)[N], const std::string &key,
+            const std::string &name)
+{
+    for (const auto &entry : table) {
+        if (name == entry.name)
+            return entry.value;
+    }
+    fatal("config key '{}' has unknown value '{}'", key, name);
+}
+
+/** `cfg` with every live key's static default filled in where absent. */
+Config withDefaults(const Config &cfg, std::span<const ConfigKey> keys);
+
+/**
+ * Every problem with `cfg` against the declared `keys`, one indented
+ * line each, or "" if there is none: unknown keys (naming the nearest
+ * declared key) and removed keys, or else values out of range or
+ * outside their set. An ill-typed value is fatal. `rowOf` maps a key
+ * to the declared name it is checked as, or to "" if it is unknown.
+ */
+std::string
+configErrors(const Config &cfg, std::span<const ConfigKey> keys,
+             const std::function<std::string(const std::string &)>
+                 &rowOf = nullptr);
 
 } // namespace memsec
 

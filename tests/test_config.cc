@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
+#include <sstream>
 #include <utility>
 
+#include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "sim/config.hh"
 
@@ -214,36 +219,241 @@ TEST(Config, ShippedTargetConfigParses)
     EXPECT_EQ(c.getUint("cores"), 32u);
     EXPECT_EQ(c.getUint("dram.channels"), 4u);
     EXPECT_GT(c.getUint("sim.measure"), 0u);
+
+    // Every shipped config must also pass the schema, not just parse.
+    size_t seen = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(MEMSEC_SOURCE_DIR) + "/examples/configs")) {
+        if (entry.path().extension() != ".ini")
+            continue;
+        ++seen;
+        const Config ini = Config::loadFile(entry.path().string());
+        EXPECT_EQ(configErrors(ini, harness::configSchema()), "")
+            << entry.path();
+    }
+    EXPECT_GT(seen, 0u);
 }
+
+namespace {
+
+std::string
+readSource(const std::string &relPath)
+{
+    std::ifstream in(std::string(MEMSEC_SOURCE_DIR) + "/" + relPath);
+    EXPECT_TRUE(in.is_open()) << relPath << " missing";
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+const ConfigKey *
+declaredKey(const std::string &name)
+{
+    for (const ConfigKey &k : harness::configSchema()) {
+        if (name == k.name)
+            return &k;
+    }
+    return nullptr;
+}
+
+} // namespace
 
 TEST(Config, DocConsistency)
 {
-    // docs/CONFIG.md claims to catalogue every knob. Hold it to that:
-    // each key defaultConfig() sets, and each scheme name
-    // schemeConfig() accepts, must appear in the document (as
-    // `backtick-quoted` inline code). Keys only ever read with an
-    // inline fallback are not enumerable here, but the defaults cover
-    // every subsystem switch a user must know about — including the
-    // execution-mode keys (sim.fastforward, sim.shards) the perf
-    // architecture depends on.
-    std::ifstream in(std::string(MEMSEC_SOURCE_DIR) +
-                     "/docs/CONFIG.md");
-    ASSERT_TRUE(in.is_open()) << "docs/CONFIG.md missing";
-    std::string doc((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-
-    const Config defaults = harness::defaultConfig();
-    for (const std::string &key : defaults.keys()) {
-        EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
-            << "config key '" << key
-            << "' set by defaultConfig() is not documented in "
-               "docs/CONFIG.md";
+    // docs/CONFIG.md catalogues the declared keys, in both directions:
+    // every live row has a table line whose Default cell is the row's
+    // static default, and every dotted key a table names is declared.
+    const std::string doc = readSource("docs/CONFIG.md");
+    std::map<std::string, std::string> docDefault;
+    const std::regex keyCell(R"(^\| `([^`]+)` \|[^|]*\|([^|]*)\|)");
+    const std::regex dotted(R"(`([a-z][a-z0-9_]*(\.[a-z0-9_]+)+)`)");
+    std::istringstream lines(doc);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.empty() || line[0] != '|')
+            continue;
+        std::smatch m;
+        if (std::regex_search(line, m, keyCell)) {
+            std::string cell = m[2].str();
+            std::erase_if(cell,
+                          [](char ch) { return ch == ' ' || ch == '`'; });
+            docDefault[m[1].str()] = cell == "\"\"" ? "" : cell;
+        }
+        for (std::sregex_iterator it(line.begin(), line.end(), dotted), end;
+             it != end; ++it) {
+            const ConfigKey *k = declaredKey((*it)[1].str());
+            EXPECT_TRUE(k && !k->removed)
+                << "docs/CONFIG.md names '" << (*it)[1].str()
+                << "', which is not a declared key";
+        }
+    }
+    for (const ConfigKey &k : harness::configSchema()) {
+        if (k.removed)
+            continue;
+        const auto it = docDefault.find(k.name);
+        if (it == docDefault.end()) {
+            ADD_FAILURE() << "config key '" << k.name
+                          << "' has no row in docs/CONFIG.md";
+        } else if (k.dflt) {
+            EXPECT_EQ(it->second, k.dflt)
+                << "docs/CONFIG.md default of '" << k.name << "'";
+        }
     }
     for (const std::string &scheme : harness::allSchemes()) {
         EXPECT_NE(doc.find(scheme), std::string::npos)
             << "scheme '" << scheme
             << "' is not mentioned in docs/CONFIG.md";
     }
+}
+
+TEST(Config, SourceReadsOnlyDeclaredKeys)
+{
+    // Each literal key the sources read is declared, and a key with a
+    // static default is read without a fallback of its own: the row is
+    // the one place the default lives.
+    const std::regex getter(
+        R"re(\bget(String|Int|Uint|Double|Bool)\(\s*"([^"]*)"\s*([,)]))re");
+    size_t reads = 0;
+    for (const char *dir : {"src", "bench", "examples"}) {
+        for (const auto &entry :
+             std::filesystem::recursive_directory_iterator(
+                 std::string(MEMSEC_SOURCE_DIR) + "/" + dir)) {
+            const std::string ext = entry.path().extension().string();
+            if (ext != ".cc" && ext != ".cpp" && ext != ".hh")
+                continue;
+            const std::string rel =
+                std::filesystem::relative(entry.path(), MEMSEC_SOURCE_DIR)
+                    .string();
+            const std::string text = readSource(rel);
+            for (std::sregex_iterator it(text.begin(), text.end(), getter),
+                 end;
+                 it != end; ++it) {
+                ++reads;
+                const std::string key = (*it)[2].str();
+                const ConfigKey *k = declaredKey(key);
+                if (!k || k->removed) {
+                    ADD_FAILURE() << rel << " reads undeclared key '"
+                                  << key << "'";
+                } else if (k->dflt && (*it)[3].str() == ",") {
+                    ADD_FAILURE() << rel << " passes its own fallback for '"
+                                  << key << "', whose default is "
+                                  << k->dflt;
+                }
+            }
+        }
+    }
+    EXPECT_GT(reads, 50u);
+}
+
+TEST(Config, UnknownKeySuggests)
+{
+    Config c = harness::defaultConfig();
+    c.set("cores", 2);
+    c.set("dram.chanels", 4);
+    c.set("sim.measur", 5000);
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'dram.chanels' is not a known key; did you mean "
+                "'dram.channels'");
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'sim.measur' is not a known key; did you mean "
+                "'sim.measure'");
+}
+
+TEST(Config, IllTypedUnreadKeyFatal)
+{
+    // FR-FCFS never reads fs.* or tp.*, but a bad value there is
+    // still a bad experiment.
+    Config c = harness::defaultConfig();
+    c.set("cores", 2);
+    c.set("sched", "baseline");
+    c.set("fs.boost", "maybe");
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'fs.boost' has non-boolean value 'maybe'");
+    c.erase("fs.boost");
+    c.set("tp.turn", "abc");
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'tp.turn' has non-integer value 'abc'");
+}
+
+TEST(Config, StringOutsideSetFatal)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"map.partition", "rnak"}, {"sched", "fcfs"},
+        {"fs.mode", "channel"},    {"fault.kind", "cmd-drops"},
+        {"leak.mi_binning", "log"}, {"traffic.process", "poison"}};
+    for (const auto &[key, value] : cases) {
+        Config c = harness::defaultConfig();
+        c.set("cores", 2);
+        c.set(key, value);
+        EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                    ::testing::ExitedWithCode(1),
+                    std::string("'") + key + "' has value '" + value +
+                        "'; expected one of")
+            << key;
+    }
+}
+
+TEST(Config, OutOfRangeFatalBeforeFirstCycle)
+{
+    // The leak.* values used to fail only after the whole run, in
+    // extractObservations; sim.shards = 0 was clamped in silence.
+    const std::pair<const char *, const char *> cases[] = {
+        {"leak.window", "0"}, {"leak.secret_bits", "0"},
+        {"leak.guard", "1"},  {"leak.guard", "-0.1"},
+        {"sim.shards", "0"},  {"fault.rate", "1.5"}};
+    for (const auto &[key, value] : cases) {
+        Config c = harness::defaultConfig();
+        c.set("cores", 2);
+        c.set(key, value);
+        EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                    ::testing::ExitedWithCode(1),
+                    std::string("'") + key + "' = " + value + " is ")
+            << key << " = " << value;
+    }
+}
+
+TEST(Config, PerDomainTrafficKeysNeedADomain)
+{
+    Config c = harness::defaultConfig();
+    c.set("cores", 2);
+    c.set("traffic.d1.process", "poisson");
+    c.set("traffic.d1.rate", 4.0);
+    harness::ExperimentSystem ok(c);
+    c.set("traffic.d2.rate", 4.0);
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'traffic.d2.rate' is not a known key");
+    c.erase("traffic.d2.rate");
+    c.set("traffic.d0.clients", "many");
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'traffic.d0.clients' has non-integer value 'many'");
+}
+
+TEST(Config, RemovedShardEpochFatal)
+{
+    Config c = harness::defaultConfig();
+    c.set("cores", 2);
+    c.set("sim.shard_epoch", 8192);
+    EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                ::testing::ExitedWithCode(1),
+                "'sim.shard_epoch' was removed");
+}
+
+TEST(Config, SpelledOutDefaultSharesFingerprint)
+{
+    Config terse = harness::schemeConfig("fs_rp");
+    terse.set("workload", "mcf");
+    Config spelled = harness::defaultConfig();
+    spelled.merge(terse);
+    spelled.set("leak.window", 1500);
+    EXPECT_EQ(harness::Campaign::fingerprint(terse),
+              harness::Campaign::fingerprint(spelled));
+    spelled.set("leak.window", 1501);
+    EXPECT_NE(harness::Campaign::fingerprint(terse),
+              harness::Campaign::fingerprint(spelled));
 }
 
 TEST(Config, RemovedReplayKeysFatal)

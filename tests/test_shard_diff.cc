@@ -166,16 +166,3 @@ TEST(ShardDiff, OpenLoopTraffic)
     cfg.set("traffic.clients", 16);
     expectShardedIdentical(cfg, 2);
 }
-
-// -- The epoch length is pure scheduling, never observable ---------
-
-TEST(ShardDiff, EpochLengthInvisible)
-{
-    Config cfg = shardConfig("fs_rp", "mcf", 2, 1);
-    cfg.set("sim.shards", 2);
-    cfg.set("sim.shard_epoch", 8192);
-    const ExperimentResult coarse = runExperiment(cfg);
-    cfg.set("sim.shard_epoch", 257);
-    const ExperimentResult fine = runExperiment(cfg);
-    EXPECT_EQ(resultDigest(coarse), resultDigest(fine));
-}
