@@ -178,8 +178,7 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
 }
 
 double
-CoreModel::ipc()
-    const
+CoreModel::ipc() const
 {
     const CpuCycle cycles = cpuCycles_ - measureStartCycle_;
     if (cycles == 0)
@@ -212,16 +211,44 @@ CoreModel::tick(Cycle now)
     trace_->observeCycle(now);
     drainWritebacks();
     retryBlocked();
-    for (unsigned sub = 0; sub < params_.cpuMult; ++sub)
-        cpuCycle();
+    // Quiet runs go in closed form, the other sub-cycles one by one.
+    for (uint64_t sub = 0; sub < params_.cpuMult; ++sub) {
+        const uint64_t quiet =
+            std::min<uint64_t>(quietSubCycles(), params_.cpuMult - sub);
+        if (quiet > 0) {
+            skipQuiet(quiet, now, sub);
+            sub += quiet - 1;
+            continue;
+        }
+        retire();
+        dispatch();
+        ++cpuCycles_;
+    }
+}
+
+uint64_t
+CoreModel::quietSubCycles() const
+{
+    if (rob_.empty() || robInstrs_ < params_.robSize)
+        return 0;
+    const Record &head = rob_.front();
+    const uint64_t k = head.gapLeft() / params_.retireWidth;
+    if (head.isStore || head.state == Record::State::Done)
+        return k;
+    if (head.state != Record::State::LlcPending)
+        return kNever;
+    // cpuCycles_ is sampled before each sub-cycle increments it.
+    return std::max(k, head.doneAt > cpuCycles_ ? head.doneAt - cpuCycles_
+                                                : 0);
 }
 
 Cycle
 CoreModel::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
-    // Dispatch has ROB space: new trace records enter every cycle.
-    if (robInstrs_ < params_.robSize || rob_.empty())
+    // Dispatch has ROB space, or the head retires next sub-cycle.
+    const uint64_t quiet = quietSubCycles();
+    if (quiet == 0)
         return next;
     // Writebacks drain whenever the controller has write space.
     if (!writebacks_.empty() && mc_.canAccept(domain_, ReqType::Write))
@@ -233,9 +260,8 @@ CoreModel::nextWakeCycle(Cycle now) const
     // with a poke when it frees up.
     if (!pendingStoreFetches_.empty()) {
         const Addr addr = pendingStoreFetches_.front();
-        if (llc_.contains(addr) || mshr_.count(addr) > 0)
-            return next;
-        if (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_))
+        if (llc_.contains(addr) || mshr_.count(addr) > 0 ||
+            (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_)))
             return next;
     }
     if (needsIssue_ > 0) {
@@ -248,44 +274,45 @@ CoreModel::nextWakeCycle(Cycle now) const
                     break; // retryBlocked() stops at this entry too
                 return next; // it would re-link the waiter / upgrade
             }
-            if (llc_.contains(rec.addr))
-                return next;
-            if (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_))
+            if (llc_.contains(rec.addr) ||
+                (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_)))
                 return next;
             break;
         }
     }
-    // Retirement: the ROB head decides. Pending gap instructions or a
-    // retirable head mean work next cycle; an LLC fill completes at a
-    // computable future cycle; a memory-blocked head sleeps until
-    // something else wakes the system.
-    const Record &head = rob_.front();
-    if (head.instrs > head.retiredOfThis + 1)
-        return next;
-    const bool ready =
-        head.isStore || head.state == Record::State::Done ||
-        (head.state == Record::State::LlcPending &&
-         head.doneAt <= cpuCycles_);
-    if (ready)
-        return next;
-    if (head.state == Record::State::LlcPending) {
-        // First memory cycle whose retire sub-cycles reach doneAt
-        // (cpuCycles_ is sampled before each sub-cycle increments it).
-        return now + 1 + (head.doneAt - cpuCycles_) / params_.cpuMult;
-    }
-    return kNoCycle;
+    // Otherwise the first memory cycle whose sub-cycles reach the end
+    // of the quiet run; a memory-blocked head sleeps until a poke.
+    return quiet == kNever ? kNoCycle : next + quiet / params_.cpuMult;
 }
 
 void
 CoreModel::fastForward(Cycle from, Cycle to)
 {
-    // Only called when nextWakeCycle() proved every cycle in
-    // [from, to) a no-op tick: dispatch blocked, retirement stalled
-    // on memory. Each skipped sub-cycle would only have advanced the
-    // CPU clock and the stall counter.
-    const uint64_t subCycles = (to - from) * params_.cpuMult;
-    cpuCycles_ += subCycles;
-    robStallCycles_.inc(subCycles);
+    // nextWakeCycle() proved these sub-cycles quiet.
+    const uint64_t n = (to - from) * params_.cpuMult;
+    panic_if(n > quietSubCycles(), "{}: {} sub-cycles are not quiet",
+             name(), n);
+    skipQuiet(n, from, 0);
+    // The clocks as the last slept tick leaves them, so the bytes
+    // saveState() writes do not depend on how long the core slept.
+    memNow_ = to - 1;
+    trace_->observeCycle(memNow_);
+}
+
+void
+CoreModel::skipQuiet(uint64_t n, Cycle mem, uint64_t sub)
+{
+    const uint64_t width = params_.retireWidth;
+    const uint64_t k = gapLeft() / width;
+    const uint64_t before = retired_;
+    // Sub-cycles 0..k-1 retire a full width, sub-cycle k the rest.
+    const uint64_t taken = retireGap(n > k ? kNever : n * width);
+    const uint64_t retiring = (taken + width - 1) / width;
+    noteRetired(before, mem + (sub + retiring - 1) / params_.cpuMult);
+    // From sub-cycle k on, the head's memory op is reached and stalls.
+    if (n > k)
+        robStallCycles_.inc(n - k);
+    cpuCycles_ += n;
 }
 
 void
@@ -318,16 +345,12 @@ CoreModel::saveState(Serializer &s) const
         s.putBool(entry.demandTouched);
         s.putU64(entry.waiters.size());
         for (const Record *w : entry.waiters) {
-            size_t idx = rob_.size();
-            for (size_t i = 0; i < rob_.size(); ++i) {
-                if (&rob_[i] == w) {
-                    idx = i;
-                    break;
-                }
-            }
-            panic_if(idx == rob_.size(),
-                     "{}: MSHR waiter not found in ROB", name());
-            s.putU64(idx);
+            const auto it = std::find_if(
+                rob_.begin(), rob_.end(),
+                [w](const Record &rec) { return &rec == w; });
+            panic_if(it == rob_.end(), "{}: MSHR waiter not found in ROB",
+                     name());
+            s.putU64(static_cast<uint64_t>(it - rob_.begin()));
         }
     }
     s.putU64(prefetchInflight_);
@@ -464,11 +487,12 @@ CoreModel::setState(Record &rec, Record::State s)
 }
 
 void
-CoreModel::cpuCycle()
+CoreModel::hitLocally(Record &rec)
 {
-    retire();
-    dispatch();
-    ++cpuCycles_;
+    setState(rec, rec.isStore ? Record::State::Done
+                              : Record::State::LlcPending);
+    if (!rec.isStore)
+        rec.doneAt = cpuCycles_ + params_.llcHitLatency;
 }
 
 void
@@ -499,12 +523,7 @@ CoreModel::executeMemOp(Record &rec)
     if (ar.prefetchHit)
         prefetchUseful_.inc();
     if (ar.hit) {
-        if (rec.isStore) {
-            setState(rec, Record::State::Done);
-        } else {
-            setState(rec, Record::State::LlcPending);
-            rec.doneAt = cpuCycles_ + params_.llcHitLatency;
-        }
+        hitLocally(rec);
         return;
     }
     llcMisses_.inc();
@@ -516,12 +535,7 @@ CoreModel::executeMemOp(Record &rec)
         const cache::FillResult fr = llc_.fill(rec.addr, true);
         if (fr.evictedDirty)
             writebacks_.push_back(fr.writebackAddr);
-        if (rec.isStore) {
-            setState(rec, Record::State::Done);
-        } else {
-            setState(rec, Record::State::LlcPending);
-            rec.doneAt = cpuCycles_ + params_.llcHitLatency;
-        }
+        hitLocally(rec);
         return;
     }
 
@@ -546,7 +560,7 @@ CoreModel::executeMemOp(Record &rec)
             }
             entry.isPrefetch = false;
             --prefetchInflight_;
-            sendRead(rec.addr, rec.issueAt);
+            send(ReqType::Read, rec.addr, rec.issueAt);
         }
         if (rec.isStore) {
             entry.fillDirty = true;
@@ -572,15 +586,17 @@ CoreModel::executeMemOp(Record &rec)
 }
 
 void
-CoreModel::sendRead(Addr addr, Cycle issueAt)
+CoreModel::send(ReqType type, Addr addr, Cycle issueAt)
 {
-    memReads_.inc();
+    if (type == ReqType::Read)
+        memReads_.inc();
     auto req = std::make_unique<MemRequest>();
     req->domain = domain_;
-    req->type = ReqType::Read;
+    req->type = type;
     req->addr = addr;
     req->issued = issueAt;
-    req->client = this;
+    // A writeback completes silently.
+    req->client = type == ReqType::Write ? nullptr : this;
     mc_.access(std::move(req), memNow_);
 }
 
@@ -592,7 +608,7 @@ CoreModel::tryIssueLoad(Record &rec)
     MshrEntry &entry = mshr_[rec.addr];
     entry.waiters.push_back(&rec);
     setState(rec, Record::State::MemPending);
-    sendRead(rec.addr, rec.issueAt);
+    send(ReqType::Read, rec.addr, rec.issueAt);
     return true;
 }
 
@@ -605,7 +621,7 @@ CoreModel::issueStoreFetch(Addr addr)
     }
     MshrEntry &entry = mshr_[addr];
     entry.fillDirty = true;
-    sendRead(addr);
+    send(ReqType::Read, addr);
 }
 
 void
@@ -622,36 +638,24 @@ CoreModel::issuePrefetches(Addr missAddr)
         entry.isPrefetch = true;
         ++prefetchInflight_;
         prefetchIssued_.inc();
-
-        auto req = std::make_unique<MemRequest>();
-        req->domain = domain_;
-        req->type = ReqType::Prefetch;
-        req->addr = line;
-        req->client = this;
-        mc_.access(std::move(req), memNow_);
+        send(ReqType::Prefetch, line);
     }
 }
 
 void
 CoreModel::retire()
 {
-    unsigned budget = params_.retireWidth;
+    const uint64_t before = retired_;
+    uint64_t budget = params_.retireWidth;
     bool stalled = false;
     while (budget > 0 && !rob_.empty()) {
-        Record &head = rob_.front();
         // Gap instructions before the memory op retire freely.
-        const uint64_t gapLeft =
-            head.instrs > head.retiredOfThis + 1
-                ? head.instrs - head.retiredOfThis - 1
-                : 0;
-        const uint64_t take = std::min<uint64_t>(budget, gapLeft);
-        head.retiredOfThis += take;
-        retired_ += take;
-        budget -= static_cast<unsigned>(take);
+        budget -= retireGap(budget);
         if (budget == 0)
             break;
 
         // The memory op itself.
+        Record &head = rob_.front();
         const bool ready =
             head.isStore || head.state == Record::State::Done ||
             (head.state == Record::State::LlcPending &&
@@ -670,12 +674,29 @@ CoreModel::retire()
     }
     if (stalled)
         robStallCycles_.inc();
+    noteRetired(before, memNow_);
+}
 
-    if (params_.progressInterval > 0) {
-        while (retired_ >= nextProgressMark_ && nextProgressMark_ > 0) {
-            timeline_.progress.push_back(cpuCycles_);
-            nextProgressMark_ += params_.progressInterval;
-        }
+uint64_t
+CoreModel::retireGap(uint64_t max)
+{
+    const uint64_t take = std::min(max, gapLeft());
+    rob_.front().retiredOfThis += take;
+    retired_ += take;
+    return take;
+}
+
+void
+CoreModel::noteRetired(uint64_t before, Cycle lastMem)
+{
+    if (retired_ == before)
+        return;
+    progressCycle_ = lastMem + 1;
+    while (params_.progressInterval > 0 && retired_ >= nextProgressMark_) {
+        timeline_.progress.push_back(
+            cpuCycles_ + (nextProgressMark_ - before - 1) /
+                             params_.retireWidth);
+        nextProgressMark_ += params_.progressInterval;
     }
 }
 
@@ -736,14 +757,10 @@ CoreModel::drainWritebacks()
 {
     while (!writebacks_.empty() &&
            mc_.canAccept(domain_, ReqType::Write)) {
-        auto req = std::make_unique<MemRequest>();
-        req->domain = domain_;
-        req->type = ReqType::Write;
-        req->addr = writebacks_.front();
-        req->client = nullptr;
+        const Addr addr = writebacks_.front();
         writebacks_.pop_front();
         memWritebacks_.inc();
-        mc_.access(std::move(req), memNow_);
+        send(ReqType::Write, addr);
     }
 }
 
@@ -775,15 +792,14 @@ CoreModel::retryBlocked()
                     break;
                 it->second.isPrefetch = false;
                 --prefetchInflight_;
-                sendRead(rec.addr, rec.issueAt);
+                send(ReqType::Read, rec.addr, rec.issueAt);
             }
             it->second.waiters.push_back(&rec);
             setState(rec, Record::State::MemPending);
             continue;
         }
         if (llc_.contains(rec.addr)) {
-            setState(rec, Record::State::LlcPending);
-            rec.doneAt = cpuCycles_ + params_.llcHitLatency;
+            hitLocally(rec);
             continue;
         }
         if (!tryIssueLoad(rec))

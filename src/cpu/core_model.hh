@@ -95,7 +95,22 @@ class CoreModel : public Component, public mem::MemClient
     void memDropped(const mem::MemRequest &req) override;
 
     uint64_t retired() const { return retired_; }
-    CpuCycle cpuCycles() const { return cpuCycles_; }
+    /** One past the last memory cycle that retired an instruction:
+     *  the watchdog's progress probe. */
+    Cycle progressCycle() const { return progressCycle_; }
+
+    /** How many of the next CPU sub-cycles are quiet: with dispatch
+     *  blocked, the first `k = gap / retireWidth` retire a full width
+     *  of the head's gap; sub-cycle k retires the rest and stalls on
+     *  the memory op until it is ready. kNever while the op waits on
+     *  memory (a poke ends that); 0 if the next does real work. */
+    uint64_t quietSubCycles() const;
+    static constexpr uint64_t kNever = UINT64_MAX;
+    /** The ROB head's gap instructions not yet retired. */
+    uint64_t gapLeft() const
+    {
+        return rob_.empty() ? 0 : rob_.front().gapLeft();
+    }
     double ipc() const;
 
     /** Freeze the IPC measurement start point (end of warmup). */
@@ -103,7 +118,6 @@ class CoreModel : public Component, public mem::MemClient
 
     const core::VictimTimeline &timeline() const { return timeline_; }
     const cache::Cache &llc() const { return llc_; }
-    const SandboxPrefetcher &prefetcher() const { return prefetcher_; }
 
     void registerStats(StatGroup &group) const;
 
@@ -128,6 +142,13 @@ class CoreModel : public Component, public mem::MemClient
         /** Open-loop issue stamp (TraceRecord::issueAt), kNoCycle
          *  for closed-loop records. */
         Cycle issueAt = kNoCycle;
+
+        /** Gap instructions not yet retired. */
+        uint64_t gapLeft() const
+        {
+            return instrs > retiredOfThis + 1 ? instrs - retiredOfThis - 1
+                                              : 0;
+        }
     };
 
     struct MshrEntry
@@ -145,11 +166,21 @@ class CoreModel : public Component, public mem::MemClient
     /** Single point of ROB state transition, so the NeedsIssue count
      *  used by the retry/wake fast paths can never drift. */
     void setState(Record &rec, Record::State s);
-    void cpuCycle();
+    /** The line is local: a store is done, a load waits the hit. */
+    void hitLocally(Record &rec);
     void dispatch();
     void retire();
+    /** Retire up to `max` of the head's gap; returns how many. */
+    uint64_t retireGap(uint64_t max);
+    /** Progress marks (instruction `before + i` retires at sub-cycle
+     *  (i - 1) / retireWidth) and progress cycle after retirement;
+     *  `lastMem` is the last retiring sub-cycle's memory cycle. */
+    void noteRetired(uint64_t before, Cycle lastMem);
+    /** n <= quietSubCycles() sub-cycles in closed form, the first
+     *  being sub-cycle `sub` of memory cycle `mem`. */
+    void skipQuiet(uint64_t n, Cycle mem, uint64_t sub);
     void executeMemOp(Record &rec);
-    void sendRead(Addr addr, Cycle issueAt = kNoCycle);
+    void send(mem::ReqType type, Addr addr, Cycle issueAt = kNoCycle);
     bool tryIssueLoad(Record &rec);
     void issueStoreFetch(Addr addr);
     void issuePrefetches(Addr missAddr);
@@ -181,6 +212,7 @@ class CoreModel : public Component, public mem::MemClient
 
     CpuCycle cpuCycles_ = 0;
     uint64_t retired_ = 0;
+    Cycle progressCycle_ = 0; ///< derived; the kernel saves its books
     CpuCycle measureStartCycle_ = 0;
     uint64_t measureStartRetired_ = 0;
 

@@ -21,42 +21,6 @@ constexpr uint32_t kRecordsPerBlock = 4096;
 constexpr size_t kRecordBytes = 16;
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
 
-void
-appendU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-appendU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-uint32_t
-readU32(const std::string &in, size_t at)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
-
-uint64_t
-readU64(const std::string &in, size_t at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
-
 } // namespace
 
 std::string
@@ -154,34 +118,25 @@ isBinaryTrace(const std::string &bytes)
 std::string
 formatBinaryTrace(const std::vector<TraceRecord> &records)
 {
-    std::string out;
-    out.reserve(kHeaderBytes +
-                records.size() * kRecordBytes +
-                8 * (records.size() / kRecordsPerBlock + 1));
-    out.append(kTraceMagic, 8);
-    appendU32(out, kTraceVersion);
-    appendU32(out, kRecordsPerBlock);
-    appendU64(out, records.size());
-
-    size_t i = 0;
-    while (i < records.size()) {
+    Serializer out;
+    out.putBytes({kTraceMagic, 8});
+    out.putU32(kTraceVersion);
+    out.putU32(kRecordsPerBlock);
+    out.putU64(records.size());
+    for (size_t i = 0; i < records.size(); i += kRecordsPerBlock) {
         const size_t n =
             std::min<size_t>(kRecordsPerBlock, records.size() - i);
-        std::string payload;
-        payload.reserve(n * kRecordBytes);
-        for (size_t r = 0; r < n; ++r) {
-            const TraceRecord &rec = records[i + r];
-            appendU64(payload, rec.addr);
-            appendU32(payload, rec.gap);
-            payload.push_back(rec.isStore ? 1 : 0);
-            payload.append(3, '\0');
+        Serializer payload;
+        for (size_t r = i; r < i + n; ++r) {
+            payload.putU64(records[r].addr);
+            payload.putU32(records[r].gap);
+            payload.putU32(records[r].isStore ? 1 : 0); // flag + 3 pad
         }
-        appendU32(out, static_cast<uint32_t>(n));
-        appendU32(out, crc32c(payload.data(), payload.size()));
-        out += payload;
-        i += n;
+        out.putU32(static_cast<uint32_t>(n));
+        out.putU32(crc32c(payload.data()));
+        out.putBytes(payload.data());
     }
-    return out;
+    return out.take();
 }
 
 bool
@@ -199,48 +154,45 @@ tryParseBinaryTrace(const std::string &bytes,
         return failAt(bytes.size(), "truncated binary trace header");
     if (!isBinaryTrace(bytes))
         return failAt(0, "bad binary trace magic");
-    const uint32_t version = readU32(bytes, 8);
+    Deserializer d(bytes);
+    d.getU64(); // the magic
+    const uint32_t version = d.getU32();
     if (version != kTraceVersion)
         return failAt(8, "unsupported binary trace version " +
                              std::to_string(version));
-    const uint32_t perBlock = readU32(bytes, 12);
+    const uint32_t perBlock = d.getU32();
     if (perBlock == 0)
         return failAt(12, "recordsPerBlock must be nonzero");
-    const uint64_t total = readU64(bytes, 16);
+    const uint64_t total = d.getU64();
 
-    size_t at = kHeaderBytes;
     out.reserve(out.size() + total);
-    uint64_t seen = 0;
-    while (seen < total) {
-        if (bytes.size() - at < 8)
+    for (uint64_t seen = 0; seen < total;) {
+        const uint64_t at = d.offset();
+        if (d.remaining() < 8)
             return failAt(at, "truncated block header");
-        const uint32_t count = readU32(bytes, at);
-        const uint32_t crc = readU32(bytes, at + 4);
+        const uint32_t count = d.getU32();
+        const uint32_t crc = d.getU32();
         if (count == 0 || count > perBlock)
             return failAt(at, "bad block record count " +
                                   std::to_string(count));
         if (count > total - seen)
             return failAt(at, "block overruns declared record count");
         const size_t payloadBytes = size_t{count} * kRecordBytes;
-        if (bytes.size() - at - 8 < payloadBytes)
+        if (d.remaining() < payloadBytes)
             return failAt(at + 8, "truncated block payload");
-        const char *payload = bytes.data() + at + 8;
-        const uint32_t actual = crc32c(payload, payloadBytes);
-        if (actual != crc)
+        if (crc32c(bytes.data() + at + 8, payloadBytes) != crc)
             return failAt(at + 4, "block CRC mismatch");
         for (uint32_t r = 0; r < count; ++r) {
-            const size_t off = at + 8 + size_t{r} * kRecordBytes;
             TraceRecord rec;
-            rec.addr = readU64(bytes, off);
-            rec.gap = readU32(bytes, off + 8);
-            rec.isStore = bytes[off + 12] != 0;
+            rec.addr = d.getU64();
+            rec.gap = d.getU32();
+            rec.isStore = (d.getU32() & 0xFF) != 0; // pad bytes ignored
             out.push_back(rec);
         }
-        at += 8 + payloadBytes;
         seen += count;
     }
-    if (at != bytes.size())
-        return failAt(at, "trailing bytes after last block");
+    if (!d.atEnd())
+        return failAt(d.offset(), "trailing bytes after last block");
     return true;
 }
 

@@ -269,6 +269,7 @@ DramSystem::issue(const Command &cmd, Cycle now)
         checker_.observe(cmd, now);
     }
     ++commandsIssued_;
+    progressCycle_ = now + 1;
 
     if (!legal) {
         // Record-and-continue: don't apply an illegal transition to

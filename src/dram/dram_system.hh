@@ -112,6 +112,10 @@ class DramSystem
 
     /** Total commands issued. */
     uint64_t commandsIssued() const { return commandsIssued_; }
+    /** One past the cycle of the last command issued (0 before the
+     *  first): the watchdog's progress probe. Derived, never
+     *  serialized. */
+    Cycle progressCycle() const { return progressCycle_; }
 
     /**
      * Legality versions, for callers caching earliestIssue(): the
@@ -181,6 +185,7 @@ class DramSystem
     ChannelBuses buses_;
     TimingChecker checker_;
     uint64_t commandsIssued_ = 0;
+    Cycle progressCycle_ = 0;
     std::vector<uint64_t> rankVersion_;
     uint64_t busVersion_ = 0;
     /** One past the last cycle accounted by tick()/fastForwardEnergy()

@@ -667,8 +667,8 @@ ExperimentSystem::ExperimentSystem(const Config &config)
 
     const Cycle watchdog = cfg.getUint("sim.watchdog");
     if (watchdog > 0) {
-        // Progress = instructions retired + DRAM commands issued; if
-        // neither moves for a whole window the run is livelocked.
+        // Progress = an instruction retired or a DRAM command issued;
+        // if neither happens for a whole window the run is livelocked.
         // Each shard watches only its own components (a stalled shard
         // must not be masked by progress elsewhere); the captured
         // pointers are owned by the Impl, whose address is stable for
@@ -687,12 +687,12 @@ ExperimentSystem::ExperimentSystem(const Config &config)
             }
             im.sims[k]->setWatchdog(
                 watchdog, [wCores, wMcs] {
-                    uint64_t v = 0;
+                    Cycle last = 0;
                     for (const auto *c : wCores)
-                        v += c->retired();
+                        last = std::max(last, c->progressCycle());
                     for (const auto *m : wMcs)
-                        v += m->dram().commandsIssued();
-                    return v;
+                        last = std::max(last, m->dram().progressCycle());
+                    return last;
                 });
         }
     }
@@ -759,6 +759,12 @@ mem::MemoryController &
 ExperimentSystem::controller(unsigned ch)
 {
     return *impl_->mcs.at(ch);
+}
+
+const cpu::CoreModel &
+ExperimentSystem::core(unsigned i) const
+{
+    return *impl_->coreModels.at(i);
 }
 
 void

@@ -27,6 +27,10 @@ class Serializer;
 class Deserializer;
 } // namespace memsec
 
+namespace memsec::cpu {
+class CoreModel;
+} // namespace memsec::cpu
+
 namespace memsec::fault {
 class FaultInjector;
 } // namespace memsec::fault
@@ -185,6 +189,9 @@ class ExperimentSystem
 
     /** Channel `ch`'s memory controller (state inspection). */
     mem::MemoryController &controller(unsigned ch);
+
+    /** Core `i` (state inspection). */
+    const cpu::CoreModel &core(unsigned i) const;
 
   private:
     struct Impl;

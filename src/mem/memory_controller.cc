@@ -18,12 +18,10 @@ MemoryController::MemoryController(std::string name, const Params &params,
 {
     fatal_if(params.numDomains == 0, "controller needs >= 1 domain");
     for (unsigned d = 0; d < params.numDomains; ++d)
-        queues_.emplace_back(params.queueCapacity,
-                             params.queueCapacity);
+        queues_.emplace_back(params.queueCapacity, params.queueCapacity,
+                             &queueTotals_);
     prefetchQueues_.resize(params.numDomains);
     clients_.assign(params.numDomains, nullptr);
-    clientComponents_.assign(params.numDomains, nullptr);
-    fullAtTickStart_.assign(params.numDomains, 0);
     stats_.readLatencyHist.init(0.0, 32.0, 64);
     // Fine bins and a deep range: p99.9 needs resolution, and an
     // overloaded open-loop tail beyond 16k cycles should report +inf
@@ -40,7 +38,7 @@ MemoryController::registerClient(DomainId domain, MemClient *client)
 {
     panic_if(domain >= clients_.size(), "bad domain {}", domain);
     clients_[domain] = client;
-    clientComponents_[domain] = dynamic_cast<Component *>(client);
+    queues_[domain].setClient(dynamic_cast<Component *>(client));
 }
 
 MemClient *
@@ -91,14 +89,6 @@ bool
 MemoryController::canAccept(DomainId domain, ReqType type) const
 {
     return !queues_.at(domain).full(type);
-}
-
-uint8_t
-MemoryController::fullBudgets(size_t d) const
-{
-    const TransactionQueue &q = queues_[d];
-    return static_cast<uint8_t>(q.full(ReqType::Read) |
-                                q.full(ReqType::Write) << 1);
 }
 
 void
@@ -251,8 +241,6 @@ void
 MemoryController::tick(Cycle now)
 {
     panic_if(!sched_, "MemoryController ticked without a scheduler");
-    for (size_t d = 0; d < queues_.size(); ++d)
-        fullAtTickStart_[d] = fullBudgets(d);
 
     // Queue-overflow injection: flood the queues with ghost reads
     // (no client, rotating domain) until one hits a full queue and
@@ -291,15 +279,6 @@ MemoryController::tick(Cycle now)
 
     sched_->tick(now);
     dram_.tick(now);
-
-    // A core blocked on queue space sleeps on canAccept() == false,
-    // so it must hear when that turns true. (A queue filling up only
-    // delays its wake; an early stale hint just costs a no-op tick.)
-    for (size_t d = 0; d < queues_.size(); ++d) {
-        if (clientComponents_[d] &&
-            (fullAtTickStart_[d] & ~fullBudgets(d)))
-            clientComponents_[d]->poke();
-    }
 }
 
 Cycle

@@ -75,6 +75,9 @@ class MemoryController : public Component
     MemoryController(std::string name, const Params &params,
                      const AddressMap &map);
     ~MemoryController() override;
+    // The queues keep the address of queueTotals_.
+    MemoryController(const MemoryController &) = delete;
+    MemoryController &operator=(const MemoryController &) = delete;
 
     /** Install the scheduling policy; must happen before ticking. */
     void setScheduler(std::unique_ptr<sched::Scheduler> sched);
@@ -87,7 +90,7 @@ class MemoryController : public Component
      * them to the client registered here, so every client must
      * register before restore (CoreModel does so in its constructor).
      * A client that is also a Component is poked whenever its
-     * domain's queue frees read or write space.
+     * domain's queue frees a full read or write budget.
      */
     void registerClient(DomainId domain, MemClient *client);
 
@@ -109,6 +112,8 @@ class MemoryController : public Component
 
     TransactionQueue &queue(DomainId domain);
     const TransactionQueue &queue(DomainId domain) const;
+    /** Sums over every domain's queue. */
+    const QueueTotals &queueTotals() const { return queueTotals_; }
 
     /**
      * Per-domain prefetch candidate queue (Section 5.2: "a few-entry
@@ -200,11 +205,9 @@ class MemoryController : public Component
 
     static constexpr size_t kPrefetchQueueCap = 8;
 
-    /** Domain d's full budgets: bit 0 reads, bit 1 writes. */
-    uint8_t fullBudgets(size_t d) const;
-
     const AddressMap &map_;
     dram::DramSystem dram_;
+    QueueTotals queueTotals_;
     // deque: TransactionQueue is move-only and constructed in place.
     std::deque<TransactionQueue> queues_;
     std::vector<std::deque<std::unique_ptr<MemRequest>>> prefetchQueues_;
@@ -216,11 +219,6 @@ class MemoryController : public Component
     uint64_t completionSeq_ = 0;
     ReqId reqIdSeq_ = 0;
     std::vector<MemClient *> clients_; ///< completion sink per domain
-    /** clients_[d] as a tick-loop Component, poked when domain d's
-     *  queue frees space; null for clients outside the tick loop. */
-    std::vector<Component *> clientComponents_;
-    /** Per domain, fullBudgets() when the current tick began. */
-    std::vector<uint8_t> fullAtTickStart_;
     FixedPool<MemRequest> requestPool_;
     ControllerStats stats_;
     RunReport *report_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/simulator.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -39,6 +40,11 @@ TransactionQueue::restoreState(
 {
     d.section("txq");
     const uint64_t n = d.getU64();
+    if (totals_) {
+        totals_->reads -= readCount();
+        totals_->writes -= writeCount();
+        ++totals_->mutations;
+    }
     entries_.clear();
     views_[0].clear();
     views_[1].clear();
@@ -54,11 +60,16 @@ TransactionQueue::restoreState(
         views_[isWrite(*req)].push_back(entryFor(*req));
         entries_.push_back(std::move(req));
     }
+    if (totals_) {
+        totals_->reads += readCount();
+        totals_->writes += writeCount();
+    }
 }
 
 TransactionQueue::TransactionQueue(size_t readCapacity,
-                                   size_t writeCapacity)
-    : readCap_(readCapacity), writeCap_(writeCapacity)
+                                   size_t writeCapacity,
+                                   QueueTotals *totals)
+    : readCap_(readCapacity), writeCap_(writeCapacity), totals_(totals)
 {
     panic_if(readCapacity == 0 || writeCapacity == 0,
              "transaction queue capacities must be nonzero");
@@ -69,6 +80,10 @@ TransactionQueue::push(std::unique_ptr<MemRequest> req)
 {
     panic_if(full(req->type),
              "push to full transaction queue (domain {})", req->domain);
+    if (totals_) {
+        ++(req->isRead() ? totals_->reads : totals_->writes);
+        ++totals_->mutations;
+    }
     if (req->isRead())
         ++reads_;
     views_[isWrite(*req)].push_back(entryFor(*req));
@@ -117,6 +132,8 @@ TransactionQueue::take(const MemRequest *req)
     auto it = std::find_if(entries_.begin(), entries_.end(),
                            [req](const auto &e) { return e.get() == req; });
     panic_if(it == entries_.end(), "take: request not in queue");
+    if (client_ && full(req->type))
+        client_->poke();
     std::vector<Entry> &view = views_[isWrite(*req)];
     view.erase(std::find_if(view.begin(), view.end(),
                             [req](const Entry &e) { return e.req == req; }));
@@ -125,6 +142,10 @@ TransactionQueue::take(const MemRequest *req)
     if (out->isRead())
         --reads_;
     ++mutations_;
+    if (totals_) {
+        --(out->isRead() ? totals_->reads : totals_->writes);
+        ++totals_->mutations;
+    }
     return out;
 }
 

@@ -20,7 +20,21 @@
 
 #include "mem/request.hh"
 
+namespace memsec {
+class Component;
+} // namespace memsec
+
 namespace memsec::mem {
+
+/** Running sums over a controller's queues, kept up to date by every
+ *  push, take and restore so nothing has to loop over the queues.
+ *  Derived, never serialized. */
+struct QueueTotals
+{
+    size_t reads = 0;       ///< queued reads (incl. prefetches)
+    size_t writes = 0;      ///< queued writes
+    uint64_t mutations = 0; ///< sum of the queues' mutations()
+};
 
 /**
  * FIFO of pending transactions with predicate-based extraction.
@@ -48,7 +62,13 @@ class TransactionQueue
         unsigned bank = 0;
     };
 
-    TransactionQueue(size_t readCapacity, size_t writeCapacity);
+    /** `totals`, if given, must outlive the queue. */
+    TransactionQueue(size_t readCapacity, size_t writeCapacity,
+                     QueueTotals *totals = nullptr);
+
+    /** The component to poke when a take frees a full read or write
+     *  budget (a blocked client sleeps on full()); null for none. */
+    void setClient(Component *client) { client_ = client; }
 
     size_t readCapacity() const { return readCap_; }
     size_t writeCapacity() const { return writeCap_; }
@@ -127,6 +147,8 @@ class TransactionQueue
     std::deque<std::unique_ptr<MemRequest>> entries_;
     std::vector<Entry> views_[2]; ///< [write]: entries_ of one class
     uint64_t mutations_ = 0;
+    QueueTotals *totals_ = nullptr;
+    Component *client_ = nullptr;
 };
 
 } // namespace memsec::mem

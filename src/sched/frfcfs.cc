@@ -27,24 +27,17 @@ FrFcfsEngine::FrFcfsEngine(mem::MemoryController &mc, const Options &opt)
 bool
 FrFcfsEngine::nextDrainMode() const
 {
-    size_t writes = 0;
-    size_t reads = 0;
-    for (const mem::TransactionQueue *q : queues_) {
-        writes += q->writeCount();
-        reads += q->readCount();
-    }
+    const mem::QueueTotals &t = mc_.queueTotals();
     if (drainingWrites_)
-        return writes > opt_.writeLoWatermark;
-    return writes >= opt_.writeHiWatermark || (reads == 0 && writes > 0);
+        return t.writes > opt_.writeLoWatermark;
+    return t.writes >= opt_.writeHiWatermark ||
+           (t.reads == 0 && t.writes > 0);
 }
 
 uint64_t
 FrFcfsEngine::epoch() const
 {
-    uint64_t e = dram_.commandsIssued();
-    for (const mem::TransactionQueue *q : queues_)
-        e += q->mutations();
-    return e;
+    return dram_.commandsIssued() + mc_.queueTotals().mutations;
 }
 
 bool

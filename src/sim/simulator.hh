@@ -160,14 +160,17 @@ class Simulator
     void run(Cycle n);
 
     /**
-     * Arm the livelock watchdog: `probe` must return a monotone
-     * progress counter (e.g. instructions retired + DRAM commands
-     * issued). If it fails to advance for `window` cycles the run is
-     * fatally terminated with a diagnostic naming the stall interval —
-     * a wedged scheduler otherwise spins silently to the cycle limit.
-     * window = 0 disarms.
+     * Arm the livelock watchdog: `probe` must return the first cycle
+     * after the latest progress of the watched components (e.g. one
+     * past the last cycle that retired an instruction or issued a
+     * DRAM command), never more than now(). If no progress lands for
+     * `window` cycles the run is fatally terminated with a diagnostic
+     * naming the stall interval — a wedged scheduler otherwise spins
+     * silently to the cycle limit. The probe is asked only when the
+     * deadline `lastProgress + window` is reached, with every
+     * component caught up. window = 0 disarms.
      */
-    void setWatchdog(Cycle window, std::function<uint64_t()> probe);
+    void setWatchdog(Cycle window, std::function<Cycle()> probe);
 
     /**
      * Enable/disable the idle-skip fast path (default on). Forced-
@@ -188,7 +191,9 @@ class Simulator
      * Serialize the kernel clock plus every registered component (in
      * registration order, each under a section named after it).
      * Watchdog config and the fast-forward flag are not serialized;
-     * the harness re-arms them before restoreState().
+     * the harness re-arms them before restoreState(). The watchdog's
+     * last progress is saved as max(books, probe()), the same value
+     * in both modes and however often the run was chopped.
      */
     void saveState(Serializer &s) const;
     void restoreState(Deserializer &d);
@@ -207,7 +212,8 @@ class Simulator
 
     static constexpr size_t kNotTicking = SIZE_MAX;
 
-    /** Per-cycle watchdog check; fatal on a stall. */
+    /** Watchdog check, a no-op before the deadline; at it, the probe
+     *  either moves the deadline or the run dies. */
     void checkWatchdog();
 
     /** Account slot s's cycles up to `to` with one fastForward(). */
@@ -247,8 +253,9 @@ class Simulator
     uint64_t jumps_ = 0;
 
     Cycle watchdogWindow_ = 0; ///< 0 = disarmed
-    std::function<uint64_t()> watchdogProbe_;
-    uint64_t watchdogLastValue_ = 0;
+    std::function<Cycle()> watchdogProbe_;
+    /** First cycle after the latest progress seen at a deadline, or
+     *  the cycle the watchdog was armed at. */
     Cycle watchdogLastProgress_ = 0;
 };
 

@@ -61,6 +61,8 @@ class Serializer
     void putDouble(double v);
     /** u64 length followed by raw bytes. */
     void putString(std::string_view v);
+    /** Raw bytes, no length. */
+    void putBytes(std::string_view v) { buf_.append(v); }
 
     /**
      * Emit a named section marker. The matching Deserializer::section

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "harness/campaign.hh"
+#include "cpu/core_model.hh"
 #include "harness/experiment.hh"
 #include "mem/memory_controller.hh"
 #include "sched/fs.hh"
@@ -259,6 +260,30 @@ TEST(CheckpointDiff, ChopWhileDomainQueueFull)
             return false;
         },
         "fs_rp/hog seed=1 domain queue full", 16);
+}
+
+TEST(CheckpointDiff, ChopWhileCoreSleepsMidGap)
+{
+    // A core whose full ROB only retires its head's gap sleeps and is
+    // caught up in closed form. Chop while one is asleep mid-gap for
+    // at least its next whole tick, with progress marks every 7
+    // instructions so some are still due inside the gap.
+    Config c = diffConfig("fs_rp", "mcf", 1);
+    c.set("audit.progress_interval", 7);
+    ASSERT_TRUE(c.getBool("sim.fastforward"));
+    const unsigned cores = static_cast<unsigned>(c.getUint("cores"));
+    expectIdenticalChoppedInside(
+        c,
+        [cores](ExperimentSystem &sys) {
+            for (unsigned i = 0; i < cores; ++i) {
+                const cpu::CoreModel &core = sys.core(i);
+                if (core.gapLeft() > 0 &&
+                    core.quietSubCycles() >= kDefaultCpuMult)
+                    return true;
+            }
+            return false;
+        },
+        "fs_rp/mcf seed=1 core asleep mid-gap", 8);
 }
 
 TEST(CheckpointDiff, FsWithPrefetch)

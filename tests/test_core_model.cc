@@ -6,6 +6,8 @@
 #include "cpu/workload.hh"
 #include "sched/frfcfs.hh"
 #include "sim/simulator.hh"
+#include "util/random.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::cpu;
@@ -14,11 +16,15 @@ namespace {
 
 struct Rig
 {
+    /** `first`, if given, is registered ahead of the core. */
     explicit Rig(const WorkloadProfile &prof,
-                 CoreModel::Params cp = CoreModel::Params{})
+                 CoreModel::Params cp = CoreModel::Params{},
+                 Component *first = nullptr)
         : map(dram::Geometry{}, mem::Partition::None,
               mem::Interleave::ClosePage, 1)
     {
+        if (first)
+            sim.add(first);
         mem::MemoryController::Params p;
         p.numDomains = 1;
         p.queueCapacity = 16;
@@ -197,4 +203,121 @@ TEST(CoreModel, PrefetcherReducesDemandLatencyOnStreams)
     EXPECT_GT(b.core->prefetchIssued(), 0u);
     EXPECT_GT(b.core->prefetchUseful(), 0u);
     EXPECT_GT(b.core->ipc(), a.core->ipc());
+}
+
+// -- quiet sub-cycles in closed form -------------------------------
+
+namespace {
+
+/**
+ * Pokes `target` at random cycles and sleeps a random span between.
+ * Registered after the target, a poke splits the target's catch-up
+ * at an arbitrary cycle; registered before it, it also lets the
+ * target re-ask whether it is due the same cycle.
+ */
+class RandomPoker : public Component
+{
+  public:
+    RandomPoker(std::string name, uint64_t seed)
+        : Component(std::move(name)), rng_(seed)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (target)
+            target->poke();
+        next_ = now + 1 + rng_.below(48);
+    }
+
+    Cycle nextWakeCycle(Cycle now) const override
+    {
+        (void)now;
+        return next_;
+    }
+
+    Component *target = nullptr;
+
+  private:
+    Rng rng_;
+    Cycle next_ = 0;
+};
+
+/** Gaps of ~15 instructions, LLC hits, stores and serialised misses:
+ *  the ROB fills behind a miss while its head retires gaps. */
+WorkloadProfile
+gappy()
+{
+    WorkloadProfile p;
+    p.name = "gappy";
+    p.memRatio = 1.0 / 16;
+    p.storeFraction = 0.3;
+    p.footprintLines = 1 << 16;
+    p.reuseFraction = 0.5;
+    p.mshrs = 2;
+    return p;
+}
+
+std::string
+coreBytes(const CoreModel &core)
+{
+    Serializer s;
+    core.saveState(s);
+    return s.take();
+}
+
+} // namespace
+
+TEST(CoreModel, QuietSubCyclesMatchSteppingEverySubCycle)
+{
+    // The reference ticks the core every cycle; the other sleeps
+    // through quiet runs in closed form, split at random by pokes.
+    // Progress every 7 instructions lands marks mid-gap.
+    for (unsigned cpuMult : {1u, 3u, 4u}) {
+        for (unsigned width : {1u, 3u, 4u}) {
+            const std::string point = "cpuMult=" + std::to_string(cpuMult) +
+                                      " retireWidth=" +
+                                      std::to_string(width);
+            CoreModel::Params cp;
+            cp.cpuMult = cpuMult;
+            cp.retireWidth = width;
+            cp.progressInterval = 7;
+            Rig stepped(gappy(), cp);
+            stepped.sim.setFastForward(false);
+            RandomPoker early("early", cpuMult * 10 + width);
+            RandomPoker late("late", cpuMult * 100 + width);
+            Rig sleepy(gappy(), cp, &early);
+            early.target = sleepy.core.get();
+            late.target = sleepy.core.get();
+            sleepy.sim.add(&late);
+
+            Rng chunks(width);
+            for (int i = 0; i < 24; ++i) {
+                const Cycle n = 1 + chunks.below(400);
+                stepped.sim.run(n);
+                sleepy.sim.run(n);
+                ASSERT_EQ(coreBytes(*stepped.core), coreBytes(*sleepy.core))
+                    << point << " after cycle " << stepped.sim.now();
+            }
+            StatGroup a;
+            StatGroup b;
+            stepped.core->registerStats(a);
+            sleepy.core->registerStats(b);
+            EXPECT_EQ(a.lookup("rob_stall_cycles"),
+                      b.lookup("rob_stall_cycles"))
+                << point;
+            EXPECT_GT(a.lookup("rob_stall_cycles"), 0.0) << point;
+            EXPECT_EQ(stepped.core->timeline().progress,
+                      sleepy.core->timeline().progress)
+                << point;
+            EXPECT_GT(stepped.core->timeline().progress.size(), 100u)
+                << point;
+            EXPECT_EQ(stepped.core->progressCycle(),
+                      sleepy.core->progressCycle())
+                << point;
+            // The comparison proves nothing unless the core slept.
+            EXPECT_GT(sleepy.sim.cyclesSkipped(), 0u) << point;
+        }
+    }
 }

@@ -95,6 +95,19 @@ TEST(FastForwardDiff, FsRankPartition)
     expectIdentical("fs_rp", "mcf", 1, refresh);
 }
 
+// Progress marks every 7 instructions land inside the gaps a core
+// sleeps through, so the closed form must place each at its exact
+// CPU cycle.
+TEST(FastForwardDiff, ProgressMarksInsideSleptGaps)
+{
+    Config marks;
+    marks.set("audit.progress_interval", 7);
+    expectIdentical("fs_rp", "mcf", 1, marks);
+    expectIdentical("fs_np", "libquantum", 42, marks);
+    expectIdentical("tp_bp", "milc", 7, marks);
+    expectIdentical("baseline", "mcf", 1, marks);
+}
+
 TEST(FastForwardDiff, FsBankPartition)
 {
     expectIdentical("fs_bp", "mcf", 1);

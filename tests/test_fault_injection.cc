@@ -18,10 +18,12 @@
 
 #include "analysis/noninterference_certifier.hh"
 #include "core/noninterference.hh"
+#include "cpu/core_model.hh"
 #include "cpu/trace_file.hh"
 #include "dram/dram_system.hh"
 #include "fault/fault_injector.hh"
 #include "harness/experiment.hh"
+#include "sched/scheduler.hh"
 #include "sim/simulator.hh"
 #include "util/sim_error.hh"
 
@@ -458,12 +460,14 @@ TEST(CrashSnapshot, RingKeepsOnlyLastK)
 // Livelock watchdog.
 // ---------------------------------------------------------------------
 
+// The probe returns the first cycle after the latest progress.
+
 TEST(Watchdog, StalledProgressCounterIsFatal)
 {
     EXPECT_EXIT(
         {
             Simulator sim;
-            sim.setWatchdog(10, [] { return 42u; });
+            sim.setWatchdog(10, [] { return Cycle{0}; });
             sim.run(100);
         },
         ::testing::ExitedWithCode(1), "livelock");
@@ -472,10 +476,105 @@ TEST(Watchdog, StalledProgressCounterIsFatal)
 TEST(Watchdog, AdvancingProgressCounterIsQuiet)
 {
     Simulator sim;
-    uint64_t ticks = 0;
-    sim.setWatchdog(10, [&ticks] { return ticks++; });
+    // Progress on every cycle so far.
+    sim.setWatchdog(10, [&sim] { return sim.now(); });
     sim.run(100); // no exit, no throw
     EXPECT_EQ(sim.now(), 100u);
+}
+
+namespace {
+
+/** A controller policy that never serves anything: a wedged one. */
+class WedgedScheduler : public sched::Scheduler
+{
+  public:
+    using Scheduler::Scheduler;
+    void tick(Cycle now) override { (void)now; }
+    Cycle nextWakeCycle(Cycle now) const override
+    {
+        (void)now;
+        return kNoCycle;
+    }
+    std::string name() const override { return "wedged"; }
+};
+
+/** One core in front of a wedged controller, watched like a real
+ *  system: a core retires its first record's long gap, then stalls
+ *  on the load forever. */
+struct WedgedRig
+{
+    explicit WedgedRig(bool fastForward)
+        : map(dram::Geometry{}, mem::Partition::None,
+              mem::Interleave::ClosePage, 1)
+    {
+        mem::MemoryController::Params p;
+        p.numDomains = 1;
+        mc = std::make_unique<mem::MemoryController>("mc", p, map);
+        mc->setScheduler(std::make_unique<WedgedScheduler>(*mc));
+        cpu::WorkloadProfile prof;
+        prof.name = "sparse";
+        prof.memRatio = 0.0005; // gaps of ~2000 instructions
+        prof.storeFraction = 0.0;
+        prof.footprintLines = 1 << 22;
+        cpu::CoreModel::Params cp;
+        cp.retireWidth = 3;
+        cp.progressInterval = 7;
+        core = std::make_unique<cpu::CoreModel>("c0", 0, cp, prof, 42,
+                                                *mc);
+        sim.setFastForward(fastForward);
+        sim.add(core.get());
+        sim.add(mc.get());
+    }
+
+    void
+    arm(Cycle window)
+    {
+        sim.setWatchdog(window, [this] {
+            return std::max(core->progressCycle(),
+                            mc->dram().progressCycle());
+        });
+    }
+
+    mem::AddressMap map;
+    std::unique_ptr<mem::MemoryController> mc;
+    std::unique_ptr<cpu::CoreModel> core;
+    Simulator sim;
+};
+
+} // namespace
+
+TEST(Watchdog, StallAfterLongGapFiresAtSameCycleInBothModes)
+{
+    // Where the core stops: its last retiring cycle, from an unwatched
+    // naive run that outlasts the gap.
+    Cycle stall = 0;
+    {
+        WedgedRig rig(false);
+        rig.sim.run(5000);
+        stall = rig.core->progressCycle();
+        EXPECT_EQ(rig.mc->dram().progressCycle(), 0u);
+    }
+    // The stall starts after a gap several windows long, which a
+    // fast-forward core sleeps through in closed form.
+    const Cycle window = 50;
+    ASSERT_GT(stall, 3 * window);
+    const std::string message =
+        "no progress for 50 cycles \\(cycle " + std::to_string(stall) +
+        "\\.\\." + std::to_string(stall + window) + "\\)";
+    for (bool ff : {false, true}) {
+        EXPECT_EXIT(
+            {
+                WedgedRig rig(ff);
+                rig.arm(window);
+                rig.sim.run(100000);
+            },
+            ::testing::ExitedWithCode(1), message)
+            << (ff ? "fast-forward" : "naive");
+    }
+    // The fast-forward core really slept through the gap.
+    WedgedRig rig(true);
+    rig.sim.run(stall + window);
+    EXPECT_LT(rig.sim.cyclesExecuted(), stall / 4);
 }
 
 // ---------------------------------------------------------------------

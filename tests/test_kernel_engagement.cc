@@ -65,23 +65,23 @@ expectEngaged(const std::string &scheme, const std::string &workload,
 TEST(KernelEngagement, FsNpHog)
 {
     // ~91% of cycles skip: every core waits on a distant slot.
-    expectEngaged("fs_np", "hog", 55241, 0.9080);
+    expectEngaged("fs_np", "hog", 55198, 0.9081);
 }
 
 TEST(KernelEngagement, FsNpMcf)
 {
-    expectEngaged("fs_np", "mcf", 144458, 0.7596);
+    expectEngaged("fs_np", "mcf", 87445, 0.8545);
 }
 
 TEST(KernelEngagement, FsRpMcf)
 {
     // Rank partitioning gives the densest schedule (l = 7): the least
     // dead time to skip, the hardest case for the fast path.
-    expectEngaged("fs_rp", "mcf", 489198, 0.1860);
+    expectEngaged("fs_rp", "mcf", 390777, 0.3497);
 }
 
 TEST(KernelEngagement, BaselineMcf)
 {
     // An idle FR-FCFS baseline sleeps until its next legal command.
-    expectEngaged("baseline", "mcf", 575292, 0.0427);
+    expectEngaged("baseline", "mcf", 561363, 0.0659);
 }

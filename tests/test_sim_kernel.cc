@@ -7,6 +7,7 @@
 
 #include "mem/request.hh"
 #include "sim/simulator.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 
@@ -399,12 +400,15 @@ TEST(Simulator, RunReturnsWithEveryComponentCaughtUp)
 
 // -- watchdog ------------------------------------------------------
 
+// A watchdog probe answers "the first cycle after the latest
+// progress"; a constant 0 is a run that never progressed.
+
 TEST(Simulator, WatchdogDisarmSurvivesStall)
 {
     Simulator sim;
     Probe p("p", nullptr, 0);
     sim.add(&p);
-    uint64_t progress = 0;
+    const Cycle progress = 0;
     sim.setWatchdog(10, [&] { return progress; });
     // Disarm before the stall window elapses; the stuck probe must
     // no longer kill the run.
@@ -419,7 +423,7 @@ TEST(Simulator, WatchdogRearmAfterDisarm)
     Probe p("p", nullptr, 0);
     sim.add(&p);
     sim.setWatchdog(0, nullptr); // disarm while already disarmed: ok
-    uint64_t progress = 0;
+    const Cycle progress = 0;
     sim.run(30); // stall-free: nothing armed
     sim.setWatchdog(20, [&] { return progress; });
     EXPECT_EXIT(sim.run(1000), ::testing::ExitedWithCode(1),
@@ -442,7 +446,7 @@ TEST(Simulator, WatchdogFiresAtSameCycleAcrossFastForwardJump)
         sim.setFastForward(fastForward);
         IdleProbe p(0); // wants to sleep forever
         sim.add(&p);
-        uint64_t progress = 0;
+        const Cycle progress = 0;
         sim.setWatchdog(50, [&] { return progress; });
         sim.run(100000);
     };
@@ -457,13 +461,92 @@ TEST(Simulator, WatchdogProgressAllowsJumpBeyondWindow)
     Simulator sim;
     IdleProbe p(30);
     sim.add(&p);
-    // Probe advances whenever the component ticks, so each wake
-    // resets the stall clock and the run completes even though each
-    // idle gap approaches the window.
-    sim.setWatchdog(40, [&] { return p.ticks; });
+    // Each tick is progress, so each wake resets the stall clock and
+    // the run completes even though each idle gap approaches the
+    // window.
+    sim.setWatchdog(40, [&] { return p.ticks > 0 ? p.lastTick + 1 : 0; });
     sim.run(300);
     EXPECT_EQ(sim.now(), 300u);
     EXPECT_EQ(p.ticks, 10u);
+}
+
+/**
+ * Progresses every cycle before `stallAt` and never after. Like a
+ * core, it keeps its progress cycle out of its checkpoint: the
+ * kernel's saved watchdog books carry it across a restore.
+ */
+class StallingProbe : public Component
+{
+  public:
+    explicit StallingProbe(Cycle stallAt)
+        : Component("stalling"), stallAt_(stallAt)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (now < stallAt_)
+            progress = now + 1;
+    }
+
+    Cycle
+    nextWakeCycle(Cycle now) const override
+    {
+        return now + 1 < stallAt_ ? now + 1 : kNoCycle;
+    }
+
+    Cycle progress = 0;
+
+  private:
+    Cycle stallAt_;
+};
+
+TEST(Simulator, WatchdogRestoredMidWindowFiresWhereUninterruptedDoes)
+{
+    // Progress stops after cycle 249, so the uninterrupted run dies
+    // at 250 + 100. A run saved at 280, inside that window while the
+    // books still say 200 (the last deadline), and restored into a
+    // fresh kernel must die at the same cycle with the same message,
+    // in both modes.
+    const auto arm = [](Simulator &sim, StallingProbe &p) {
+        sim.setWatchdog(100, [&p] { return p.progress; });
+    };
+    const auto uninterrupted = [&](bool fastForward) {
+        Simulator sim;
+        sim.setFastForward(fastForward);
+        StallingProbe p(250);
+        sim.add(&p);
+        arm(sim, p);
+        sim.run(100000);
+    };
+    const auto restored = [&](bool fastForward) {
+        Serializer s;
+        {
+            Simulator sim;
+            sim.setFastForward(fastForward);
+            StallingProbe p(250);
+            sim.add(&p);
+            arm(sim, p);
+            sim.run(280);
+            sim.saveState(s);
+        }
+        Simulator sim;
+        sim.setFastForward(fastForward);
+        StallingProbe p(250);
+        sim.add(&p);
+        arm(sim, p);
+        Deserializer d(s.data());
+        sim.restoreState(d);
+        EXPECT_EQ(sim.now(), 280u);
+        sim.run(100000);
+    };
+    for (bool ff : {false, true}) {
+        EXPECT_EXIT(uninterrupted(ff), ::testing::ExitedWithCode(1),
+                    "no progress for 100 cycles \\(cycle 250\\.\\.350\\)");
+        EXPECT_EXIT(restored(ff), ::testing::ExitedWithCode(1),
+                    "no progress for 100 cycles \\(cycle 250\\.\\.350\\)");
+    }
 }
 
 TEST(Request, TypeNames)

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "mem/transaction_queue.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::mem;
@@ -209,4 +210,32 @@ TEST(TransactionQueue, MutationCounterTracksContentChanges)
     EXPECT_GT(m2, m1);
     q.popOldest();
     EXPECT_GT(q.mutations(), m2);
+}
+
+TEST(TransactionQueue, SharedTotalsFollowPushTakeAndRestore)
+{
+    QueueTotals totals;
+    TransactionQueue a(4, 4, &totals);
+    TransactionQueue b(4, 4, &totals);
+    a.push(mk(1, ReqType::Read, 0x100));
+    a.push(mk(2, ReqType::Write, 0x200));
+    b.push(mk(3, ReqType::Prefetch, 0x300));
+    EXPECT_EQ(totals.reads, 2u);
+    EXPECT_EQ(totals.writes, 1u);
+    EXPECT_EQ(totals.mutations, a.mutations() + b.mutations());
+    a.take(a.at(1));
+    EXPECT_EQ(totals.writes, 0u);
+
+    // Restoring `b` from `a`'s state swaps b's content in the sums.
+    Serializer s;
+    a.saveState(s);
+    const uint64_t before = totals.mutations;
+    Deserializer d(s.data());
+    b.restoreState(d, [](const MemRequest &) { return nullptr; });
+    EXPECT_EQ(totals.reads, 2u);
+    EXPECT_EQ(totals.writes, 0u);
+    EXPECT_GT(totals.mutations, before);
+    b.popOldest();
+    a.popOldest();
+    EXPECT_EQ(totals.reads, 0u);
 }
