@@ -4,13 +4,16 @@
  * spacings for every (periodic reference x partitioning) combination,
  * the reordered-interval solution, and the triple-alternation factor
  * — for the paper's DDR3-1600 part and two generalisation parts.
- * Also renders the Figure 1 command/data timeline for eight slots.
+ * Also renders the Figure 1 command/data timeline for eight slots and
+ * model-checks that frame. Exits 1 if the static verifier disagrees
+ * with the solver on any row or finds a conflict in the frame.
  *
  * Pure analytics: runs no simulations, so --jobs has no effect; the
  * flags are accepted for uniformity and --csv emits just the tables.
  */
 
 #include <iostream>
+#include <vector>
 
 #include "analysis/schedule_verifier.hh"
 #include "bench_common.hh"
@@ -25,7 +28,8 @@ using memsec::bench::printTable;
 
 namespace {
 
-void
+/** Prints one part's table; false if any row disagrees. */
+bool
 solveTable(const char *part, const dram::TimingParams &tp,
            const BenchOptions &opts)
 {
@@ -64,7 +68,7 @@ solveTable(const char *part, const dram::TimingParams &tp,
     printTable(std::string(part) + " (" + tp.toString() + ")", t,
                opts);
     if (opts.csvOnly)
-        return;
+        return allAgree;
 
     std::cout << "static verifier agreement: "
               << (allAgree ? "all 9 combinations" : "MISMATCH")
@@ -76,36 +80,31 @@ solveTable(const char *part, const dram::TimingParams &tp,
               << "\n";
     std::cout << "triple-alternation factor: "
               << solver.alternationFactor() << "\n";
+    return allAgree;
 }
 
-void
+/** Renders Figure 1 and model-checks its frame; false on conflict. */
+bool
 drawFigure1(const dram::TimingParams &tp)
 {
     // Eight slots, reads and writes mixed as in the paper's example:
     // RD RD WR RD RD RD WR WR (ranks R0..R7).
     PipelineSolver solver(tp);
     const auto sol = solver.solveBest(PartitionLevel::Rank);
-    SlotSchedule sched(sol, 8, tp);
-    const bool writes[8] = {false, false, true, false,
-                            false, false, true, true};
+    const SlotTemplate frame(sol, std::vector<unsigned>(8, 1), 1, tp);
+    const std::vector<bool> writes = {false, false, true, false,
+                                      false, false, true, true};
 
     std::cout << "\n-- Figure 1: rank-partitioned pipeline, l = "
               << sol.l << " (A=ACT, C=COL-RD, W=COL-WR, "
               << "d=data) --\n";
-    const Cycle span = sched.plan(7, writes[7]).dataEnd + 1;
-    for (unsigned s = 0; s < 8; ++s) {
-        const SlotPlan p = sched.plan(s, writes[s]);
-        std::string line(span, '.');
-        line[p.actAt] = 'A';
-        line[p.casAt] = writes[s] ? 'W' : 'C';
-        for (Cycle c = p.dataStart; c < p.dataEnd; ++c)
-            line[c] = 'd';
-        std::cout << "R" << s << (writes[s] ? " WR " : " RD ") << line
-                  << "\n";
-    }
-    const std::string verdict = sched.verifyWindow(64, 0b11000100);
-    std::cout << "conflict check over 64 slots: "
-              << (verdict.empty() ? "clean" : verdict) << "\n";
+    const Cycle span = frame.dataAt(7, writes[7]) + tp.burst + 1;
+    std::cout << renderTimeline(frame, writes, span, 'R');
+    const analysis::VerifyResult check =
+        analysis::ScheduleVerifier(tp, analysis::VerifierConfig{})
+            .verify(frame);
+    std::cout << "conflict check: " << check.summary() << "\n";
+    return check.ok;
 }
 
 } // namespace
@@ -122,13 +121,18 @@ main(int argc, char **argv)
                      "bank/data=21, none/RAS=43; reordered Q=63; "
                      "alternation=3\n";
     }
-    solveTable("DDR3-1600 4Gb (paper Table 1)",
-               dram::TimingParams::ddr3_1600_4gb(), opts);
-    solveTable("DDR3-2133 (generalisation)",
-               dram::TimingParams::ddr3_2133(), opts);
-    solveTable("DDR4-2400 (generalisation)",
-               dram::TimingParams::ddr4_2400(), opts);
+    bool ok = solveTable("DDR3-1600 4Gb (paper Table 1)",
+                         dram::TimingParams::ddr3_1600_4gb(), opts);
+    ok &= solveTable("DDR3-2133 (generalisation)",
+                     dram::TimingParams::ddr3_2133(), opts);
+    ok &= solveTable("DDR4-2400 (generalisation)",
+                     dram::TimingParams::ddr4_2400(), opts);
     if (!opts.csvOnly)
-        drawFigure1(dram::TimingParams::ddr3_1600_4gb());
+        ok &= drawFigure1(dram::TimingParams::ddr3_1600_4gb());
+    if (!ok) {
+        std::cerr << "tab_solver: the static verifier disagrees with "
+                     "the solver or found a conflict\n";
+        return 1;
+    }
     return 0;
 }

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/pipeline_solver.hh"
 #include "core/slot_schedule.hh"
@@ -55,22 +56,15 @@ void
 draw(const PipelineSolution &sol, unsigned threads,
      const dram::TimingParams &tp)
 {
-    SlotSchedule sched(sol, threads, tp);
+    const SlotTemplate frame(sol, std::vector<unsigned>(threads, 1), 1,
+                             tp);
     std::cout << "\ntimeline for " << threads
               << " slots (A=ACT, C=COL-RD, W=COL-WR, d=data):\n";
-    const Cycle span =
-        sched.plan(threads - 1, true).dataEnd + tp.burst;
-    for (unsigned s = 0; s < threads; ++s) {
-        const bool write = s % 3 == 2; // a representative mix
-        const SlotPlan p = sched.plan(s, write);
-        std::string line(span, '.');
-        line[p.actAt] = 'A';
-        line[p.casAt] = write ? 'W' : 'C';
-        for (Cycle c = p.dataStart; c < p.dataEnd && c < span; ++c)
-            line[c] = 'd';
-        std::cout << "T" << s << (write ? " WR " : " RD ") << line
-                  << "\n";
-    }
+    std::vector<bool> writes;
+    for (unsigned s = 0; s < threads; ++s)
+        writes.push_back(s % 3 == 2); // a representative mix
+    const Cycle span = frame.dataAt(threads - 1, true) + 2 * tp.burst;
+    std::cout << renderTimeline(frame, writes, span, 'T');
 }
 
 } // namespace

@@ -340,11 +340,17 @@ diverges(const std::vector<core::ServiceEvent> &ref, uint64_t refErrors,
          const std::vector<core::ServiceEvent> &got, uint64_t gotErrors,
          CertWitness &w)
 {
-    const size_t n = std::min(ref.size(), got.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (ref[i] == got[i])
-            continue;
-        w.index = i;
+    const auto first = core::firstServiceDivergence(ref, got);
+    if (!first) {
+        if (refErrors == gotErrors)
+            return false;
+        w.index = ref.size();
+        w.errorMismatch = true;
+        return true;
+    }
+    const size_t i = *first;
+    w.index = i;
+    if (i < ref.size() && i < got.size()) {
         w.expected = ref[i];
         w.observed = got[i];
         w.firstDivergenceCycle =
@@ -353,24 +359,14 @@ diverges(const std::vector<core::ServiceEvent> &ref, uint64_t refErrors,
                 : std::min(ref[i].completed, got[i].completed);
         return true;
     }
-    if (ref.size() != got.size()) {
-        w.index = n;
-        w.countMismatch = true;
-        const core::ServiceEvent &next =
-            ref.size() > n ? ref[n] : got[n];
-        if (ref.size() > n)
-            w.expected = next;
-        else
-            w.observed = next;
-        w.firstDivergenceCycle = next.arrival;
-        return true;
-    }
-    if (refErrors != gotErrors) {
-        w.index = n;
-        w.errorMismatch = true;
-        return true;
-    }
-    return false;
+    w.countMismatch = true;
+    const core::ServiceEvent &next = ref.size() > i ? ref[i] : got[i];
+    if (ref.size() > i)
+        w.expected = next;
+    else
+        w.observed = next;
+    w.firstDivergenceCycle = next.arrival;
+    return true;
 }
 
 } // namespace

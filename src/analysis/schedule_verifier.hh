@@ -14,7 +14,9 @@
  * transactions under every read/write type combination against the
  * shared timing-rule table (dram/timing_rules.hh).
  *
- * The verifier is deliberately a second, independent implementation
+ * The frame is core::SlotTemplate, the one FsScheduler executes;
+ * verify(template) checks any given one, a live scheduler's included.
+ * The checks are deliberately a second, independent implementation
  * of the constraints the PipelineSolver encodes as inequalities: the
  * solver reasons over abstract slot distances, the verifier over
  * concrete unrolled cycles. Tests cross-validate the two — the
@@ -24,8 +26,8 @@
  * Scope note: under rank partitioning, a domain's *own* consecutive
  * slots (one frame apart) may reuse a bank; like the solver, the
  * verifier treats that as dynamically guarded (the planned shadow's
- * hazard deferrals, sched::ClosedRowPlan, Section 7) and exposes the
- * boundary separately via domainReuseHazard().
+ * hazard deferrals, sched::ClosedRowPlan, Section 7), and
+ * SlotTemplate::sameBankHazard() says where that guard is needed.
  */
 
 #ifndef MEMSEC_ANALYSIS_SCHEDULE_VERIFIER_HH
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "core/slot_schedule.hh"
 #include "dram/timing_rules.hh"
 #include "sim/types.hh"
 
@@ -54,9 +57,8 @@ struct VerifierConfig
      * alternation). 1 = plain partitioning; >1 = banks are
      * unpartitioned and slot s may only touch banks with
      * bank % groups == s % groups, so only same-group slots can
-     * collide on a bank. Mirrors FsScheduler's TripleAlt mode,
-     * including the phantom pad slot when the frame length would
-     * otherwise be a multiple of the group count.
+     * collide on a bank (FsScheduler's TripleAlt mode; the template
+     * adds the phantom pad slot).
      */
     unsigned bankGroups = 1;
     /** Model the deterministic refresh-epoch blackout (fs.cc). */
@@ -128,60 +130,52 @@ class ScheduleVerifier
     /** Model-check slot spacing l over one hyperperiod. */
     VerifyResult verify(unsigned l) const;
 
+    /**
+     * Model-check a given frame, e.g. a live FsScheduler's
+     * slotTemplate(), against this verifier's device. Only the
+     * template is read; the config plays no part.
+     */
+    VerifyResult verify(const core::SlotTemplate &t) const;
+
     /** Smallest l in [1, maxL] with verify(l).ok; 0 if none. */
     unsigned minimalFeasible(unsigned maxL = 512) const;
-
-    /**
-     * True if a single domain's consecutive slots (one frame apart at
-     * spacing l) can violate the same-bank reuse bound — the hazard
-     * the scheduler must guard dynamically (Section 7). Cross-checks
-     * PipelineSolver::rankPartSameBankHazard.
-     */
-    bool domainReuseHazard(unsigned l) const;
 
     const VerifierConfig &config() const { return cfg_; }
     const dram::TimingRuleTable &rules() const { return rules_; }
 
   private:
-    /** Domain owning slot s, or kPhantom for a group pad slot. */
-    static constexpr DomainId kPhantom = ~0u;
-    DomainId domainOf(uint64_t slot) const;
+    /** The frame the config describes at slot spacing l: one slot
+     *  per domain, built as FsScheduler builds its own. */
+    core::SlotTemplate templateAt(unsigned l) const;
+
+    Cycle hyperperiod(const core::SlotTemplate &t) const;
 
     /** True if the slot issues no commands (phantom / blackout). */
-    bool skipped(uint64_t slot, unsigned l) const;
+    bool skipped(const core::SlotTemplate &t, uint64_t slot) const;
 
-    bool canShareRank(uint64_t a, uint64_t b) const;
-    bool canShareBank(uint64_t a, uint64_t b) const;
+    bool canShareRank(const core::SlotTemplate &t) const;
+    bool canShareBank(const core::SlotTemplate &t, uint64_t a,
+                      uint64_t b) const;
 
     /** Check one ordered pair under one type combo; false = conflict. */
-    bool checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
-                   unsigned l, ConflictReport *out) const;
+    bool checkPair(const core::SlotTemplate &t, uint64_t si, uint64_t sj,
+                   bool wi, bool wj, ConflictReport *out) const;
 
     /** tFAW sliding-window check over worst-case same-rank ACTs. */
-    bool checkFawWindows(unsigned l, uint64_t slots,
+    bool checkFawWindows(const core::SlotTemplate &t, uint64_t slots,
                          ConflictReport *out) const;
 
     /** Refresh-epoch blackout and retention checks. */
-    bool checkRefresh(unsigned l, uint64_t slots, ConflictReport *out,
-                      uint64_t *epochs) const;
-
-    Cycle refCycleOf(uint64_t slot, unsigned l) const;
-    Cycle actOf(uint64_t slot, unsigned l, bool write) const;
-    Cycle casOf(uint64_t slot, unsigned l, bool write) const;
-    Cycle dataStartOf(uint64_t slot, unsigned l, bool write) const;
+    bool checkRefresh(const core::SlotTemplate &t, uint64_t slots,
+                      ConflictReport *out, uint64_t *epochs) const;
 
     /** Armed refresh epoch at the slot's decision cycle. */
-    Cycle armedEpoch(Cycle decisionCycle) const;
+    Cycle armedEpoch(const core::SlotTemplate &t,
+                     Cycle decisionCycle) const;
 
     dram::TimingParams tp_;
     dram::TimingRuleTable rules_;
     VerifierConfig cfg_;
-    core::SlotOffsets off_;
-    Cycle lead_ = 0;
-    std::vector<DomainId> slotTable_;
-    unsigned slotsPerFrame_ = 0;
-    Cycle refreshMargin_ = 0;
-    Cycle refreshPause_ = 0;
 };
 
 } // namespace memsec::analysis

@@ -12,6 +12,18 @@ VictimTimeline::recordService(Cycle arrival, Cycle completed)
     service.push_back({service.size(), arrival, completed});
 }
 
+std::optional<size_t>
+firstServiceDivergence(const std::vector<ServiceEvent> &a,
+                       const std::vector<ServiceEvent> &b)
+{
+    const size_t n = std::min(a.size(), b.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (!(a[i] == b[i]))
+            return i;
+    }
+    return a.size() != b.size() ? std::optional(n) : std::nullopt;
+}
+
 AuditResult
 compareTimelines(const VictimTimeline &a, const VictimTimeline &b)
 {
@@ -42,21 +54,19 @@ compareTimelines(const VictimTimeline &a, const VictimTimeline &b)
         }
     }
 
-    const size_t nsvc = std::min(a.service.size(), b.service.size());
-    for (size_t i = 0; i < nsvc && res.detail.empty(); ++i) {
-        if (!(a.service[i] == b.service[i])) {
-            std::ostringstream os;
+    const auto svc = firstServiceDivergence(a.service, b.service);
+    if (res.detail.empty() && svc) {
+        const size_t i = *svc;
+        std::ostringstream os;
+        if (i < a.service.size() && i < b.service.size()) {
             os << "service event " << i << " differs: ("
                << a.service[i].arrival << "," << a.service[i].completed
                << ") vs (" << b.service[i].arrival << ","
                << b.service[i].completed << ")";
-            res.detail = os.str();
+        } else {
+            os << "service counts differ: " << a.service.size() << " vs "
+               << b.service.size();
         }
-    }
-    if (res.detail.empty() && a.service.size() != b.service.size()) {
-        std::ostringstream os;
-        os << "service counts differ: " << a.service.size() << " vs "
-           << b.service.size();
         res.detail = os.str();
     }
     if (res.detail.empty() && a.progress.size() != b.progress.size()) {

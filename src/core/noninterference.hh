@@ -13,6 +13,7 @@
 #define MEMSEC_CORE_NONINTERFERENCE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,15 @@ struct AuditResult
     std::string detail;          ///< first divergence, if any
     double maxProgressSkewPct = 0.0; ///< worst relative progress gap
 };
+
+/**
+ * Where two service logs first differ: the first unequal pair, else
+ * the common length when one log is longer, else nullopt. The one
+ * scan behind compareTimelines() and the certifier's witness.
+ */
+std::optional<size_t>
+firstServiceDivergence(const std::vector<ServiceEvent> &a,
+                       const std::vector<ServiceEvent> &b);
 
 /**
  * Compare the victim's timeline under two different co-runner sets.

@@ -265,37 +265,13 @@ PipelineSolver::solveReordered(unsigned threads) const
     return out;
 }
 
-long
-PipelineSolver::sameBankReuse() const
-{
-    long reuse = 0;
-    for (const dram::PairRule &r : rules_.pairRules()) {
-        if (r.scope == dram::RuleScope::SameBank)
-            reuse = std::max(reuse, r.minGap);
-    }
-    return reuse;
-}
-
 unsigned
 PipelineSolver::alternationFactor() const
 {
     const PipelineSolution bank = solveBest(PartitionLevel::Bank);
     panic_if(!bank.feasible, "no bank-partitioned pipeline exists");
-    const auto reuse = static_cast<unsigned>(sameBankReuse());
+    const auto reuse = static_cast<unsigned>(rules_.sameBankReuse());
     return (reuse + bank.l - 1) / bank.l;
-}
-
-bool
-PipelineSolver::rankPartSameBankHazard(unsigned threads, unsigned l) const
-{
-    // A thread's consecutive slots are Q = threads*l apart at the
-    // reference point; command skew between a write slot and a read
-    // slot shrinks the worst-case ACT-to-ACT gap by |actR - actW|.
-    const SlotOffsets off = offsets(PeriodicRef::Data);
-    const long skew = std::abs(static_cast<long>(off.actRead) -
-                               static_cast<long>(off.actWrite));
-    const long worstGap = static_cast<long>(threads) * l - skew;
-    return worstGap < sameBankReuse();
 }
 
 } // namespace memsec::core

@@ -126,15 +126,6 @@ class PipelineSolver
      */
     unsigned alternationFactor() const;
 
-    /**
-     * Minimum slots-per-interval N under rank partitioning before a
-     * thread's back-to-back accesses to one rank can violate the
-     * same-bank reuse constraint (Section 7's sensitivity discussion:
-     * N * l below the worst-case same-bank reuse needs hazard
-     * avoidance).
-     */
-    bool rankPartSameBankHazard(unsigned threads, unsigned l) const;
-
     const dram::TimingParams &timing() const { return tp_; }
 
     /** The shared rule table every inequality is generated from. */
@@ -146,9 +137,6 @@ class PipelineSolver
     bool checkPair(PeriodicRef ref, PartitionLevel level, unsigned spacing,
                    unsigned d, bool laterWrite, bool earlierWrite,
                    std::string *why) const;
-
-    /** Worst-case same-bank ACT-to-ACT gap over the table's rows. */
-    long sameBankReuse() const;
 
     dram::TimingParams tp_;
     dram::TimingRuleTable rules_;

@@ -1,74 +1,101 @@
 #include "core/slot_schedule.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <cstdlib>
 
 #include "util/logging.hh"
 
 namespace memsec::core {
 
-SlotSchedule::SlotSchedule(const PipelineSolution &sol,
-                           unsigned numDomains,
-                           const dram::TimingParams &tp)
-    : sol_(sol), numDomains_(numDomains), tp_(tp)
+Cycle
+SlotTemplate::leadOf(const SlotOffsets &off)
 {
-    fatal_if(!sol.feasible, "cannot schedule an infeasible pipeline");
-    fatal_if(numDomains == 0, "need at least one domain");
-    const auto &off = sol_.offsets;
     const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
                                  off.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
+    return static_cast<Cycle>(-minOff);
 }
 
-SlotPlan
-SlotSchedule::plan(uint64_t slot, bool write) const
+SlotTemplate::SlotTemplate(const PipelineSolution &sol,
+                           const std::vector<unsigned> &weights,
+                           unsigned groups, const dram::TimingParams &tp,
+                           unsigned refreshRanks)
+    : sol_(sol), tp_(tp), numDomains_(static_cast<unsigned>(weights.size())),
+      groups_(groups), lead_(leadOf(sol.offsets))
 {
-    const auto &off = sol_.offsets;
-    SlotPlan p;
-    p.slot = slot;
-    p.domain = domainOf(slot);
-    p.write = write;
-    p.refCycle = slot * sol_.l + lead_;
-    p.actAt = p.refCycle + (write ? off.actWrite : off.actRead);
-    p.casAt = p.refCycle + (write ? off.casWrite : off.casRead);
-    p.dataStart = p.refCycle + (write ? off.dataWrite : off.dataRead);
-    p.dataEnd = p.dataStart + tp_.burst;
-    return p;
-}
+    fatal_if(sol.l == 0, "cannot build a slot template from an "
+                         "infeasible pipeline (l = 0)");
+    fatal_if(groups == 0, "bank group count must be >= 1");
 
-std::string
-SlotSchedule::verifyWindow(uint64_t slots, uint64_t writeMask) const
-{
-    std::vector<SlotPlan> plans;
-    plans.reserve(slots);
-    for (uint64_t s = 0; s < slots; ++s)
-        plans.push_back(plan(s, (writeMask >> (s % 64)) & 1));
-
-    std::ostringstream bad;
-    for (size_t i = 0; i < plans.size(); ++i) {
-        for (size_t j = i + 1; j < plans.size(); ++j) {
-            const Cycle ci[2] = {plans[i].actAt, plans[i].casAt};
-            const Cycle cj[2] = {plans[j].actAt, plans[j].casAt};
-            for (Cycle a : ci) {
-                for (Cycle b : cj) {
-                    if (a == b) {
-                        bad << "command collision at cycle " << a
-                            << " between slots " << i << " and " << j;
-                        return bad.str();
-                    }
-                }
-            }
-            const bool overlap =
-                plans[i].dataStart < plans[j].dataEnd &&
-                plans[j].dataStart < plans[i].dataEnd;
-            if (overlap) {
-                bad << "data overlap between slots " << i << " and "
-                    << j;
-                return bad.str();
+    // Interleave domains round-robin by weight.
+    std::vector<unsigned> remaining = weights;
+    bool any = true;
+    while (any) {
+        any = false;
+        for (DomainId d = 0; d < numDomains_; ++d) {
+            if (remaining[d] > 0) {
+                --remaining[d];
+                table_.push_back(d);
+                any = true;
             }
         }
     }
-    return "";
+    fatal_if(table_.empty(), "slot table is empty");
+
+    // Bank-group rotation (slot % groups) must visit every group for
+    // every domain; pad the frame with a phantom slot when the frame
+    // length is a multiple of the group count.
+    if (groups_ > 1 && table_.size() % groups_ == 0)
+        table_.push_back(kPhantom);
+
+    if (refreshRanks > 0) {
+        // No slot may have commands or auto-precharge activity inside
+        // the epoch: quiet-down begins one worst-case transaction
+        // footprint before the REF burst.
+        refreshMargin_ = tp_.actToActWrA() + lead_;
+        refreshPause_ = refreshRanks + tp_.rfc;
+    }
+}
+
+bool
+SlotTemplate::sameBankHazard() const
+{
+    // The closest two slots of one domain, across the frame edge too.
+    uint64_t closest = slotsPerFrame();
+    for (uint64_t s = 0; s < slotsPerFrame(); ++s) {
+        for (uint64_t d = 1; d < closest && table_[s] != kPhantom; ++d) {
+            if (domainOf(s + d) == table_[s])
+                closest = d;
+        }
+    }
+    // Command skew between a write slot and a read slot shrinks the
+    // worst-case ACT-to-ACT gap by |actR - actW|.
+    const long skew = std::abs(static_cast<long>(sol_.offsets.actRead) -
+                               static_cast<long>(sol_.offsets.actWrite));
+    const long worstGap = static_cast<long>(closest * sol_.l) - skew;
+    return worstGap < dram::TimingRuleTable(tp_).sameBankReuse();
+}
+
+std::string
+renderTimeline(const SlotTemplate &t, const std::vector<bool> &writes,
+               Cycle span, char label)
+{
+    std::string out;
+    for (uint64_t s = 0; s < writes.size(); ++s) {
+        const bool w = writes[s];
+        std::string line(span, '.');
+        const auto mark = [&](Cycle c, char ch) {
+            if (c < span)
+                line[c] = ch;
+        };
+        mark(t.actAt(s, w), 'A');
+        mark(t.casAt(s, w), w ? 'W' : 'C');
+        const Cycle data = t.dataAt(s, w);
+        for (Cycle c = data; c < data + t.timing().burst; ++c)
+            mark(c, 'd');
+        out += label + std::to_string(s) + (w ? " WR " : " RD ") + line +
+               "\n";
+    }
+    return out;
 }
 
 } // namespace memsec::core

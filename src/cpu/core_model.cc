@@ -253,31 +253,21 @@ CoreModel::nextWakeCycle(Cycle now) const
     // Writebacks drain whenever the controller has write space.
     if (!writebacks_.empty() && mc_.canAccept(domain_, ReqType::Write))
         return next;
-    // Mirror retryBlocked()'s gating exactly: if its next tick would
-    // mutate anything, the cycle cannot be skipped. Entries it would
-    // break on are blocked on MSHR state, which only a response or a
+    // If retryBlocked()'s first step next tick would act, the cycle
+    // cannot be skipped; both read the same gating rule. A step it
+    // stops at is blocked on MSHR state, which only a response or a
     // drop changes, or on queue space, which the controller announces
     // with a poke when it frees up.
-    if (!pendingStoreFetches_.empty()) {
-        const Addr addr = pendingStoreFetches_.front();
-        if (llc_.contains(addr) || mshr_.count(addr) > 0 ||
-            (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_)))
-            return next;
-    }
+    if (!pendingStoreFetches_.empty() &&
+        !storeFetchBlocked(pendingStoreFetches_.front()))
+        return next;
     if (needsIssue_ > 0) {
         for (const auto &rec : rob_) {
-            if (rec.state != Record::State::NeedsIssue)
-                continue;
-            auto it = mshr_.find(rec.addr);
-            if (it != mshr_.end()) {
-                if (it->second.isPrefetch && !mc_.canAccept(domain_))
-                    break; // retryBlocked() stops at this entry too
-                return next; // it would re-link the waiter / upgrade
+            if (rec.state == Record::State::NeedsIssue) {
+                if (!retryBlockedAt(rec))
+                    return next;
+                break;
             }
-            if (llc_.contains(rec.addr) ||
-                (demandMshrs() < profile_.mshrs && mc_.canAccept(domain_)))
-                return next;
-            break;
         }
     }
     // Otherwise the first memory cycle whose sub-cycles reach the end
@@ -601,9 +591,15 @@ CoreModel::send(ReqType type, Addr addr, Cycle issueAt)
 }
 
 bool
+CoreModel::canIssueDemand() const
+{
+    return demandMshrs() < profile_.mshrs && mc_.canAccept(domain_);
+}
+
+bool
 CoreModel::tryIssueLoad(Record &rec)
 {
-    if (demandMshrs() >= profile_.mshrs || !mc_.canAccept(domain_))
+    if (!canIssueDemand())
         return false;
     MshrEntry &entry = mshr_[rec.addr];
     entry.waiters.push_back(&rec);
@@ -615,7 +611,7 @@ CoreModel::tryIssueLoad(Record &rec)
 void
 CoreModel::issueStoreFetch(Addr addr)
 {
-    if (demandMshrs() >= profile_.mshrs || !mc_.canAccept(domain_)) {
+    if (!canIssueDemand()) {
         pendingStoreFetches_.push_back(addr);
         return;
     }
@@ -764,19 +760,36 @@ CoreModel::drainWritebacks()
     }
 }
 
+bool
+CoreModel::storeFetchBlocked(Addr addr) const
+{
+    // A line already cached or in flight only needs dropping.
+    return !llc_.contains(addr) && mshr_.count(addr) == 0 &&
+           !canIssueDemand();
+}
+
+bool
+CoreModel::retryBlockedAt(const Record &rec) const
+{
+    auto it = mshr_.find(rec.addr);
+    if (it != mshr_.end()) {
+        // Re-linking the waiter is always possible; upgrading a
+        // prefetch hint needs a queue slot.
+        return it->second.isPrefetch && !mc_.canAccept(domain_);
+    }
+    return !llc_.contains(rec.addr) && !canIssueDemand();
+}
+
 void
 CoreModel::retryBlocked()
 {
     while (!pendingStoreFetches_.empty()) {
         const Addr addr = pendingStoreFetches_.front();
-        if (llc_.contains(addr) || mshr_.count(addr)) {
-            pendingStoreFetches_.pop_front();
-            continue;
-        }
-        if (demandMshrs() >= profile_.mshrs || !mc_.canAccept(domain_))
+        if (storeFetchBlocked(addr))
             break;
         pendingStoreFetches_.pop_front();
-        issueStoreFetch(addr);
+        if (!llc_.contains(addr) && mshr_.count(addr) == 0)
+            issueStoreFetch(addr);
     }
 
     if (needsIssue_ == 0)
@@ -784,26 +797,22 @@ CoreModel::retryBlocked()
     for (auto &rec : rob_) {
         if (rec.state != Record::State::NeedsIssue)
             continue;
+        if (retryBlockedAt(rec))
+            break;
         auto it = mshr_.find(rec.addr);
         if (it != mshr_.end()) {
             if (it->second.isPrefetch) {
-                // Still a hint; upgrade once a queue slot frees up.
-                if (!mc_.canAccept(domain_))
-                    break;
                 it->second.isPrefetch = false;
                 --prefetchInflight_;
                 send(ReqType::Read, rec.addr, rec.issueAt);
             }
             it->second.waiters.push_back(&rec);
             setState(rec, Record::State::MemPending);
-            continue;
-        }
-        if (llc_.contains(rec.addr)) {
+        } else if (llc_.contains(rec.addr)) {
             hitLocally(rec);
-            continue;
+        } else {
+            tryIssueLoad(rec);
         }
-        if (!tryIssueLoad(rec))
-            break;
     }
 }
 

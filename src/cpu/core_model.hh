@@ -186,6 +186,12 @@ class CoreModel : public Component, public mem::MemClient
     void issuePrefetches(Addr missAddr);
     void drainWritebacks();
     void retryBlocked();
+    /** retryBlocked()'s gating, read by it and by nextWakeCycle():
+     *  true if the pass stops at this store fetch / NeedsIssue record. */
+    bool storeFetchBlocked(Addr addr) const;
+    bool retryBlockedAt(const Record &rec) const;
+    /** A demand MSHR and a queue slot are both free. */
+    bool canIssueDemand() const;
     size_t demandMshrs() const;
 
     DomainId domain_ = 0;

@@ -1,5 +1,7 @@
 #include "dram/timing_rules.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace memsec::dram {
@@ -117,6 +119,17 @@ TimingRuleTable::gap(RuleId id) const
       case RuleId::PowerDown: return 0;
     }
     panic("bad rule id");
+}
+
+long
+TimingRuleTable::sameBankReuse() const
+{
+    long reuse = 0;
+    for (const PairRule &r : pair_) {
+        if (r.scope == RuleScope::SameBank)
+            reuse = std::max(reuse, r.minGap);
+    }
+    return reuse;
 }
 
 } // namespace memsec::dram

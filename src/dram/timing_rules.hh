@@ -5,12 +5,14 @@
  * Independent consumers enforce the same JEDEC constraints: the
  * dynamic TimingChecker (audits every simulated command), the
  * PipelineSolver (derives the paper's minimum slot spacings), the
- * static ScheduleVerifier (model-checks a whole hyperperiod offline),
- * and the secure schedulers' planning shadow (sched::ClosedRowPlan,
- * which turns every SameBank and SameRank pair rule, tFAW included,
- * into per-bank and per-rank horizons; TP's turn footprints also read
- * their gaps here). Before this table existed each kept its own copy of
- * the rule constants and names, which could drift apart silently; now
+ * static ScheduleVerifier (model-checks a whole hyperperiod of a
+ * core::SlotTemplate offline; the template reads sameBankReuse() for
+ * its one same-bank hazard predicate), and the secure schedulers'
+ * planning shadow (sched::ClosedRowPlan, which turns every SameBank
+ * and SameRank pair rule, tFAW included, into per-bank and per-rank
+ * horizons; TP's turn footprints also read their gaps here). Before
+ * this table existed each kept its own copy of the rule constants
+ * and names, which could drift apart silently; now
  * all of them consume TimingRuleTable, so a disagreement between them
  * can only be a logic bug, never a constant mismatch.
  *
@@ -121,6 +123,9 @@ class TimingRuleTable
 
     /** The pairwise-expressible subset, for solver/verifier loops. */
     const std::vector<PairRule> &pairRules() const { return pair_; }
+
+    /** Worst-case same-bank ACT-to-ACT gap over the SameBank rows. */
+    long sameBankReuse() const;
 
     const TimingParams &timing() const { return tp_; }
 

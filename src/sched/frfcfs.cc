@@ -240,8 +240,9 @@ FrFcfsEngine::promotePrefetches()
             continue;
         mem::TransactionQueue &q = *queues_[d];
         // Throttle: prefetches only ride along when the domain has
-        // little demand waiting, so they never add queueing delay.
-        if (q.readCount() > 2)
+        // little demand waiting, so they never add queueing delay
+        // (and never into a read budget of two or fewer that is full).
+        if (q.readCount() > 2 || q.full(mem::ReqType::Read))
             continue;
         q.push(std::move(pq.front()));
         pq.pop_front();

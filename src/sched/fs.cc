@@ -50,6 +50,18 @@ solveFs(const core::PipelineSolver &solver, const FsScheduler::Params &p)
     return sol;
 }
 
+/** The SLA weights; by default one slot per domain per frame. */
+std::vector<unsigned>
+slotWeights(const FsScheduler::Params &p, unsigned domains)
+{
+    if (p.slotWeights.empty())
+        return std::vector<unsigned>(domains, 1);
+    fatal_if(p.slotWeights.size() != domains,
+             "slotWeights size {} != domains {}", p.slotWeights.size(),
+             domains);
+    return p.slotWeights;
+}
+
 } // namespace
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
@@ -59,19 +71,13 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params,
                          const core::PipelineSolver &solver)
-    : Scheduler(mc), params_(params), sol_(solveFs(solver, params)),
-      plan_(mc, sol_.offsets)
+    : Scheduler(mc), params_(params),
+      tmpl_(solveFs(solver, params), slotWeights(params, mc.numDomains()),
+            params.mode == FsMode::TripleAlt ? solver.alternationFactor()
+                                             : 1,
+            mc.dram().timing(), params.refresh ? mc.dram().numRanks() : 0),
+      plan_(mc, tmpl_.offsets())
 {
-    l_ = sol_.l;
-
-    const auto &off = sol_.offsets;
-    const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
-                                 off.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
-
-    const unsigned n = mc.numDomains();
-    groups_ = params.mode == FsMode::TripleAlt ? solver.alternationFactor()
-                                               : 1;
     fatal_if(params.mode == FsMode::TripleAlt &&
                  mc.addressMap().partition() != mem::Partition::None,
              "triple alternation is the no-OS-support design point; "
@@ -81,53 +87,20 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params,
              "(a shared rank's idleness would leak other domains' "
              "state)");
 
-    // Build the slot table from the SLA weights (default: one slot
-    // per domain per frame), interleaving domains round-robin.
-    std::vector<unsigned> weights = params.slotWeights;
-    if (weights.empty())
-        weights.assign(n, 1);
-    fatal_if(weights.size() != n, "slotWeights size {} != domains {}",
-             weights.size(), n);
-    std::vector<unsigned> remaining = weights;
-    bool any = true;
-    while (any) {
-        any = false;
-        for (DomainId d = 0; d < n; ++d) {
-            if (remaining[d] > 0) {
-                --remaining[d];
-                slotTable_.push_back(d);
-                any = true;
-            }
-        }
-    }
-    fatal_if(slotTable_.empty(), "slot table is empty");
-
-    // Bank-group rotation (slot % groups) must visit every group for
-    // every domain; pad the frame with a phantom slot when the frame
-    // length is a multiple of the group count.
-    if (groups_ > 1 && slotTable_.size() % groups_ == 0)
-        slotTable_.push_back(kPhantom);
-    slotsPerFrame_ = slotTable_.size();
-
     const auto &geo = dram_.geometry();
     lastRow_.assign(
         static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, ~0u);
     rankDownUntil_.assign(geo.ranksPerChannel, 0);
     pdCreditCycles_.assign(geo.ranksPerChannel, 0);
-    dummyRr_.assign(n, 0);
-    for (DomainId d = 0; d < n; ++d)
+    dummyRr_.assign(mc.numDomains(), 0);
+    for (DomainId d = 0; d < mc.numDomains(); ++d)
         domainRng_.emplace_back(params.rngSeed * 0x9E3779B9u + d);
 
     if (params_.refresh) {
-        const auto &tp = dram_.timing();
-        // No slot may have commands or auto-precharge activity inside
-        // the epoch: quiet-down begins one worst-case transaction
-        // footprint before the REF burst.
-        refreshMargin_ = tp.actToActWrA() + lead_;
-        // One REF command per rank back-to-back, then tRFC.
-        refreshPause_ = dram_.numRanks() + tp.rfc;
-        nextRefresh_ = tp.refi;
-        fatal_if(tp.refi < refreshMargin_ + refreshPause_ + frameLength(),
+        const Cycle refi = dram_.timing().refi;
+        nextRefresh_ = refi;
+        fatal_if(refi < tmpl_.refreshMargin() + tmpl_.refreshPause() +
+                            frameLength(),
                  "tREFI too short for an FS refresh epoch");
     }
 }
@@ -140,14 +113,13 @@ FsScheduler::name() const
 
 void
 FsScheduler::plan(std::unique_ptr<MemRequest> req, bool write, bool dummy,
-                  Cycle ref)
+                  uint64_t slot)
 {
-    const auto &off = sol_.offsets;
     ClosedRowPlan::Op op;
     op.write = write;
     op.dummy = dummy;
-    op.actAt = ref + (write ? off.actWrite : off.actRead);
-    op.casAt = ref + (write ? off.casWrite : off.casRead);
+    op.actAt = tmpl_.actAt(slot, write);
+    op.casAt = tmpl_.casAt(slot, write);
     op.suppressCas = dummy && params_.suppressDummies;
 
     const unsigned rank = req->loc.rank;
@@ -206,7 +178,8 @@ FsScheduler::frameBoundary(uint64_t frame, Cycle now)
         return;
     const auto &tp = dram_.timing();
     const Cycle q = frameLength();
-    const Cycle frameEnd = (frame + 1) * q + lead_;
+    const Cycle frameEnd =
+        tmpl_.refCycle((frame + 1) * tmpl_.slotsPerFrame());
     if (q <= tp.xp + tp.cke)
         return;
 
@@ -237,34 +210,25 @@ FsScheduler::frameBoundary(uint64_t frame, Cycle now)
 void
 FsScheduler::decideSlot(uint64_t slot, Cycle now)
 {
-    const uint64_t frame = slot / slotsPerFrame_;
-    const uint64_t idx = slot % slotsPerFrame_;
-    if (idx == 0)
-        frameBoundary(frame, now);
+    const uint64_t perFrame = tmpl_.slotsPerFrame();
+    if (slot % perFrame == 0)
+        frameBoundary(slot / perFrame, now);
 
-    if (nextRefresh_ != kNoCycle) {
-        // The whole-epoch window [nextRefresh_ - margin, +pause) is a
-        // deterministic, domain-independent blackout.
-        // One-sided: the epoch rolls over only after its pause, so
-        // every slot decided during it sees the armed blackout.
-        const Cycle ref = slot * l_ + lead_;
-        if (ref + refreshMargin_ > nextRefresh_) {
-            skippedSlots_.inc();
-            return;
-        }
-    }
-
-    const DomainId domain = slotTable_[idx];
-    if (domain == kPhantom) {
+    // The whole-epoch window [nextRefresh_ - margin, +pause) is a
+    // deterministic, domain-independent blackout. One-sided: the
+    // epoch rolls over only after its pause, so every slot decided
+    // during it sees the armed blackout.
+    if (nextRefresh_ != kNoCycle &&
+        tmpl_.blackedOut(slot, nextRefresh_)) {
         skippedSlots_.inc();
         return;
     }
 
-    const Cycle ref = slot * l_ + lead_;
-    const auto &off = sol_.offsets;
-    const unsigned group = groups_ > 1
-                               ? static_cast<unsigned>(slot % groups_)
-                               : 0;
+    const DomainId domain = tmpl_.domainOf(slot);
+    if (domain == core::SlotTemplate::kPhantom) {
+        skippedSlots_.inc();
+        return;
+    }
 
     // Both scopes bind only on a domain's own close slots (Section 7).
     auto admits = [&](unsigned rank, unsigned bank, Cycle act, bool w) {
@@ -273,10 +237,10 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
                plan_.admits(dram::RuleScope::SameRank, rank, bank, act, w);
     };
     auto eligible = [&](const MemRequest &r) {
-        if (groups_ > 1 && r.loc.bank % groups_ != group)
+        if (!tmpl_.inGroup(slot, r.loc.bank))
             return false;
         const bool w = r.type == ReqType::Write;
-        const Cycle act = ref + (w ? off.actWrite : off.actRead);
+        const Cycle act = tmpl_.actAt(slot, w);
         if (rankDownUntil_[r.loc.rank] > now)
             return false;
         return admits(r.loc.rank, r.loc.bank, act, w);
@@ -289,9 +253,9 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             hazardDeferrals_.inc();
         const bool w = r->type == ReqType::Write;
         auto owned = q.take(r);
-        owned->firstCommand = ref + (w ? off.actWrite : off.actRead);
+        owned->firstCommand = tmpl_.actAt(slot, w);
         realOps_.inc();
-        plan(std::move(owned), w, false, ref);
+        plan(std::move(owned), w, false, slot);
         return;
     }
     if (!q.empty())
@@ -304,9 +268,9 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             if (eligible(**it)) {
                 auto owned = std::move(*it);
                 pq.erase(it);
-                owned->firstCommand = ref + off.actRead;
+                owned->firstCommand = tmpl_.actAt(slot, false);
                 prefetchOps_.inc();
-                plan(std::move(owned), false, false, ref);
+                plan(std::move(owned), false, false, slot);
                 return;
             }
         }
@@ -321,14 +285,14 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
         const size_t cursor = (dummyRr_[domain] + tries) % combos;
         const unsigned bank = banks[cursor % banks.size()];
         const unsigned rank = ranks[cursor / banks.size()];
-        if (groups_ > 1 && bank % groups_ != group)
+        if (!tmpl_.inGroup(slot, bank))
             continue;
         if (rankDownUntil_[rank] > now) {
             // Powered-down rank: the slot is deliberately left empty.
             skippedSlots_.inc();
             return;
         }
-        if (!admits(rank, bank, ref + off.actRead, false))
+        if (!admits(rank, bank, tmpl_.actAt(slot, false), false))
             continue;
         dummyRr_[domain] = cursor + 1;
         auto dummy = mc_.acquireRequest();
@@ -348,7 +312,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             dummy->loc.row = 0;
         dummyOps_.inc();
         mc_.noteDummy();
-        plan(std::move(dummy), false, true, ref);
+        plan(std::move(dummy), false, true, slot);
         return;
     }
     // Only reachable at very low thread counts, where rank-level
@@ -371,13 +335,14 @@ FsScheduler::tick(Cycle now)
             ++refreshRankCursor_;
             return;
         }
-        if (now >= nextRefresh_ + refreshPause_) {
+        if (now >= nextRefresh_ + tmpl_.refreshPause()) {
             nextRefresh_ += dram_.timing().refi;
             refreshRankCursor_ = 0;
         }
     }
-    if (now % l_ == 0)
-        decideSlot(now / l_, now);
+    const unsigned l = tmpl_.spacing();
+    if (now % l == 0)
+        decideSlot(now / l, now);
     plan_.issueDue(now);
 }
 
@@ -394,14 +359,15 @@ FsScheduler::nextWakeCycle(Cycle now) const
             // the blackout armed when the naive loop would not).
             if (refreshRankCursor_ < dram_.numRanks())
                 return next;
-            wake = nextRefresh_ + refreshPause_;
+            wake = nextRefresh_ + tmpl_.refreshPause();
         } else {
             wake = nextRefresh_;
         }
     }
     // Every multiple of l is a slot decision, even when it only
     // counts a blacked-out, phantom or powered-down slot.
-    wake = std::min(wake, (next + l_ - 1) / l_ * l_);
+    const unsigned l = tmpl_.spacing();
+    wake = std::min(wake, (next + l - 1) / l * l);
     wake = std::min(wake, plan_.nextCommandCycle());
     return std::max(wake, next);
 }

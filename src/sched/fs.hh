@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "core/slot_schedule.hh"
 #include "sched/closed_row_plan.hh"
 #include "sched/scheduler.hh"
 #include "util/random.hh"
@@ -102,9 +103,10 @@ class FsScheduler : public Scheduler
     void saveState(Serializer &s) const override;
     void restoreState(Deserializer &d) override;
 
-    unsigned slotSpacing() const { return l_; }
-    Cycle frameLength() const { return slotsPerFrame_ * l_; }
-    const core::PipelineSolution &solution() const { return sol_; }
+    unsigned slotSpacing() const { return tmpl_.spacing(); }
+    Cycle frameLength() const { return tmpl_.frameLength(); }
+    /** The frame this scheduler executes. */
+    const core::SlotTemplate &slotTemplate() const { return tmpl_; }
 
     uint64_t realOps() const { return realOps_.value(); }
     uint64_t dummyOps() const { return dummyOps_.value(); }
@@ -122,22 +124,14 @@ class FsScheduler : public Scheduler
     /** Pick and plan the operation for slot `slot` (decided at now). */
     void decideSlot(uint64_t slot, Cycle now);
 
-    /** Plan the op's commands. */
+    /** Plan the op's commands at slot `slot`'s template cycles. */
     void plan(std::unique_ptr<mem::MemRequest> req, bool write,
-              bool dummy, Cycle ref);
+              bool dummy, uint64_t slot);
 
     void frameBoundary(uint64_t frame, Cycle now);
 
     Params params_;
-    core::PipelineSolution sol_;
-    unsigned l_ = 0;
-    Cycle lead_ = 0;
-    unsigned groups_ = 1;              ///< alternation factor (1 or 3)
-    uint64_t slotsPerFrame_ = 0;       ///< incl. a phantom pad slot if
-                                       ///< needed for group rotation
-    std::vector<DomainId> slotTable_;  ///< slot index -> domain (or ~0)
-    static constexpr DomainId kPhantom = ~0u;
-
+    core::SlotTemplate tmpl_;
     ClosedRowPlan plan_;
 
     /** Last row used per (rank, bank), for the row-buffer boost. */
@@ -152,9 +146,6 @@ class FsScheduler : public Scheduler
 
     /** Next refresh-epoch start (kNoCycle when refresh disabled). */
     Cycle nextRefresh_ = kNoCycle;
-    /** Quiet margin before the epoch and pause length after it. */
-    Cycle refreshMargin_ = 0;
-    Cycle refreshPause_ = 0;
     unsigned refreshRankCursor_ = 0;
 
     Counter realOps_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/slot_schedule.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -18,11 +19,7 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
       plan_(mc, sol_.offsets)
 {
     q_ = sol_.q;
-
-    const auto &off = sol_.offsets;
-    const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
-                                 off.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
+    lead_ = core::SlotTemplate::leadOf(sol_.offsets);
 
     dummyRr_.assign(mc.numDomains(), 0);
     for (DomainId d = 0; d < mc.numDomains(); ++d)

@@ -16,10 +16,12 @@ namespace {
 
 struct Rig
 {
-    /** `first`, if given, is registered ahead of the core. */
+    /** `first`, if given, is registered ahead of the core. Without
+     *  `promote` the controller never serves prefetch hints. */
     explicit Rig(const WorkloadProfile &prof,
                  CoreModel::Params cp = CoreModel::Params{},
-                 Component *first = nullptr)
+                 Component *first = nullptr, unsigned queueCapacity = 16,
+                 bool promote = true)
         : map(dram::Geometry{}, mem::Partition::None,
               mem::Interleave::ClosePage, 1)
     {
@@ -27,10 +29,10 @@ struct Rig
             sim.add(first);
         mem::MemoryController::Params p;
         p.numDomains = 1;
-        p.queueCapacity = 16;
+        p.queueCapacity = queueCapacity;
         mc = std::make_unique<mem::MemoryController>("mc", p, map);
         mc->setScheduler(std::make_unique<sched::FrFcfsScheduler>(
-            *mc, cp.prefetchEnabled));
+            *mc, cp.prefetchEnabled && promote));
         core = std::make_unique<CoreModel>("c0", 0, cp, prof, 42, *mc);
         sim.add(core.get());
         sim.add(mc.get());
@@ -319,5 +321,46 @@ TEST(CoreModel, QuietSubCyclesMatchSteppingEverySubCycle)
             // The comparison proves nothing unless the core slept.
             EXPECT_GT(sleepy.sim.cyclesSkipped(), 0u) << point;
         }
+    }
+}
+
+TEST(CoreModel, RetryPathsMatchSteppingEveryCycle)
+{
+    // Two MSHRs and a two-entry queue keep every retry path busy:
+    // store fetches wait for an MSHR, loads wait for queue space, and
+    // loads that merge with a prefetch hint wait to upgrade it. The
+    // controller never serves the hints (as under FS without prefetch
+    // slots), so upgrades are the only way those loads complete, and
+    // it sleeps when idle. The slept core gets no random pokes: it
+    // wakes only on its own hint or a controller poke.
+    WorkloadProfile p;
+    p.name = "retry";
+    p.memRatio = 1.0 / 6;
+    p.storeFraction = 0.4;
+    p.footprintLines = 1 << 16;
+    p.reuseFraction = 0.2;
+    p.streamFraction = 1.0;
+    p.numStreams = 2;
+    p.strideLines = 1;
+    p.mshrs = 2;
+    for (unsigned cpuMult : {1u, 4u}) {
+        CoreModel::Params cp;
+        cp.cpuMult = cpuMult;
+        cp.prefetchEnabled = true;
+        Rig stepped(p, cp, nullptr, 2, false);
+        stepped.sim.setFastForward(false);
+        Rig sleepy(p, cp, nullptr, 2, false);
+        Rng chunks(cpuMult);
+        for (int i = 0; i < 40; ++i) {
+            const Cycle n = 1 + chunks.below(500);
+            stepped.sim.run(n);
+            sleepy.sim.run(n);
+            ASSERT_EQ(coreBytes(*stepped.core), coreBytes(*sleepy.core))
+                << "cpuMult=" << cpuMult << " after cycle "
+                << stepped.sim.now();
+        }
+        EXPECT_GT(stepped.core->prefetchIssued(), 0u) << cpuMult;
+        // The comparison proves nothing unless the core slept.
+        EXPECT_GT(sleepy.sim.cyclesSkipped(), 0u) << cpuMult;
     }
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedule_verifier.hh"
 #include "core/pipeline_solver.hh"
 #include "core/slot_schedule.hh"
 
@@ -287,17 +288,6 @@ TEST(PipelineSolver, TripleAlternationFactorIsThree)
     EXPECT_EQ(paperSolver().alternationFactor(), 3u);
 }
 
-TEST(PipelineSolver, RankPartSameBankHazardBoundary)
-{
-    // Section 7: with <= 6 threads/ranks a thread's back-to-back
-    // same-rank transactions can violate the 43-cycle reuse bound.
-    const PipelineSolver s = paperSolver();
-    for (unsigned n = 1; n <= 6; ++n)
-        EXPECT_TRUE(s.rankPartSameBankHazard(n, 7)) << n;
-    for (unsigned n = 7; n <= 16; ++n)
-        EXPECT_FALSE(s.rankPartSameBankHazard(n, 7)) << n;
-}
-
 TEST(PipelineSolver, OffsetsMatchPaperTimingDiagram)
 {
     // Figure 1: Column-Rd 11 cycles before data, Column-Wr 5 before,
@@ -343,15 +333,14 @@ TEST_P(SolverSweep, SolutionExistsAndScheduleIsConflictFree)
         << p.partName << " " << core::periodicRefName(p.ref) << " "
         << core::partitionLevelName(p.level);
 
-    // Expand 96 slots under adversarial read/write mixes and check
-    // pairwise conflict freedom.
-    const core::SlotSchedule sched(sol, 8, tp);
-    for (uint64_t mask :
-         {0x0ull, ~0x0ull, 0xAAAAAAAAAAAAAAAAull, 0x0F0F0F0F0F0F0F0Full,
-          0x123456789ABCDEF0ull, 0xFFFF0000FFFF0000ull}) {
-        EXPECT_EQ(sched.verifyWindow(96, mask), "")
-            << p.partName << " mask=" << std::hex << mask;
-    }
+    // Model-check the 8-domain frame over a whole hyperperiod under
+    // every read/write mix.
+    const core::SlotTemplate frame(sol, std::vector<unsigned>(8, 1), 1,
+                                   tp);
+    const analysis::VerifyResult r =
+        analysis::ScheduleVerifier(tp, analysis::VerifierConfig{})
+            .verify(frame);
+    EXPECT_TRUE(r.ok) << p.partName << " " << r.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,9 @@
 
 #include "analysis/schedule_verifier.hh"
 #include "core/pipeline_solver.hh"
+#include "core/slot_schedule.hh"
+#include "harness/experiment.hh"
+#include "sched/fs.hh"
 
 using namespace memsec;
 using analysis::ScheduleVerifier;
@@ -307,20 +310,69 @@ TEST(ScheduleVerifier, PhantomPadSlotKeepsGroupRotationSound)
     EXPECT_EQ(r.hyperperiod % (10 * 15), 0u);
 }
 
-// ---- The dynamically-guarded hazard boundary matches the solver's
-// Section 7 sensitivity analysis. ----
+// ---- The frames FS actually runs: each live FsScheduler's template,
+// weighted, zero-weight and padded frames included, is model-checked
+// at its own l. ----
 
-TEST(ScheduleVerifier, DomainReuseHazardMatchesSolver)
+TEST(ScheduleVerifier, LiveFsTemplatesAreConflictFree)
 {
-    const PipelineSolver solver(dram::TimingParams::ddr3_1600_4gb());
-    for (unsigned n = 1; n <= 16; ++n) {
-        VerifierConfig cfg =
-            cfgOf(PeriodicRef::Data, PartitionLevel::Rank);
-        cfg.numDomains = n;
-        const ScheduleVerifier v(dram::TimingParams::ddr3_1600_4gb(),
-                                 cfg);
-        EXPECT_EQ(v.domainReuseHazard(7),
-                  solver.rankPartSameBankHazard(n, 7))
-            << n;
+    struct Point
+    {
+        const char *scheme;
+        const char *key; ///< one extra config key (nullptr: none)
+        const char *value;
+        unsigned cores;
+    };
+    const Point points[] = {
+        {"fs_rp", nullptr, nullptr, 8},
+        {"fs_bp", nullptr, nullptr, 8},
+        {"fs_np", nullptr, nullptr, 8},
+        {"fs_np_triple", nullptr, nullptr, 6}, // 6 % 3 == 0: phantom pad
+        {"fs_rp", "fs.slot_weights", "2,1,1,1", 4},
+        {"fs_rp", "dram.refresh", "true", 8},
+        {"fs_rp", "dram.channels", "2", 8}, // zero-weight frames
+    };
+    for (const Point &p : points) {
+        Config c = harness::defaultConfig();
+        c.merge(harness::schemeConfig(p.scheme));
+        c.set("cores", p.cores);
+        c.set("workload", "idle");
+        c.set("core.functional_warmup", 0);
+        if (p.key)
+            c.set(p.key, p.value);
+        const std::string point =
+            std::string(p.scheme) + (p.key ? std::string(" ") + p.key +
+                                                 "=" + p.value
+                                           : std::string());
+        harness::ExperimentSystem sys(c);
+        const unsigned channels =
+            static_cast<unsigned>(c.getUint("dram.channels"));
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            mem::MemoryController &mc = sys.controller(ch);
+            const auto *fs =
+                dynamic_cast<const sched::FsScheduler *>(&mc.scheduler());
+            ASSERT_NE(fs, nullptr) << point;
+            const core::SlotTemplate &t = fs->slotTemplate();
+            const VerifyResult r =
+                ScheduleVerifier(mc.dram().timing(), VerifierConfig{})
+                    .verify(t);
+            EXPECT_TRUE(r.ok) << point << " channel " << ch << ": "
+                              << r.summary();
+            EXPECT_EQ(r.l, fs->slotSpacing()) << point;
+            EXPECT_EQ(r.refreshEpochsChecked > 0, t.refresh()) << point;
+            if (channels > 1) {
+                EXPECT_EQ(t.slotsPerFrame(), p.cores / channels) << point;
+            }
+        }
+        const auto &t = dynamic_cast<const sched::FsScheduler &>(
+                            sys.controller(0).scheduler())
+                            .slotTemplate();
+        if (std::string(p.scheme) == "fs_np_triple") {
+            EXPECT_EQ(t.domainOf(t.slotsPerFrame() - 1),
+                      core::SlotTemplate::kPhantom);
+        }
+        if (p.key && std::string(p.key) == "fs.slot_weights") {
+            EXPECT_EQ(t.slotsPerFrame(), 5u);
+        }
     }
 }
