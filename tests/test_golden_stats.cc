@@ -21,6 +21,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "leakage/channel.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::harness;
@@ -138,6 +140,51 @@ solverDigest(std::ostream &os, const char *label,
     os << "alternation=" << solver.alternationFactor() << "\n";
 }
 
+/** One mid-run snapshot point of the layout golden. */
+struct SnapshotPoint
+{
+    std::string label;
+    Config cfg;
+};
+
+/** A checkpoint-matrix run: audited core 0, progress every 1000.
+ *  Every cycle is executed, so the kernel's executed/skipped books in
+ *  the bytes do not depend on how far its wake hints let it skip. */
+SnapshotPoint
+snapshotPoint(const std::string &scheme, const std::string &workload,
+              uint64_t seed, const std::vector<std::pair<std::string,
+                                                         std::string>>
+                                 &extra = {})
+{
+    Config c = defaultConfig();
+    c.merge(schemeConfig(scheme));
+    c.set("workload", workload);
+    c.set("cores", 4);
+    c.set("seed", seed);
+    c.set("sim.warmup", 1500);
+    c.set("sim.measure", 12000);
+    c.set("audit.core", 0);
+    c.set("audit.progress_interval", 1000);
+    c.set("sim.fastforward", false);
+    std::string label = scheme + "/" + workload + " seed=" +
+                        std::to_string(seed);
+    for (const auto &[key, value] : extra) {
+        c.set(key, value);
+        label += " " + key + "=" + value;
+    }
+    return {label, c};
+}
+
+/** "<payload length> <crc32c hex>" of a byte string. */
+std::string
+lengthAndCrc(const std::string &bytes)
+{
+    std::ostringstream os;
+    os << bytes.size() << " " << std::hex << std::setw(8)
+       << std::setfill('0') << crc32c(bytes);
+    return os.str();
+}
+
 } // namespace
 
 TEST(GoldenStats, Fig03DesignPointCampaign)
@@ -214,4 +261,60 @@ TEST(GoldenStats, TabSolverAnalytics)
     solverDigest(os, "DDR3-2133", dram::TimingParams::ddr3_2133());
     solverDigest(os, "DDR4-2400", dram::TimingParams::ddr4_2400());
     compareOrRegen("tab_solver.digest", os.str());
+}
+
+TEST(GoldenStats, SnapshotLayout)
+{
+    // The byte layout of snapshots and result journals, pinned as
+    // payload length and CRC32C: a mid-run snapshot of every
+    // checkpoint-matrix scheme plus refresh, power-down, fault
+    // injection, open-loop traffic and two channels, and the journal
+    // record of each finished run. A layout change that leaves every
+    // observable alone still moves these lines; such a change must
+    // bump the section tag it touches and regenerate this file.
+    const std::vector<SnapshotPoint> points = {
+        snapshotPoint("fs_rp", "mcf", 1),
+        snapshotPoint("fs_rp", "libquantum", 42),
+        snapshotPoint("fs_bp", "milc", 7),
+        snapshotPoint("fs_np", "mcf", 1),
+        snapshotPoint("fs_np_triple", "mcf", 1),
+        snapshotPoint("fs_rp_powerdown", "mcf", 1),
+        snapshotPoint("fs_rp_prefetch", "libquantum", 1),
+        snapshotPoint("fs_reordered_bp", "mcf", 1),
+        snapshotPoint("fs_reordered_bp", "milc", 42,
+                      {{"map.partition", "rank"}}),
+        snapshotPoint("tp_bp", "mcf", 1),
+        snapshotPoint("tp_np", "xalancbmk", 7),
+        snapshotPoint("baseline", "mcf", 1),
+        snapshotPoint("baseline_prefetch", "mcf", 1),
+        snapshotPoint("channel_part", "mcf", 1),
+        snapshotPoint("fs_rp", "mcf", 1, {{"dram.refresh", "true"}}),
+        snapshotPoint("baseline", "mcf", 1, {{"dram.refresh", "true"}}),
+        snapshotPoint("fs_rp", "mcf", 1,
+                      {{"fault.kind", "slot-skew"},
+                       {"fault.magnitude", "20"}}),
+        snapshotPoint("fs_rp", "cloud", 1,
+                      {{"traffic.process", "mmpp"},
+                       {"traffic.rate", "6"},
+                       {"traffic.clients", "16"}}),
+        snapshotPoint("tp_bp", "cloud", 1,
+                      {{"traffic.process", "poisson"},
+                       {"traffic.rate", "4"}}),
+        snapshotPoint("fs_rp", "mcf", 1, {{"dram.channels", "2"}}),
+    };
+    std::ostringstream os;
+    for (const SnapshotPoint &p : points) {
+        ExperimentSystem sys(p.cfg);
+        sys.step(7000);
+        ASSERT_FALSE(sys.done()) << p.label;
+        Serializer snap;
+        sys.saveState(snap);
+        while (!sys.done())
+            sys.step(100000);
+        Serializer journal;
+        serializeResult(journal, sys.finish());
+        os << p.label << ": snapshot " << lengthAndCrc(snap.data())
+           << " journal " << lengthAndCrc(journal.data()) << "\n";
+    }
+    compareOrRegen("snapshot.digest", os.str());
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate the golden-stats digests under tests/golden/.
 #
-# Run after a deliberate change to any simulated observable, then
-# commit the diff — it shows exactly which metric moved. The digests
+# Run after a deliberate change to any simulated observable, or to
+# the snapshot/journal byte layout (snapshot.digest, which must come
+# with a bumped section tag), then commit the diff — it shows exactly
+# which metric or layout moved. The digests
 # are hexfloat-exact, so "close enough" does not exist: any diff is a
 # real behavioural change.
 #
