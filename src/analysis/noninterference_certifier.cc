@@ -97,7 +97,7 @@ buildScheduler(const CertifierConfig &cfg, mem::MemoryController &mc)
         b.frameLen =
             static_cast<Cycle>(cfg.tpTurnLength) * cfg.numDomains;
         b.s = std::make_unique<sched::TpScheduler>(
-            mc, sched::TpScheduler::Params{cfg.tpTurnLength, 0});
+            mc, sched::TpScheduler::Params{cfg.tpTurnLength});
         break;
       }
       case CertScheme::FrFcfs:

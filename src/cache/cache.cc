@@ -135,45 +135,39 @@ Cache::markDirty(Addr addr)
         line->tagFlags |= kDirty;
 }
 
+template <class Self, class Ar>
+void
+Cache::io(Self &self, Ar &ar)
+{
+    ar.section("cache");
+    ar.expect(self.numSets_, "cache set count mismatch");
+    for (auto &line : self.lines_) {
+        uint64_t tag = line.tagFlags & ~kFlags;
+        bool valid = line.tagFlags & kValid;
+        bool dirty = line.tagFlags & kDirty;
+        bool prefetched = line.tagFlags & kPrefetched;
+        ar.io(tag, valid, dirty, prefetched, line.lruStamp);
+        if constexpr (Ar::loading) {
+            if (tag & kFlags)
+                ar.fail("cache tag out of range");
+            line.tagFlags = tag | (valid ? kValid : 0) |
+                            (dirty ? kDirty : 0) |
+                            (prefetched ? kPrefetched : 0);
+        }
+    }
+    ar.io(self.stamp_, self.hits_, self.misses_);
+}
+
 void
 Cache::saveState(Serializer &s) const
 {
-    s.section("cache");
-    s.putU64(numSets_);
-    for (const Line &line : lines_) {
-        s.putU64(line.tagFlags & ~kFlags);
-        s.putBool(line.tagFlags & kValid);
-        s.putBool(line.tagFlags & kDirty);
-        s.putBool(line.tagFlags & kPrefetched);
-        s.putU64(line.lruStamp);
-    }
-    s.putU64(stamp_);
-    hits_.saveState(s);
-    misses_.saveState(s);
+    io(*this, s);
 }
 
 void
 Cache::restoreState(Deserializer &d)
 {
-    d.section("cache");
-    if (d.getU64() != numSets_)
-        d.fail("cache set count mismatch");
-    for (Line &line : lines_) {
-        const uint64_t tag = d.getU64();
-        if (tag & kFlags)
-            d.fail("cache tag out of range");
-        line.tagFlags = tag;
-        if (d.getBool())
-            line.tagFlags |= kValid;
-        if (d.getBool())
-            line.tagFlags |= kDirty;
-        if (d.getBool())
-            line.tagFlags |= kPrefetched;
-        line.lruStamp = d.getU64();
-    }
-    stamp_ = d.getU64();
-    hits_.restoreState(d);
-    misses_.restoreState(d);
+    io(*this, d);
 }
 
 } // namespace memsec::cache

@@ -85,6 +85,9 @@ class Cache
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /**
      * One way, 16 bytes. The valid/dirty/prefetched flags live in the
      * top three bits of `tagFlags`, which a tag never reaches: a tag

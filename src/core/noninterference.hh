@@ -33,6 +33,12 @@ struct ServiceEvent
         return ordinal == o.ordinal && arrival == o.arrival &&
                completed == o.completed;
     }
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.ordinal, self.arrival, self.completed);
+    }
 };
 
 /** Everything an attacker-visible victim timeline contains. */
@@ -45,6 +51,12 @@ struct VictimTimeline
     std::vector<uint64_t> progress;
 
     void recordService(Cycle arrival, Cycle completed);
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.service, self.progress);
+    }
 };
 
 /** Outcome of comparing two victim timelines. */

@@ -208,59 +208,31 @@ ArrivalTraceGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
+void
+ArrivalTraceGenerator::io(Self &self, Ar &ar)
+{
+    ar.section("arrival");
+    ar.io(self.rng_);
+    ar.sized(self.sources_, "arrival source count mismatch", [&](auto &src) {
+        ar.io(src.burst, src.nextToggle, src.nextArrival);
+    });
+    ar.sized(self.streamPos_, "arrival stream count mismatch");
+    ar.io(self.streamRr_);
+    ar.sized(self.recent_, "arrival reuse-ring size mismatch");
+    ar.io(self.recentIdx_, self.memCycle_, self.arrivals_);
+}
+
 void
 ArrivalTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("arrival");
-    uint64_t rngState[4];
-    rng_.getState(rngState);
-    for (uint64_t w : rngState)
-        s.putU64(w);
-    s.putU64(sources_.size());
-    for (const auto &src : sources_) {
-        s.putBool(src.burst);
-        s.putU64(src.nextToggle);
-        s.putU64(src.nextArrival);
-    }
-    s.putU64(streamPos_.size());
-    for (uint64_t p : streamPos_)
-        s.putU64(p);
-    s.putU32(streamRr_);
-    s.putU64(recent_.size());
-    for (Addr a : recent_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putU64(memCycle_);
-    s.putU64(arrivals_);
+    io(*this, s);
 }
 
 void
 ArrivalTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("arrival");
-    uint64_t rngState[4];
-    for (uint64_t &w : rngState)
-        w = d.getU64();
-    rng_.setState(rngState);
-    if (d.getU64() != sources_.size())
-        d.fail("arrival source count mismatch");
-    for (auto &src : sources_) {
-        src.burst = d.getBool();
-        src.nextToggle = d.getU64();
-        src.nextArrival = d.getU64();
-    }
-    if (d.getU64() != streamPos_.size())
-        d.fail("arrival stream count mismatch");
-    for (uint64_t &p : streamPos_)
-        p = d.getU64();
-    streamRr_ = d.getU32();
-    if (d.getU64() != recent_.size())
-        d.fail("arrival reuse-ring size mismatch");
-    for (Addr &a : recent_)
-        a = d.getU64();
-    recentIdx_ = d.getU64();
-    memCycle_ = d.getU64();
-    arrivals_ = d.getU64();
+    io(*this, d);
 }
 
 } // namespace memsec::cpu

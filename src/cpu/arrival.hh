@@ -80,6 +80,9 @@ class ArrivalTraceGenerator : public TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** One independent burst/idle client aggregate. */
     struct Source
     {

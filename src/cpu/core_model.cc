@@ -305,165 +305,61 @@ CoreModel::skipQuiet(uint64_t n, Cycle mem, uint64_t sub)
     cpuCycles_ += n;
 }
 
+template <class Self, class Ar>
 void
-CoreModel::saveState(Serializer &s) const
+CoreModel::io(Self &self, Ar &ar)
 {
-    s.section("core");
-    trace_->saveState(s);
-    llc_.saveState(s);
-    prefetcher_.saveState(s);
-
-    s.putU64(rob_.size());
-    for (const Record &rec : rob_) {
-        s.putU64(rec.instrs);
-        s.putU64(rec.retiredOfThis);
-        s.putBool(rec.isStore);
-        s.putU64(rec.addr);
-        s.putU8(static_cast<uint8_t>(rec.state));
-        s.putU64(rec.doneAt);
-        s.putU64(rec.issueAt);
+    ar.section("core");
+    ar.io(*self.trace_, self.llc_, self.prefetcher_, self.rob_);
+    if constexpr (Ar::loading) {
+        self.needsIssue_ = static_cast<size_t>(std::count_if(
+            self.rob_.begin(), self.rob_.end(), [](const Record &rec) {
+                return rec.state == Record::State::NeedsIssue;
+            }));
     }
-    s.putU64(robInstrs_);
+    ar.io(self.robInstrs_);
 
     // MSHR waiters are pointers into rob_; encode them as ROB indices
     // (deque element addresses are stable, so the scan is exact).
-    s.putU64(mshr_.size());
-    for (const auto &[addr, entry] : mshr_) {
-        s.putU64(addr);
-        s.putBool(entry.fillDirty);
-        s.putBool(entry.isPrefetch);
-        s.putBool(entry.demandTouched);
-        s.putU64(entry.waiters.size());
-        for (const Record *w : entry.waiters) {
-            const auto it = std::find_if(
-                rob_.begin(), rob_.end(),
-                [w](const Record &rec) { return &rec == w; });
-            panic_if(it == rob_.end(), "{}: MSHR waiter not found in ROB",
-                     name());
-            s.putU64(static_cast<uint64_t>(it - rob_.begin()));
-        }
-    }
-    s.putU64(prefetchInflight_);
+    ar.seq(self.mshr_, [&](auto &addr, auto &entry) {
+        ar.io(addr, entry.fillDirty, entry.isPrefetch, entry.demandTouched);
+        ar.seq(entry.waiters, [&](auto &waiter) {
+            uint64_t idx = 0;
+            if constexpr (!Ar::loading) {
+                const auto it = std::find_if(
+                    self.rob_.begin(), self.rob_.end(),
+                    [&](const Record &rec) { return &rec == waiter; });
+                panic_if(it == self.rob_.end(),
+                         "{}: MSHR waiter not found in ROB", self.name());
+                idx = static_cast<uint64_t>(it - self.rob_.begin());
+            }
+            ar.io(idx);
+            if constexpr (Ar::loading) {
+                if (idx >= self.rob_.size())
+                    ar.fail("MSHR waiter index out of range");
+                waiter = &self.rob_[idx];
+            }
+        });
+    });
+    ar.io(self.prefetchInflight_, self.pendingStoreFetches_,
+          self.writebacks_, self.memNow_, self.cpuCycles_, self.retired_,
+          self.measureStartCycle_, self.measureStartRetired_,
+          self.timeline_, self.nextProgressMark_, self.loads_,
+          self.stores_, self.llcMisses_, self.memReads_,
+          self.memWritebacks_, self.prefetchIssued_, self.prefetchUseful_,
+          self.robStallCycles_);
+}
 
-    s.putU64(pendingStoreFetches_.size());
-    for (Addr a : pendingStoreFetches_)
-        s.putU64(a);
-    s.putU64(writebacks_.size());
-    for (Addr a : writebacks_)
-        s.putU64(a);
-
-    s.putU64(memNow_);
-    s.putU64(cpuCycles_);
-    s.putU64(retired_);
-    s.putU64(measureStartCycle_);
-    s.putU64(measureStartRetired_);
-
-    s.putU64(timeline_.service.size());
-    for (const auto &ev : timeline_.service) {
-        s.putU64(ev.ordinal);
-        s.putU64(ev.arrival);
-        s.putU64(ev.completed);
-    }
-    s.putU64(timeline_.progress.size());
-    for (uint64_t p : timeline_.progress)
-        s.putU64(p);
-    s.putU64(nextProgressMark_);
-
-    loads_.saveState(s);
-    stores_.saveState(s);
-    llcMisses_.saveState(s);
-    memReads_.saveState(s);
-    memWritebacks_.saveState(s);
-    prefetchIssued_.saveState(s);
-    prefetchUseful_.saveState(s);
-    robStallCycles_.saveState(s);
+void
+CoreModel::saveState(Serializer &s) const
+{
+    io(*this, s);
 }
 
 void
 CoreModel::restoreState(Deserializer &d)
 {
-    d.section("core");
-    trace_->restoreState(d);
-    llc_.restoreState(d);
-    prefetcher_.restoreState(d);
-
-    const uint64_t robCount = d.getU64();
-    rob_.clear();
-    needsIssue_ = 0;
-    for (uint64_t i = 0; i < robCount; ++i) {
-        Record rec;
-        rec.instrs = d.getU64();
-        rec.retiredOfThis = d.getU64();
-        rec.isStore = d.getBool();
-        rec.addr = d.getU64();
-        const uint8_t state = d.getU8();
-        if (state > static_cast<uint8_t>(Record::State::NeedsIssue))
-            d.fail("bad ROB record state");
-        rec.state = static_cast<Record::State>(state);
-        rec.doneAt = d.getU64();
-        rec.issueAt = d.getU64();
-        if (rec.state == Record::State::NeedsIssue)
-            ++needsIssue_;
-        rob_.push_back(rec);
-    }
-    robInstrs_ = d.getU64();
-
-    const uint64_t mshrCount = d.getU64();
-    mshr_.clear();
-    for (uint64_t i = 0; i < mshrCount; ++i) {
-        const Addr addr = d.getU64();
-        MshrEntry &entry = mshr_[addr];
-        entry.fillDirty = d.getBool();
-        entry.isPrefetch = d.getBool();
-        entry.demandTouched = d.getBool();
-        const uint64_t waiters = d.getU64();
-        for (uint64_t w = 0; w < waiters; ++w) {
-            const uint64_t idx = d.getU64();
-            if (idx >= rob_.size())
-                d.fail("MSHR waiter index out of range");
-            entry.waiters.push_back(&rob_[idx]);
-        }
-    }
-    prefetchInflight_ = d.getU64();
-
-    const uint64_t pending = d.getU64();
-    pendingStoreFetches_.clear();
-    for (uint64_t i = 0; i < pending; ++i)
-        pendingStoreFetches_.push_back(d.getU64());
-    const uint64_t wbs = d.getU64();
-    writebacks_.clear();
-    for (uint64_t i = 0; i < wbs; ++i)
-        writebacks_.push_back(d.getU64());
-
-    memNow_ = d.getU64();
-    cpuCycles_ = d.getU64();
-    retired_ = d.getU64();
-    measureStartCycle_ = d.getU64();
-    measureStartRetired_ = d.getU64();
-
-    const uint64_t events = d.getU64();
-    timeline_.service.clear();
-    for (uint64_t i = 0; i < events; ++i) {
-        core::ServiceEvent ev;
-        ev.ordinal = d.getU64();
-        ev.arrival = d.getU64();
-        ev.completed = d.getU64();
-        timeline_.service.push_back(ev);
-    }
-    const uint64_t marks = d.getU64();
-    timeline_.progress.clear();
-    for (uint64_t i = 0; i < marks; ++i)
-        timeline_.progress.push_back(d.getU64());
-    nextProgressMark_ = d.getU64();
-
-    loads_.restoreState(d);
-    stores_.restoreState(d);
-    llcMisses_.restoreState(d);
-    memReads_.restoreState(d);
-    memWritebacks_.restoreState(d);
-    prefetchIssued_.restoreState(d);
-    prefetchUseful_.restoreState(d);
-    robStallCycles_.restoreState(d);
+    io(*this, d);
 }
 
 void

@@ -125,6 +125,9 @@ class CoreModel : public Component, public mem::MemClient
     uint64_t prefetchUseful() const { return prefetchUseful_.value(); }
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     struct Record
     {
         uint64_t instrs = 1;      ///< gap + the memory op itself
@@ -148,6 +151,15 @@ class CoreModel : public Component, public mem::MemClient
         {
             return instrs > retiredOfThis + 1 ? instrs - retiredOfThis - 1
                                               : 0;
+        }
+
+        friend constexpr State enumLast(State) { return State::NeedsIssue; }
+
+        template <class Self, class Ar>
+        static void io(Self &self, Ar &ar)
+        {
+            ar.io(self.instrs, self.retiredOfThis, self.isStore, self.addr,
+                  self.state, self.doneAt, self.issueAt);
         }
     };
 

@@ -68,43 +68,27 @@ SandboxPrefetcher::onMiss(Addr addr)
     return out;
 }
 
+template <class Self, class Ar>
+void
+SandboxPrefetcher::io(Self &self, Ar &ar)
+{
+    ar.section("prefetcher");
+    ar.sized(self.scores_, "prefetcher score count mismatch");
+    ar.io(self.recentMisses_, self.recentIdx_, self.evalCount_);
+    ar.seq(self.active_, [&](auto &offset) { ar.io(as<int64_t>(offset)); });
+    ar.io(self.issued_);
+}
+
 void
 SandboxPrefetcher::saveState(Serializer &s) const
 {
-    s.section("prefetcher");
-    s.putU64(scores_.size());
-    for (unsigned v : scores_)
-        s.putU32(v);
-    s.putU64(recentMisses_.size());
-    for (Addr a : recentMisses_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putU32(evalCount_);
-    s.putU64(active_.size());
-    for (int off : active_)
-        s.putI64(off);
-    issued_.saveState(s);
+    io(*this, s);
 }
 
 void
 SandboxPrefetcher::restoreState(Deserializer &d)
 {
-    d.section("prefetcher");
-    if (d.getU64() != scores_.size())
-        d.fail("prefetcher score count mismatch");
-    for (unsigned &v : scores_)
-        v = d.getU32();
-    const uint64_t misses = d.getU64();
-    recentMisses_.clear();
-    for (uint64_t i = 0; i < misses; ++i)
-        recentMisses_.push_back(d.getU64());
-    recentIdx_ = d.getU64();
-    evalCount_ = d.getU32();
-    const uint64_t nactive = d.getU64();
-    active_.clear();
-    for (uint64_t i = 0; i < nactive; ++i)
-        active_.push_back(static_cast<int>(d.getI64()));
-    issued_.restoreState(d);
+    io(*this, d);
 }
 
 } // namespace memsec::cpu

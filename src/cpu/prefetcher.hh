@@ -56,6 +56,9 @@ class SandboxPrefetcher
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     Params params_;
     std::vector<unsigned> scores_;
     std::vector<Addr> recentMisses_;

@@ -20,39 +20,15 @@ warmupKey(const WorkloadProfile &p, uint64_t traceSeed, uint64_t records,
           uint64_t llcBytes, unsigned llcWays)
 {
     Serializer s;
-    s.putString(p.name);
-    s.putDouble(p.memRatio);
-    s.putDouble(p.storeFraction);
-    s.putU64(p.footprintLines);
-    s.putDouble(p.streamFraction);
-    s.putU32(p.numStreams);
-    s.putU32(p.strideLines);
-    s.putDouble(p.reuseFraction);
-    s.putU32(p.mshrs);
-    s.putU64(p.phaseLength);
-    s.putDouble(p.phaseLowFactor);
-    s.putDouble(p.phaseHighFactor);
-    s.putU64(p.modWindowCycles);
-    s.putU64(p.modSecretSeed);
-    s.putU32(p.modSecretBits);
-    s.putDouble(p.modOffFactor);
-    s.putU64(p.modSymbols.size());
-    for (uint8_t sym : p.modSymbols)
-        s.putU8(sym);
-    s.putString(p.tracePath);
-    s.putString(p.trafficProcess);
-    s.putDouble(p.trafficRate);
-    s.putU32(p.trafficClients);
-    s.putDouble(p.trafficBurstFactor);
-    s.putDouble(p.trafficIdleFactor);
-    s.putDouble(p.trafficBurstLen);
-    s.putDouble(p.trafficIdleLen);
-    s.putDouble(p.trafficDiurnalPeriod);
-    s.putDouble(p.trafficDiurnalAmp);
-    s.putU64(traceSeed);
-    s.putU64(records);
-    s.putU64(llcBytes);
-    s.putU32(llcWays);
+    s.io(p.name, p.memRatio, p.storeFraction, p.footprintLines,
+         p.streamFraction, p.numStreams, p.strideLines, p.reuseFraction,
+         p.mshrs, p.phaseLength, p.phaseLowFactor, p.phaseHighFactor,
+         p.modWindowCycles, p.modSecretSeed, p.modSecretBits,
+         p.modOffFactor, p.modSymbols, p.tracePath, p.trafficProcess,
+         p.trafficRate, p.trafficClients, p.trafficBurstFactor,
+         p.trafficIdleFactor, p.trafficBurstLen, p.trafficIdleLen,
+         p.trafficDiurnalPeriod, p.trafficDiurnalAmp, traceSeed, records,
+         llcBytes, llcWays);
     return s.take();
 }
 
@@ -160,48 +136,28 @@ SyntheticTraceGenerator::skipRecords(uint64_t n, const RecordSink &sink)
     }
 }
 
+template <class Self, class Ar>
+void
+SyntheticTraceGenerator::io(Self &self, Ar &ar)
+{
+    ar.section("synthtrace");
+    ar.io(self.rng_);
+    ar.sized(self.streamPos_, "trace stream count mismatch");
+    ar.io(self.streamRr_);
+    ar.sized(self.recent_, "trace reuse-ring size mismatch");
+    ar.io(self.recentIdx_, self.busyPhase_, self.phaseLeft_, self.memCycle_);
+}
+
 void
 SyntheticTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("synthtrace");
-    uint64_t rngState[4];
-    rng_.getState(rngState);
-    for (uint64_t w : rngState)
-        s.putU64(w);
-    s.putU64(streamPos_.size());
-    for (uint64_t p : streamPos_)
-        s.putU64(p);
-    s.putU32(streamRr_);
-    s.putU64(kReuseRing);
-    for (Addr a : recent_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putBool(busyPhase_);
-    s.putU64(phaseLeft_);
-    s.putU64(memCycle_);
+    io(*this, s);
 }
 
 void
 SyntheticTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("synthtrace");
-    uint64_t rngState[4];
-    for (uint64_t &w : rngState)
-        w = d.getU64();
-    rng_.setState(rngState);
-    if (d.getU64() != streamPos_.size())
-        d.fail("trace stream count mismatch");
-    for (uint64_t &p : streamPos_)
-        p = d.getU64();
-    streamRr_ = d.getU32();
-    if (d.getU64() != kReuseRing)
-        d.fail("trace reuse-ring size mismatch");
-    for (Addr &a : recent_)
-        a = d.getU64();
-    recentIdx_ = d.getU64();
-    busyPhase_ = d.getBool();
-    phaseLeft_ = d.getU64();
-    memCycle_ = d.getU64();
+    io(*this, d);
 }
 
 } // namespace memsec::cpu

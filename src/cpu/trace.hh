@@ -213,6 +213,9 @@ class SyntheticTraceGenerator : public TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Recently touched lines that reuse draws from. */
     static constexpr size_t kReuseRing = 64;
     static_assert(isPowerOf2(kReuseRing), "the reuse ring is masked");

@@ -1,6 +1,7 @@
 #include "cpu/trace_file.hh"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,33 @@ constexpr uint32_t kTraceVersion = 1;
 constexpr uint32_t kRecordsPerBlock = 4096;
 constexpr size_t kRecordBytes = 16;
 constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
+
+/** The binary file header: magic, version, block size, record count. */
+struct BinaryHeader
+{
+    std::array<char, 8> magic{};
+    uint32_t version = kTraceVersion;
+    uint32_t perBlock = kRecordsPerBlock;
+    uint64_t total = 0;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.magic, self.version, self.perBlock, self.total);
+    }
+};
+
+/** One binary record: address, gap, then a u32 whose low byte is the
+ *  store flag (the three pad bytes are written 0, ignored on read). */
+template <class Rec, class Ar>
+void
+ioRecord(Rec &rec, Ar &ar)
+{
+    uint32_t flag = rec.isStore ? 1 : 0;
+    ar.io(rec.addr, rec.gap, flag);
+    if constexpr (Ar::loading)
+        rec.isStore = (flag & 0xFF) != 0;
+}
 
 } // namespace
 
@@ -118,23 +146,19 @@ isBinaryTrace(const std::string &bytes)
 std::string
 formatBinaryTrace(const std::vector<TraceRecord> &records)
 {
+    BinaryHeader header;
+    std::copy_n(kTraceMagic, 8, header.magic.begin());
+    header.total = records.size();
     Serializer out;
-    out.putBytes({kTraceMagic, 8});
-    out.putU32(kTraceVersion);
-    out.putU32(kRecordsPerBlock);
-    out.putU64(records.size());
+    out.io(header);
     for (size_t i = 0; i < records.size(); i += kRecordsPerBlock) {
         const size_t n =
             std::min<size_t>(kRecordsPerBlock, records.size() - i);
         Serializer payload;
-        for (size_t r = i; r < i + n; ++r) {
-            payload.putU64(records[r].addr);
-            payload.putU32(records[r].gap);
-            payload.putU32(records[r].isStore ? 1 : 0); // flag + 3 pad
-        }
-        out.putU32(static_cast<uint32_t>(n));
-        out.putU32(crc32c(payload.data()));
-        out.putBytes(payload.data());
+        for (size_t r = i; r < i + n; ++r)
+            ioRecord(records[r], payload);
+        out.io(static_cast<uint32_t>(n), crc32c(payload.data()));
+        out.raw(payload.data());
     }
     return out.take();
 }
@@ -155,23 +179,24 @@ tryParseBinaryTrace(const std::string &bytes,
     if (!isBinaryTrace(bytes))
         return failAt(0, "bad binary trace magic");
     Deserializer d(bytes);
-    d.getU64(); // the magic
-    const uint32_t version = d.getU32();
-    if (version != kTraceVersion)
+    BinaryHeader header;
+    d.io(header);
+    if (header.version != kTraceVersion)
         return failAt(8, "unsupported binary trace version " +
-                             std::to_string(version));
-    const uint32_t perBlock = d.getU32();
+                             std::to_string(header.version));
+    const uint32_t perBlock = header.perBlock;
     if (perBlock == 0)
         return failAt(12, "recordsPerBlock must be nonzero");
-    const uint64_t total = d.getU64();
+    const uint64_t total = header.total;
 
     out.reserve(out.size() + total);
     for (uint64_t seen = 0; seen < total;) {
         const uint64_t at = d.offset();
         if (d.remaining() < 8)
             return failAt(at, "truncated block header");
-        const uint32_t count = d.getU32();
-        const uint32_t crc = d.getU32();
+        uint32_t count = 0;
+        uint32_t crc = 0;
+        d.io(count, crc);
         if (count == 0 || count > perBlock)
             return failAt(at, "bad block record count " +
                                   std::to_string(count));
@@ -184,9 +209,7 @@ tryParseBinaryTrace(const std::string &bytes,
             return failAt(at + 4, "block CRC mismatch");
         for (uint32_t r = 0; r < count; ++r) {
             TraceRecord rec;
-            rec.addr = d.getU64();
-            rec.gap = d.getU32();
-            rec.isStore = (d.getU32() & 0xFF) != 0; // pad bytes ignored
+            ioRecord(rec, d);
             out.push_back(rec);
         }
         seen += count;
@@ -229,25 +252,30 @@ FileTraceGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
+void
+FileTraceGenerator::io(Self &self, Ar &ar)
+{
+    ar.section("filetrace");
+    ar.expect(self.records_.size(), "trace record count mismatch");
+    ar.io(self.pos_);
+    if constexpr (Ar::loading) {
+        if (self.pos_ >= self.records_.size())
+            ar.fail("trace replay position out of range");
+    }
+    ar.io(self.loops_);
+}
+
 void
 FileTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("filetrace");
-    s.putU64(records_.size());
-    s.putU64(pos_);
-    s.putU64(loops_);
+    io(*this, s);
 }
 
 void
 FileTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("filetrace");
-    if (d.getU64() != records_.size())
-        d.fail("trace record count mismatch");
-    pos_ = d.getU64();
-    if (pos_ >= records_.size())
-        d.fail("trace replay position out of range");
-    loops_ = d.getU64();
+    io(*this, d);
 }
 
 void

@@ -62,6 +62,9 @@ class FileTraceGenerator : public TraceGenerator
     uint64_t loops() const { return loops_; }
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     std::vector<TraceRecord> records_;
     size_t pos_ = 0;
     uint64_t loops_ = 0;

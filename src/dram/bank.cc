@@ -3,29 +3,8 @@
 #include <algorithm>
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace memsec::dram {
-
-void
-Bank::saveState(Serializer &s) const
-{
-    s.putU32(openRow_);
-    s.putU64(nextAct_);
-    s.putU64(nextRead_);
-    s.putU64(nextWrite_);
-    s.putU64(nextPre_);
-}
-
-void
-Bank::restoreState(Deserializer &d)
-{
-    openRow_ = d.getU32();
-    nextAct_ = d.getU64();
-    nextRead_ = d.getU64();
-    nextWrite_ = d.getU64();
-    nextPre_ = d.getU64();
-}
 
 void
 Bank::doActivate(Cycle t, unsigned row, const TimingParams &tp)

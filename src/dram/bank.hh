@@ -14,11 +14,6 @@
 #include "dram/timing.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** State and timing windows of one DRAM bank. */
@@ -60,8 +55,12 @@ class Bank
     /** Reset to the power-on state. */
     void reset();
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.openRow_, self.nextAct_, self.nextRead_,
+              self.nextWrite_, self.nextPre_);
+    }
 
   private:
     unsigned openRow_ = kNoRow;

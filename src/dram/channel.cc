@@ -1,29 +1,8 @@
 #include "dram/channel.hh"
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace memsec::dram {
-
-void
-ChannelBuses::saveState(Serializer &s) const
-{
-    s.putU64(lastCmdCycle_);
-    s.putU64(dataBusyUntil_);
-    s.putU32(lastDataRank_);
-    s.putU64(dataBusyCycles_);
-    s.putU64(commandCount_);
-}
-
-void
-ChannelBuses::restoreState(Deserializer &d)
-{
-    lastCmdCycle_ = d.getU64();
-    dataBusyUntil_ = d.getU64();
-    lastDataRank_ = d.getU32();
-    dataBusyCycles_ = d.getU64();
-    commandCount_ = d.getU64();
-}
 
 void
 ChannelBuses::useCmdBus(Cycle t)

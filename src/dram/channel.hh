@@ -10,11 +10,6 @@
 #include "dram/timing.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** Shared address/command and data buses of one channel. */
@@ -61,8 +56,12 @@ class ChannelBuses
     /** Total commands carried (for command-bus utilisation). */
     uint64_t commandCount() const { return commandCount_; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.lastCmdCycle_, self.dataBusyUntil_, self.lastDataRank_,
+              self.dataBusyCycles_, self.commandCount_);
+    }
 
   private:
     const TimingParams &tp_;

@@ -26,6 +26,13 @@ enum class CmdType : uint8_t
     PdExit,  ///< Exit power-down
 };
 
+/** The last CmdType, for the snapshot range check. */
+constexpr CmdType
+enumLast(CmdType)
+{
+    return CmdType::PdExit;
+}
+
 /** Name string for diagnostics. */
 const char *cmdName(CmdType t);
 
@@ -55,6 +62,13 @@ struct Command
     bool suppressed = false; ///< energy-opt 1: timing kept, no real access
 
     std::string toString() const;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.type, self.rank, self.bank, self.row, self.req,
+              self.suppressed);
+    }
 };
 
 } // namespace memsec::dram

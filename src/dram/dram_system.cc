@@ -66,39 +66,36 @@ DramSystem::setCrashDumpDir(const std::string &dir, const std::string &tag)
     crashTag_ = tag;
 }
 
+template <class Self, class Ar>
+void
+DramSystem::io(Self &self, Ar &ar)
+{
+    ar.section("dram");
+    ar.sized(self.ranks_, "rank count mismatch", [&](auto &rk) {
+        Rank::io(rk, ar, self.energyClock_);
+    });
+    ar.io(self.buses_, self.checker_, self.commandsIssued_,
+          self.illegalIssues_, self.cmdLog_);
+    if constexpr (Ar::loading) {
+        // The ranks restart residency at cycle 0; the first cycle
+        // accounted after the restore re-anchors them all there.
+        self.energyClock_ = 0;
+        for (uint64_t &v : self.rankVersion_)
+            ++v;
+        ++self.busVersion_;
+    }
+}
+
 void
 DramSystem::saveState(Serializer &s) const
 {
-    s.section("dram");
-    s.putU64(ranks_.size());
-    for (const Rank &rk : ranks_)
-        rk.saveState(s, energyClock_);
-    buses_.saveState(s);
-    checker_.saveState(s);
-    s.putU64(commandsIssued_);
-    s.putU64(illegalIssues_);
-    cmdLog_.saveState(s);
+    io(*this, s);
 }
 
 void
 DramSystem::restoreState(Deserializer &d)
 {
-    d.section("dram");
-    if (d.getU64() != ranks_.size())
-        d.fail("rank count mismatch");
-    for (Rank &rk : ranks_)
-        rk.restoreState(d);
-    // The ranks restart residency at cycle 0; the first cycle
-    // accounted after the restore re-anchors them all there.
-    energyClock_ = 0;
-    buses_.restoreState(d);
-    checker_.restoreState(d);
-    commandsIssued_ = d.getU64();
-    illegalIssues_ = d.getU64();
-    cmdLog_.restoreState(d);
-    for (uint64_t &v : rankVersion_)
-        ++v;
-    ++busVersion_;
+    io(*this, d);
 }
 
 DramSystem::~DramSystem()

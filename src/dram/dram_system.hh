@@ -168,6 +168,9 @@ class DramSystem
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Lower-bound accumulator behind canIssue()/earliestIssue(). */
     struct LegalWindow;
 

@@ -3,71 +3,8 @@
 #include <algorithm>
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace memsec::dram {
-
-void
-Rank::saveState(Serializer &s, Cycle energyClock) const
-{
-    const RankEnergyCounters e = energy(energyClock);
-    s.section("rank");
-    for (const auto &b : banks_)
-        b.saveState(s);
-    s.putU64(nextActRrd_);
-    s.putU64(actWindow_.size());
-    for (Cycle c : actWindow_)
-        s.putU64(c);
-    s.putU64(nextRead_);
-    s.putU64(nextWrite_);
-    s.putU64(refreshEnd_);
-    s.putBool(poweredDown_);
-    s.putU64(pdEnteredAt_);
-    s.putU64(pdExitReadyAt_);
-    s.putU64(e.activates);
-    s.putU64(e.reads);
-    s.putU64(e.writes);
-    s.putU64(e.suppressedActs);
-    s.putU64(e.suppressedCas);
-    s.putU64(e.refreshes);
-    s.putU64(e.cyclesActive);
-    s.putU64(e.cyclesPrecharge);
-    s.putU64(e.cyclesPowerDown);
-    s.putU64(e.cyclesRefreshing);
-}
-
-void
-Rank::restoreState(Deserializer &d)
-{
-    d.section("rank");
-    openBanks_ = 0;
-    for (auto &b : banks_) {
-        b.restoreState(d);
-        openBanks_ += b.isOpen();
-    }
-    nextActRrd_ = d.getU64();
-    const uint64_t acts = d.getU64();
-    actWindow_.clear();
-    for (uint64_t i = 0; i < acts; ++i)
-        actWindow_.push_back(d.getU64());
-    nextRead_ = d.getU64();
-    nextWrite_ = d.getU64();
-    refreshEnd_ = d.getU64();
-    poweredDown_ = d.getBool();
-    pdEnteredAt_ = d.getU64();
-    pdExitReadyAt_ = d.getU64();
-    energy_.activates = d.getU64();
-    energy_.reads = d.getU64();
-    energy_.writes = d.getU64();
-    energy_.suppressedActs = d.getU64();
-    energy_.suppressedCas = d.getU64();
-    energy_.refreshes = d.getU64();
-    energy_.cyclesActive = d.getU64();
-    energy_.cyclesPrecharge = d.getU64();
-    energy_.cyclesPowerDown = d.getU64();
-    energy_.cyclesRefreshing = d.getU64();
-    chargedTo_ = 0;
-}
 
 Rank::Rank(unsigned banks, const TimingParams &tp)
     : tp_(tp), banks_(banks)

@@ -7,17 +7,13 @@
 #ifndef MEMSEC_DRAM_RANK_HH
 #define MEMSEC_DRAM_RANK_HH
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
 #include "dram/bank.hh"
 #include "dram/timing.hh"
 #include "sim/types.hh"
-
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
 
 namespace memsec::dram {
 
@@ -43,6 +39,15 @@ struct RankEnergyCounters
     uint64_t cyclesPrecharge = 0;
     uint64_t cyclesPowerDown = 0;
     uint64_t cyclesRefreshing = 0;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.activates, self.reads, self.writes, self.suppressedActs,
+              self.suppressedCas, self.refreshes, self.cyclesActive,
+              self.cyclesPrecharge, self.cyclesPowerDown,
+              self.cyclesRefreshing);
+    }
 };
 
 /**
@@ -127,12 +132,29 @@ class Rank
     /** Current power state (derived). */
     PowerState powerState(Cycle now) const;
 
-    /** Writes the books charged through `energyClock`, so the bytes do
-     *  not depend on when the rank was last charged. */
-    void saveState(Serializer &s, Cycle energyClock) const;
-    /** Restores the books charged through the save; residency restarts
-     *  at cycle 0 until the owner re-anchors it. */
-    void restoreState(Deserializer &d);
+    /** Checkpoint walk. A save writes the books charged through
+     *  `energyClock`, so the bytes do not depend on when the rank was
+     *  last charged; a restore takes them as charged and restarts
+     *  residency at cycle 0 until the owner re-anchors it. */
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar, Cycle energyClock)
+    {
+        ar.section("rank");
+        for (auto &b : self.banks_)
+            ar.io(b);
+        ar.io(self.nextActRrd_, self.actWindow_, self.nextRead_,
+              self.nextWrite_, self.refreshEnd_, self.poweredDown_,
+              self.pdEnteredAt_, self.pdExitReadyAt_);
+        if constexpr (Ar::loading) {
+            ar.io(self.energy_);
+            self.chargedTo_ = 0;
+            self.openBanks_ = static_cast<unsigned>(
+                std::count_if(self.banks_.begin(), self.banks_.end(),
+                              [](const Bank &b) { return b.isOpen(); }));
+        } else {
+            ar.io(self.energy(energyClock));
+        }
+    }
 
   private:
     /** The residency rule: add [from, to) to `e`. Valid only while no

@@ -8,101 +8,28 @@
 
 namespace memsec::dram {
 
+template <class Self, class Ar>
+void
+TimingChecker::io(Self &self, Ar &ar)
+{
+    ar.section("checker");
+    ar.sized(self.banks_, "bank shadow count mismatch");
+    ar.sized(self.ranks_, "rank shadow count mismatch");
+    ar.io(self.lastCmdCycle_, self.lastDataStart_, self.lastDataEnd_,
+          self.lastDataRank_, self.currentOk_, self.observed_,
+          self.violations_, self.violationTotal_, self.violationsByRule_);
+}
+
 void
 TimingChecker::saveState(Serializer &s) const
 {
-    s.section("checker");
-    s.putU64(banks_.size());
-    for (const BankShadow &b : banks_) {
-        s.putU32(b.openRow);
-        s.putU64(b.lastAct);
-        s.putU64(b.lastRdCas);
-        s.putU64(b.lastWrCas);
-        s.putU64(b.preReadyAt);
-    }
-    s.putU64(ranks_.size());
-    for (const RankShadow &r : ranks_) {
-        s.putU64(r.actHistory.size());
-        for (Cycle c : r.actHistory)
-            s.putU64(c);
-        s.putU64(r.lastRdCas);
-        s.putU64(r.lastWrCas);
-        s.putU64(r.refreshEnd);
-        s.putU64(r.lastRefSeen);
-        s.putBool(r.poweredDown);
-        s.putU64(r.pdEnteredAt);
-        s.putU64(r.pdExitReadyAt);
-    }
-    s.putU64(lastCmdCycle_);
-    s.putU64(lastDataStart_);
-    s.putU64(lastDataEnd_);
-    s.putU32(lastDataRank_);
-    s.putBool(currentOk_);
-    s.putU64(observed_);
-    s.putU64(violations_.size());
-    for (const Violation &v : violations_) {
-        s.putU64(v.cycle);
-        s.putString(v.rule);
-        s.putString(v.detail);
-    }
-    s.putU64(violationTotal_);
-    s.putU64(violationsByRule_.size());
-    for (const auto &[rule, count] : violationsByRule_) {
-        s.putString(rule);
-        s.putU64(count);
-    }
+    io(*this, s);
 }
 
 void
 TimingChecker::restoreState(Deserializer &d)
 {
-    d.section("checker");
-    if (d.getU64() != banks_.size())
-        d.fail("bank shadow count mismatch");
-    for (BankShadow &b : banks_) {
-        b.openRow = d.getU32();
-        b.lastAct = d.getU64();
-        b.lastRdCas = d.getU64();
-        b.lastWrCas = d.getU64();
-        b.preReadyAt = d.getU64();
-    }
-    if (d.getU64() != ranks_.size())
-        d.fail("rank shadow count mismatch");
-    for (RankShadow &r : ranks_) {
-        const uint64_t acts = d.getU64();
-        r.actHistory.clear();
-        for (uint64_t i = 0; i < acts; ++i)
-            r.actHistory.push_back(d.getU64());
-        r.lastRdCas = d.getU64();
-        r.lastWrCas = d.getU64();
-        r.refreshEnd = d.getU64();
-        r.lastRefSeen = d.getU64();
-        r.poweredDown = d.getBool();
-        r.pdEnteredAt = d.getU64();
-        r.pdExitReadyAt = d.getU64();
-    }
-    lastCmdCycle_ = d.getU64();
-    lastDataStart_ = d.getU64();
-    lastDataEnd_ = d.getU64();
-    lastDataRank_ = d.getU32();
-    currentOk_ = d.getBool();
-    observed_ = d.getU64();
-    const uint64_t nv = d.getU64();
-    violations_.clear();
-    for (uint64_t i = 0; i < nv; ++i) {
-        Violation v;
-        v.cycle = d.getU64();
-        v.rule = d.getString();
-        v.detail = d.getString();
-        violations_.push_back(std::move(v));
-    }
-    violationTotal_ = d.getU64();
-    const uint64_t nr = d.getU64();
-    violationsByRule_.clear();
-    for (uint64_t i = 0; i < nr; ++i) {
-        const std::string rule = d.getString();
-        violationsByRule_[rule] = d.getU64();
-    }
+    io(*this, d);
 }
 
 TimingChecker::TimingChecker(const TimingParams &tp, unsigned ranks,

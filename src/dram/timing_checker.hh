@@ -41,6 +41,12 @@ struct Violation
     Cycle cycle = 0;
     std::string rule;   ///< e.g. "tFAW", "cmd-bus", "row-state"
     std::string detail;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.cycle, self.rule, self.detail);
+    }
 };
 
 /** Shadow-model timing auditor for a single channel. */
@@ -95,6 +101,9 @@ class TimingChecker
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Sentinel for "no open row" (independent of Bank's). */
     static constexpr unsigned kNoRow = ~0u;
 
@@ -105,6 +114,13 @@ class TimingChecker
         Cycle lastRdCas = kNoCycle;    ///< last column-read to this bank
         Cycle lastWrCas = kNoCycle;    ///< last column-write to this bank
         Cycle preReadyAt = 0;          ///< cycle bank became precharged
+
+        template <class Self, class Ar>
+        static void io(Self &self, Ar &ar)
+        {
+            ar.io(self.openRow, self.lastAct, self.lastRdCas,
+                  self.lastWrCas, self.preReadyAt);
+        }
     };
 
     struct RankShadow
@@ -117,6 +133,14 @@ class TimingChecker
         bool poweredDown = false;
         Cycle pdEnteredAt = 0;
         Cycle pdExitReadyAt = 0;       ///< tXP horizon after PDX
+
+        template <class Self, class Ar>
+        static void io(Self &self, Ar &ar)
+        {
+            ar.io(self.actHistory, self.lastRdCas, self.lastWrCas,
+                  self.refreshEnd, self.lastRefSeen, self.poweredDown,
+                  self.pdEnteredAt, self.pdExitReadyAt);
+        }
     };
 
     void fail(Cycle t, const std::string &rule, const std::string &detail);

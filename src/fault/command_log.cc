@@ -2,48 +2,7 @@
 
 #include <sstream>
 
-#include "util/serialize.hh"
-
 namespace memsec::fault {
-
-void
-CommandLog::saveState(Serializer &s) const
-{
-    s.section("cmdlog");
-    s.putU64(total_);
-    s.putU64(ring_.size());
-    for (const Entry &e : ring_) {
-        s.putU8(static_cast<uint8_t>(e.cmd.type));
-        s.putU32(e.cmd.rank);
-        s.putU32(e.cmd.bank);
-        s.putU32(e.cmd.row);
-        s.putU64(e.cmd.req);
-        s.putBool(e.cmd.suppressed);
-        s.putU64(e.cycle);
-    }
-}
-
-void
-CommandLog::restoreState(Deserializer &d)
-{
-    d.section("cmdlog");
-    total_ = d.getU64();
-    const uint64_t n = d.getU64();
-    if (n > cap_)
-        d.fail("command log larger than capacity");
-    ring_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        Entry e;
-        e.cmd.type = static_cast<dram::CmdType>(d.getU8());
-        e.cmd.rank = d.getU32();
-        e.cmd.bank = d.getU32();
-        e.cmd.row = d.getU32();
-        e.cmd.req = d.getU64();
-        e.cmd.suppressed = d.getBool();
-        e.cycle = d.getU64();
-        ring_.push_back(e);
-    }
-}
 
 CommandLog::CommandLog(size_t capacity) : cap_(capacity ? capacity : 1)
 {

@@ -19,11 +19,6 @@
 #include "dram/command.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::fault {
 
 /** Fixed-capacity history of (command, issue cycle) pairs. */
@@ -43,14 +38,28 @@ class CommandLog
     /** Human-readable dump, oldest to newest. */
     std::string snapshot() const;
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.section("cmdlog");
+        ar.io(self.total_, self.ring_);
+        if constexpr (Ar::loading) {
+            if (self.ring_.size() > self.cap_)
+                ar.fail("command log larger than capacity");
+        }
+    }
 
   private:
     struct Entry
     {
         dram::Command cmd;
         Cycle cycle = 0;
+
+        template <class Self, class Ar>
+        static void io(Self &self, Ar &ar)
+        {
+            ar.io(self.cmd, self.cycle);
+        }
     };
 
     std::vector<Entry> ring_;

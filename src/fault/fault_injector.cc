@@ -385,26 +385,24 @@ FaultInjector::corruptSnapshotBytes(std::string &bytes)
     }
 }
 
+template <class Self, class Ar>
+void
+FaultInjector::io(Self &self, Ar &ar)
+{
+    ar.section("fault");
+    ar.io(self.rng_, self.injected_);
+}
+
 void
 FaultInjector::saveState(Serializer &s) const
 {
-    s.section("fault");
-    uint64_t state[4];
-    rng_.getState(state);
-    for (uint64_t w : state)
-        s.putU64(w);
-    s.putU64(injected_);
+    io(*this, s);
 }
 
 void
 FaultInjector::restoreState(Deserializer &d)
 {
-    d.section("fault");
-    uint64_t state[4];
-    for (uint64_t &w : state)
-        w = d.getU64();
-    rng_.setState(state);
-    injected_ = d.getU64();
+    io(*this, d);
 }
 
 } // namespace memsec::fault

@@ -170,6 +170,9 @@ class FaultInjector
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Window + rate gate; advances the PRNG when in-window. */
     bool fires(Cycle t);
 

@@ -110,6 +110,12 @@ constexpr Cycle kShardEpoch = 8192;
 constexpr const char *kEpochRemoved =
     "because shards never interact, so its length could not change a "
     "result; delete it (shards meet every 8192 cycles)";
+constexpr const char *kPoolRemoved =
+    "along with the controller's request pool; delete it (scheduler "
+    "dummies are ordinary heap allocations)";
+constexpr const char *kExtraDeadRemoved =
+    "because no run ever set it; delete it (TP's dead time is the "
+    "derived transaction footprint, as in the paper)";
 constexpr const char *kReplayRemoved =
     "along with compiled schedule replay; delete it (every run is "
     "interpreted and audited by the TimingChecker)";
@@ -131,7 +137,7 @@ constexpr ConfigKey kHarnessKeys[] = {
     {"map.partition", String, "none", choiceNames<kPartitions>},
     {"map.interleave", String, "close", choiceNames<kInterleaves>},
     {"mc.queue_capacity", Uint, "16", nullptr, 1},
-    {"mc.request_pool", Uint, "64"},
+    {.name = "mc.request_pool", .type = Uint, .removed = kPoolRemoved},
     {"core.rob", Uint, "64", nullptr, 1},
     {"core.retire_width", Uint, "4", nullptr, 1},
     {"core.cpu_mult", Uint, "4", nullptr, 1},
@@ -148,7 +154,7 @@ constexpr ConfigKey kHarnessKeys[] = {
     {"fs.powerdown", Bool, "false"},
     {"fs.prefetch", Bool, "false"},
     {"tp.turn", Uint, "60", nullptr, 1},
-    {"tp.extra_dead", Uint, "0"},
+    {.name = "tp.extra_dead", .type = Uint, .removed = kExtraDeadRemoved},
     {"sim.warmup", Uint, "20000"},
     {"sim.measure", Uint, "200000"},
     {"sim.watchdog", Uint, "100000"},
@@ -312,6 +318,26 @@ struct ExperimentSystem::Impl
 
     Cycle now() const { return sims.front()->now(); }
 
+    /** Per-controller fault plumbing and shard count are functions of
+     *  the Config, and snapshots are fingerprint-bound to the Config,
+     *  so the element counts need no encoding. */
+    template <class Self, class Ar>
+    static void io(Self &im, Ar &ar)
+    {
+        ar.section("experiment");
+        ar.io(im.measurementBegun, *im.injector, im.report);
+        for (auto &inj : im.mcInjectors)
+            ar.io(*inj);
+        for (auto &rep : im.mcReports)
+            ar.io(rep);
+        for (auto &sm : im.sims)
+            ar.io(*sm);
+        if constexpr (Ar::loading) {
+            if (!ar.atEnd())
+                ar.fail("trailing bytes after experiment state");
+        }
+    }
+
     /** Advance every shard by `n` cycles. Serial runs call straight
      *  into the single Simulator; sharded runs dispatch one epoch per
      *  shard onto the pool and barrier, so all shards observe the
@@ -383,7 +409,6 @@ ExperimentSystem::ExperimentSystem(const Config &config)
     mcp.geo = geo;
     mcp.numDomains = cores;
     mcp.queueCapacity = cfg.getUint("mc.queue_capacity");
-    mcp.requestPoolCapacity = cfg.getUint("mc.request_pool");
     // One controller per channel; all domains' queues exist on each
     // controller, but a core only ever talks to its own channel's.
     const unsigned numMcs = geo.channels;
@@ -417,7 +442,6 @@ ExperimentSystem::ExperimentSystem(const Config &config)
     } else if (sched == SchedKind::Tp) {
         sched::TpScheduler::Params p;
         p.turnLength = static_cast<unsigned>(cfg.getUint("tp.turn"));
-        p.extraDead = static_cast<unsigned>(cfg.getUint("tp.extra_dead"));
         // Each channel runs its own turn wheel over every domain;
         // domains mapped elsewhere simply present empty queues during
         // their turns. Dead turns cost bandwidth, never isolation.
@@ -770,38 +794,13 @@ ExperimentSystem::core(unsigned i) const
 void
 ExperimentSystem::saveState(Serializer &s) const
 {
-    const Impl &im = *impl_;
-    s.section("experiment");
-    s.putBool(im.measurementBegun);
-    im.injector->saveState(s);
-    im.report.saveState(s);
-    // Per-controller fault plumbing and shard count are functions of
-    // the Config, and snapshots are fingerprint-bound to the Config,
-    // so the element counts need no encoding.
-    for (const auto &inj : im.mcInjectors)
-        inj->saveState(s);
-    for (const auto &rep : im.mcReports)
-        rep.saveState(s);
-    for (const auto &sm : im.sims)
-        sm->saveState(s);
+    Impl::io(*impl_, s);
 }
 
 void
 ExperimentSystem::restoreState(Deserializer &d)
 {
-    Impl &im = *impl_;
-    d.section("experiment");
-    im.measurementBegun = d.getBool();
-    im.injector->restoreState(d);
-    im.report.restoreState(d);
-    for (auto &inj : im.mcInjectors)
-        inj->restoreState(d);
-    for (auto &rep : im.mcReports)
-        rep.restoreState(d);
-    for (auto &sm : im.sims)
-        sm->restoreState(d);
-    if (!d.atEnd())
-        d.fail("trailing bytes after experiment state");
+    Impl::io(*impl_, d);
 }
 
 ExperimentResult
@@ -1041,140 +1040,43 @@ constexpr std::string_view kResultSection = "result/v2";
 
 } // namespace
 
+template <class Self, class Ar>
+void
+ExperimentResult::io(Self &self, Ar &ar)
+{
+    ar.section(kResultSection);
+    ar.io(self.scheme, self.workload, self.cores, self.cyclesRun, self.ipc,
+          self.meanReadLatency, self.effectiveBandwidth, self.dummyFraction,
+          self.rowHitRate, self.energy.backgroundNj, self.energy.activateNj,
+          self.energy.readWriteNj, self.energy.refreshNj,
+          self.prefetchIssued, self.prefetchUseful, self.demandReads,
+          self.timelines, self.faultsInjected, self.timingViolations,
+          self.illegalIssues, self.violationRules, self.simErrors,
+          self.cyclesExecuted, self.cyclesSkipped, self.resumedFromSnapshot,
+          self.effectiveChannels, self.geometryOverridden, self.shards);
+    // Each histogram carries its bin layout ahead of its contents.
+    ar.seq(self.domainReadLatency, [&](auto &h) {
+        double lo = h.lo();
+        double width = h.binWidth();
+        uint64_t bins = h.bins().size();
+        ar.io(lo, width, bins);
+        if constexpr (Ar::loading)
+            h.init(lo, width, static_cast<size_t>(bins));
+        ar.io(h);
+    });
+}
+
 void
 serializeResult(Serializer &s, const ExperimentResult &r)
 {
-    s.section(kResultSection);
-    s.putString(r.scheme);
-    s.putString(r.workload);
-    s.putU32(r.cores);
-    s.putU64(r.cyclesRun);
-    s.putU64(r.ipc.size());
-    for (double v : r.ipc)
-        s.putDouble(v);
-    s.putDouble(r.meanReadLatency);
-    s.putDouble(r.effectiveBandwidth);
-    s.putDouble(r.dummyFraction);
-    s.putDouble(r.rowHitRate);
-    s.putDouble(r.energy.backgroundNj);
-    s.putDouble(r.energy.activateNj);
-    s.putDouble(r.energy.readWriteNj);
-    s.putDouble(r.energy.refreshNj);
-    s.putU64(r.prefetchIssued);
-    s.putU64(r.prefetchUseful);
-    s.putU64(r.demandReads);
-    s.putU64(r.timelines.size());
-    for (const auto &tl : r.timelines) {
-        s.putU64(tl.service.size());
-        for (const auto &ev : tl.service) {
-            s.putU64(ev.ordinal);
-            s.putU64(ev.arrival);
-            s.putU64(ev.completed);
-        }
-        s.putU64(tl.progress.size());
-        for (uint64_t p : tl.progress)
-            s.putU64(p);
-    }
-    s.putU64(r.faultsInjected);
-    s.putU64(r.timingViolations);
-    s.putU64(r.illegalIssues);
-    s.putU64(r.violationRules.size());
-    for (const auto &kv : r.violationRules) {
-        s.putString(kv.first);
-        s.putU64(kv.second);
-    }
-    s.putU64(r.simErrors.size());
-    for (const auto &e : r.simErrors) {
-        s.putU64(e.cycle);
-        s.putString(e.category);
-        s.putString(e.message);
-    }
-    s.putU64(r.cyclesExecuted);
-    s.putU64(r.cyclesSkipped);
-    s.putBool(r.resumedFromSnapshot);
-    s.putU32(r.effectiveChannels);
-    s.putBool(r.geometryOverridden);
-    s.putU32(r.shards);
-    s.putU64(r.domainReadLatency.size());
-    for (const auto &h : r.domainReadLatency) {
-        s.putDouble(h.lo());
-        s.putDouble(h.binWidth());
-        s.putU64(h.bins().size());
-        h.saveState(s);
-    }
+    ExperimentResult::io(r, s);
 }
 
 ExperimentResult
 deserializeResult(Deserializer &d)
 {
-    d.section(kResultSection);
     ExperimentResult r;
-    r.scheme = d.getString();
-    r.workload = d.getString();
-    r.cores = d.getU32();
-    r.cyclesRun = d.getU64();
-    const uint64_t nIpc = d.getU64();
-    for (uint64_t i = 0; i < nIpc; ++i)
-        r.ipc.push_back(d.getDouble());
-    r.meanReadLatency = d.getDouble();
-    r.effectiveBandwidth = d.getDouble();
-    r.dummyFraction = d.getDouble();
-    r.rowHitRate = d.getDouble();
-    r.energy.backgroundNj = d.getDouble();
-    r.energy.activateNj = d.getDouble();
-    r.energy.readWriteNj = d.getDouble();
-    r.energy.refreshNj = d.getDouble();
-    r.prefetchIssued = d.getU64();
-    r.prefetchUseful = d.getU64();
-    r.demandReads = d.getU64();
-    const uint64_t nTl = d.getU64();
-    for (uint64_t t = 0; t < nTl; ++t) {
-        core::VictimTimeline tl;
-        const uint64_t nEv = d.getU64();
-        for (uint64_t i = 0; i < nEv; ++i) {
-            core::ServiceEvent ev;
-            ev.ordinal = d.getU64();
-            ev.arrival = d.getU64();
-            ev.completed = d.getU64();
-            tl.service.push_back(ev);
-        }
-        const uint64_t nPr = d.getU64();
-        for (uint64_t i = 0; i < nPr; ++i)
-            tl.progress.push_back(d.getU64());
-        r.timelines.push_back(std::move(tl));
-    }
-    r.faultsInjected = d.getU64();
-    r.timingViolations = d.getU64();
-    r.illegalIssues = d.getU64();
-    const uint64_t nRules = d.getU64();
-    for (uint64_t i = 0; i < nRules; ++i) {
-        const std::string rule = d.getString();
-        r.violationRules[rule] = d.getU64();
-    }
-    const uint64_t nErr = d.getU64();
-    for (uint64_t i = 0; i < nErr; ++i) {
-        SimError e;
-        e.cycle = d.getU64();
-        e.category = d.getString();
-        e.message = d.getString();
-        r.simErrors.push_back(std::move(e));
-    }
-    r.cyclesExecuted = d.getU64();
-    r.cyclesSkipped = d.getU64();
-    r.resumedFromSnapshot = d.getBool();
-    r.effectiveChannels = d.getU32();
-    r.geometryOverridden = d.getBool();
-    r.shards = d.getU32();
-    const uint64_t nHist = d.getU64();
-    for (uint64_t i = 0; i < nHist; ++i) {
-        Histogram h;
-        const double lo = d.getDouble();
-        const double width = d.getDouble();
-        const uint64_t nbins = d.getU64();
-        h.init(lo, width, static_cast<size_t>(nbins));
-        h.restoreState(d);
-        r.domainReadLatency.push_back(std::move(h));
-    }
+    ExperimentResult::io(r, d);
     return r;
 }
 

@@ -107,6 +107,10 @@ struct ExperimentResult
 
     /** Sum over cores of ipc[i] / baseIpc[i]. */
     double weightedIpc(const std::vector<double> &baseIpc) const;
+
+    /** The journal record's walk (serializeResult's layout). */
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
 };
 
 /** Every declared config key: the harness's, leak.* and fault.*. */

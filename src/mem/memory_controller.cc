@@ -13,8 +13,7 @@ namespace memsec::mem {
 MemoryController::MemoryController(std::string name, const Params &params,
                                    const AddressMap &map)
     : Component(std::move(name)), map_(map),
-      dram_(params.timing, params.geo),
-      requestPool_(params.requestPoolCapacity, "mc-requests")
+      dram_(params.timing, params.geo)
 {
     fatal_if(params.numDomains == 0, "controller needs >= 1 domain");
     for (unsigned d = 0; d < params.numDomains; ++d)
@@ -199,16 +198,6 @@ MemoryController::prefetchQueue(DomainId d)
     return prefetchQueues_.at(d);
 }
 
-std::unique_ptr<MemRequest>
-MemoryController::acquireRequest()
-{
-    if (auto req = requestPool_.tryAcquire()) {
-        req->pooled = true;
-        return req;
-    }
-    return std::make_unique<MemRequest>();
-}
-
 void
 MemoryController::finishRequest(std::unique_ptr<MemRequest> req,
                                 Cycle completeAt)
@@ -217,12 +206,9 @@ MemoryController::finishRequest(std::unique_ptr<MemRequest> req,
     // touch no stats and notify no one (clientless *reads* — injector
     // ghosts — still sample read latency, so they stay). Retire the
     // storage immediately instead of round-tripping the completion
-    // queue; pooled objects go back for reuse.
-    if (!req->client && req->type != ReqType::Read) {
-        if (req->pooled)
-            requestPool_.release(std::move(req));
+    // queue.
+    if (!req->client && req->type != ReqType::Read)
         return;
-    }
     completions_.push(PendingCompletion{
         completeAt, completionSeq_++,
         std::shared_ptr<MemRequest>(std::move(req))});
@@ -302,110 +288,57 @@ MemoryController::fastForward(Cycle from, Cycle to)
     dram_.fastForwardEnergy(from, to);
 }
 
+template <class Self, class Ar>
+void
+MemoryController::io(Self &self, Ar &ar)
+{
+    ar.section("mc");
+    ar.io(self.dram_);
+    const auto clientOf = [&self](const MemRequest &req) {
+        return self.clientFor(req.domain);
+    };
+    ar.sized(self.queues_, "transaction queue count mismatch",
+             [&](auto &q) {
+                 if constexpr (Ar::loading)
+                     q.restoreState(ar, clientOf);
+                 else
+                     q.saveState(ar);
+             });
+    ar.sized(self.prefetchQueues_, "prefetch queue count mismatch",
+             [&](auto &pq) {
+                 ar.seq(pq, [&](auto &req) { ioRequest(req, ar, clientOf); });
+             });
+    // A priority_queue exposes only its top: a save drains a by-value
+    // copy to walk the pending completions in delivery order.
+    std::vector<PendingCompletion> pending;
+    if constexpr (!Ar::loading) {
+        for (auto copy = self.completions_; !copy.empty(); copy.pop())
+            pending.push_back(copy.top());
+    }
+    ar.seq(pending, [&](auto &pc) {
+        ar.io(pc.at, pc.seq);
+        ioRequest(pc.req, ar, clientOf);
+    });
+    if constexpr (Ar::loading) {
+        self.completions_ = {};
+        for (PendingCompletion &pc : pending)
+            self.completions_.push(std::move(pc));
+    }
+    ar.io(self.completionSeq_, self.reqIdSeq_, self.stats_);
+    panic_if(!self.sched_, "checkpoint without a scheduler");
+    ar.io(*self.sched_);
+}
+
 void
 MemoryController::saveState(Serializer &s) const
 {
-    s.section("mc");
-    dram_.saveState(s);
-    s.putU64(queues_.size());
-    for (const TransactionQueue &q : queues_)
-        q.saveState(s);
-    s.putU64(prefetchQueues_.size());
-    for (const auto &pq : prefetchQueues_) {
-        s.putU64(pq.size());
-        for (const auto &req : pq)
-            serializeRequest(s, *req);
-    }
-    // A priority_queue exposes only its top; drain a by-value copy to
-    // walk the pending completions in delivery order.
-    auto copy = completions_;
-    s.putU64(copy.size());
-    while (!copy.empty()) {
-        const PendingCompletion &pc = copy.top();
-        s.putU64(pc.at);
-        s.putU64(pc.seq);
-        serializeRequest(s, *pc.req);
-        copy.pop();
-    }
-    s.putU64(completionSeq_);
-    s.putU64(reqIdSeq_);
-    stats_.demandReads.saveState(s);
-    stats_.writes.saveState(s);
-    stats_.prefetches.saveState(s);
-    stats_.dummies.saveState(s);
-    stats_.forwarded.saveState(s);
-    stats_.mergedWrites.saveState(s);
-    stats_.mergedWithPrefetch.saveState(s);
-    stats_.realBursts.saveState(s);
-    stats_.dummyBursts.saveState(s);
-    stats_.overflowDrops.saveState(s);
-    stats_.readLatency.saveState(s);
-    stats_.readLatencyHist.saveState(s);
-    s.putU64(stats_.domainReadLatency.size());
-    for (const Histogram &h : stats_.domainReadLatency)
-        h.saveState(s);
-    panic_if(!sched_, "saveState without a scheduler");
-    sched_->saveState(s);
+    io(*this, s);
 }
 
 void
 MemoryController::restoreState(Deserializer &d)
 {
-    d.section("mc");
-    dram_.restoreState(d);
-    if (d.getU64() != queues_.size())
-        d.fail("transaction queue count mismatch");
-    const auto clientOf = [this](const MemRequest &req) {
-        return clientFor(req.domain);
-    };
-    for (TransactionQueue &q : queues_)
-        q.restoreState(d, clientOf);
-    if (d.getU64() != prefetchQueues_.size())
-        d.fail("prefetch queue count mismatch");
-    for (auto &pq : prefetchQueues_) {
-        pq.clear();
-        const uint64_t n = d.getU64();
-        for (uint64_t i = 0; i < n; ++i) {
-            bool hadClient = false;
-            auto req = deserializeRequest(d, &hadClient);
-            if (hadClient)
-                req->client = clientOf(*req);
-            pq.push_back(std::move(req));
-        }
-    }
-    completions_ = {};
-    const uint64_t pending = d.getU64();
-    for (uint64_t i = 0; i < pending; ++i) {
-        PendingCompletion pc;
-        pc.at = d.getU64();
-        pc.seq = d.getU64();
-        bool hadClient = false;
-        auto req = deserializeRequest(d, &hadClient);
-        if (hadClient)
-            req->client = clientOf(*req);
-        pc.req = std::shared_ptr<MemRequest>(std::move(req));
-        completions_.push(std::move(pc));
-    }
-    completionSeq_ = d.getU64();
-    reqIdSeq_ = d.getU64();
-    stats_.demandReads.restoreState(d);
-    stats_.writes.restoreState(d);
-    stats_.prefetches.restoreState(d);
-    stats_.dummies.restoreState(d);
-    stats_.forwarded.restoreState(d);
-    stats_.mergedWrites.restoreState(d);
-    stats_.mergedWithPrefetch.restoreState(d);
-    stats_.realBursts.restoreState(d);
-    stats_.dummyBursts.restoreState(d);
-    stats_.overflowDrops.restoreState(d);
-    stats_.readLatency.restoreState(d);
-    stats_.readLatencyHist.restoreState(d);
-    if (d.getU64() != stats_.domainReadLatency.size())
-        d.fail("domain latency histogram count mismatch");
-    for (Histogram &h : stats_.domainReadLatency)
-        h.restoreState(d);
-    panic_if(!sched_, "restoreState without a scheduler");
-    sched_->restoreState(d);
+    io(*this, d);
 }
 
 void

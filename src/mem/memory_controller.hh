@@ -25,7 +25,6 @@
 #include "sim/simulator.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
-#include "util/fixed_pool.hh"
 
 namespace memsec::sched {
 class Scheduler;
@@ -56,6 +55,17 @@ struct ControllerStats
      * transients stay out of the percentiles.
      */
     std::vector<Histogram> domainReadLatency;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.demandReads, self.writes, self.prefetches, self.dummies,
+              self.forwarded, self.mergedWrites, self.mergedWithPrefetch,
+              self.realBursts, self.dummyBursts, self.overflowDrops,
+              self.readLatency, self.readLatencyHist);
+        ar.sized(self.domainReadLatency,
+                 "domain latency histogram count mismatch");
+    }
 };
 
 /** One channel's memory controller. */
@@ -68,8 +78,6 @@ class MemoryController : public Component
         dram::Geometry geo;
         unsigned numDomains = 8;
         size_t queueCapacity = 32;
-        /** acquireRequest() pool budget (config mc.request_pool). */
-        size_t requestPoolCapacity = 64;
     };
 
     MemoryController(std::string name, const Params &params,
@@ -145,16 +153,6 @@ class MemoryController : public Component
     /** Count a dummy operation. */
     void noteDummy() { stats_.dummies.inc(); }
 
-    /**
-     * Fresh request storage for scheduler-internal operations
-     * (dummies). Served from a fixed-capacity pool so steady-state
-     * slot shaping allocates nothing; falls back to the heap if the
-     * pool is ever exhausted (provenance travels in req->pooled).
-     * Clientless non-read requests hand their storage back through
-     * finishRequest(), closing the recycle loop.
-     */
-    std::unique_ptr<MemRequest> acquireRequest();
-
     // ---- simulation ----
 
     void tick(Cycle now) override;
@@ -192,6 +190,9 @@ class MemoryController : public Component
     double effectiveBandwidth(Cycle elapsed) const;
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     struct PendingCompletion
     {
         Cycle at = 0;
@@ -219,7 +220,6 @@ class MemoryController : public Component
     uint64_t completionSeq_ = 0;
     ReqId reqIdSeq_ = 0;
     std::vector<MemClient *> clients_; ///< completion sink per domain
-    FixedPool<MemRequest> requestPool_;
     ControllerStats stats_;
     RunReport *report_ = nullptr;
     fault::FaultInjector *injector_ = nullptr;

@@ -2,54 +2,7 @@
 
 #include <sstream>
 
-#include "util/serialize.hh"
-
 namespace memsec::mem {
-
-void
-serializeRequest(Serializer &s, const MemRequest &req)
-{
-    s.putU64(req.id);
-    s.putU32(req.domain);
-    s.putU8(static_cast<uint8_t>(req.type));
-    s.putU64(req.addr);
-    s.putU32(req.loc.channel);
-    s.putU32(req.loc.rank);
-    s.putU32(req.loc.bank);
-    s.putU32(req.loc.row);
-    s.putU32(req.loc.col);
-    s.putU64(req.arrival);
-    s.putU64(req.firstCommand);
-    s.putU64(req.completed);
-    s.putU64(req.issued);
-    s.putBool(req.client != nullptr);
-}
-
-std::unique_ptr<MemRequest>
-deserializeRequest(Deserializer &d, bool *hadClient)
-{
-    auto req = std::make_unique<MemRequest>();
-    req->id = d.getU64();
-    req->domain = d.getU32();
-    const uint8_t type = d.getU8();
-    if (type > static_cast<uint8_t>(ReqType::Dummy))
-        d.fail("request type byte out of range");
-    req->type = static_cast<ReqType>(type);
-    req->addr = d.getU64();
-    req->loc.channel = d.getU32();
-    req->loc.rank = d.getU32();
-    req->loc.bank = d.getU32();
-    req->loc.row = d.getU32();
-    req->loc.col = d.getU32();
-    req->arrival = d.getU64();
-    req->firstCommand = d.getU64();
-    req->completed = d.getU64();
-    req->issued = d.getU64();
-    const bool had = d.getBool();
-    if (hadClient)
-        *hadClient = had;
-    return req;
-}
 
 const char *
 reqTypeName(ReqType t)

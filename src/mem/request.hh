@@ -11,11 +11,6 @@
 
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::mem {
 
 /** Kind of transaction entering the controller. */
@@ -27,6 +22,13 @@ enum class ReqType : uint8_t
     Dummy,    ///< scheduler-inserted shaping access (never from a core)
 };
 
+/** The last ReqType, for the snapshot range check. */
+constexpr ReqType
+enumLast(ReqType)
+{
+    return ReqType::Dummy;
+}
+
 const char *reqTypeName(ReqType t);
 
 /** Decoded physical location of one cache line. */
@@ -37,6 +39,12 @@ struct Decoded
     unsigned bank = 0;
     unsigned row = 0;
     unsigned col = 0;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.channel, self.rank, self.bank, self.row, self.col);
+    }
 };
 
 struct MemRequest;
@@ -78,13 +86,6 @@ struct MemRequest
 
     MemClient *client = nullptr; ///< completion sink (null for dummies)
 
-    /**
-     * Came from the controller's fixed-capacity request pool; routes
-     * the object back there on retirement. Pure provenance — never
-     * serialized (a restored request is heap-owned again).
-     */
-    bool pooled = false;
-
     bool isRead() const
     {
         return type == ReqType::Read || type == ReqType::Prefetch ||
@@ -96,16 +97,27 @@ struct MemRequest
 };
 
 /**
- * Serialize one request. The client pointer is encoded as a presence
- * bit only; the restoring controller rebinds it to the client
- * registered for the request's domain (pointer identity cannot cross
- * a process boundary).
+ * Checkpoint walk of one owned request (a unique_ptr or shared_ptr).
+ * The client pointer travels as a presence bit only: a load allocates
+ * the request and rebinds a present client to `clientOf(*req)`, the
+ * sink registered for its domain (pointer identity cannot cross a
+ * process boundary).
  */
-void serializeRequest(Serializer &s, const MemRequest &req);
-
-/** Inverse of serializeRequest; *hadClient reports the presence bit. */
-std::unique_ptr<MemRequest> deserializeRequest(Deserializer &d,
-                                               bool *hadClient);
+template <class Ptr, class Ar, class ClientOf>
+void
+ioRequest(Ptr &req, Ar &ar, const ClientOf &clientOf)
+{
+    if constexpr (Ar::loading)
+        req = std::make_unique<MemRequest>();
+    bool hasClient = req->client != nullptr;
+    ar.io(req->id, req->domain, req->type, req->addr, req->loc,
+          req->arrival, req->firstCommand, req->completed, req->issued,
+          hasClient);
+    if constexpr (Ar::loading) {
+        if (hasClient)
+            req->client = clientOf(*req);
+    }
+}
 
 } // namespace memsec::mem
 

@@ -24,46 +24,48 @@ isWrite(const MemRequest &r)
 
 } // namespace
 
+template <class Self, class Ar>
 void
-TransactionQueue::saveState(Serializer &s) const
+TransactionQueue::io(Self &self, Ar &ar, const ClientOf &clientOf)
 {
-    s.section("txq");
-    s.putU64(entries_.size());
-    for (const auto &e : entries_)
-        serializeRequest(s, *e);
+    ar.section("txq");
+    if constexpr (Ar::loading) {
+        if (self.totals_) {
+            self.totals_->reads -= self.readCount();
+            self.totals_->writes -= self.writeCount();
+            ++self.totals_->mutations;
+        }
+        self.views_[0].clear();
+        self.views_[1].clear();
+        self.reads_ = 0;
+        ++self.mutations_;
+    }
+    ar.seq(self.entries_, [&](auto &req) {
+        ioRequest(req, ar, clientOf);
+        if constexpr (Ar::loading) {
+            if (req->isRead())
+                ++self.reads_;
+            self.views_[isWrite(*req)].push_back(entryFor(*req));
+        }
+    });
+    if constexpr (Ar::loading) {
+        if (self.totals_) {
+            self.totals_->reads += self.readCount();
+            self.totals_->writes += self.writeCount();
+        }
+    }
 }
 
 void
-TransactionQueue::restoreState(
-    Deserializer &d,
-    const std::function<MemClient *(const MemRequest &)> &clientOf)
+TransactionQueue::saveState(Serializer &s) const
 {
-    d.section("txq");
-    const uint64_t n = d.getU64();
-    if (totals_) {
-        totals_->reads -= readCount();
-        totals_->writes -= writeCount();
-        ++totals_->mutations;
-    }
-    entries_.clear();
-    views_[0].clear();
-    views_[1].clear();
-    reads_ = 0;
-    ++mutations_;
-    for (uint64_t i = 0; i < n; ++i) {
-        bool hadClient = false;
-        auto req = deserializeRequest(d, &hadClient);
-        if (hadClient)
-            req->client = clientOf(*req);
-        if (req->isRead())
-            ++reads_;
-        views_[isWrite(*req)].push_back(entryFor(*req));
-        entries_.push_back(std::move(req));
-    }
-    if (totals_) {
-        totals_->reads += readCount();
-        totals_->writes += writeCount();
-    }
+    io(*this, s, {});
+}
+
+void
+TransactionQueue::restoreState(Deserializer &d, const ClientOf &clientOf)
+{
+    io(*this, d, clientOf);
 }
 
 TransactionQueue::TransactionQueue(size_t readCapacity,

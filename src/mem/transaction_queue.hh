@@ -22,6 +22,8 @@
 
 namespace memsec {
 class Component;
+class Serializer;
+class Deserializer;
 } // namespace memsec
 
 namespace memsec::mem {
@@ -129,18 +131,20 @@ class TransactionQueue
     /** True if a queued entry of any type covers the line. */
     bool hasEntryFor(Addr lineAddr) const;
 
+    /** Maps a restored request (by domain) back to its live
+     *  completion sink. */
+    using ClientOf = std::function<MemClient *(const MemRequest &)>;
+
     void saveState(Serializer &s) const;
 
-    /**
-     * Restore entries; `clientOf` maps each restored request (by
-     * domain) back to a live completion sink for requests that had a
-     * client when saved.
-     */
-    void restoreState(
-        Deserializer &d,
-        const std::function<MemClient *(const MemRequest &)> &clientOf);
+    /** Restore entries; `clientOf` rebinds each request that had a
+     *  client when saved. */
+    void restoreState(Deserializer &d, const ClientOf &clientOf);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar, const ClientOf &clientOf);
+
     size_t readCap_ = 0;
     size_t writeCap_ = 0;
     size_t reads_ = 0;

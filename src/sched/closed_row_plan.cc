@@ -155,59 +155,35 @@ ClosedRowPlan::nextCommandCycle() const
     return wake;
 }
 
+template <class Self, class Ar>
+void
+ClosedRowPlan::io(Self &self, Ar &ar)
+{
+    const auto clientOf = [&self](const mem::MemRequest &req) {
+        return self.mc_.clientFor(req.domain);
+    };
+    ar.seq(self.ops_, [&](auto &op) {
+        bool hasReq = op.req != nullptr;
+        ar.io(hasReq);
+        if (hasReq)
+            mem::ioRequest(op.req, ar, clientOf);
+        ar.io(op.write, op.dummy, op.suppressAct, op.suppressCas, op.actAt,
+              op.casAt, op.actIssued, op.completeAt);
+    });
+    ar.sized(self.horizon_, "planned horizon count mismatch");
+    ar.sized(self.windowEnds_, "planned horizon count mismatch");
+}
+
 void
 ClosedRowPlan::saveState(Serializer &s) const
 {
-    s.putU64(ops_.size());
-    for (const Op &op : ops_) {
-        s.putBool(op.req != nullptr);
-        if (op.req)
-            mem::serializeRequest(s, *op.req);
-        s.putBool(op.write);
-        s.putBool(op.dummy);
-        s.putBool(op.suppressAct);
-        s.putBool(op.suppressCas);
-        s.putU64(op.actAt);
-        s.putU64(op.casAt);
-        s.putBool(op.actIssued);
-        s.putU64(op.completeAt);
-    }
-    for (const std::vector<Cycle> *v : {&horizon_, &windowEnds_}) {
-        s.putU64(v->size());
-        for (Cycle c : *v)
-            s.putU64(c);
-    }
+    io(*this, s);
 }
 
 void
 ClosedRowPlan::restoreState(Deserializer &d)
 {
-    ops_.clear();
-    const uint64_t nops = d.getU64();
-    for (uint64_t i = 0; i < nops; ++i) {
-        Op op;
-        if (d.getBool()) {
-            bool hadClient = false;
-            op.req = mem::deserializeRequest(d, &hadClient);
-            if (hadClient)
-                op.req->client = mc_.clientFor(op.req->domain);
-        }
-        op.write = d.getBool();
-        op.dummy = d.getBool();
-        op.suppressAct = d.getBool();
-        op.suppressCas = d.getBool();
-        op.actAt = d.getU64();
-        op.casAt = d.getU64();
-        op.actIssued = d.getBool();
-        op.completeAt = d.getU64();
-        ops_.push_back(std::move(op));
-    }
-    for (std::vector<Cycle> *v : {&horizon_, &windowEnds_}) {
-        if (d.getU64() != v->size())
-            d.fail("planned horizon count mismatch");
-        for (Cycle &c : *v)
-            c = d.getU64();
-    }
+    io(*this, d);
 }
 
 } // namespace memsec::sched

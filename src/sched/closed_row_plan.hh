@@ -104,6 +104,9 @@ class ClosedRowPlan
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Horizon slots per scope instance: one per (later edge, type). */
     static constexpr size_t kSlots = 3 * 2;
 

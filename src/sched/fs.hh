@@ -117,6 +117,9 @@ class FsScheduler : public Scheduler
     Cycle poweredDownUntil(unsigned r) const { return rankDownUntil_.at(r); }
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     /** Builds everything from the one solver the public form makes. */
     FsScheduler(mem::MemoryController &mc, const Params &params,
                 const core::PipelineSolver &solver);

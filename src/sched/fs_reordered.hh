@@ -49,6 +49,9 @@ class FsReorderedScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     void decideInterval(uint64_t interval, Cycle now);
     std::unique_ptr<mem::MemRequest> makeDummy(DomainId domain, bool write,
                                                Cycle actAt, Cycle now);

@@ -52,8 +52,6 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
         footRead_ = std::max(footRead_, gap(RuleId::ActToActRdA));
         footWrite_ = std::max(footWrite_, gap(RuleId::ActToActWrA));
     }
-    footRead_ += params_.extraDead;
-    footWrite_ += params_.extraDead;
     fatal_if(footWrite_ > params_.turnLength ||
                  footRead_ > params_.turnLength,
              "TP turn length {} shorter than a transaction footprint "
@@ -147,24 +145,24 @@ TpScheduler::registerStats(StatGroup &group) const
               "turn slots with no eligible transaction");
 }
 
+template <class Self, class Ar>
+void
+TpScheduler::io(Self &self, Ar &ar)
+{
+    ar.section("tp/v3");
+    ar.io(self.plan_, self.turns_, self.served_, self.idleSlots_);
+}
+
 void
 TpScheduler::saveState(Serializer &s) const
 {
-    s.section("tp/v3");
-    plan_.saveState(s);
-    turns_.saveState(s);
-    served_.saveState(s);
-    idleSlots_.saveState(s);
+    io(*this, s);
 }
 
 void
 TpScheduler::restoreState(Deserializer &d)
 {
-    d.section("tp/v3");
-    plan_.restoreState(d);
-    turns_.restoreState(d);
-    served_.restoreState(d);
-    idleSlots_.restoreState(d);
+    io(*this, d);
 }
 
 } // namespace memsec::sched

@@ -33,9 +33,6 @@ class TpScheduler : public Scheduler
     struct Params
     {
         unsigned turnLength = 60; ///< memory cycles per turn
-        /** Extra margin (cycles) added to the derived per-type
-         *  footprints; 0 reproduces the paper's models. */
-        unsigned extraDead = 0;
     };
 
     TpScheduler(mem::MemoryController &mc, const Params &params);
@@ -64,6 +61,9 @@ class TpScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     void decideSlot(Cycle now);
 
     Params params_;

@@ -7,42 +7,38 @@
 
 namespace memsec {
 
+template <class Self, class Ar>
+void
+Simulator::io(Self &self, Ar &ar)
+{
+    ar.section("simulator/v2");
+    ar.io(self.now_, self.cyclesExecuted_, self.cyclesSkipped_, self.jumps_);
+    // The books lag the probe by up to a window, by a different amount
+    // in each mode; their max with the probe does not.
+    if constexpr (Ar::loading) {
+        ar.io(self.watchdogLastProgress_);
+    } else {
+        ar.io(self.watchdogWindow_ > 0
+                  ? std::max(self.watchdogLastProgress_,
+                             self.watchdogProbe_())
+                  : self.watchdogLastProgress_);
+    }
+    ar.sized(self.slots_, "component count mismatch", [&](auto &slot) {
+        ar.section(slot.c->name());
+        ar.io(*slot.c);
+    });
+}
+
 void
 Simulator::saveState(Serializer &s) const
 {
-    s.section("simulator/v2");
-    s.putU64(now_);
-    s.putU64(cyclesExecuted_);
-    s.putU64(cyclesSkipped_);
-    s.putU64(jumps_);
-    // The books lag the probe by up to a window, by a different amount
-    // in each mode; their max with the probe does not.
-    s.putU64(watchdogWindow_ > 0
-                 ? std::max(watchdogLastProgress_, watchdogProbe_())
-                 : watchdogLastProgress_);
-    s.putU64(slots_.size());
-    for (const Slot &slot : slots_) {
-        s.section(slot.c->name());
-        slot.c->saveState(s);
-    }
+    io(*this, s);
 }
 
 void
 Simulator::restoreState(Deserializer &d)
 {
-    d.section("simulator/v2");
-    now_ = d.getU64();
-    cyclesExecuted_ = d.getU64();
-    cyclesSkipped_ = d.getU64();
-    jumps_ = d.getU64();
-    watchdogLastProgress_ = d.getU64();
-    const uint64_t n = d.getU64();
-    if (n != slots_.size())
-        d.fail("component count mismatch");
-    for (Slot &slot : slots_) {
-        d.section(slot.c->name());
-        slot.c->restoreState(d);
-    }
+    io(*this, d);
 }
 
 void

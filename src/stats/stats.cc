@@ -7,77 +7,8 @@
 #include <sstream>
 
 #include "util/logging.hh"
-#include "util/serialize.hh"
 
 namespace memsec {
-
-void
-Counter::saveState(Serializer &s) const
-{
-    s.putU64(value_);
-}
-
-void
-Counter::restoreState(Deserializer &d)
-{
-    value_ = d.getU64();
-}
-
-void
-Scalar::saveState(Serializer &s) const
-{
-    s.putDouble(value_);
-}
-
-void
-Scalar::restoreState(Deserializer &d)
-{
-    value_ = d.getDouble();
-}
-
-void
-Average::saveState(Serializer &s) const
-{
-    s.putDouble(sum_);
-    s.putU64(count_);
-    s.putDouble(min_);
-    s.putDouble(max_);
-}
-
-void
-Average::restoreState(Deserializer &d)
-{
-    sum_ = d.getDouble();
-    count_ = d.getU64();
-    min_ = d.getDouble();
-    max_ = d.getDouble();
-}
-
-void
-Histogram::saveState(Serializer &s) const
-{
-    s.putU64(bins_.size());
-    for (uint64_t b : bins_)
-        s.putU64(b);
-    s.putU64(underflow_);
-    s.putU64(overflow_);
-    s.putU64(samples_);
-    s.putDouble(sum_);
-}
-
-void
-Histogram::restoreState(Deserializer &d)
-{
-    const uint64_t n = d.getU64();
-    if (n != bins_.size())
-        d.fail("histogram bin count mismatch");
-    for (auto &b : bins_)
-        b = d.getU64();
-    underflow_ = d.getU64();
-    overflow_ = d.getU64();
-    samples_ = d.getU64();
-    sum_ = d.getDouble();
-}
 
 void
 Average::sample(double v)

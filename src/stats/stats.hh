@@ -23,9 +23,6 @@
 
 namespace memsec {
 
-class Serializer;
-class Deserializer;
-
 /** Monotonic event counter. */
 class Counter
 {
@@ -34,8 +31,11 @@ class Counter
     uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.value_);
+    }
 
   private:
     uint64_t value_ = 0;
@@ -49,8 +49,11 @@ class Scalar
     double value() const { return value_; }
     void reset() { value_ = 0.0; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.value_);
+    }
 
   private:
     double value_ = 0.0;
@@ -68,8 +71,11 @@ class Average
     double max() const;
     void reset();
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.sum_, self.count_, self.min_, self.max_);
+    }
 
   private:
     double sum_ = 0.0;
@@ -107,9 +113,14 @@ class Histogram
     void merge(const Histogram &other);
     void reset();
 
-    /** Bin contents only; the bin layout comes from init(). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint walk: bin contents only; the bin layout comes from
+     *  init(). */
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.sized(self.bins_, "histogram bin count mismatch");
+        ar.io(self.underflow_, self.overflow_, self.samples_, self.sum_);
+    }
 
   private:
     double lo_ = 0.0;

@@ -44,20 +44,6 @@ Rng::range(uint64_t lo, uint64_t hi)
     return lo + below(hi - lo + 1);
 }
 
-void
-Rng::getState(uint64_t out[4]) const
-{
-    for (int i = 0; i < 4; ++i)
-        out[i] = s[i];
-}
-
-void
-Rng::setState(const uint64_t in[4])
-{
-    for (int i = 0; i < 4; ++i)
-        s[i] = in[i];
-}
-
 uint64_t
 Rng::geometric(double p)
 {

@@ -63,11 +63,12 @@ class Rng
      *  UINT64_MAX when p is too small for 1 - p to differ from 1. */
     uint64_t geometric(double p);
 
-    /** Copy the raw 256-bit state out (snapshot support). */
-    void getState(uint64_t out[4]) const;
-
-    /** Restore state previously captured with getState(). */
-    void setState(const uint64_t in[4]);
+    /** Checkpoint walk: the raw 256-bit state. */
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.s);
+    }
 
   private:
     static uint64_t rotl(uint64_t x, int k)

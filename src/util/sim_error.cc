@@ -43,44 +43,24 @@ RunReport::summary() const
     return os.str();
 }
 
+template <class Self, class Ar>
+void
+RunReport::io(Self &self, Ar &ar)
+{
+    ar.section("report");
+    ar.io(self.errors_, self.counts_, self.total_);
+}
+
 void
 RunReport::saveState(Serializer &s) const
 {
-    s.section("report");
-    s.putU64(errors_.size());
-    for (const SimError &e : errors_) {
-        s.putU64(e.cycle);
-        s.putString(e.category);
-        s.putString(e.message);
-    }
-    s.putU64(counts_.size());
-    for (const auto &kv : counts_) {
-        s.putString(kv.first);
-        s.putU64(kv.second);
-    }
-    s.putU64(total_);
+    io(*this, s);
 }
 
 void
 RunReport::restoreState(Deserializer &d)
 {
-    d.section("report");
-    const uint64_t n = d.getU64();
-    errors_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        SimError e;
-        e.cycle = d.getU64();
-        e.category = d.getString();
-        e.message = d.getString();
-        errors_.push_back(std::move(e));
-    }
-    const uint64_t cats = d.getU64();
-    counts_.clear();
-    for (uint64_t i = 0; i < cats; ++i) {
-        const std::string cat = d.getString();
-        counts_[cat] = d.getU64();
-    }
-    total_ = d.getU64();
+    io(*this, d);
 }
 
 } // namespace memsec

@@ -34,6 +34,12 @@ struct SimError
     std::string message;
 
     std::string toString() const;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.cycle, self.category, self.message);
+    }
 };
 
 /**
@@ -74,6 +80,9 @@ class RunReport
     void restoreState(Deserializer &d);
 
   private:
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar);
+
     size_t cap_ = 0;
     std::vector<SimError> errors_;
     std::map<std::string, uint64_t> counts_;

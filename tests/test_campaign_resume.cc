@@ -248,11 +248,10 @@ TEST(CampaignResume, OldLayoutJournalEntryIgnoredAndReExecuted)
     Serializer cur;
     serializeResult(cur, legacy);
     Deserializer tag(cur.data());
-    tag.getString();
+    tag.section("result/v2");
     std::string body = cur.data().substr(tag.offset());
     Serializer marks;
-    marks.putU64(legacy.cyclesExecuted);
-    marks.putU64(legacy.cyclesSkipped);
+    marks.io(legacy.cyclesExecuted, legacy.cyclesSkipped);
     const size_t at = body.find(marks.data());
     ASSERT_NE(at, std::string::npos);
     body.insert(at + marks.size(), std::string(16, '\0'));

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the snapshot codec: scalar round trips (doubles are
- * bit-exact), section markers, the snapshot container (magic /
+ * Unit tests for the snapshot codec: the io walk's scalar widths
+ * (doubles are bit-exact), containers, nested walks, enum range and
+ * config-sized length checks, section markers, the snapshot container (magic /
  * version / fingerprint / CRC32C), each structured failure category,
  * and the atomic file helpers. Every corruption mode the durability
  * layer claims to detect is exercised here in isolation.
@@ -9,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "util/serialize.hh"
 
@@ -41,25 +46,36 @@ expectDecodeError(const std::string &bytes, const std::string &expected,
 
 TEST(Serialize, ScalarRoundTrip)
 {
+    const uint8_t u8 = 0xAB;
+    const uint32_t u32 = 0xDEADBEEFu;
+    const uint64_t u64 = 0x0123456789ABCDEFull;
+    const int64_t i64 = -42;
+    const std::string text = "hello snapshot";
+    const std::string empty;
     Serializer s;
-    s.putU8(0xAB);
-    s.putU32(0xDEADBEEFu);
-    s.putU64(0x0123456789ABCDEFull);
-    s.putI64(-42);
-    s.putBool(true);
-    s.putBool(false);
-    s.putString("hello snapshot");
-    s.putString("");
+    s.io(u8, u32, u64, i64, true, false, text, empty);
+    // Each width follows from the field's type: 1 + 4 + 8 + 8 bytes,
+    // two bool bytes, then two u64-length-prefixed strings.
+    EXPECT_EQ(s.size(), 1u + 4 + 8 + 8 + 2 + (8 + 14) + 8);
 
+    uint8_t gotU8 = 0;
+    uint32_t gotU32 = 0;
+    uint64_t gotU64 = 0;
+    int64_t gotI64 = 0;
+    bool yes = false;
+    bool no = true;
+    std::string gotText = "stale";
+    std::string gotEmpty = "stale";
     Deserializer d(s.data());
-    EXPECT_EQ(d.getU8(), 0xAB);
-    EXPECT_EQ(d.getU32(), 0xDEADBEEFu);
-    EXPECT_EQ(d.getU64(), 0x0123456789ABCDEFull);
-    EXPECT_EQ(d.getI64(), -42);
-    EXPECT_TRUE(d.getBool());
-    EXPECT_FALSE(d.getBool());
-    EXPECT_EQ(d.getString(), "hello snapshot");
-    EXPECT_EQ(d.getString(), "");
+    d.io(gotU8, gotU32, gotU64, gotI64, yes, no, gotText, gotEmpty);
+    EXPECT_EQ(gotU8, u8);
+    EXPECT_EQ(gotU32, u32);
+    EXPECT_EQ(gotU64, u64);
+    EXPECT_EQ(gotI64, i64);
+    EXPECT_TRUE(yes);
+    EXPECT_FALSE(no);
+    EXPECT_EQ(gotText, text);
+    EXPECT_EQ(gotEmpty, "");
     EXPECT_TRUE(d.atEnd());
 }
 
@@ -75,29 +91,142 @@ TEST(Serialize, DoublesRoundTripBitExactly)
                              std::numeric_limits<double>::infinity()};
     Serializer s;
     for (double v : values)
-        s.putDouble(v);
-    s.putDouble(std::numeric_limits<double>::quiet_NaN());
+        s.io(v);
+    s.io(std::numeric_limits<double>::quiet_NaN());
 
     Deserializer d(s.data());
     for (double v : values) {
-        const double got = d.getDouble();
+        double got = 0.0;
+        d.io(got);
         EXPECT_EQ(got, v);
         // 0.0 == -0.0 compares true; pin the sign bit too.
         EXPECT_EQ(std::signbit(got), std::signbit(v));
     }
-    EXPECT_TRUE(std::isnan(d.getDouble()));
+    double nan = 0.0;
+    d.io(nan);
+    EXPECT_TRUE(std::isnan(nan));
     EXPECT_TRUE(d.atEnd());
+}
+
+namespace {
+
+enum class Color : uint8_t
+{
+    Red,
+    Green,
+    Blue,
+};
+
+constexpr Color
+enumLast(Color)
+{
+    return Color::Blue;
+}
+
+/** A nested type with its own walk, as checkpointed classes have. */
+struct Point
+{
+    uint32_t x = 0;
+    Color color = Color::Red;
+    std::vector<uint64_t> trail;
+
+    template <class Self, class Ar>
+    static void io(Self &self, Ar &ar)
+    {
+        ar.io(self.x, self.color, self.trail);
+    }
+};
+
+} // namespace
+
+TEST(Serialize, ContainersAndNestedWalksRoundTrip)
+{
+    std::vector<Point> points(2);
+    points[0] = {7, Color::Green, {1, 2, 3}};
+    points[1] = {9, Color::Blue, {}};
+    std::deque<int64_t> ring = {-1, 0, 1};
+    std::map<std::string, uint64_t> counts = {{"a", 1}, {"bb", 2}};
+    std::array<uint32_t, 3> fixed = {4, 5, 6};
+    Serializer s;
+    s.io(points, ring, counts, fixed);
+
+    std::vector<Point> gotPoints(5); // replaced, not appended to
+    std::deque<int64_t> gotRing = {42};
+    std::map<std::string, uint64_t> gotCounts = {{"stale", 9}};
+    std::array<uint32_t, 3> gotFixed{};
+    Deserializer d(s.data());
+    d.io(gotPoints, gotRing, gotCounts, gotFixed);
+    EXPECT_TRUE(d.atEnd());
+    ASSERT_EQ(gotPoints.size(), 2u);
+    EXPECT_EQ(gotPoints[0].x, 7u);
+    EXPECT_EQ(gotPoints[0].color, Color::Green);
+    EXPECT_EQ(gotPoints[0].trail, (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(gotPoints[1].color, Color::Blue);
+    EXPECT_TRUE(gotPoints[1].trail.empty());
+    EXPECT_EQ(gotRing, ring);
+    EXPECT_EQ(gotCounts, counts);
+    EXPECT_EQ(gotFixed, fixed);
+}
+
+TEST(Serialize, EnumByteBeyondLastEnumeratorIsCorrupt)
+{
+    const std::string bytes("\x03", 1);
+    Deserializer d(bytes);
+    Color c = Color::Red;
+    try {
+        d.io(c);
+        FAIL() << "enum byte 3 accepted";
+    } catch (const SerializeError &e) {
+        EXPECT_EQ(e.category, "snapshot-corrupt");
+    }
+}
+
+TEST(Serialize, ConfigSizedContainerLengthChecked)
+{
+    const std::vector<uint32_t> three = {1, 2, 3};
+    Serializer s;
+    s.sized(three, "lane count mismatch");
+
+    std::vector<uint32_t> same(3);
+    Deserializer ok(s.data());
+    ok.sized(same, "lane count mismatch");
+    EXPECT_EQ(same, three);
+
+    std::vector<uint32_t> four(4);
+    Deserializer bad(s.data());
+    try {
+        bad.sized(four, "lane count mismatch");
+        FAIL() << "length mismatch accepted";
+    } catch (const SerializeError &e) {
+        EXPECT_EQ(e.category, "snapshot-corrupt");
+        EXPECT_EQ(e.message, "lane count mismatch");
+    }
+}
+
+TEST(Serialize, AsWidthOverridesTheFieldType)
+{
+    int offset = -5;
+    Serializer s;
+    s.io(as<int64_t>(offset));
+    EXPECT_EQ(s.size(), 8u);
+
+    int got = 0;
+    Deserializer d(s.data());
+    d.io(as<int64_t>(got));
+    EXPECT_EQ(got, -5);
 }
 
 TEST(Serialize, SectionMarkerVerifies)
 {
     Serializer s;
     s.section("dram");
-    s.putU64(7);
+    s.io(uint64_t{7});
 
     Deserializer ok(s.data());
     ok.section("dram");
-    EXPECT_EQ(ok.getU64(), 7u);
+    uint64_t v = 0;
+    ok.io(v);
+    EXPECT_EQ(v, 7u);
 
     Deserializer bad(s.data());
     try {
@@ -112,14 +241,15 @@ TEST(Serialize, SectionMarkerVerifies)
 TEST(Serialize, TruncatedInputReportsOffset)
 {
     Serializer s;
-    s.putU64(1);
-    s.putU64(2);
+    s.io(uint64_t{1}, uint64_t{2});
     const std::string cut = s.data().substr(0, 11);
 
     Deserializer d(cut);
-    EXPECT_EQ(d.getU64(), 1u);
+    uint64_t v = 0;
+    d.io(v);
+    EXPECT_EQ(v, 1u);
     try {
-        d.getU64();
+        d.io(v);
         FAIL() << "read past the end";
     } catch (const SerializeError &e) {
         EXPECT_EQ(e.category, "snapshot-truncate");
@@ -130,11 +260,12 @@ TEST(Serialize, TruncatedInputReportsOffset)
 TEST(Serialize, StringLengthBeyondInputIsTruncate)
 {
     Serializer s;
-    s.putString("abcdef");
+    s.io(std::string("abcdef"));
     const std::string cut = s.data().substr(0, 10);
     Deserializer d(cut);
+    std::string got;
     try {
-        d.getString();
+        d.io(got);
         FAIL() << "oversized string length accepted";
     } catch (const SerializeError &e) {
         EXPECT_EQ(e.category, "snapshot-truncate");
@@ -145,8 +276,9 @@ TEST(Serialize, BadBoolByteIsCorrupt)
 {
     const std::string bytes("\x02", 1);
     Deserializer d(bytes);
+    bool b = false;
     try {
-        d.getBool();
+        d.io(b);
         FAIL() << "bool byte 2 accepted";
     } catch (const SerializeError &e) {
         EXPECT_EQ(e.category, "snapshot-corrupt");

@@ -24,7 +24,7 @@ class TpTest : public ::testing::Test, public MemClient
         p.queueCapacity = 16;
         mc = std::make_unique<MemoryController>("mc", p, *map);
         auto s = std::make_unique<TpScheduler>(
-            *mc, TpScheduler::Params{turn, 0});
+            *mc, TpScheduler::Params{turn});
         tp = s.get();
         mc->setScheduler(std::move(s));
     }
@@ -191,9 +191,9 @@ TEST_F(TpTest, InvalidParamsFatal)
     MemoryController::Params p;
     p.numDomains = 4;
     mc = std::make_unique<MemoryController>("mc", p, *map);
-    EXPECT_EXIT(TpScheduler(*mc, TpScheduler::Params{0, 0}),
+    EXPECT_EXIT(TpScheduler(*mc, TpScheduler::Params{0}),
                 ::testing::ExitedWithCode(1), "turn length");
-    EXPECT_EXIT(TpScheduler(*mc, TpScheduler::Params{20, 0}),
+    EXPECT_EXIT(TpScheduler(*mc, TpScheduler::Params{20}),
                 ::testing::ExitedWithCode(1), "footprint");
 }
 
