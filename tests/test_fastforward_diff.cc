@@ -188,7 +188,21 @@ TEST(FastForwardDiff, FrFcfsWithRefresh)
 
 TEST(FastForwardDiff, FrFcfsWithPrefetchPromotion)
 {
+    // The baseline sleeps only while no prefetch is promotable and
+    // wakes at each utilisation-window turn; streaming and
+    // write-heavy mixes keep the prefetch queues busy, and a lone
+    // lbm core leaves the controller idle across whole windows.
     expectIdentical("baseline_prefetch", "mcf", 1);
+    expectIdentical("baseline_prefetch", "libquantum", 42);
+    expectIdentical("baseline_prefetch", "lbm", 7);
+    expectIdentical("baseline_prefetch", "lbm,idle,idle,idle", 1);
+    Config refresh;
+    refresh.set("dram.refresh", true);
+    expectIdentical("baseline_prefetch", "milc", 1, refresh);
+    // The fast arm must really sleep, or the comparison proves nothing.
+    const DiffOutcome o =
+        runBothModes(diffConfig("baseline_prefetch", "mcf", 1));
+    EXPECT_GT(o.fast.cyclesSkipped, 0u);
 }
 
 // -- Channel partitioning (multi-controller registration order) ----

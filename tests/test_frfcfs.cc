@@ -183,3 +183,44 @@ TEST_F(FrFcfsTest, IdleTickSleepsUntilTheFirstLegalCandidate)
     inject(1, ReqType::Read, 0x9000, 1, 2);
     EXPECT_EQ(schedPtr->nextWakeCycle(1), 2u);
 }
+
+TEST(FrFcfsPromotion, IdleWakeTracksPromotablePrefetchesAndTheWindow)
+{
+    AddressMap map(dram::Geometry{}, Partition::None, Interleave::OpenPage,
+                   2);
+    MemoryController::Params p;
+    p.numDomains = 2;
+    p.queueCapacity = 16;
+    MemoryController mc("mc", p, map);
+    auto owned = std::make_unique<FrFcfsScheduler>(mc, true);
+    const FrFcfsScheduler &sched = *owned;
+    mc.setScheduler(std::move(owned));
+    auto send = [&](DomainId d, ReqType t, Addr a, Cycle now) {
+        auto r = std::make_unique<MemRequest>();
+        r->domain = d;
+        r->type = t;
+        r->addr = a;
+        mc.access(std::move(r), now);
+    };
+
+    const auto &tp = mc.dram().timing();
+    send(0, ReqType::Read, 0x1000, 0);
+    mc.tick(0); // ACT
+    mc.tick(1); // idle: the CAS waits for tRCD
+    EXPECT_EQ(sched.nextWakeCycle(1), tp.rcd);
+    // A prefetch push leaves the demand queues, and so the hint's
+    // epoch, alone; the next idle tick must still run to promote it.
+    send(1, ReqType::Prefetch, 0x9000, 1);
+    EXPECT_EQ(sched.nextWakeCycle(1), 2u);
+    mc.tick(2);
+    EXPECT_EQ(mc.queue(1).readCount(), 1u);
+    EXPECT_EQ(sched.nextWakeCycle(2), 3u);
+    // Served and idle: nothing is due before the utilisation window
+    // turns, 1024 cycles after it last did.
+    for (Cycle c = 3; c < 400; ++c)
+        mc.tick(c);
+    EXPECT_EQ(mc.queue(0).size() + mc.queue(1).size(), 0u);
+    EXPECT_EQ(sched.nextWakeCycle(399), 1024u);
+    mc.tick(1024);
+    EXPECT_EQ(sched.nextWakeCycle(1024), 2048u);
+}

@@ -85,3 +85,11 @@ TEST(KernelEngagement, BaselineMcf)
     // An idle FR-FCFS baseline sleeps until its next legal command.
     expectEngaged("baseline", "mcf", 561363, 0.0659);
 }
+
+TEST(KernelEngagement, BaselinePrefetchMcf)
+{
+    // With prefetch promotion on, the baseline still sleeps while no
+    // prefetch is promotable, waking at least once per utilisation
+    // window (it used to execute every cycle).
+    expectEngaged("baseline_prefetch", "mcf", 561404, 0.0658);
+}
