@@ -474,6 +474,23 @@ TEST(Config, RemovedReplayKeysFatal)
     }
 }
 
+TEST(Config, RemovedPoolAndDeadTimeKeysFatal)
+{
+    // The controller's request pool and TP's extra dead time are gone;
+    // a config that still sets either fails before the first cycle,
+    // naming the key.
+    for (const char *key : {"mc.request_pool", "tp.extra_dead"}) {
+        Config c = harness::defaultConfig();
+        c.merge(harness::schemeConfig("tp_bp"));
+        c.set("cores", 4);
+        c.set(key, 0);
+        EXPECT_EXIT(harness::ExperimentSystem sys(c),
+                    ::testing::ExitedWithCode(1),
+                    std::string("'") + key + "' was removed")
+            << key;
+    }
+}
+
 TEST(Config, SlotWeightsParseStrict)
 {
     // Each comma-separated weight must be a whole decimal number; a
