@@ -13,7 +13,8 @@ namespace memsec::mem {
 MemoryController::MemoryController(std::string name, const Params &params,
                                    const AddressMap &map)
     : Component(std::move(name)), map_(map),
-      dram_(params.timing, params.geo)
+      dram_(params.timing, params.geo),
+      queueTotals_(params.geo.ranksPerChannel, params.geo.banksPerRank)
 {
     fatal_if(params.numDomains == 0, "controller needs >= 1 domain");
     for (unsigned d = 0; d < params.numDomains; ++d)

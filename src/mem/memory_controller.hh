@@ -120,7 +120,7 @@ class MemoryController : public Component
 
     TransactionQueue &queue(DomainId domain);
     const TransactionQueue &queue(DomainId domain) const;
-    /** Sums over every domain's queue. */
+    /** Sums and the bank index over every domain's queue. */
     const QueueTotals &queueTotals() const { return queueTotals_; }
 
     /**

@@ -10,12 +10,6 @@ namespace memsec::mem {
 
 namespace {
 
-TransactionQueue::Entry
-entryFor(MemRequest &r)
-{
-    return {&r, r.arrival, r.id, r.loc.row, r.loc.rank, r.loc.bank};
-}
-
 bool
 isWrite(const MemRequest &r)
 {
@@ -23,6 +17,44 @@ isWrite(const MemRequest &r)
 }
 
 } // namespace
+
+BankIndex::BankIndex(unsigned ranks, unsigned banksPerRank)
+    : ranks_(ranks), banksPerRank_(banksPerRank)
+{
+    panic_if(ranks == 0 || banksPerRank == 0,
+             "bank index needs at least one bank");
+    const size_t banks = static_cast<size_t>(ranks) * banksPerRank;
+    for (bool w : {false, true}) {
+        buckets_[w].resize(banks);
+        nonempty_[w].resize((banks + 63) / 64);
+    }
+}
+
+void
+BankIndex::file(MemRequest &r)
+{
+    panic_if(!holds(r), "request to rank {} bank {} outside the bank index",
+             r.loc.rank, r.loc.bank);
+    const size_t idx = flatBank(r);
+    Bucket &b = buckets_[isWrite(r)][idx];
+    b.entries.push_back(
+        {&r, r.arrival, r.id, r.loc.row, r.loc.rank, r.loc.bank});
+    ++b.serial;
+    nonempty_[isWrite(r)][idx / 64] |= uint64_t{1} << (idx % 64);
+}
+
+void
+BankIndex::unfile(const MemRequest &r)
+{
+    const size_t idx = flatBank(r);
+    Bucket &b = buckets_[isWrite(r)][idx];
+    b.entries.erase(
+        std::find_if(b.entries.begin(), b.entries.end(),
+                     [&r](const Entry &e) { return e.req == &r; }));
+    ++b.serial;
+    if (b.entries.empty())
+        nonempty_[isWrite(r)][idx / 64] &= ~(uint64_t{1} << (idx % 64));
+}
 
 template <class Self, class Ar>
 void
@@ -34,9 +66,9 @@ TransactionQueue::io(Self &self, Ar &ar, const ClientOf &clientOf)
             self.totals_->reads -= self.readCount();
             self.totals_->writes -= self.writeCount();
             ++self.totals_->mutations;
+            for (const auto &req : self.entries_)
+                self.totals_->banks.unfile(*req);
         }
-        self.views_[0].clear();
-        self.views_[1].clear();
         self.reads_ = 0;
         ++self.mutations_;
     }
@@ -45,7 +77,11 @@ TransactionQueue::io(Self &self, Ar &ar, const ClientOf &clientOf)
         if constexpr (Ar::loading) {
             if (req->isRead())
                 ++self.reads_;
-            self.views_[isWrite(*req)].push_back(entryFor(*req));
+            if (self.totals_) {
+                if (!self.totals_->banks.holds(*req))
+                    ar.fail("queued request outside the bank index");
+                self.totals_->banks.file(*req);
+            }
         }
     });
     if constexpr (Ar::loading) {
@@ -83,12 +119,12 @@ TransactionQueue::push(std::unique_ptr<MemRequest> req)
     panic_if(full(req->type),
              "push to full transaction queue (domain {})", req->domain);
     if (totals_) {
+        totals_->banks.file(*req);
         ++(req->isRead() ? totals_->reads : totals_->writes);
         ++totals_->mutations;
     }
     if (req->isRead())
         ++reads_;
-    views_[isWrite(*req)].push_back(entryFor(*req));
     entries_.push_back(std::move(req));
     ++mutations_;
 }
@@ -136,15 +172,13 @@ TransactionQueue::take(const MemRequest *req)
     panic_if(it == entries_.end(), "take: request not in queue");
     if (client_ && full(req->type))
         client_->poke();
-    std::vector<Entry> &view = views_[isWrite(*req)];
-    view.erase(std::find_if(view.begin(), view.end(),
-                            [req](const Entry &e) { return e.req == req; }));
     auto out = std::move(*it);
     entries_.erase(it);
     if (out->isRead())
         --reads_;
     ++mutations_;
     if (totals_) {
+        totals_->banks.unfile(*out);
         --(out->isRead() ? totals_->reads : totals_->writes);
         ++totals_->mutations;
     }

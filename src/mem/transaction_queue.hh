@@ -1,17 +1,20 @@
 /**
  * @file
- * Per-security-domain transaction queue.
+ * Per-security-domain transaction queue and the controller-wide bank
+ * index over every queue.
  *
  * The proposed microarchitecture (Section 5.1) keeps one queue per
  * domain so the arriving transaction's domain tag selects a queue and
  * no cross-domain state is shared. The same structure doubles as the
- * baseline's transaction queue (the baseline scheduler simply scans
- * all queues).
+ * baseline's transaction queue: every queue also files its requests
+ * into the controller's BankIndex, by (rank, bank, class), and the
+ * FR-FCFS baseline picks from those buckets across all domains.
  */
 
 #ifndef MEMSEC_MEM_TRANSACTION_QUEUE_HH
 #define MEMSEC_MEM_TRANSACTION_QUEUE_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -28,14 +31,98 @@ class Deserializer;
 
 namespace memsec::mem {
 
-/** Running sums over a controller's queues, kept up to date by every
- *  push, take and restore so nothing has to loop over the queues.
- *  Derived, never serialized. */
+/**
+ * Every request queued at a controller, filed by (rank, bank, class)
+ * so FR-FCFS visits the banks that have work instead of every queued
+ * entry. A bucket is addressed by its flat bank `rank *
+ * banksPerRank + bank` and its class (reads incl. prefetches, or
+ * writes). Filed by TransactionQueue::push and restore, unfiled by
+ * take; derived, never serialized.
+ */
+class BankIndex
+{
+  public:
+    /**
+     * Copy of the fields FR-FCFS selects on, so its pick reads one
+     * small array per bank instead of chasing MemRequest pointers.
+     * The copied fields never change while a request is queued; `req`
+     * is owned by its queue, and the scheduler serving it may stamp
+     * it (firstCommand).
+     */
+    struct Entry
+    {
+        MemRequest *req = nullptr;
+        Cycle arrival = 0;
+        ReqId id = 0;
+        unsigned row = 0;
+        unsigned rank = 0;
+        unsigned bank = 0;
+    };
+
+    /** One bank's queued entries of one class, in filing order. */
+    struct Bucket
+    {
+        std::vector<Entry> entries;
+        uint64_t serial = 0; ///< bumped by every file and unfile
+    };
+
+    BankIndex(unsigned ranks, unsigned banksPerRank);
+
+    size_t numBanks() const { return buckets_[0].size(); }
+    /** True if the request's (rank, bank) has a bucket. */
+    bool holds(const MemRequest &r) const
+    {
+        return r.loc.rank < ranks_ && r.loc.bank < banksPerRank_;
+    }
+
+    const Bucket &bucket(bool writes, size_t flatBank) const
+    {
+        return buckets_[writes][flatBank];
+    }
+
+    /** Bit `flatBank` (LSB first, 64 per word) is set iff that bank
+     *  has a queued entry of the class. */
+    std::span<const uint64_t> nonempty(bool writes) const
+    {
+        return nonempty_[writes];
+    }
+
+    /** File a request; panics if the index does not hold its bank. */
+    void file(MemRequest &r);
+    /** Remove a filed request. */
+    void unfile(const MemRequest &r);
+
+  private:
+    size_t flatBank(const MemRequest &r) const
+    {
+        return static_cast<size_t>(r.loc.rank) * banksPerRank_ +
+               r.loc.bank;
+    }
+
+    unsigned ranks_ = 0;
+    unsigned banksPerRank_ = 0;
+    std::vector<Bucket> buckets_[2];    ///< [write][flat bank]
+    std::vector<uint64_t> nonempty_[2]; ///< [write]: bitmask of banks
+};
+
+/**
+ * Controller-wide state over every domain's queue, kept up to date by
+ * every push, take and restore so nothing has to loop over the
+ * queues: running sums and the bank index. Reading it is a
+ * cross-domain read (isolint flags it in the schedulers). Derived,
+ * never serialized.
+ */
 struct QueueTotals
 {
+    QueueTotals(unsigned ranks, unsigned banksPerRank)
+        : banks(ranks, banksPerRank)
+    {
+    }
+
     size_t reads = 0;       ///< queued reads (incl. prefetches)
     size_t writes = 0;      ///< queued writes
     uint64_t mutations = 0; ///< sum of the queues' mutations()
+    BankIndex banks;        ///< every queued request by bank and class
 };
 
 /**
@@ -47,24 +134,8 @@ struct QueueTotals
 class TransactionQueue
 {
   public:
-    /**
-     * Compact copy of the fields FR-FCFS selects on, kept per class
-     * (reads, writes) in queue order beside the owned requests, so
-     * its per-tick scan reads one contiguous array of the class it
-     * serves instead of chasing MemRequest pointers. The copied
-     * fields never change while a request is queued.
-     */
-    struct Entry
-    {
-        MemRequest *req = nullptr; ///< owned by the queue
-        Cycle arrival = 0;
-        ReqId id = 0;
-        unsigned row = 0;
-        unsigned rank = 0;
-        unsigned bank = 0;
-    };
-
-    /** `totals`, if given, must outlive the queue. */
+    /** `totals`, if given, must outlive the queue; every request
+     *  pushed must then fall inside its bank index. */
     TransactionQueue(size_t readCapacity, size_t writeCapacity,
                      QueueTotals *totals = nullptr);
 
@@ -97,13 +168,6 @@ class TransactionQueue
 
     /** Entry at position i (0 = oldest). */
     const MemRequest *at(size_t i) const { return entries_.at(i).get(); }
-
-    /**
-     * The queued writes (`writes`) or reads (incl. prefetches), oldest
-     * first. Non-const because it hands out the requests themselves
-     * (a scheduler stamps firstCommand on a queued request).
-     */
-    std::span<const Entry> view(bool writes) { return views_[writes]; }
 
     /**
      * Bumped by every push, take, pop and restore: equal values mean
@@ -149,7 +213,6 @@ class TransactionQueue
     size_t writeCap_ = 0;
     size_t reads_ = 0;
     std::deque<std::unique_ptr<MemRequest>> entries_;
-    std::vector<Entry> views_[2]; ///< [write]: entries_ of one class
     uint64_t mutations_ = 0;
     QueueTotals *totals_ = nullptr;
     Component *client_ = nullptr;

@@ -1,6 +1,7 @@
 #include "sched/frfcfs.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -9,20 +10,32 @@ namespace memsec::sched {
 
 using mem::MemRequest;
 using dram::CmdType;
-using Entry = mem::TransactionQueue::Entry;
 
 FrFcfsEngine::FrFcfsEngine(mem::MemoryController &mc, const Options &opt)
     : mc_(mc), dram_(mc.dram()), opt_(opt),
-      banksPerRank_(dram_.geometry().banksPerRank)
+      banksPerRank_(dram_.geometry().banksPerRank),
+      index_(mc.queueTotals().banks)
 {
     for (DomainId d = 0; d < mc.numDomains(); ++d)
         queues_.push_back(&mc.queue(d));
-    const size_t banks =
-        static_cast<size_t>(dram_.numRanks()) * banksPerRank_;
-    memo_.resize(banks);
-    touched_.reserve(banks);
-    useful_.resize((banks + 63) / 64);
+    for (std::vector<BankPick> &picks : picks_) {
+        for (unsigned flat = 0; flat < index_.numBanks(); ++flat)
+            picks.push_back({.rank = flat / banksPerRank_,
+                             .bank = flat % banksPerRank_});
+    }
 }
+
+namespace {
+
+/** `a` came before `b` (or there is no `b`). */
+bool
+older(const mem::BankIndex::Entry &a, const mem::BankIndex::Entry *b)
+{
+    return !b || a.arrival < b->arrival ||
+           (a.arrival == b->arrival && a.id < b->id);
+}
+
+} // namespace
 
 bool
 FrFcfsEngine::nextDrainMode() const
@@ -40,55 +53,66 @@ FrFcfsEngine::epoch() const
     return dram_.commandsIssued() + mc_.queueTotals().mutations;
 }
 
+const FrFcfsEngine::BankPick &
+FrFcfsEngine::refreshPick(bool writes, unsigned flat, uint64_t busVersion)
+{
+    BankPick &p = picks_[writes][flat];
+    const uint64_t version = dram_.rankVersion(p.rank);
+    if (p.rankVersion != version) {
+        const dram::Bank &bk = dram_.rank(p.rank).bank(p.bank);
+        p.rankVersion = version;
+        p.open = bk.isOpen();
+        p.openRow = bk.openRow();
+        p.serial = ~0ull;
+        p.missKnown = false;
+        p.hitBusVersion = ~0ull;
+    }
+    const mem::BankIndex::Bucket &b = index_.bucket(writes, flat);
+    if (p.serial != b.serial) {
+        p.serial = b.serial;
+        p.hit = p.miss = nullptr;
+        for (const Entry &e : b.entries) {
+            const Entry *&best =
+                p.open && e.row == p.openRow ? p.hit : p.miss;
+            if (older(e, best))
+                best = &e;
+        }
+    }
+    if (p.hit && p.hitBusVersion != busVersion) {
+        p.hitAt = dram_.earliestIssue({writes ? CmdType::Wr : CmdType::Rd,
+                                       p.rank, p.bank, p.openRow, 0, false});
+        p.hitBusVersion = busVersion;
+    }
+    if (p.miss && !p.missKnown) {
+        p.missAt =
+            dram_.earliestIssue({p.open ? CmdType::Pre : CmdType::Act,
+                                 p.rank, p.bank, p.openRow, 0, false});
+        p.missKnown = true;
+    }
+    return p;
+}
+
 bool
 FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
 {
     hintValid_ = false;
     drainingWrites_ = nextDrainMode();
     const bool wantWrites = drainingWrites_;
-    const CmdType casType = wantWrites ? CmdType::Wr : CmdType::Rd;
 
-    ++tickSerial_;
-    touched_.clear();
-    std::fill(useful_.begin(), useful_.end(), 0);
     // Only the issuing scheduler uses the command bus, so it is free
     // here unless a refresh command took this cycle.
     const bool busFree = dram_.buses().cmdBusFree(now);
     const uint64_t busVersion = dram_.dataBusVersion();
 
-    // A bank's memo is touched once per tick and re-read from the
-    // device only when a command to its rank has changed its state.
-    auto memoFor = [&](unsigned rank, unsigned bank) -> BankMemo & {
-        const unsigned idx = rank * banksPerRank_ + bank;
-        BankMemo &m = memo_[idx];
-        if (m.tick == tickSerial_)
-            return m;
-        m.tick = tickSerial_;
-        m.missSeen = false;
-        touched_.push_back(idx);
-        const uint64_t version = dram_.rankVersion(rank);
-        if (m.rankVersion != version) {
-            const dram::Bank &bk = dram_.rank(rank).bank(bank);
-            m.rankVersion = version;
-            m.open = bk.isOpen();
-            m.openRow = bk.openRow();
-            m.hitKnown = false;
-            m.missKnown = false;
-        }
-        return m;
-    };
-
-    // Single pass over the queues: find the oldest ready row-hit CAS,
-    // the oldest ready ACT for a closed bank, and the oldest ready PRE
-    // for a conflicting open row. Also remember which open rows still
-    // have pending hits so PRE never closes a useful row.
+    // One pass over the banks with entries of the served class: find
+    // the oldest ready row-hit CAS, the oldest ready ACT for a closed
+    // bank, and the oldest ready PRE for a conflicting open row,
+    // noting whether that PRE's bank still has a pending hit (PRE
+    // never closes a useful row). (arrival, id) is a total order, so
+    // the visiting order cannot change the pick.
     const Entry *casCand = nullptr;
     const Entry *actCand = nullptr;
-    const Entry *preCand = nullptr;
-    auto older = [](const Entry &a, const Entry *b) {
-        return !b || a.arrival < b->arrival ||
-               (a.arrival == b->arrival && a.id < b->id);
-    };
+    const BankPick *preCand = nullptr;
     // Rank affinity: back-to-back bursts from one rank are gapless,
     // while switching ranks costs tRTRS — prefer CAS candidates on
     // the rank that last owned the data bus.
@@ -102,45 +126,38 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
             return aAff;
         return older(a, b);
     };
+    // A tick that issues nothing sleeps until its first candidate
+    // becomes legal. A PRE on a bank with a pending hit is withheld
+    // whatever the cycle, so such a bank wakes on its hit alone.
+    Cycle wake = kNoCycle;
 
-    for (mem::TransactionQueue *q : queues_) {
-        for (const Entry &e : q->view(wantWrites)) {
-            if (e.rank == avoidRank)
+    // The banks of the rank held off for refresh: flat banks
+    // [avoidLo, avoidLo + banksPerRank_), none for kNoRank.
+    const unsigned avoidLo =
+        std::min(avoidRank, dram_.numRanks()) * banksPerRank_;
+    const std::span<const uint64_t> nonempty = index_.nonempty(wantWrites);
+    for (size_t w = 0; w < nonempty.size(); ++w) {
+        for (uint64_t bits = nonempty[w]; bits; bits &= bits - 1) {
+            const unsigned flat =
+                static_cast<unsigned>(w * 64 + std::countr_zero(bits));
+            if (flat - avoidLo < banksPerRank_)
                 continue;
-            BankMemo &m = memoFor(e.rank, e.bank);
-            if (m.open && m.openRow == e.row) {
-                const unsigned idx = e.rank * banksPerRank_ + e.bank;
-                useful_[idx / 64] |= uint64_t{1} << (idx % 64);
-                if (!m.hitKnown || m.hitBusVersion != busVersion ||
-                    m.hitWrite != wantWrites) {
-                    m.hitAt = dram_.earliestIssue(
-                        {casType, e.rank, e.bank, e.row, 0, false});
-                    m.hitKnown = true;
-                    m.hitBusVersion = busVersion;
-                    m.hitWrite = wantWrites;
-                }
-                if (busFree && now >= m.hitAt && betterCas(e, casCand))
-                    casCand = &e;
+            const BankPick &p = refreshPick(wantWrites, flat, busVersion);
+            wake = std::min(wake, p.hit ? p.hitAt : p.missAt);
+            if (!busFree)
                 continue;
+            if (p.hit && now >= p.hitAt && betterCas(*p.hit, casCand))
+                casCand = p.hit;
+            if (!p.miss || now < p.missAt)
+                continue;
+            if (!p.open) {
+                if (older(*p.miss, actCand))
+                    actCand = p.miss;
+            } else if (older(*p.miss, preCand ? preCand->miss : nullptr)) {
+                preCand = &p;
             }
-            m.missSeen = true;
-            if (!m.missKnown) {
-                const CmdType t = m.open ? CmdType::Pre : CmdType::Act;
-                m.missAt = dram_.earliestIssue(
-                    {t, e.rank, e.bank, m.openRow, 0, false});
-                m.missKnown = true;
-            }
-            if (!busFree || now < m.missAt)
-                continue;
-            const Entry *&cand = m.open ? preCand : actCand;
-            if (older(e, cand))
-                cand = &e;
         }
     }
-
-    auto isUseful = [&](unsigned idx) {
-        return (useful_[idx / 64] >> (idx % 64)) & 1;
-    };
 
     if (casCand) {
         issueCas(*casCand, wantWrites, now);
@@ -155,10 +172,10 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
         return true;
     }
     // Only close a row nobody still wants.
-    if (preCand && !isUseful(preCand->rank * banksPerRank_ + preCand->bank)) {
-        const Entry &e = *preCand;
-        const unsigned openRow = memoFor(e.rank, e.bank).openRow;
-        dram_.issue({CmdType::Pre, e.rank, e.bank, openRow, e.id, false},
+    if (preCand && !preCand->hit) {
+        const Entry &e = *preCand->miss;
+        dram_.issue({CmdType::Pre, e.rank, e.bank, preCand->openRow, e.id,
+                     false},
                     now);
         ++rowConflicts_;
         return true;
@@ -173,7 +190,7 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
             utilWindowBusy_ = busy;
             utilWindowStart_ = now;
         }
-        // A promoted prefetch is a candidate the scan has not seen.
+        // A promoted prefetch is a candidate the pass has not seen.
         if (prefetchUtilOk_ && promotePrefetches())
             return false;
     }
@@ -181,17 +198,6 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
     // A drain-mode flip on the next tick changes the candidates.
     if (nextDrainMode() != drainingWrites_)
         return false;
-    // Otherwise nothing issues until the first candidate becomes
-    // legal. A PRE on a bank with a pending hit is withheld whatever
-    // the cycle, so it does not count.
-    Cycle wake = kNoCycle;
-    for (const unsigned idx : touched_) {
-        const BankMemo &m = memo_[idx];
-        if (isUseful(idx))
-            wake = std::min(wake, m.hitAt);
-        else if (m.missSeen)
-            wake = std::min(wake, m.missAt);
-    }
     hint_ = wake;
     hintEpoch_ = epoch();
     hintValid_ = true;
@@ -357,8 +363,12 @@ FrFcfsEngine::io(Self &self, Ar &ar)
           self.prefetchUtilOk_, self.rowHits_, self.rowMisses_,
           self.rowConflicts_);
     if constexpr (Ar::loading) {
-        // Derived scan state never crosses a checkpoint.
-        std::fill(self.memo_.begin(), self.memo_.end(), BankMemo{});
+        // Derived pick state never crosses a checkpoint: a stale rank
+        // version re-derives all of a pick.
+        for (std::vector<BankPick> &picks : self.picks_) {
+            for (BankPick &p : picks)
+                p.rankVersion = ~0ull;
+        }
         self.hintValid_ = false;
     }
 }

@@ -21,11 +21,15 @@ namespace memsec::sched {
 /**
  * One cycle of FR-FCFS decision-making over all domains. Stateless
  * between calls except for the read/write drain mode, the prefetch
- * throttle and the derived (never serialized) idle-skip hint.
+ * throttle and derived (never serialized) per-bank picks and idle-skip
+ * hint.
  *
- * A tick costs O(queued entries) plain comparisons: legality is asked
- * of DramSystem::earliestIssue() once per (bank, command class), not
- * once per entry, since every entry of one bank and class shares it.
+ * A tick costs O(nonempty banks of the served class): it walks the
+ * controller's bank index (mem::BankIndex), and keeps per (bank,
+ * class) the oldest row-hit entry, the oldest other entry and their
+ * legal cycles from DramSystem::earliestIssue(). A bank is re-derived
+ * only when its bucket's serial or its rank's version moved, and its
+ * CAS cycle re-asked when the data bus version moved.
  */
 class FrFcfsEngine
 {
@@ -71,31 +75,36 @@ class FrFcfsEngine
     void restoreState(Deserializer &d);
 
   private:
+    using Entry = mem::BankIndex::Entry;
+
     template <class Self, class Ar>
     static void io(Self &self, Ar &ar);
 
     /**
-     * One bank's row state and the earliest legal cycle of each
-     * command class its entries need, kept across ticks and re-read
-     * only when DramSystem's legality versions say they may have
-     * changed. An entry hitting the open row needs a CAS (`hitAt`);
-     * any other entry an ACT (bank closed) or a PRE (bank open),
-     * both `missAt`.
+     * One bank's pick for one class: the oldest entry hitting the open
+     * row (it needs a CAS at `hitAt`) and the oldest other entry (an
+     * ACT if the bank is closed, else a PRE, at `missAt`), as of the
+     * bucket serial and rank version they were derived at.
      */
-    struct BankMemo
+    struct BankPick
     {
-        uint64_t tick = 0;            ///< tickSerial_ of the last touch
-        bool missSeen = false;        ///< a miss entry this tick
+        unsigned rank = 0;
+        unsigned bank = 0;
+        uint64_t serial = ~0ull;      ///< Bucket::serial of hit and miss
         uint64_t rankVersion = ~0ull; ///< rankVersion() of the fields below
         bool open = false;
         unsigned openRow = 0;
+        const Entry *hit = nullptr;
+        const Entry *miss = nullptr;
         bool missKnown = false;
         Cycle missAt = kNoCycle;
-        bool hitKnown = false;
-        uint64_t hitBusVersion = 0; ///< dataBusVersion() of hitAt
-        bool hitWrite = false;      ///< CAS direction of hitAt
+        uint64_t hitBusVersion = ~0ull; ///< dataBusVersion() of hitAt
         Cycle hitAt = kNoCycle;
     };
+
+    /** Bring bank `flat`'s pick for the class up to date. */
+    const BankPick &refreshPick(bool writes, unsigned flat,
+                                uint64_t busVersion);
 
     /** Drain mode the next updateDrainMode() would set. */
     bool nextDrainMode() const;
@@ -104,8 +113,7 @@ class FrFcfsEngine
      *  unchanged iff no queue and no DRAM state has changed. */
     uint64_t epoch() const;
 
-    void issueCas(const mem::TransactionQueue::Entry &e, bool write,
-                  Cycle now);
+    void issueCas(const Entry &e, bool write, Cycle now);
     /** Domain d has a prefetch the throttle lets into its queue. */
     bool promotable(DomainId d) const;
     /** Move one promotable prefetch per domain into its queue;
@@ -115,7 +123,7 @@ class FrFcfsEngine
     mem::MemoryController &mc_;
     dram::DramSystem &dram_;
     Options opt_;
-    /** Every domain's queue, bound once. */
+    /** Every domain's queue, bound once for prefetch promotion. */
     std::vector<mem::TransactionQueue *> queues_;
     unsigned banksPerRank_ = 0;
     bool drainingWrites_ = false;
@@ -128,11 +136,8 @@ class FrFcfsEngine
     uint64_t rowMisses_ = 0;
     uint64_t rowConflicts_ = 0;
 
-    // Scan scratch, sized once (derived, never serialized).
-    uint64_t tickSerial_ = 0;
-    std::vector<BankMemo> memo_;    ///< [rank * banksPerRank_ + bank]
-    std::vector<unsigned> touched_; ///< memo_ indices touched this tick
-    std::vector<uint64_t> useful_;  ///< bitmask: open row has a hit
+    const mem::BankIndex &index_;
+    std::vector<BankPick> picks_[2]; ///< [write][flat bank], derived
 
     // Idle-skip hint of the last tick that issued nothing (derived,
     // never serialized; invalid after construction and restore).

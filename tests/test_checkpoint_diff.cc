@@ -31,6 +31,7 @@
 #include "cpu/core_model.hh"
 #include "harness/experiment.hh"
 #include "mem/memory_controller.hh"
+#include "sched/frfcfs.hh"
 #include "sched/fs.hh"
 #include "util/serialize.hh"
 
@@ -352,6 +353,28 @@ TEST(CheckpointDiff, FrFcfsBaseline)
     Config refresh = diffConfig("baseline", "mcf", 1);
     refresh.set("dram.refresh", true);
     expectIdentical(refresh, "baseline/mcf seed=1 dram.refresh=true");
+}
+
+TEST(CheckpointDiff, FrFcfsChopMidDrain)
+{
+    // The baseline picks from the controller's bank index, which is
+    // derived and never serialized: a restore refiles every queued
+    // request. Chop while the baseline drains writes with reads and
+    // writes both queued, so the pick resumes mid-drain from a
+    // rebuilt index.
+    const Config c = diffConfig("baseline", "lbm", 1);
+    ASSERT_TRUE(c.getBool("sim.fastforward"));
+    expectIdenticalChoppedInside(
+        c,
+        [](ExperimentSystem &sys) {
+            mem::MemoryController &mc = sys.controller(0);
+            const auto &sched = dynamic_cast<const sched::FrFcfsScheduler &>(
+                mc.scheduler());
+            const mem::QueueTotals &t = mc.queueTotals();
+            return sched.engine().drainingWrites() && t.reads > 0 &&
+                   t.writes > 0;
+        },
+        "baseline/lbm seed=1 draining writes");
 }
 
 TEST(CheckpointDiff, FrFcfsChannelPartition)

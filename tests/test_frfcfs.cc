@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "mem/memory_controller.hh"
 #include "sched/frfcfs.hh"
+#include "util/random.hh"
 
 using namespace memsec;
 using namespace memsec::mem;
@@ -184,6 +189,58 @@ TEST_F(FrFcfsTest, IdleTickSleepsUntilTheFirstLegalCandidate)
     EXPECT_EQ(schedPtr->nextWakeCycle(1), 2u);
 }
 
+/**
+ * Model quirk, pinned on purpose: PRE goes to the globally oldest
+ * ready PRE candidate, and is withheld if that candidate's bank still
+ * has a pending row hit. Then no PRE issues at all that tick, not even
+ * a younger one to a bank with no hit.
+ */
+TEST_F(FrFcfsTest, PreWithheldForAUsefulRowBlocksEveryPre)
+{
+    using dram::CmdType;
+    // First line address that decodes to (rank 0, bank, row).
+    auto addrOf = [&](unsigned bank, unsigned row) {
+        for (Addr a = 0;; a += kLineBytes) {
+            const Decoded l = map.decode(0, a);
+            if (l.rank == 0 && l.bank == bank && l.row == row)
+                return a;
+        }
+    };
+    dram::DramSystem &dram = mc->dram();
+    const auto &tp = dram.timing();
+    // Banks 0, 1 and 2 of rank 0 open on row 0; a read on bank 1 then
+    // holds every other read CAS off for tCCD.
+    dram.issue({CmdType::Act, 0, 0, 0, 0, false}, 0);
+    dram.issue({CmdType::Act, 0, 1, 0, 0, false}, tp.rrd);
+    dram.issue({CmdType::Act, 0, 2, 0, 0, false}, 2 * tp.rrd);
+    const Cycle cas = 2 * tp.rrd + tp.ras;
+    dram.issue({CmdType::Rd, 0, 1, 0, 0, false}, cas);
+
+    inject(0, ReqType::Read, addrOf(0, 1), 20, 1); // oldest: PRE bank 0
+    inject(0, ReqType::Read, addrOf(0, 0), 21, 2); // bank 0's hit
+    inject(0, ReqType::Read, addrOf(2, 1), 22, 3); // younger: PRE bank 2
+
+    now = cas + 1;
+    ASSERT_TRUE(dram.canIssue({CmdType::Pre, 0, 0, 0, 0, false}, now));
+    ASSERT_TRUE(dram.canIssue({CmdType::Pre, 0, 2, 0, 0, false}, now));
+    const Cycle hitAt = dram.earliestIssue({CmdType::Rd, 0, 0, 0, 0, false});
+    ASSERT_GT(hitAt, now);
+    // Nothing issues until bank 0's hit may: neither PRE goes.
+    const uint64_t issued = dram.commandsIssued();
+    runTo(hitAt);
+    EXPECT_EQ(dram.commandsIssued(), issued);
+    EXPECT_TRUE(dram.rank(0).bank(0).isOpen());
+    EXPECT_TRUE(dram.rank(0).bank(2).isOpen());
+    // Then the hit is served, and the oldest PRE after it.
+    runTo(hitAt + 1);
+    EXPECT_EQ(dram.commandsIssued(), issued + 1);
+    EXPECT_EQ(schedPtr->engine().rowHits(), 1u);
+    EXPECT_EQ(mc->queue(0).size(), 2u);
+    runTo(hitAt + 100);
+    EXPECT_EQ(done.size(), 3u);
+    EXPECT_EQ(schedPtr->engine().rowConflicts(), 2u);
+}
+
 TEST(FrFcfsPromotion, IdleWakeTracksPromotablePrefetchesAndTheWindow)
 {
     AddressMap map(dram::Geometry{}, Partition::None, Interleave::OpenPage,
@@ -223,4 +280,286 @@ TEST(FrFcfsPromotion, IdleWakeTracksPromotablePrefetchesAndTheWindow)
     EXPECT_EQ(sched.nextWakeCycle(399), 1024u);
     mc.tick(1024);
     EXPECT_EQ(sched.nextWakeCycle(1024), 2048u);
+}
+
+namespace {
+
+/** What FR-FCFS must do at one tick, from the reference pick. */
+struct ReferencePick
+{
+    bool draining = false;
+    bool issues = false;
+    dram::Command cmd;
+    Cycle wake = kNoCycle; ///< nextWakeCycle(now) after an idle tick
+};
+
+/**
+ * The reference FR-FCFS pick: every queued entry of the served class,
+ * walked plainly in queue order with nothing cached. The oldest ready
+ * row-hit CAS (the rank that last owned the data bus first), else the
+ * oldest ready ACT, else the oldest ready PRE unless its bank still
+ * has a hit. An idle tick sleeps to the first legal candidate (a bank
+ * with a hit counts only its CAS), unless the drain mode flips next.
+ */
+ReferencePick
+referencePick(const MemoryController &mc, const FrFcfsEngine::Options &opt,
+              bool wasDraining, Cycle now, unsigned avoidRank)
+{
+    using dram::CmdType;
+    size_t reads = 0;
+    size_t writes = 0;
+    for (DomainId d = 0; d < mc.numDomains(); ++d) {
+        reads += mc.queue(d).readCount();
+        writes += mc.queue(d).writeCount();
+    }
+    auto drainMode = [&](bool draining) {
+        if (draining)
+            return writes > opt.writeLoWatermark;
+        return writes >= opt.writeHiWatermark || (reads == 0 && writes > 0);
+    };
+    ReferencePick out;
+    out.draining = drainMode(wasDraining);
+
+    const dram::DramSystem &dram = mc.dram();
+    const bool busFree = dram.buses().cmdBusFree(now);
+    const unsigned affine = dram.buses().lastDataRank();
+    const CmdType casType = out.draining ? CmdType::Wr : CmdType::Rd;
+    auto older = [](const MemRequest *a, const MemRequest *b) {
+        return !b || a->arrival < b->arrival ||
+               (a->arrival == b->arrival && a->id < b->id);
+    };
+    auto betterCas = [&](const MemRequest *a, const MemRequest *b) {
+        if (!b)
+            return true;
+        const bool aAff = a->loc.rank == affine;
+        const bool bAff = b->loc.rank == affine;
+        return aAff != bAff ? aAff : older(a, b);
+    };
+
+    const MemRequest *cas = nullptr;
+    const MemRequest *act = nullptr;
+    const MemRequest *pre = nullptr;
+    using BankKey = std::pair<unsigned, unsigned>;
+    std::map<BankKey, Cycle> hitAt;
+    std::map<BankKey, Cycle> missAt;
+    for (DomainId d = 0; d < mc.numDomains(); ++d) {
+        const TransactionQueue &q = mc.queue(d);
+        for (size_t i = 0; i < q.size(); ++i) {
+            const MemRequest *r = q.at(i);
+            const Decoded &l = r->loc;
+            if ((r->type == ReqType::Write) != out.draining ||
+                l.rank == avoidRank)
+                continue;
+            const dram::Bank &bk = dram.rank(l.rank).bank(l.bank);
+            const BankKey key{l.rank, l.bank};
+            if (bk.isOpen() && bk.openRow() == l.row) {
+                const Cycle at = dram.earliestIssue(
+                    {casType, l.rank, l.bank, l.row, 0, false});
+                hitAt[key] = at;
+                if (busFree && now >= at && betterCas(r, cas))
+                    cas = r;
+                continue;
+            }
+            const Cycle at = dram.earliestIssue(
+                {bk.isOpen() ? CmdType::Pre : CmdType::Act, l.rank, l.bank,
+                 bk.openRow(), 0, false});
+            missAt[key] = at;
+            const MemRequest *&cand = bk.isOpen() ? pre : act;
+            if (busFree && now >= at && older(r, cand))
+                cand = r;
+        }
+    }
+
+    auto command = [&](CmdType t, const MemRequest *r, unsigned row) {
+        out.issues = true;
+        out.cmd = {t, r->loc.rank, r->loc.bank, row, r->id, false};
+    };
+    if (cas) {
+        command(casType, cas, cas->loc.row);
+    } else if (act) {
+        command(CmdType::Act, act, act->loc.row);
+    } else if (pre && !hitAt.count({pre->loc.rank, pre->loc.bank})) {
+        command(CmdType::Pre, pre,
+                dram.rank(pre->loc.rank).bank(pre->loc.bank).openRow());
+    } else if (drainMode(out.draining) != out.draining) {
+        out.wake = now + 1;
+    } else {
+        Cycle wake = kNoCycle;
+        for (const auto &[key, at] : hitAt)
+            wake = std::min(wake, at);
+        for (const auto &[key, at] : missAt) {
+            if (!hitAt.count(key))
+                wake = std::min(wake, at);
+        }
+        out.wake = std::max(wake, now + 1);
+    }
+    return out;
+}
+
+/**
+ * An FR-FCFS engine checked against the reference pick on every tick,
+ * under a test-chosen refresh drain: `avoidRank` is held off, and with
+ * `drainPre` a PRE to one of its open banks takes the command bus
+ * first, as FrFcfsScheduler's refresh drain does. The first
+ * disagreement is kept in `mismatch`.
+ */
+class OracleChecked : public Scheduler
+{
+  public:
+    OracleChecked(MemoryController &mc, const FrFcfsEngine::Options &opt)
+        : Scheduler(mc), opt_(opt), engine_(mc, opt)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (drainPre)
+            drainOneBank(now);
+        const ReferencePick ref = referencePick(
+            mc_, opt_, engine_.drainingWrites(), now, avoidRank);
+        const uint64_t before = dram_.commandsIssued();
+        const bool issued = engine_.tick(now, avoidRank);
+        std::ostringstream why;
+        if (engine_.drainingWrites() != ref.draining)
+            why << "drain mode " << engine_.drainingWrites();
+        if (issued != ref.issues ||
+            dram_.commandsIssued() != before + ref.issues)
+            why << "issued " << issued << ", expected " << ref.issues;
+        if (ref.issues && lastCommand() != "@" + std::to_string(now) +
+                                               " " + ref.cmd.toString())
+            why << "issued " << lastCommand() << ", expected "
+                << ref.cmd.toString();
+        if (!ref.issues && engine_.nextWakeCycle(now) != ref.wake)
+            why << "wake " << engine_.nextWakeCycle(now) << ", expected "
+                << ref.wake;
+        if (mismatch.empty() && !why.str().empty())
+            mismatch = "cycle " + std::to_string(now) + ": " + why.str();
+        flips += engine_.drainingWrites() != wasDraining_;
+        wasDraining_ = engine_.drainingWrites();
+        (ref.issues ? issues : idleChecks) += 1;
+        sleeps += !ref.issues && ref.wake > now + 1;
+    }
+
+    std::string name() const override { return "frfcfs-oracle"; }
+    const FrFcfsEngine &engine() const { return engine_; }
+
+    unsigned avoidRank = FrFcfsEngine::kNoRank;
+    bool drainPre = false;
+    std::string mismatch;
+    uint64_t issues = 0;
+    uint64_t idleChecks = 0;
+    uint64_t sleeps = 0;  ///< idle ticks whose wake lies past now + 1
+    uint64_t flips = 0;   ///< drain-mode changes
+    uint64_t drained = 0; ///< PREs issued by the refresh drain
+
+  private:
+    void
+    drainOneBank(Cycle now)
+    {
+        for (unsigned b = 0; b < dram_.rank(avoidRank).numBanks(); ++b) {
+            const dram::Bank &bk = dram_.rank(avoidRank).bank(b);
+            const dram::Command pre{dram::CmdType::Pre, avoidRank, b,
+                                    bk.openRow(), 0, false};
+            if (bk.isOpen() && dram_.canIssue(pre, now)) {
+                dram_.issue(pre, now);
+                ++drained;
+                return;
+            }
+        }
+    }
+
+    std::string
+    lastCommand() const
+    {
+        const std::string log = dram_.commandLog().snapshot();
+        const size_t end = log.find_last_not_of('\n');
+        const size_t start = log.rfind('@', end);
+        return log.substr(start, end + 1 - start);
+    }
+
+    FrFcfsEngine::Options opt_;
+    FrFcfsEngine engine_;
+    bool wasDraining_ = false;
+};
+
+} // namespace
+
+TEST(FrFcfsOracle, EngineIssuesTheReferencePickEveryTick)
+{
+    uint64_t issues = 0, idle = 0, sleeps = 0, flips = 0, drained = 0;
+    uint64_t hits = 0, conflicts = 0, avoidedWithWork = 0;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        dram::Geometry geo;
+        geo.ranksPerChannel = 2;
+        geo.banksPerRank = 4;
+        const unsigned domains = 2 + static_cast<unsigned>(rng.below(3));
+        AddressMap map(geo, Partition::None, Interleave::OpenPage, domains);
+        MemoryController::Params p;
+        p.geo = geo;
+        p.numDomains = domains;
+        p.queueCapacity = 6;
+        MemoryController mc("mc", p, map);
+        const FrFcfsEngine::Options opt{6, 2, false};
+        auto owned = std::make_unique<OracleChecked>(mc, opt);
+        OracleChecked &sched = *owned;
+        mc.setScheduler(std::move(owned));
+
+        const unsigned slots = geo.ranksPerChannel * geo.banksPerRank;
+        for (Cycle now = 0; now < 6000; ++now) {
+            // Three rows per bank and a few columns: row hits and
+            // conflicts both come often. Write-heavy and read-heavy
+            // phases alternate, so the drain mode flips.
+            if (rng.chance(0.35)) {
+                const auto d = static_cast<DomainId>(rng.below(domains));
+                const double writeShare = now / 300 % 2 ? 0.8 : 0.2;
+                const ReqType t =
+                    rng.chance(writeShare) ? ReqType::Write : ReqType::Read;
+                if (mc.canAccept(d, t)) {
+                    auto r = std::make_unique<MemRequest>();
+                    r->domain = d;
+                    r->type = t;
+                    r->addr = ((rng.below(3) * slots + rng.below(slots)) *
+                                   geo.colsPerRow +
+                               rng.below(4)) *
+                              kLineBytes;
+                    mc.access(std::move(r), now);
+                }
+            }
+            // Now and then a rank is held off for a refresh drain.
+            if (now % 400 == 0) {
+                sched.avoidRank =
+                    rng.chance(0.5)
+                        ? static_cast<unsigned>(rng.below(2))
+                        : FrFcfsEngine::kNoRank;
+            }
+            sched.drainPre =
+                sched.avoidRank != FrFcfsEngine::kNoRank && rng.chance(0.2);
+            for (DomainId d = 0; d < domains; ++d) {
+                const TransactionQueue &q = mc.queue(d);
+                for (size_t i = 0; i < q.size(); ++i)
+                    avoidedWithWork += q.at(i)->loc.rank == sched.avoidRank;
+            }
+            mc.tick(now);
+            ASSERT_EQ(sched.mismatch, "")
+                << "seed " << seed << ", " << domains << " domains";
+        }
+        issues += sched.issues;
+        idle += sched.idleChecks;
+        sleeps += sched.sleeps;
+        flips += sched.flips;
+        drained += sched.drained;
+        hits += sched.engine().rowHits();
+        conflicts += sched.engine().rowConflicts();
+    }
+    // The run reached every case it is meant to check.
+    EXPECT_GT(issues, 5000u);
+    EXPECT_GT(idle, 10000u);
+    EXPECT_GT(sleeps, 5000u);
+    EXPECT_GT(flips, 25u);
+    EXPECT_GT(drained, 40u);
+    EXPECT_GT(hits, 250u);
+    EXPECT_GT(conflicts, 1500u);
+    EXPECT_GT(avoidedWithWork, 100000u);
 }

@@ -98,6 +98,23 @@ void S::sweep() {
     EXPECT_TRUE(hasRule(lintSource("x.cc", src), "cross-domain-scan"));
 }
 
+TEST(Isolint, CrossDomainScanFlagsQueueTotalsReadWithoutALoop)
+{
+    // The controller's totals sum every domain's queue (and index all
+    // of their requests by bank): one read is a cross-domain read.
+    const std::string src = R"(
+void S::decideSlot(DomainId domain) {
+    const mem::QueueTotals &t = mc_.queueTotals();
+    if (t.writes > kHighWatermark)
+        drain_ = true;
+}
+)";
+    const auto fs = lintSource("x.cc", src);
+    ASSERT_TRUE(hasRule(fs, "cross-domain-scan"));
+    EXPECT_EQ(lineOf(fs, "cross-domain-scan"), 3u);
+    EXPECT_EQ(fs.size(), 1u);
+}
+
 TEST(Isolint, OwnDomainAccessIsClean)
 {
     // Reading only the deciding slot's own queue is the secure

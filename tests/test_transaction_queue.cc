@@ -157,40 +157,77 @@ TEST(TransactionQueue, PopEmptyPanics)
     EXPECT_THROW(q.popOldest(), std::logic_error);
 }
 
-TEST(TransactionQueue, ClassViewsMirrorQueueOrder)
+TEST(TransactionQueue, BankIndexFilesByRankBankAndClass)
 {
-    TransactionQueue q(4, 4);
-    auto w = mk(1, ReqType::Write, 0x100);
-    w->loc.rank = 3;
-    w->loc.bank = 5;
-    w->loc.row = 77;
-    w->arrival = 9;
-    q.push(std::move(w));
-    q.push(mk(2, ReqType::Read, 0x200));
-    q.push(mk(3, ReqType::Prefetch, 0x300));
-    q.push(mk(4, ReqType::Write, 0x400));
+    QueueTotals totals(4, 8); // flat bank = rank * 8 + bank
+    const BankIndex &index = totals.banks;
+    TransactionQueue q(4, 4, &totals);
+    auto at = [](ReqId id, ReqType type, unsigned rank, unsigned bank) {
+        auto r = mk(id, type, id * 0x100);
+        r->loc.rank = rank;
+        r->loc.bank = bank;
+        r->loc.row = 70 + id;
+        r->arrival = 9 + id;
+        return r;
+    };
+    q.push(at(1, ReqType::Write, 3, 5));
+    q.push(at(2, ReqType::Read, 3, 5));
+    q.push(at(3, ReqType::Prefetch, 3, 5));
+    q.push(at(4, ReqType::Write, 0, 1));
+    q.push(at(5, ReqType::Read, 3, 5));
 
-    auto ids = [&](bool writes) {
+    auto ids = [&](bool writes, unsigned flat) {
         std::vector<ReqId> out;
-        for (const auto &e : q.view(writes))
+        for (const auto &e : index.bucket(writes, flat).entries)
             out.push_back(e.id);
         return out;
     };
-    EXPECT_EQ(ids(false), (std::vector<ReqId>{2, 3}));
-    EXPECT_EQ(ids(true), (std::vector<ReqId>{1, 4}));
-    const TransactionQueue::Entry &e = q.view(true)[0];
+    auto mask = [&](bool writes) {
+        return std::vector<uint64_t>(index.nonempty(writes).begin(),
+                                     index.nonempty(writes).end());
+    };
+    EXPECT_EQ(index.numBanks(), 32u);
+    EXPECT_EQ(ids(false, 29), (std::vector<ReqId>{2, 3, 5}));
+    EXPECT_EQ(ids(true, 29), (std::vector<ReqId>{1}));
+    EXPECT_EQ(ids(true, 1), (std::vector<ReqId>{4}));
+    EXPECT_TRUE(ids(false, 1).empty());
+    EXPECT_EQ(mask(false), (std::vector<uint64_t>{1ull << 29}));
+    EXPECT_EQ(mask(true), (std::vector<uint64_t>{(1ull << 29) | 2}));
+    const BankIndex::Entry &e = index.bucket(true, 29).entries[0];
     EXPECT_EQ(e.req, q.at(0));
     EXPECT_EQ(e.rank, 3u);
     EXPECT_EQ(e.bank, 5u);
-    EXPECT_EQ(e.row, 77u);
-    EXPECT_EQ(e.arrival, 9u);
+    EXPECT_EQ(e.row, 71u);
+    EXPECT_EQ(e.arrival, 10u);
 
-    // Removal from the middle and the front keeps both views in step.
+    // Every change bumps the bucket's serial, and only its own.
+    const uint64_t reads29 = index.bucket(false, 29).serial;
+    const uint64_t writes29 = index.bucket(true, 29).serial;
+    const uint64_t writes1 = index.bucket(true, 1).serial;
+    EXPECT_GT(reads29, 0u);
+
+    // Removal from the middle keeps the rest in filing order.
     q.take(q.at(2));
-    EXPECT_EQ(ids(false), (std::vector<ReqId>{2}));
+    EXPECT_EQ(ids(false, 29), (std::vector<ReqId>{2, 5}));
+    EXPECT_GT(index.bucket(false, 29).serial, reads29);
+    EXPECT_EQ(index.bucket(true, 29).serial, writes29);
+    // Removal from the front empties the write bucket and its bit.
     q.popOldest();
-    EXPECT_EQ(ids(true), (std::vector<ReqId>{4}));
-    EXPECT_EQ(ids(false), (std::vector<ReqId>{2}));
+    EXPECT_TRUE(ids(true, 29).empty());
+    EXPECT_GT(index.bucket(true, 29).serial, writes29);
+    EXPECT_EQ(index.bucket(true, 1).serial, writes1);
+    EXPECT_EQ(mask(true), (std::vector<uint64_t>{2}));
+    EXPECT_EQ(mask(false), (std::vector<uint64_t>{1ull << 29}));
+    q.take(q.at(0));
+    q.take(q.at(1));
+    EXPECT_EQ(mask(false), (std::vector<uint64_t>{0}));
+    EXPECT_EQ(ids(true, 1), (std::vector<ReqId>{4}));
+
+    // A request outside the index is refused before anything changes.
+    EXPECT_THROW(q.push(at(6, ReqType::Read, 4, 0)), std::logic_error);
+    EXPECT_THROW(q.push(at(7, ReqType::Read, 0, 8)), std::logic_error);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(totals.reads, 0u);
 }
 
 TEST(TransactionQueue, MutationCounterTracksContentChanges)
@@ -214,28 +251,64 @@ TEST(TransactionQueue, MutationCounterTracksContentChanges)
 
 TEST(TransactionQueue, SharedTotalsFollowPushTakeAndRestore)
 {
-    QueueTotals totals;
+    QueueTotals totals(1, 2);
+    const BankIndex &index = totals.banks;
     TransactionQueue a(4, 4, &totals);
     TransactionQueue b(4, 4, &totals);
+    auto inBank = [](std::unique_ptr<MemRequest> r, unsigned bank) {
+        r->loc.bank = bank;
+        return r;
+    };
     a.push(mk(1, ReqType::Read, 0x100));
     a.push(mk(2, ReqType::Write, 0x200));
-    b.push(mk(3, ReqType::Prefetch, 0x300));
+    b.push(inBank(mk(3, ReqType::Prefetch, 0x300), 1));
     EXPECT_EQ(totals.reads, 2u);
     EXPECT_EQ(totals.writes, 1u);
     EXPECT_EQ(totals.mutations, a.mutations() + b.mutations());
     a.take(a.at(1));
     EXPECT_EQ(totals.writes, 0u);
+    EXPECT_EQ(index.bucket(false, 0).entries.size(), 1u);
+    EXPECT_EQ(index.bucket(false, 1).entries.size(), 1u);
 
-    // Restoring `b` from `a`'s state swaps b's content in the sums.
+    // Restoring `b` from `a`'s state swaps b's content in the sums
+    // and refiles its buckets: b's prefetch leaves bank 1, and a copy
+    // of a's read joins bank 0.
     Serializer s;
     a.saveState(s);
     const uint64_t before = totals.mutations;
+    const uint64_t serial1 = index.bucket(false, 1).serial;
     Deserializer d(s.data());
     b.restoreState(d, [](const MemRequest &) { return nullptr; });
     EXPECT_EQ(totals.reads, 2u);
     EXPECT_EQ(totals.writes, 0u);
     EXPECT_GT(totals.mutations, before);
+    EXPECT_TRUE(index.bucket(false, 1).entries.empty());
+    EXPECT_GT(index.bucket(false, 1).serial, serial1);
+    ASSERT_EQ(index.bucket(false, 0).entries.size(), 2u);
+    EXPECT_EQ(index.bucket(false, 0).entries[0].req, a.at(0));
+    EXPECT_EQ(index.bucket(false, 0).entries[1].req, b.at(0));
+    EXPECT_EQ(index.bucket(false, 0).entries[1].id, 1u);
+    EXPECT_EQ(index.nonempty(false)[0], 1u);
     b.popOldest();
     a.popOldest();
     EXPECT_EQ(totals.reads, 0u);
+    EXPECT_EQ(index.nonempty(false)[0], 0u);
+}
+
+TEST(TransactionQueue, RestoreRefusesARequestOutsideTheBankIndex)
+{
+    QueueTotals wide(1, 4);
+    TransactionQueue src(4, 4, &wide);
+    auto r = mk(1, ReqType::Read, 0x100);
+    r->loc.bank = 3;
+    src.push(std::move(r));
+    Serializer s;
+    src.saveState(s);
+
+    QueueTotals narrow(1, 2);
+    TransactionQueue dst(4, 4, &narrow);
+    Deserializer d(s.data());
+    EXPECT_THROW(
+        dst.restoreState(d, [](const MemRequest &) { return nullptr; }),
+        SerializeError);
 }

@@ -135,6 +135,13 @@ emit(std::vector<Finding> &out, const std::string &file, unsigned line,
 /** Per-domain queue state: the only cross-domain-readable secret. */
 const std::regex kQueueRead(R"(\b(?:queue|prefetchQueue)\s*\()");
 
+/**
+ * The controller's state over every domain's queue (running sums and
+ * the bank index): a cross-domain read wherever it happens, loop or
+ * no loop.
+ */
+const std::regex kTotalsRead(R"(\bqueueTotals\s*\()");
+
 /** Identifier bound to the domain count, e.g. `n = mc_.numDomains()`. */
 const std::regex kDomainCountAssign(
     R"(\b([A-Za-z_]\w*)\s*=\s*[^=;]*\bnumDomains\s*\(\s*\))");
@@ -167,9 +174,10 @@ const std::regex kPerturbCall(
 
 /**
  * cross-domain-scan: queue-state reads lexically inside a loop over
- * every security domain. The loop header arms the next `{` (or the
- * next statement, for brace-less bodies); semicolons inside the for
- * header itself are skipped by tracking parenthesis depth.
+ * every security domain, and any read of the controller-wide queue
+ * totals. The loop header arms the next `{` (or the next statement,
+ * for brace-less bodies); semicolons inside the for header itself are
+ * skipped by tracking parenthesis depth.
  */
 void
 ruleCrossDomainScan(const std::string &file,
@@ -207,8 +215,9 @@ ruleCrossDomainScan(const std::string &file,
             }
         }
 
-        if ((inLoop || pendingLoop) &&
-            std::regex_search(l, kQueueRead)) {
+        if (((inLoop || pendingLoop) &&
+             std::regex_search(l, kQueueRead)) ||
+            std::regex_search(l, kTotalsRead)) {
             emit(out, file, static_cast<unsigned>(i + 1),
                  "cross-domain-scan", raw[i]);
         }

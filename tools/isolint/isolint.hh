@@ -9,14 +9,16 @@
  * state, because every such read is a potential channel from
  * co-runner demand into observer-visible timing. The linter taints
  * cross-domain state (per-domain transaction/prefetch queues swept
- * over all domains) as sources and command-timing decisions as sinks,
- * and flags the flows:
+ * over all domains, and the controller's totals over them) as
+ * sources and command-timing decisions as sinks, and flags the flows:
  *
  *   cross-domain-scan     a loop over every security domain (counting
  *                         loop bounded by numDomains(), or a range-for
  *                         over a domains collection) whose body reads
- *                         per-domain queue state — the shape of the
- *                         FR-FCFS baseline's global scan
+ *                         per-domain queue state, or any read of the
+ *                         controller's queueTotals() (sums and bank
+ *                         index over every domain's queue) — the
+ *                         shapes of the FR-FCFS baseline's global pick
  *   occupancy-to-timing   an identifier assigned from a queue
  *                         occupancy read (.size()/.readCount()/
  *                         .writeCount()/.empty()) reaching a command
