@@ -1,127 +1,13 @@
 #include "detlint.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <regex>
-#include <sstream>
-#include <stdexcept>
 
 namespace memsec::detlint {
 
 namespace {
 
-/**
- * Replace comment bodies and string/char literal contents with
- * spaces, preserving line structure so reported line numbers match
- * the original file.
- */
-std::string
-stripCommentsAndStrings(const std::string &src)
-{
-    std::string out = src;
-    enum class St { Code, Line, Block, Str, Chr };
-    St st = St::Code;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const char c = out[i];
-        const char n = i + 1 < out.size() ? out[i + 1] : '\0';
-        switch (st) {
-          case St::Code:
-            if (c == '/' && n == '/') {
-                st = St::Line;
-                out[i] = out[i + 1] = ' ';
-                ++i;
-            } else if (c == '/' && n == '*') {
-                st = St::Block;
-                out[i] = out[i + 1] = ' ';
-                ++i;
-            } else if (c == '"') {
-                st = St::Str;
-            } else if (c == '\'') {
-                st = St::Chr;
-            }
-            break;
-          case St::Line:
-            if (c == '\n')
-                st = St::Code;
-            else
-                out[i] = ' ';
-            break;
-          case St::Block:
-            if (c == '*' && n == '/') {
-                st = St::Code;
-                out[i] = out[i + 1] = ' ';
-                ++i;
-            } else if (c != '\n') {
-                out[i] = ' ';
-            }
-            break;
-          case St::Str:
-            if (c == '\\' && n != '\0') {
-                out[i] = ' ';
-                if (n != '\n')
-                    out[i + 1] = ' ';
-                ++i;
-            } else if (c == '"') {
-                st = St::Code;
-            } else if (c != '\n') {
-                out[i] = ' ';
-            }
-            break;
-          case St::Chr:
-            if (c == '\\' && n != '\0') {
-                out[i] = ' ';
-                if (n != '\n')
-                    out[i + 1] = ' ';
-                ++i;
-            } else if (c == '\'') {
-                st = St::Code;
-            } else if (c != '\n') {
-                out[i] = ' ';
-            }
-            break;
-        }
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::string cur;
-    for (const char c : text) {
-        if (c == '\n') {
-            lines.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        lines.push_back(cur);
-    return lines;
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
+using lint::Finding;
 
 /** The sanctioned RNG wrapper is the one place raw engines belong. */
 bool
@@ -130,28 +16,18 @@ isSanctionedRandomSource(const std::string &file)
     return file.find("util/random") != std::string::npos;
 }
 
-void
-emit(std::vector<Finding> &out, const std::string &file, unsigned line,
-     const char *rule, const std::string &rawLine)
-{
-    out.push_back(Finding{file, line, rule, trim(rawLine)});
-}
-
 // --- individual rules -------------------------------------------------
 
 const std::regex kUnorderedDecl(
     R"(\bunordered_(?:map|set|multimap|multiset)\s*<[^;{()]*>\s*([A-Za-z_]\w*)\s*(?:;|=|\{))");
 
 void
-ruleUnorderedIteration(const std::string &file,
-                       const std::vector<std::string> &stripped,
-                       const std::vector<std::string> &raw,
-                       std::vector<Finding> &out)
+ruleUnorderedIteration(const lint::Source &src, std::vector<Finding> &out)
 {
     // Pass 1: names declared (locals or members) as unordered
     // containers anywhere in this translation unit.
     std::vector<std::string> names;
-    for (const std::string &l : stripped) {
+    for (const std::string &l : src.code) {
         auto begin =
             std::sregex_iterator(l.begin(), l.end(), kUnorderedDecl);
         for (auto it = begin; it != std::sregex_iterator(); ++it)
@@ -161,8 +37,8 @@ ruleUnorderedIteration(const std::string &file,
         return;
 
     // Pass 2: iteration over any of those names.
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-        const std::string &l = stripped[i];
+    for (std::size_t i = 0; i < src.code.size(); ++i) {
+        const std::string &l = src.code[i];
         for (const std::string &name : names) {
             const std::regex rangeFor(
                 R"(for\s*\([^)]*:\s*)" + name + R"(\s*\))");
@@ -170,8 +46,7 @@ ruleUnorderedIteration(const std::string &file,
                 "\\b" + name + R"(\s*\.\s*(?:c?begin|c?end)\s*\()");
             if (std::regex_search(l, rangeFor) ||
                 std::regex_search(l, beginCall)) {
-                emit(out, file, static_cast<unsigned>(i + 1),
-                     "unordered-iteration", raw[i]);
+                src.emit(out, i, "unordered-iteration");
                 break;
             }
         }
@@ -200,24 +75,20 @@ const std::regex kStructHead(R"(\b(?:struct|class)\s+[A-Za-z_]\w*)");
 const std::regex kEnumHead(R"(\benum\b)");
 
 void
-ruleUninitMember(const std::string &file,
-                 const std::vector<std::string> &stripped,
-                 const std::vector<std::string> &raw,
-                 std::vector<Finding> &out)
+ruleUninitMember(const lint::Source &src, std::vector<Finding> &out)
 {
     // Scope stack: true = struct/class body. A `struct X` sighting
     // arms the next `{`; a `;` before it (forward decl) disarms.
     std::vector<bool> scopes;
     bool pendingStruct = false;
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-        const std::string &l = stripped[i];
+    for (std::size_t i = 0; i < src.code.size(); ++i) {
+        const std::string &l = src.code[i];
         const bool inStruct = !scopes.empty() && scopes.back();
 
         if (inStruct && l.find('{') == std::string::npos &&
             l.find('}') == std::string::npos &&
             std::regex_search(l, kScalarMember)) {
-            emit(out, file, static_cast<unsigned>(i + 1),
-                 "uninit-member", raw[i]);
+            src.emit(out, i, "uninit-member");
         }
 
         if (std::regex_search(l, kStructHead) &&
@@ -255,15 +126,12 @@ const std::regex kClockAssign(
     R"(\b([A-Za-z_]\w*)\s*=[^=].*\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\(|\b([A-Za-z_]\w*)\s*=[^=].*\b(?:gettimeofday|clock_gettime)\s*\()");
 
 void
-ruleTickWallClock(const std::string &file,
-                  const std::vector<std::string> &stripped,
-                  const std::vector<std::string> &raw,
-                  std::vector<Finding> &out)
+ruleTickWallClock(const lint::Source &src, std::vector<Finding> &out)
 {
     // Pass 1: identifiers assigned from a wall-clock read anywhere
     // in this translation unit (members or locals alike).
     std::vector<std::string> tainted;
-    for (const std::string &l : stripped) {
+    for (const std::string &l : src.code) {
         std::smatch m;
         std::string rest = l;
         while (std::regex_search(rest, m, kClockAssign)) {
@@ -276,8 +144,8 @@ ruleTickWallClock(const std::string &file,
     // uninit-member walker tracks struct bodies.
     std::vector<bool> scopes; // true = inside a tick() body
     bool pendingTick = false;
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-        const std::string &l = stripped[i];
+    for (std::size_t i = 0; i < src.code.size(); ++i) {
+        const std::string &l = src.code[i];
         const bool inTick =
             std::any_of(scopes.begin(), scopes.end(),
                         [](bool b) { return b; });
@@ -285,8 +153,7 @@ ruleTickWallClock(const std::string &file,
         if (inTick) {
             bool fired = false;
             if (std::regex_search(l, kWallClock)) {
-                emit(out, file, static_cast<unsigned>(i + 1),
-                     "tick-wall-clock", raw[i]);
+                src.emit(out, i, "tick-wall-clock");
                 fired = true;
             }
             for (const std::string &name : tainted) {
@@ -294,8 +161,7 @@ ruleTickWallClock(const std::string &file,
                     break;
                 const std::regex mention("\\b" + name + "\\b");
                 if (std::regex_search(l, mention)) {
-                    emit(out, file, static_cast<unsigned>(i + 1),
-                         "tick-wall-clock", raw[i]);
+                    src.emit(out, i, "tick-wall-clock");
                     fired = true;
                 }
             }
@@ -319,173 +185,34 @@ ruleTickWallClock(const std::string &file,
     }
 }
 
+void
+check(const lint::Source &src, std::vector<Finding> &out)
+{
+    ruleUnorderedIteration(src, out);
+    ruleTickWallClock(src, out);
+    for (std::size_t i = 0; i < src.code.size(); ++i) {
+        if (std::regex_search(src.code[i], kWallClock))
+            src.emit(out, i, "wall-clock");
+        if (!isSanctionedRandomSource(src.file) &&
+            std::regex_search(src.code[i], kRawRandom))
+            src.emit(out, i, "raw-random");
+        if (std::regex_search(src.code[i], kPointerKeyedMap))
+            src.emit(out, i, "pointer-keyed-map");
+    }
+    ruleUninitMember(src, out);
+}
+
 } // namespace
 
-const std::vector<std::string> &
-ruleNames()
+const lint::RuleSet &
+ruleSet()
 {
-    static const std::vector<std::string> names = {
-        "unordered-iteration", "wall-clock", "raw-random",
-        "pointer-keyed-map", "uninit-member", "tick-wall-clock"};
-    return names;
-}
-
-std::string
-Finding::toString() const
-{
-    std::ostringstream os;
-    os << file << ":" << line << ": [" << rule << "] " << excerpt;
-    return os.str();
-}
-
-Allowlist
-Allowlist::fromString(const std::string &text)
-{
-    Allowlist al;
-    unsigned lineNo = 0;
-    for (const std::string &rawLine : splitLines(text + "\n")) {
-        ++lineNo;
-        const std::string full = trim(rawLine);
-        if (full.empty() || full[0] == '#')
-            continue;
-        const std::size_t hash = full.find('#');
-        if (hash == std::string::npos ||
-            trim(full.substr(hash + 1)).empty()) {
-            throw std::runtime_error(
-                "allowlist line " + std::to_string(lineNo) +
-                ": entry lacks a '# justification' comment");
-        }
-        const std::string spec = trim(full.substr(0, hash));
-        const std::size_t c1 = spec.find(':');
-        if (c1 == std::string::npos) {
-            throw std::runtime_error(
-                "allowlist line " + std::to_string(lineNo) +
-                ": expected path:rule[:substring]");
-        }
-        Entry e;
-        e.pathSuffix = trim(spec.substr(0, c1));
-        const std::string rest = spec.substr(c1 + 1);
-        const std::size_t c2 = rest.find(':');
-        e.rule = trim(c2 == std::string::npos ? rest
-                                              : rest.substr(0, c2));
-        if (c2 != std::string::npos)
-            e.substring = trim(rest.substr(c2 + 1));
-        if (e.pathSuffix.empty() || e.rule.empty()) {
-            throw std::runtime_error(
-                "allowlist line " + std::to_string(lineNo) +
-                ": empty path or rule");
-        }
-        if (e.rule != "*" &&
-            std::find(ruleNames().begin(), ruleNames().end(),
-                      e.rule) == ruleNames().end()) {
-            throw std::runtime_error(
-                "allowlist line " + std::to_string(lineNo) +
-                ": unknown rule '" + e.rule + "'");
-        }
-        al.entries_.push_back(std::move(e));
-    }
-    return al;
-}
-
-Allowlist
-Allowlist::fromFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read allowlist: " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return fromString(ss.str());
-}
-
-bool
-Allowlist::allows(const Finding &f) const
-{
-    for (const Entry &e : entries_) {
-        if (!endsWith(f.file, e.pathSuffix))
-            continue;
-        if (e.rule != "*" && e.rule != f.rule)
-            continue;
-        if (!e.substring.empty() &&
-            f.excerpt.find(e.substring) == std::string::npos)
-            continue;
-        return true;
-    }
-    return false;
-}
-
-std::vector<Finding>
-lintSource(const std::string &file, const std::string &content)
-{
-    const std::string stripped = stripCommentsAndStrings(content);
-    const std::vector<std::string> sl = splitLines(stripped);
-    const std::vector<std::string> rl = splitLines(content);
-
-    std::vector<Finding> out;
-    ruleUnorderedIteration(file, sl, rl, out);
-    ruleTickWallClock(file, sl, rl, out);
-    for (std::size_t i = 0; i < sl.size(); ++i) {
-        const unsigned line = static_cast<unsigned>(i + 1);
-        if (std::regex_search(sl[i], kWallClock))
-            emit(out, file, line, "wall-clock", rl[i]);
-        if (!isSanctionedRandomSource(file) &&
-            std::regex_search(sl[i], kRawRandom))
-            emit(out, file, line, "raw-random", rl[i]);
-        if (std::regex_search(sl[i], kPointerKeyedMap))
-            emit(out, file, line, "pointer-keyed-map", rl[i]);
-    }
-    ruleUninitMember(file, sl, rl, out);
-
-    std::sort(out.begin(), out.end(),
-              [](const Finding &a, const Finding &b) {
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.rule < b.rule;
-              });
-    return out;
-}
-
-std::vector<Finding>
-lintFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read file: " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return lintSource(path, ss.str());
-}
-
-std::vector<Finding>
-lintTree(const std::string &root, const Allowlist &allow)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> files;
-    for (auto it = fs::recursive_directory_iterator(root);
-         it != fs::recursive_directory_iterator(); ++it) {
-        if (it->is_directory()) {
-            const std::string name = it->path().filename().string();
-            if (name == "build" || name == ".git" ||
-                name.rfind("build-", 0) == 0 ||
-                name.rfind("cmake-build", 0) == 0)
-                it.disable_recursion_pending();
-            continue;
-        }
-        const std::string ext = it->path().extension().string();
-        if (ext == ".cc" || ext == ".cpp" || ext == ".hh" ||
-            ext == ".h" || ext == ".hpp")
-            files.push_back(it->path().string());
-    }
-    std::sort(files.begin(), files.end());
-
-    std::vector<Finding> out;
-    for (const std::string &f : files) {
-        for (Finding &fd : lintFile(f)) {
-            if (!allow.allows(fd))
-                out.push_back(std::move(fd));
-        }
-    }
-    return out;
+    static const lint::RuleSet rs{
+        "detlint",
+        {"unordered-iteration", "wall-clock", "raw-random",
+         "pointer-keyed-map", "uninit-member", "tick-wall-clock"},
+        check};
+    return rs;
 }
 
 } // namespace memsec::detlint

@@ -31,85 +31,20 @@
  *                        ticks never execute, so tick state must be a
  *                        function of the simulated cycle alone
  *
- * The analysis is deliberately lexical (comments and string literals
- * are stripped, then regex + light scope tracking). It trades a few
- * false positives — suppressed via a checked-in allowlist whose every
- * entry carries a written justification — for zero build-system or
- * compiler-plugin dependencies. It runs as a tier-1 ctest and a CI
- * gate over src/.
+ * The rules run over the shared lexical scanner and allowlist
+ * (tools/lint). It runs as a tier-1 ctest and a CI gate over src/,
+ * bench/ and tools/.
  */
 
 #ifndef MEMSEC_TOOLS_DETLINT_DETLINT_HH
 #define MEMSEC_TOOLS_DETLINT_DETLINT_HH
 
-#include <string>
-#include <vector>
+#include "lint.hh"
 
 namespace memsec::detlint {
 
-/** One determinism hazard at a concrete source location. */
-struct Finding
-{
-    std::string file;    ///< path as given to the linter
-    unsigned line = 0;   ///< 1-based line number
-    std::string rule;    ///< rule identifier (see file comment)
-    std::string excerpt; ///< trimmed offending source line
-
-    std::string toString() const;
-};
-
-/** Names of every rule detlint knows, for --list-rules and tests. */
-const std::vector<std::string> &ruleNames();
-
-/**
- * Checked-in suppression list. One entry per line:
- *
- *     path-suffix:rule[:substring]  # justification
- *
- * A finding is allowed when its file path ends with `path-suffix`,
- * its rule matches `rule` (or the entry's rule is `*`), and — when a
- * `substring` is given — the offending line contains it. The
- * justification comment is mandatory: an entry without one is a
- * format error, so suppressions cannot be added silently.
- */
-class Allowlist
-{
-  public:
-    Allowlist() = default;
-
-    /** Parse allowlist text; throws std::runtime_error on bad entries. */
-    static Allowlist fromString(const std::string &text);
-    /** Load from a file; missing file throws std::runtime_error. */
-    static Allowlist fromFile(const std::string &path);
-
-    bool allows(const Finding &f) const;
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    struct Entry
-    {
-        std::string pathSuffix;
-        std::string rule; ///< "*" matches any rule
-        std::string substring;
-    };
-    std::vector<Entry> entries_;
-};
-
-/** Lint one translation unit given as (display name, contents). */
-std::vector<Finding> lintSource(const std::string &file,
-                                const std::string &content);
-
-/** Lint a file on disk; unreadable files throw std::runtime_error. */
-std::vector<Finding> lintFile(const std::string &path);
-
-/**
- * Recursively lint every C++ source under root (.cc/.cpp/.hh/.h/.hpp),
- * skipping build output directories. Findings the allowlist permits
- * are dropped. Results are sorted by (file, line) so the report
- * itself is deterministic.
- */
-std::vector<Finding> lintTree(const std::string &root,
-                              const Allowlist &allow);
+/** detlint's rules over the shared scanner, allowlist and CLI. */
+const lint::RuleSet &ruleSet();
 
 } // namespace memsec::detlint
 

@@ -1,90 +1,13 @@
 /**
  * @file
- * isolint CLI.
- *
- *     isolint [--allowlist FILE] [--list-rules] PATH...
- *
- * Each PATH is a file or a directory (recursed). Exit status is 0
- * when no unsuppressed information-flow finding exists, 1 when
- * findings were printed, 2 on usage or I/O errors — so it gates both
- * ctest and CI directly.
+ * isolint CLI: the shared linter CLI over isolint's rule set. See runCli in
+ * lint.hh for usage and exit codes.
  */
-
-#include <filesystem>
-#include <iostream>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "isolint.hh"
 
 int
 main(int argc, char **argv)
 {
-    using namespace memsec::isolint;
-
-    std::string allowPath;
-    std::vector<std::string> paths;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--allowlist") {
-            if (i + 1 >= argc) {
-                std::cerr << "isolint: --allowlist needs a file\n";
-                return 2;
-            }
-            allowPath = argv[++i];
-        } else if (arg == "--list-rules") {
-            for (const std::string &r : ruleNames())
-                std::cout << r << "\n";
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: isolint [--allowlist FILE] "
-                         "[--list-rules] PATH...\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "isolint: unknown option " << arg << "\n";
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.empty()) {
-        std::cerr << "usage: isolint [--allowlist FILE] "
-                     "[--list-rules] PATH...\n";
-        return 2;
-    }
-
-    try {
-        Allowlist allow;
-        if (!allowPath.empty())
-            allow = Allowlist::fromFile(allowPath);
-
-        std::vector<Finding> findings;
-        for (const std::string &p : paths) {
-            if (std::filesystem::is_directory(p)) {
-                for (Finding &f : lintTree(p, allow))
-                    findings.push_back(std::move(f));
-            } else {
-                for (Finding &f : lintFile(p)) {
-                    if (!allow.allows(f))
-                        findings.push_back(std::move(f));
-                }
-            }
-        }
-
-        for (const Finding &f : findings)
-            std::cout << f.toString() << "\n";
-        if (findings.empty()) {
-            std::cout << "isolint: clean ("
-                      << (allow.size() ? "with" : "no")
-                      << " allowlist)\n";
-            return 0;
-        }
-        std::cout << "isolint: " << findings.size()
-                  << " finding(s)\n";
-        return 1;
-    } catch (const std::exception &e) {
-        std::cerr << "isolint: " << e.what() << "\n";
-        return 2;
-    }
+    return memsec::lint::runCli(memsec::isolint::ruleSet(), argc, argv);
 }
