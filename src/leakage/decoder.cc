@@ -326,57 +326,4 @@ estimateSymbolTiming(const core::VictimTimeline &receiver,
     return best;
 }
 
-MatchedDecodeResult
-matchedFilterDecode(const std::vector<double> &obs,
-                    const SymbolFrame &frame, size_t firstWindow)
-{
-    MatchedDecodeResult out;
-    out.bits.assign(frame.payloadBits, 0);
-    out.observed.assign(frame.payloadBits, 0);
-
-    // Reference level: pilot class midpoint when pilots exist (the
-    // trained threshold), else the series mean (blind fallback).
-    double pilotSum[2] = {0.0, 0.0};
-    size_t pilotN[2] = {0, 0};
-    double total = 0.0;
-    for (size_t i = 0; i < obs.size(); ++i) {
-        total += obs[i];
-        const SymbolRole role = frame.roleOf(firstWindow + i);
-        if (!role.pilot)
-            continue;
-        const int c = frame.symbolAt(firstWindow + i) ? 1 : 0;
-        pilotSum[c] += obs[i];
-        ++pilotN[c];
-    }
-    double threshold;
-    double orientation = 1.0; // ON symbols raise the observation
-    if (pilotN[0] > 0 && pilotN[1] > 0) {
-        const double m0 =
-            pilotSum[0] / static_cast<double>(pilotN[0]);
-        const double m1 =
-            pilotSum[1] / static_cast<double>(pilotN[1]);
-        threshold = 0.5 * (m0 + m1);
-        orientation = m1 >= m0 ? 1.0 : -1.0;
-    } else {
-        threshold = obs.empty()
-                        ? 0.0
-                        : total / static_cast<double>(obs.size());
-    }
-
-    std::vector<double> score(frame.payloadBits, 0.0);
-    for (size_t i = 0; i < obs.size(); ++i) {
-        const SymbolRole role = frame.roleOf(firstWindow + i);
-        if (role.pilot)
-            continue;
-        double x = orientation * (obs[i] - threshold);
-        if (role.inverted)
-            x = -x;
-        score[role.bitIndex] += x;
-        out.observed[role.bitIndex] = 1;
-    }
-    for (size_t b = 0; b < frame.payloadBits; ++b)
-        out.bits[b] = score[b] > 0.0 ? 1 : 0;
-    return out;
-}
-
 } // namespace memsec::leakage

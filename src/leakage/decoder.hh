@@ -1,9 +1,9 @@
 /**
  * @file
- * Near-capacity decoders for the covert queueing channel: a trained
- * maximum-likelihood symbol decoder, a scalar matched filter, and
- * adaptive symbol-timing recovery — the receiver-side upgrade over
- * channel.hh's blind median-threshold decode.
+ * Near-capacity decoding for the covert queueing channel: a trained
+ * maximum-likelihood symbol decoder and matched-filter symbol-timing
+ * recovery — the receiver-side upgrade over channel.hh's blind
+ * median-threshold decode.
  *
  * The receiver sees, per symbol window, a small feature vector of
  * its own service process:
@@ -188,23 +188,6 @@ estimateSymbolTiming(const core::VictimTimeline &receiver,
  */
 double matchedFilterCorrelation(const std::vector<double> &obs,
                                 const std::vector<uint8_t> &symbols);
-
-/**
- * Scalar matched-filter decoder (the classical reference the unit
- * tests pin against analytic BER): per payload bit, correlate the
- * windows carrying it against the expected polarity and threshold
- * at the pilot-estimated class midpoint (falling back to the series
- * mean when the frame has no pilots). `obs[i]` observes absolute
- * window `firstWindow + i`.
- */
-struct MatchedDecodeResult
-{
-    std::vector<uint8_t> bits;     ///< decoded payload bits
-    std::vector<uint8_t> observed; ///< 1 if bit i had any window
-};
-MatchedDecodeResult
-matchedFilterDecode(const std::vector<double> &obs,
-                    const SymbolFrame &frame, size_t firstWindow = 0);
 
 } // namespace memsec::leakage
 

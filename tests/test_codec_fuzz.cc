@@ -2,15 +2,17 @@
  * @file
  * Seeded fuzz test for the codec round-trip: encode a random secret
  * under random code parameters, push the symbol stream through a
- * synthetic noisy channel, decode with both the hard-decision codec
- * decoder and the scalar matched filter, and assert the decoded BER
- * never exceeds what the channel's noise level admits.
+ * synthetic noisy channel, decode with the hard-decision codec
+ * decoder, and assert the decoded BER never exceeds what the
+ * channel's noise level admits.
  *
- * The bound is the analytic repetition-coded matched-filter BER,
- * Q(snr * sqrt(R_eff)) with R_eff the number of windows soft-combined
- * per bit, plus a 4-sigma binomial allowance — i.e. "the decoder is
- * within noise of the optimum", not a loose smoke ceiling. Every
- * draw is from one seeded Rng, so a failure reproduces exactly.
+ * The bound is the analytic majority-vote BER over the R_eff windows
+ * that carry each bit, each flipped independently with probability
+ * Q(snr), plus a 4-sigma binomial allowance — i.e. "the decoder is
+ * within noise of hard majority voting", not a loose smoke ceiling.
+ * The soft-combining optimum Q(snr * sqrt(R_eff)) is printed beside
+ * it on failure. Every draw is from one seeded Rng, so a failure
+ * reproduces exactly.
  */
 
 #include <gtest/gtest.h>
