@@ -440,8 +440,11 @@ CoreModel::executeMemOp(Record &rec)
             if (!mc_.canAccept(domain_)) {
                 setState(rec, rec.isStore ? Record::State::Done
                                           : Record::State::NeedsIssue);
+                // The store merges into the hint: the line fills
+                // dirty whichever response brings it, and a dropped
+                // hint re-queues the fetch (memDropped).
                 if (rec.isStore)
-                    pendingStoreFetches_.push_back(rec.addr);
+                    entry.fillDirty = true;
                 return;
             }
             entry.isPrefetch = false;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 
 #include "cpu/core_model.hh"
@@ -362,5 +363,70 @@ TEST(CoreModel, RetryPathsMatchSteppingEveryCycle)
         EXPECT_GT(stepped.core->prefetchIssued(), 0u) << cpuMult;
         // The comparison proves nothing unless the core slept.
         EXPECT_GT(sleepy.sim.cyclesSkipped(), 0u) << cpuMult;
+    }
+}
+
+namespace {
+
+/** Dirty lines resident in `llc`: evict every line of a copy. */
+uint64_t
+dirtyLines(const cache::Cache &llc, Addr fresh)
+{
+    cache::Cache copy = llc;
+    uint64_t dirty = 0;
+    for (Addr set = 0; set < copy.numSets(); ++set) {
+        for (unsigned w = 0; w < copy.ways(); ++w) {
+            const Addr line = fresh + set + Addr{w} * copy.numSets();
+            dirty += copy.fill(line * kLineBytes, false).evictedDirty;
+        }
+    }
+    return dirty;
+}
+
+} // namespace
+
+TEST(CoreModel, StoreMergedIntoAPrefetchHintWritesBack)
+{
+    // Each line is stored to once, then a long compute gap lets
+    // memory drain, so every stored line must end up written back or
+    // dirty in the LLC. The small queue is often full when a store
+    // finds the line's prefetch hint in flight, so the store merges
+    // into the hint without upgrading it; the line must still fill
+    // dirty when the controller serves the hint.
+    constexpr Addr kLines = 2000;
+    const std::string path =
+        ::testing::TempDir() + "memsec-store-merge.trace";
+    for (const unsigned gap : {10u, 40u}) {
+        {
+            std::ofstream out(path);
+            for (Addr line = 0; line < kLines; ++line)
+                out << gap << " W " << std::hex << line * kLineBytes
+                    << std::dec << "\n";
+            out << "4000000000 W " << std::hex << kLines * kLineBytes
+                << "\n";
+        }
+        for (const unsigned queue : {2u, 4u}) {
+            WorkloadProfile p;
+            p.name = "store-merge";
+            p.tracePath = path;
+            p.mshrs = 2;
+            CoreModel::Params cp;
+            cp.prefetchEnabled = true;
+            cp.llcBytes = 16 * 1024;
+            Rig rig(p, cp, nullptr, queue);
+            rig.sim.run(400000);
+
+            StatGroup g;
+            rig.core->registerStats(g);
+            const std::string point = "gap=" + std::to_string(gap) +
+                                      " queue=" + std::to_string(queue);
+            EXPECT_EQ(g.lookup("stores"), static_cast<double>(kLines + 1))
+                << point;
+            EXPECT_GT(rig.core->prefetchUseful(), 100u) << point;
+            const uint64_t dirty = dirtyLines(rig.core->llc(), 1u << 30);
+            EXPECT_EQ(g.lookup("writebacks") + static_cast<double>(dirty),
+                      g.lookup("stores"))
+                << point;
+        }
     }
 }
