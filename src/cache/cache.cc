@@ -15,23 +15,23 @@ Cache::Cache(uint64_t sizeBytes, unsigned ways) : ways_(ways)
     numSets_ = lines / ways;
     fatal_if(!isPowerOf2(numSets_), "cache set count must be a power of two");
     setBits_ = floorLog2(numSets_);
-    lines_.resize(lines);
+    words_.resize(2 * lines);
 }
 
-Cache::Line *
+uint64_t *
 Cache::find(Addr addr)
 {
-    Line *set = setOf(addr);
-    // Dirty and prefetched are the only bits allowed to differ.
+    uint64_t *tags = setOf(addr);
+    // Dirty and prefetched are the only bits allowed to differ. The
+    // scan is branch-free, as in accessOrFill().
     const uint64_t want = kValid | tagOf(addr);
-    for (unsigned w = 0; w < ways_; ++w) {
-        if ((set[w].tagFlags & ~(kDirty | kPrefetched)) == want)
-            return &set[w];
-    }
-    return nullptr;
+    unsigned hit = ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+        hit = (tags[w] & ~(kDirty | kPrefetched)) == want ? w : hit;
+    return hit != ways_ ? &tags[hit] : nullptr;
 }
 
-const Cache::Line *
+const uint64_t *
 Cache::find(Addr addr) const
 {
     return const_cast<Cache *>(this)->find(addr);
@@ -41,13 +41,13 @@ AccessResult
 Cache::access(Addr addr, bool isStore)
 {
     AccessResult res;
-    if (Line *line = find(addr)) {
-        line->lruStamp = ++stamp_;
+    if (uint64_t *tag = find(addr)) {
+        tag[ways_] = ++stamp_;
         if (isStore)
-            line->tagFlags |= kDirty;
-        if (line->tagFlags & kPrefetched) {
+            *tag |= kDirty;
+        if (*tag & kPrefetched) {
             res.prefetchHit = true;
-            line->tagFlags &= ~kPrefetched;
+            *tag &= ~kPrefetched;
         }
         hits_.inc();
         res.hit = true;
@@ -67,72 +67,40 @@ FillResult
 Cache::fill(Addr addr, bool dirty, bool prefetched)
 {
     FillResult res;
-    if (Line *line = find(addr)) {
+    if (uint64_t *tag = find(addr)) {
         // Already present (e.g. prefetch raced a demand fill).
         if (dirty)
-            line->tagFlags |= kDirty;
+            *tag |= kDirty;
         return res;
     }
-    Line *set = setOf(addr);
-    Line *victim = set;
+    uint64_t *tags = setOf(addr);
+    const uint64_t *stamps = tags + ways_;
+    unsigned victim = 0;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (!(set[w].tagFlags & kValid)) {
-            victim = &set[w];
+        if (!(tags[w] & kValid)) {
+            victim = w;
             break;
         }
-        if (set[w].lruStamp < victim->lruStamp)
-            victim = &set[w];
+        if (stamps[w] < stamps[victim])
+            victim = w;
     }
-    if ((victim->tagFlags & (kValid | kDirty)) == (kValid | kDirty)) {
+    if ((tags[victim] & (kValid | kDirty)) == (kValid | kDirty)) {
         res.evictedDirty = true;
         res.writebackAddr =
-            (((victim->tagFlags & ~kFlags) << setBits_) | setIndex(addr)) *
+            (((tags[victim] & ~kFlags) << setBits_) | setIndex(addr)) *
             kLineBytes;
     }
-    victim->tagFlags = tagOf(addr) | kValid | (dirty ? kDirty : 0) |
-                       (prefetched ? kPrefetched : 0);
-    victim->lruStamp = ++stamp_;
+    tags[victim] = tagOf(addr) | kValid | (dirty ? kDirty : 0) |
+                   (prefetched ? kPrefetched : 0);
+    tags[victim + ways_] = ++stamp_;
     return res;
-}
-
-void
-Cache::accessOrFill(Addr addr, bool isStore)
-{
-    Line *set = setOf(addr);
-    const uint64_t want = kValid | tagOf(addr);
-    // fill()'s victim: the first invalid way, else the first way
-    // with the oldest stamp.
-    Line *invalid = nullptr;
-    Line *oldest = set;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Line &line = set[w];
-        if ((line.tagFlags & ~(kDirty | kPrefetched)) == want) {
-            // access()'s hit: touch, dirty on a store, consume the
-            // prefetched mark.
-            line.lruStamp = ++stamp_;
-            line.tagFlags = (line.tagFlags & ~kPrefetched) |
-                            (isStore ? kDirty : 0);
-            hits_.inc();
-            return;
-        }
-        if (!(line.tagFlags & kValid)) {
-            if (invalid == nullptr)
-                invalid = &line;
-        } else if (line.lruStamp < oldest->lruStamp) {
-            oldest = &line;
-        }
-    }
-    misses_.inc();
-    Line *victim = invalid != nullptr ? invalid : oldest;
-    victim->tagFlags = want | (isStore ? kDirty : 0);
-    victim->lruStamp = ++stamp_;
 }
 
 void
 Cache::markDirty(Addr addr)
 {
-    if (Line *line = find(addr))
-        line->tagFlags |= kDirty;
+    if (uint64_t *tag = find(addr))
+        *tag |= kDirty;
 }
 
 template <class Self, class Ar>
@@ -141,18 +109,24 @@ Cache::io(Self &self, Ar &ar)
 {
     ar.section("cache");
     ar.expect(self.numSets_, "cache set count mismatch");
-    for (auto &line : self.lines_) {
-        uint64_t tag = line.tagFlags & ~kFlags;
-        bool valid = line.tagFlags & kValid;
-        bool dirty = line.tagFlags & kDirty;
-        bool prefetched = line.tagFlags & kPrefetched;
-        ar.io(tag, valid, dirty, prefetched, line.lruStamp);
-        if constexpr (Ar::loading) {
-            if (tag & kFlags)
-                ar.fail("cache tag out of range");
-            line.tagFlags = tag | (valid ? kValid : 0) |
-                            (dirty ? kDirty : 0) |
-                            (prefetched ? kPrefetched : 0);
+    // Way by way in set order, each as (tag, valid, dirty,
+    // prefetched, stamp): the layout-independent byte order.
+    const size_t ways = self.ways_;
+    for (size_t set = 0; set < self.words_.size(); set += 2 * ways) {
+        for (size_t w = set; w < set + ways; ++w) {
+            auto &tagFlags = self.words_[w];
+            uint64_t tag = tagFlags & ~kFlags;
+            bool valid = tagFlags & kValid;
+            bool dirty = tagFlags & kDirty;
+            bool prefetched = tagFlags & kPrefetched;
+            ar.io(tag, valid, dirty, prefetched, self.words_[w + ways]);
+            if constexpr (Ar::loading) {
+                if (tag & kFlags)
+                    ar.fail("cache tag out of range");
+                tagFlags = tag | (valid ? kValid : 0) |
+                           (dirty ? kDirty : 0) |
+                           (prefetched ? kPrefetched : 0);
+            }
         }
     }
     ar.io(self.stamp_, self.hits_, self.misses_);

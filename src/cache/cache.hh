@@ -65,12 +65,13 @@ class Cache
 
     /**
      * access(), then fill() on a miss, in one set scan: the
-     * functional warmup's lookup. Counters, LRU stamps and the dirty
-     * and prefetched bits end exactly as after
+     * functional warmup's lookup, inline so the warm kernel
+     * (cpu/trace.hh) compiles it into its loop. Counters, LRU stamps
+     * and the dirty and prefetched bits end exactly as after
      * `if (!access(addr, isStore).hit) fill(addr, isStore);`.
      * A dirty victim is dropped, as warmup drops its writebacks.
      */
-    void accessOrFill(Addr addr, bool isStore);
+    inline void accessOrFill(Addr addr, bool isStore);
 
     /** Mark a resident line dirty (store completing after fill). */
     void markDirty(Addr addr);
@@ -89,26 +90,22 @@ class Cache
     static void io(Self &self, Ar &ar);
 
     /**
-     * One way, 16 bytes. The valid/dirty/prefetched flags live in the
-     * top three bits of `tagFlags`, which a tag never reaches: a tag
-     * is at most 64 - log2(kLineBytes) bits wide.
+     * A way's tag-plus-flags word. The valid/dirty/prefetched flags
+     * live in its top three bits, which a tag never reaches: a tag is
+     * at most 64 - log2(kLineBytes) bits wide.
      */
-    struct Line
-    {
-        uint64_t tagFlags = 0;
-        uint64_t lruStamp = 0;
-    };
-
     static constexpr uint64_t kValid = 1ull << 63;
     static constexpr uint64_t kDirty = 1ull << 62;
     static constexpr uint64_t kPrefetched = 1ull << 61;
     static constexpr uint64_t kFlags = kValid | kDirty | kPrefetched;
     static_assert(kLineBytes >= 8, "tags must leave the flag bits clear");
 
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
-    /** First way of `addr`'s set. */
-    Line *setOf(Addr addr) { return &lines_[setIndex(addr) * ways_]; }
+    /** The tag word of `addr`'s way in its set, or nullptr on a
+     *  miss; that way's LRU stamp is `ways_` words further on. */
+    uint64_t *find(Addr addr);
+    const uint64_t *find(Addr addr) const;
+    /** The tag words of `addr`'s set; its stamps follow them. */
+    uint64_t *setOf(Addr addr) { return &words_[setIndex(addr) * 2 * ways_]; }
     uint64_t setIndex(Addr addr) const
     {
         return (addr / kLineBytes) & (numSets_ - 1);
@@ -118,12 +115,60 @@ class Cache
     unsigned ways_ = 0;
     uint64_t numSets_ = 0;
     unsigned setBits_ = 0;
-    /** Set s occupies ways [s * ways_, (s + 1) * ways_). */
-    std::vector<Line> lines_;
+    /**
+     * Set-major: set s occupies words [2 s ways_, 2 (s + 1) ways_),
+     * its ways' tag words back to back (one 64-byte line at 8 ways),
+     * then their LRU stamps in the same order. A lookup's tag compare
+     * reads one line; only a hit or a victim search reads stamps.
+     */
+    std::vector<uint64_t> words_;
     uint64_t stamp_ = 0;
     Counter hits_;
     Counter misses_;
 };
+
+inline void
+Cache::accessOrFill(Addr addr, bool isStore)
+{
+    uint64_t *tags = setOf(addr);
+    uint64_t *stamps = tags + ways_;
+    const uint64_t want = kValid | tagOf(addr);
+    // A line sits in at most one way, so the scan needs no early
+    // exit: a select per way instead of a branch on a hit position
+    // the predictor cannot guess.
+    unsigned hit = ways_;
+    uint64_t allValid = kValid;
+    for (unsigned w = 0; w < ways_; ++w) {
+        hit = (tags[w] & ~(kDirty | kPrefetched)) == want ? w : hit;
+        allValid &= tags[w];
+    }
+    if (hit != ways_) {
+        // access()'s hit: touch, dirty on a store, consume the
+        // prefetched mark.
+        stamps[hit] = ++stamp_;
+        tags[hit] = (tags[hit] & ~kPrefetched) | (isStore ? kDirty : 0);
+        hits_.inc();
+        return;
+    }
+    // fill()'s victim: the first invalid way, else the first way
+    // with the oldest stamp.
+    unsigned victim = 0;
+    if (allValid & kValid) {
+        uint64_t oldest = stamps[0];
+        for (unsigned w = 1; w < ways_; ++w) {
+            if (stamps[w] < oldest) {
+                victim = w;
+                oldest = stamps[w];
+            }
+        }
+    } else {
+        while (tags[victim] & kValid)
+            ++victim;
+    }
+    misses_.inc();
+    tags[victim] = want | (isStore ? kDirty : 0);
+    stamps[victim] = ++stamp_;
+}
 
 } // namespace memsec::cache
 

@@ -258,31 +258,37 @@ TEST(Cache, AccessOrFillMatchesAccessThenFill)
     // replaces, on a small cache so sets overflow: dirty victims,
     // prefetched lines consumed by a hit, and stores to resident
     // lines all occur. Bytes (tags, flags, LRU stamps) and the hit
-    // and miss counters must agree after every operation.
-    Cache fused(8 * 1024, 4); // 32 sets
-    Cache split(8 * 1024, 4);
-    Rng ops(17);
-    for (int i = 0; i < 20000; ++i) {
-        const Addr a = ops.below(512) * kLineBytes;
-        const bool store = ops.chance(0.3);
-        if (ops.chance(0.1)) {
-            // Prefetched fills (and markDirty) come from the timed
-            // core; they interleave with warmup-style lookups here.
-            const bool dirty = ops.chance(0.2);
-            fused.fill(a, dirty, true);
-            split.fill(a, dirty, true);
-        } else if (ops.chance(0.05)) {
-            fused.markDirty(a);
-            split.markDirty(a);
-        } else {
-            fused.accessOrFill(a, store);
-            if (!split.access(a, store).hit)
-                split.fill(a, store);
+    // and miss counters must agree after every operation. The LLC is
+    // set-major (each set's tags, then its stamps), indexed by the
+    // way count, so every associativity from direct-mapped to 16
+    // ways runs.
+    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(std::to_string(ways) + " ways");
+        Cache fused(8 * 1024, ways); // 128 lines
+        Cache split(8 * 1024, ways);
+        Rng ops(17);
+        for (int i = 0; i < 20000; ++i) {
+            const Addr a = ops.below(512) * kLineBytes;
+            const bool store = ops.chance(0.3);
+            if (ops.chance(0.1)) {
+                // Prefetched fills (and markDirty) come from the timed
+                // core; they interleave with warmup-style lookups here.
+                const bool dirty = ops.chance(0.2);
+                fused.fill(a, dirty, true);
+                split.fill(a, dirty, true);
+            } else if (ops.chance(0.05)) {
+                fused.markDirty(a);
+                split.markDirty(a);
+            } else {
+                fused.accessOrFill(a, store);
+                if (!split.access(a, store).hit)
+                    split.fill(a, store);
+            }
+            ASSERT_EQ(stateOf(fused), stateOf(split)) << i;
         }
-        ASSERT_EQ(stateOf(fused), stateOf(split)) << i;
+        EXPECT_EQ(fused.hits().value(), split.hits().value());
+        EXPECT_EQ(fused.misses().value(), split.misses().value());
+        EXPECT_GT(fused.hits().value(), 0u);
+        EXPECT_GT(fused.misses().value(), 0u);
     }
-    EXPECT_EQ(fused.hits().value(), split.hits().value());
-    EXPECT_EQ(fused.misses().value(), split.misses().value());
-    EXPECT_GT(fused.hits().value(), 0u);
-    EXPECT_GT(fused.misses().value(), 0u);
 }
