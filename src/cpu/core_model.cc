@@ -105,12 +105,11 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
     auto *synthetic =
         dynamic_cast<SyntheticTraceGenerator *>(trace_.get());
     auto replay = [&] {
-        // A synthetic stream skips its unused gaps (draw-exact, see
-        // skipRecords); other generators produce whole records.
+        // A synthetic stream runs the warm kernel, which skips the
+        // unused gaps (draw-exact, see skipRecords); other generators
+        // produce whole records.
         if (synthetic != nullptr) {
-            synthetic->skipRecords(records, [&](Addr addr, bool isStore) {
-                llc_.accessOrFill(lineOf(addr), isStore);
-            });
+            synthetic->skipRecords(records, llc_);
             return;
         }
         for (uint64_t i = 0; i < records; ++i) {

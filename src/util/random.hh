@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "util/bitops.hh"
+
 namespace memsec {
 
 /**
@@ -39,8 +41,15 @@ class Rng
         return result;
     }
 
-    /** Uniform integer in [0, bound); bound must be nonzero. */
-    uint64_t below(uint64_t bound);
+    /** Uniform integer in [0, bound); bound must be nonzero. Modulo
+     *  bias is negligible for the bounds workload synthesis uses,
+     *  far below 2^64. */
+    uint64_t below(uint64_t bound)
+    {
+        if (bound == 0)
+            belowZero();
+        return modulo(next(), bound);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     uint64_t range(uint64_t lo, uint64_t hi);
@@ -71,6 +80,9 @@ class Rng
     }
 
   private:
+    /** below(0)'s panic, out of line to keep below() small. */
+    [[noreturn]] static void belowZero();
+
     static uint64_t rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
