@@ -38,10 +38,13 @@ namespace memsec::cpu {
 
 /**
  * Counts of the process-wide functional-warmup memo. Warm state is a
- * pure function of warmupKey() (cpu/trace.hh), so a core whose key
- * was warmed earlier in the process copies that LLC and generator
- * state instead of replaying the records. Only synthetic generators
- * are memoized; trace-file and open-loop cores replay every time.
+ * pure function of warmupKey() (cpu/trace.hh): the inputs the warm
+ * kernel reads, resolved into a WarmSpec, and no others. A core whose
+ * key was warmed earlier in the process copies that LLC and generator
+ * state instead of replaying the records, also when its profile
+ * differs in a field warmup never reads (a covert sender's window).
+ * Only synthetic generators are memoized; trace-file and open-loop
+ * cores replay every time.
  */
 struct WarmupMemoStats
 {

@@ -20,11 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "cpu/core_model.hh"
 #include "cpu/trace_file.hh"
 #include "cpu/workload.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using cpu::WarmupMemoStats;
@@ -107,9 +109,10 @@ batch()
     add("mix1/baseline", base("baseline", "mix1"), {0, 4, 0});
     add("mix1/fs_rp", base("fs_rp", "mix1"), {4, 0, 0});
     add("mix1/tp_bp", base("tp_bp", "mix1"), {4, 0, 0});
-    // Only the senders see leak.window: the probe core still hits.
+    // leak.window keys the senders' ratio, which warmup never reads
+    // (a modulated ratio always draws the gap): every core hits.
     add("covert window 2000", covert(2000), {0, 4, 0});
-    add("covert window 1500", covert(1500), {1, 3, 0});
+    add("covert window 1500", covert(1500), {4, 0, 0});
     // Trace-file cores replay unmemoized; the mcf cores between them
     // miss once, then hit.
     const std::string trace = "trace:" + tracePath() + ",mcf";
@@ -190,20 +193,80 @@ TEST(WarmupMemo, ParallelCampaignMatchesColdRuns)
     EXPECT_EQ(s.hits + s.misses + s.bypasses, points.size() * kCores);
 }
 
-TEST(WarmupMemo, KeyCoversEveryInput)
+namespace {
+
+constexpr uint64_t kKeyRecords = 20000;
+
+std::string
+keyOf(const cpu::WorkloadProfile &p)
 {
-    // Each input of warmupKey() on its own must change the key.
-    const cpu::WorkloadProfile p = cpu::profileByName("mcf");
-    const std::string k = cpu::warmupKey(p, 1, 1000, 512 * 1024, 8);
-    EXPECT_EQ(k, cpu::warmupKey(p, 1, 1000, 512 * 1024, 8));
-    EXPECT_NE(k, cpu::warmupKey(p, 2, 1000, 512 * 1024, 8));
-    EXPECT_NE(k, cpu::warmupKey(p, 1, 1001, 512 * 1024, 8));
-    EXPECT_NE(k, cpu::warmupKey(p, 1, 1000, 256 * 1024, 8));
-    EXPECT_NE(k, cpu::warmupKey(p, 1, 1000, 512 * 1024, 4));
+    return cpu::warmupKey(p, 1, kKeyRecords, 512 * 1024, 8);
+}
+
+/** The generator's and the LLC's bytes after the warmup keyOf() names. */
+std::string
+warmBytes(const cpu::WorkloadProfile &p)
+{
+    cpu::SyntheticTraceGenerator g(p, 1);
+    cache::Cache llc(512 * 1024, 8);
+    g.skipRecords(kKeyRecords, llc);
+    Serializer s;
+    g.saveState(s);
+    llc.saveState(s);
+    return s.take();
+}
+
+/** Each WarmSpec field's bytes, on its own. */
+std::vector<std::string>
+specFields(const cpu::WorkloadProfile &p)
+{
+    const cpu::WarmSpec w(p);
+    std::vector<std::string> fields;
+    auto add = [&](const auto &field) {
+        Serializer s;
+        s.io(field);
+        fields.push_back(s.take());
+    };
+    add(w.storeFraction);
+    add(w.reuseFraction);
+    add(w.streamFraction);
+    add(w.footprintLines);
+    add(w.numStreams);
+    add(w.strideLines);
+    add(w.phaseLength);
+    add(w.modulated);
+    add(w.drawGap);
+    return fields;
+}
+
+/** A profile with neither phases nor modulation. */
+cpu::WorkloadProfile
+plainProfile(double memRatio)
+{
+    cpu::WorkloadProfile p = cpu::profileByName("mcf");
+    p.phaseLength = 0;
+    p.memRatio = memRatio;
+    return p;
+}
+
+} // namespace
+
+TEST(WarmupMemo, KeyIsSound)
+{
+    // Two-sided, for every single-field profile edit on a phased, a
+    // modulated and a plain profile: either the key changes, or a
+    // warmup of the edited profile leaves byte-identical generator and
+    // LLC state. An edit that keeps the key is a field the warmup does
+    // not read, and the memo may serve it another profile's state.
+    cpu::WorkloadProfile sender = cpu::profileByName("modsender");
+    sender.modWindowCycles = 2000;
+    const std::vector<cpu::WorkloadProfile> bases = {
+        cpu::profileByName("mcf"), sender, plainProfile(1.0)};
 
     std::vector<void (*)(cpu::WorkloadProfile &)> edits = {
         [](cpu::WorkloadProfile &q) { q.name = "mcf2"; },
-        [](cpu::WorkloadProfile &q) { q.memRatio += 0.01; },
+        [](cpu::WorkloadProfile &q) { q.memRatio -= 0.01; },
+        [](cpu::WorkloadProfile &q) { q.memRatio /= 2; },
         [](cpu::WorkloadProfile &q) { q.storeFraction += 0.01; },
         [](cpu::WorkloadProfile &q) { ++q.footprintLines; },
         [](cpu::WorkloadProfile &q) { q.streamFraction += 0.01; },
@@ -212,9 +275,11 @@ TEST(WarmupMemo, KeyCoversEveryInput)
         [](cpu::WorkloadProfile &q) { q.reuseFraction -= 0.01; },
         [](cpu::WorkloadProfile &q) { ++q.mshrs; },
         [](cpu::WorkloadProfile &q) { ++q.phaseLength; },
+        [](cpu::WorkloadProfile &q) { q.phaseLength = 0; },
         [](cpu::WorkloadProfile &q) { q.phaseLowFactor += 0.01; },
         [](cpu::WorkloadProfile &q) { q.phaseHighFactor += 0.01; },
         [](cpu::WorkloadProfile &q) { ++q.modWindowCycles; },
+        [](cpu::WorkloadProfile &q) { q.modWindowCycles = 0; },
         [](cpu::WorkloadProfile &q) { ++q.modSecretSeed; },
         [](cpu::WorkloadProfile &q) { ++q.modSecretBits; },
         [](cpu::WorkloadProfile &q) { q.modOffFactor += 0.01; },
@@ -230,10 +295,78 @@ TEST(WarmupMemo, KeyCoversEveryInput)
         [](cpu::WorkloadProfile &q) { q.trafficDiurnalPeriod += 1.0; },
         [](cpu::WorkloadProfile &q) { q.trafficDiurnalAmp += 0.1; },
     };
-    for (size_t i = 0; i < edits.size(); ++i) {
-        cpu::WorkloadProfile q = p;
-        edits[i](q);
-        EXPECT_NE(k, cpu::warmupKey(q, 1, 1000, 512 * 1024, 8))
-            << "profile edit " << i;
+    unsigned shared = 0;
+    unsigned changed = 0;
+    for (size_t b = 0; b < bases.size(); ++b) {
+        const cpu::WorkloadProfile &p = bases[b];
+        const std::string k = keyOf(p);
+        const std::string warm = warmBytes(p);
+        for (size_t i = 0; i < edits.size(); ++i) {
+            cpu::WorkloadProfile q = p;
+            edits[i](q);
+            if (keyOf(q) != k) {
+                ++changed;
+                continue;
+            }
+            ++shared;
+            EXPECT_TRUE(warmBytes(q) == warm)
+                << "base " << b << ", profile edit " << i
+                << ": the key missed an input of the warmup";
+        }
     }
+    // Both sides are exercised: the phase factors, the window and the
+    // traffic fields share keys; the spec fields do not.
+    EXPECT_GT(shared, 0u);
+    EXPECT_GT(changed, 0u);
+
+    // The inputs beside the profile.
+    const cpu::WorkloadProfile p = bases[0];
+    const std::string k = cpu::warmupKey(p, 1, 1000, 512 * 1024, 8);
+    EXPECT_EQ(k, cpu::warmupKey(p, 1, 1000, 512 * 1024, 8));
+    EXPECT_NE(k, cpu::warmupKey(p, 2, 1000, 512 * 1024, 8));
+    EXPECT_NE(k, cpu::warmupKey(p, 1, 1001, 512 * 1024, 8));
+    EXPECT_NE(k, cpu::warmupKey(p, 1, 1000, 256 * 1024, 8));
+    EXPECT_NE(k, cpu::warmupKey(p, 1, 1000, 512 * 1024, 4));
+}
+
+TEST(WarmupMemo, KeyCoversEverySpecField)
+{
+    // Each edit changes exactly one WarmSpec field (checked), and the
+    // key with it. The name is keyed as well.
+    struct Edit
+    {
+        cpu::WorkloadProfile base;
+        void (*edit)(cpu::WorkloadProfile &);
+        size_t field; ///< index into specFields()
+    };
+    const cpu::WorkloadProfile mcf = cpu::profileByName("mcf");
+    const std::vector<Edit> edits = {
+        {mcf, [](cpu::WorkloadProfile &q) { q.storeFraction += 0.01; }, 0},
+        {mcf, [](cpu::WorkloadProfile &q) { q.reuseFraction -= 0.01; }, 1},
+        {mcf, [](cpu::WorkloadProfile &q) { q.streamFraction += 0.01; }, 2},
+        {mcf, [](cpu::WorkloadProfile &q) { ++q.footprintLines; }, 3},
+        {mcf, [](cpu::WorkloadProfile &q) { ++q.numStreams; }, 4},
+        {mcf, [](cpu::WorkloadProfile &q) { ++q.strideLines; }, 5},
+        {mcf, [](cpu::WorkloadProfile &q) { ++q.phaseLength; }, 6},
+        {plainProfile(0.3),
+         [](cpu::WorkloadProfile &q) { q.modWindowCycles = 2000; }, 7},
+        {plainProfile(1.0), [](cpu::WorkloadProfile &q) { q.memRatio = 0.5; },
+         8},
+    };
+    ASSERT_EQ(edits.size(), specFields(mcf).size());
+    for (const Edit &e : edits) {
+        cpu::WorkloadProfile q = e.base;
+        e.edit(q);
+        const std::vector<std::string> before = specFields(e.base);
+        const std::vector<std::string> after = specFields(q);
+        for (size_t f = 0; f < before.size(); ++f) {
+            EXPECT_EQ(before[f] != after[f], f == e.field)
+                << "spec field " << f << " under the edit of field "
+                << e.field;
+        }
+        EXPECT_NE(keyOf(q), keyOf(e.base)) << "spec field " << e.field;
+    }
+    cpu::WorkloadProfile renamed = mcf;
+    renamed.name = "mcf2";
+    EXPECT_NE(keyOf(renamed), keyOf(mcf));
 }
