@@ -11,6 +11,7 @@
 #ifndef MEMSEC_DRAM_BANK_HH
 #define MEMSEC_DRAM_BANK_HH
 
+#include "dram/command.hh"
 #include "dram/timing.hh"
 #include "sim/types.hh"
 
@@ -36,6 +37,26 @@ class Bank
     Cycle nextWrite() const { return nextWrite_; }
     /** Earliest cycle a PRE may issue. */
     Cycle nextPre() const { return nextPre_; }
+
+    /** The bank's own window for a bank command (ACT, PRE or a
+     *  column command): its bank floor. 0 for the rank commands. */
+    Cycle floor(CmdType type) const
+    {
+        switch (type) {
+          case CmdType::Act:
+            return nextAct_;
+          case CmdType::Pre:
+            return nextPre_;
+          case CmdType::Rd:
+          case CmdType::RdA:
+            return nextRead_;
+          case CmdType::Wr:
+          case CmdType::WrA:
+            return nextWrite_;
+          default:
+            return 0;
+        }
+    }
 
     /** Apply an ACT issued at cycle t opening row. */
     void doActivate(Cycle t, unsigned row, const TimingParams &tp);

@@ -15,17 +15,6 @@ ChannelBuses::useCmdBus(Cycle t)
     ++commandCount_;
 }
 
-Cycle
-ChannelBuses::earliestDataStart(unsigned rank) const
-{
-    if (lastDataRank_ == ~0u)
-        return 0;
-    Cycle e = dataBusyUntil_;
-    if (rank != lastDataRank_)
-        e += tp_.rtrs;
-    return e;
-}
-
 void
 ChannelBuses::reserveData(Cycle start, unsigned rank)
 {

@@ -33,7 +33,12 @@ class ChannelBuses
      * previous reservation: back-to-back same-rank bursts may be
      * gapless; different ranks need tRTRS idle between bursts.
      */
-    Cycle earliestDataStart(unsigned rank) const;
+    Cycle earliestDataStart(unsigned rank) const
+    {
+        if (lastDataRank_ == ~0u)
+            return 0;
+        return dataBusyUntil_ + (rank != lastDataRank_ ? tp_.rtrs : 0);
+    }
 
     /** True if a burst [start, start+tBURST) from rank is legal. */
     bool dataBusFree(Cycle start, unsigned rank) const

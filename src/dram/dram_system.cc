@@ -83,6 +83,7 @@ DramSystem::io(Self &self, Ar &ar)
         for (uint64_t &v : self.rankVersion_)
             ++v;
         ++self.busVersion_;
+        ++self.legalityVersion_;
     }
 }
 
@@ -154,53 +155,67 @@ struct DramSystem::LegalWindow
     }
 };
 
+namespace {
+
+/** Why the row state rules out bank command `cmd`; null if it does
+ *  not. */
+const char *
+rowStateBlocks(const Command &cmd, const Bank &bk)
+{
+    switch (cmd.type) {
+      case CmdType::Act:
+        return bk.isOpen() ? "bank has open row" : nullptr;
+      case CmdType::Pre:
+        return bk.isOpen() ? nullptr : "bank already closed";
+      default:
+        return bk.isOpen() && bk.openRow() == cmd.row ? nullptr
+                                                      : "row not open";
+    }
+}
+
+/** The rule a bank command's bank floor reports. */
+const char *
+bankRule(CmdType type)
+{
+    switch (type) {
+      case CmdType::Act:
+        return "bank tRC/tRP";
+      case CmdType::Rd:
+      case CmdType::RdA:
+        return "bank tRCD (read)";
+      case CmdType::Wr:
+      case CmdType::WrA:
+        return "bank tRCD (write)";
+      default:
+        return "bank tRAS/tRTP/tWR";
+    }
+}
+
+} // namespace
+
 Cycle
 DramSystem::legalFrom(const Command &cmd, LegalWindow &w) const
 {
     fatal_if(cmd.rank >= ranks_.size(), "rank {} out of range", cmd.rank);
     const Rank &rk = ranks_[cmd.rank];
-    if (cmd.type != CmdType::PdExit) {
-        w.atLeast(rk.refreshEndsAt(), "rank refreshing");
-        if (rk.isPoweredDown())
-            return w.never("rank powered down");
-    }
+    const auto atLeast = [&w](Cycle bound, const char *rule) {
+        w.atLeast(bound, rule);
+    };
+    if (cmd.type != CmdType::PdExit && !rankAwake(rk, atLeast))
+        return w.never("rank powered down");
 
     switch (cmd.type) {
-      case CmdType::Act: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (bk.isOpen())
-            return w.never("bank has open row");
-        w.atLeast(bk.nextAct(), "bank tRC/tRP");
-        w.atLeast(rk.nextActRankLimit(), "rank tRRD/tFAW");
-        return w.from;
-      }
+      case CmdType::Act:
+      case CmdType::Pre:
       case CmdType::Rd:
       case CmdType::RdA:
       case CmdType::Wr:
       case CmdType::WrA: {
         const Bank &bk = rk.bank(cmd.bank);
-        const bool rd = isRead(cmd.type);
-        if (!bk.isOpen() || bk.openRow() != cmd.row)
-            return w.never("row not open");
-        if (rd) {
-            w.atLeast(bk.nextRead(), "bank tRCD (read)");
-            w.atLeast(rk.nextRead(), "rank CAS turnaround (read)");
-        } else {
-            w.atLeast(bk.nextWrite(), "bank tRCD (write)");
-            w.atLeast(rk.nextWrite(), "rank CAS turnaround (write)");
-        }
-        // The burst starts a fixed latency after the CAS.
-        const Cycle latency = rd ? tp_.cas : tp_.cwd;
-        const Cycle busFrom = buses_.earliestDataStart(cmd.rank);
-        w.atLeast(busFrom > latency ? busFrom - latency : 0,
-                  "data bus / tRTRS");
-        return w.from;
-      }
-      case CmdType::Pre: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (!bk.isOpen())
-            return w.never("bank already closed");
-        w.atLeast(bk.nextPre(), "bank tRAS/tRTP/tWR");
+        if (const char *blocked = rowStateBlocks(cmd, bk))
+            return w.never(blocked);
+        w.atLeast(bk.floor(cmd.type), bankRule(cmd.type));
+        rankWindows(cmd.type, cmd.rank, atLeast);
         return w.from;
       }
       case CmdType::Ref:
@@ -288,6 +303,7 @@ DramSystem::issue(const Command &cmd, Cycle now)
     ++rankVersion_[cmd.rank];
     if (isColumn(cmd.type))
         ++busVersion_;
+    ++legalityVersion_;
 
     // Charge the rank's residency, through the last accounted cycle,
     // in the state it is about to leave.

@@ -12,6 +12,7 @@
 #ifndef MEMSEC_DRAM_DRAM_SYSTEM_HH
 #define MEMSEC_DRAM_DRAM_SYSTEM_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +73,41 @@ class DramSystem
     Cycle earliestIssue(const Command &cmd) const;
 
     /**
+     * Legality by scope, for the bank commands (ACT, PRE and the
+     * column commands): once the row state allows `cmd` (ACT: bank
+     * closed; PRE: bank open; a column command: its row open),
+     * earliestIssue(cmd) is max(bankFloor(...), rankFloor(...)).
+     * legalFrom() is built from the same two, so this is the one
+     * encoding of the timing windows.
+     *
+     * The bank floor is the bank's own window (Bank::floor()):
+     * nextAct, nextRead, nextWrite or nextPre.
+     */
+    Cycle bankFloor(CmdType type, unsigned rank, unsigned bank) const
+    {
+        return ranks_.at(rank).bank(bank).floor(type);
+    }
+
+    /**
+     * The rank floor: the refresh end, or kNoCycle while the rank is
+     * powered down; for ACT also tRRD/tFAW, and for a column command
+     * also the rank's CAS turnaround and the data bus (its tRTRS
+     * start less the CAS or CWD latency). PRE has no rank window
+     * beyond the refresh.
+     */
+    Cycle rankFloor(CmdType type, unsigned rank) const
+    {
+        Cycle floor = 0;
+        const auto atLeast = [&floor](Cycle bound, const char *) {
+            floor = std::max(floor, bound);
+        };
+        if (!rankAwake(ranks_.at(rank), atLeast))
+            return kNoCycle;
+        rankWindows(type, rank, atLeast);
+        return floor;
+    }
+
+    /**
      * Issue a command at cycle `now`. Panics if illegal. For column
      * commands the returned IssueResult carries the data-burst window;
      * for others it is zero.
@@ -118,14 +154,16 @@ class DramSystem
     Cycle progressCycle() const { return progressCycle_; }
 
     /**
-     * Legality versions, for callers caching earliestIssue(): the
-     * value for a command to rank `r` can change only when
-     * rankVersion(r) does, and for a column command also when
-     * dataBusVersion() does. Derived, never serialized; a restore
-     * advances them all.
+     * Legality versions, for callers caching floors or row state:
+     * rank `r`'s banks, its row state and its floors can change only
+     * when rankVersion(r) does, and a column command's rank floor
+     * also when dataBusVersion() does. Derived, never serialized; a
+     * restore advances them all.
      */
     uint64_t rankVersion(unsigned r) const { return rankVersion_[r]; }
     uint64_t dataBusVersion() const { return busVersion_; }
+    /** Moves whenever any rankVersion() or dataBusVersion() does. */
+    uint64_t legalityVersion() const { return legalityVersion_; }
 
     /**
      * Attach a fault injector: the checker observes the injector's
@@ -175,8 +213,55 @@ class DramSystem
     struct LegalWindow;
 
     /** The legality rules, written once: folds every window `cmd`
-     *  must clear into `w` and returns its earliest legal cycle. */
+     *  must clear into `w` and returns its earliest legal cycle. For
+     *  a bank command that is the row-state predicate, then the bank
+     *  floor, then the rank floor. */
     Cycle legalFrom(const Command &cmd, LegalWindow &w) const;
+
+    /**
+     * The rank floor, in rule order, as calls `atLeast(bound, rule)`.
+     * rankAwake() passes the refresh window every command but PDX
+     * clears first and returns false while the rank is powered down;
+     * rankWindows() passes the rest for bank command `type` (legalFrom
+     * checks the row state and the bank floor in between).
+     */
+    template <class AtLeast>
+    static bool rankAwake(const Rank &rk, AtLeast &&atLeast)
+    {
+        atLeast(rk.refreshEndsAt(), "rank refreshing");
+        return !rk.isPoweredDown();
+    }
+
+    template <class AtLeast>
+    void rankWindows(CmdType type, unsigned r, AtLeast &&atLeast) const
+    {
+        const Rank &rk = ranks_[r];
+        switch (type) {
+          case CmdType::Act:
+            atLeast(rk.nextActRankLimit(), "rank tRRD/tFAW");
+            return;
+          case CmdType::Rd:
+          case CmdType::RdA:
+            atLeast(rk.nextRead(), "rank CAS turnaround (read)");
+            atLeast(dataBusFloor(r, tp_.cas), "data bus / tRTRS");
+            return;
+          case CmdType::Wr:
+          case CmdType::WrA:
+            atLeast(rk.nextWrite(), "rank CAS turnaround (write)");
+            atLeast(dataBusFloor(r, tp_.cwd), "data bus / tRTRS");
+            return;
+          default:
+            return;
+        }
+    }
+
+    /** First cycle a column command to rank `r` whose burst starts
+     *  `latency` after it clears the data bus and tRTRS. */
+    Cycle dataBusFloor(unsigned r, Cycle latency) const
+    {
+        const Cycle busFrom = buses_.earliestDataStart(r);
+        return busFrom > latency ? busFrom - latency : 0;
+    }
 
     /** Charge every rank through the energy clock, then restart the
      *  books (and the clock) at `at`: cycles in between never count. */
@@ -191,6 +276,7 @@ class DramSystem
     Cycle progressCycle_ = 0;
     std::vector<uint64_t> rankVersion_;
     uint64_t busVersion_ = 0;
+    uint64_t legalityVersion_ = 0;
     /** One past the last cycle accounted by tick()/fastForwardEnergy()
      *  (the energy clock). Never serialized: a restore resets it. */
     Cycle energyClock_ = 0;

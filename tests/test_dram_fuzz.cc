@@ -142,6 +142,70 @@ TEST_P(DramFuzz, CanIssueAgreesWithEarliestIssue)
     EXPECT_TRUE(sys.checker().violations().empty());
 }
 
+/**
+ * Legality splits by scope: whenever the row state allows a bank
+ * command, earliestIssue() is the max of its bank floor and its rank
+ * floor, and the rank floor is kNoCycle exactly while the rank is
+ * powered down. Checked for every bank command to every bank, over
+ * the states of random legal streams (refresh and power-down
+ * included).
+ */
+TEST_P(DramFuzz, ScopeFloorsComposeEarliestIssue)
+{
+    const Geometry geo;
+    DramSystem sys(TimingParams::ddr3_1600_4gb(), geo);
+    Rng rng(GetParam() ^ 0xF100);
+
+    uint64_t checks = 0;
+    uint64_t poweredDown = 0;
+    uint64_t refreshing = 0;
+    uint64_t rankBound = 0; ///< the rank floor above the bank floor
+    for (Cycle now = 0; now < 6000; ++now) {
+        if (now % 2 == 0) {
+            for (unsigned r = 0; r < geo.ranksPerChannel; ++r) {
+                const Rank &rk = sys.rank(r);
+                for (unsigned b = 0; b < geo.banksPerRank; ++b) {
+                    const Bank &bk = rk.bank(b);
+                    for (const CmdType type :
+                         {CmdType::Act, CmdType::Pre, CmdType::Rd,
+                          CmdType::RdA, CmdType::Wr, CmdType::WrA}) {
+                        const bool allowed =
+                            type == CmdType::Act ? !bk.isOpen()
+                                                 : bk.isOpen();
+                        if (!allowed)
+                            continue;
+                        const Command cmd{type, r, b, bk.openRow(), 0,
+                                          false};
+                        const Cycle bank = sys.bankFloor(type, r, b);
+                        const Cycle rank = sys.rankFloor(type, r);
+                        ASSERT_EQ(std::max(bank, rank), sys.earliestIssue(cmd))
+                            << cmd.toString() << " at " << now;
+                        ASSERT_EQ(rank == kNoCycle, rk.isPoweredDown())
+                            << cmd.toString() << " at " << now;
+                        ++checks;
+                        poweredDown += rk.isPoweredDown();
+                        refreshing += rk.refreshEndsAt() > now;
+                        rankBound += rank > bank && rank != kNoCycle;
+                    }
+                }
+            }
+        }
+        Command c = randomCommand(rng, geo);
+        if (isColumn(c.type)) {
+            const Bank &bk = sys.rank(c.rank).bank(c.bank);
+            if (bk.isOpen() && rng.chance(0.8))
+                c.row = bk.openRow();
+        }
+        if (sys.canIssue(c, now))
+            sys.issue(c, now);
+        sys.tick(now);
+    }
+    EXPECT_GT(checks, 200000u);
+    EXPECT_GT(poweredDown, 500u);
+    EXPECT_GT(refreshing, 1000u);
+    EXPECT_GT(rankBound, 100000u);
+}
+
 TEST_P(DramFuzz, FastPathNotOverlyConservative)
 {
     const Geometry geo;

@@ -130,13 +130,28 @@ TEST_F(DramSystemTest, LegalityVersionsTrackWhatACommandTouches)
     const uint64_t r0 = sys.rankVersion(0);
     const uint64_t r1 = sys.rankVersion(1);
     const uint64_t bus = sys.dataBusVersion();
+    uint64_t any = sys.legalityVersion();
     sys.issue(mk(CmdType::Act, 0, 0, 9), 0);
     EXPECT_GT(sys.rankVersion(0), r0);
     EXPECT_EQ(sys.rankVersion(1), r1);
     EXPECT_EQ(sys.dataBusVersion(), bus);
+    EXPECT_GT(sys.legalityVersion(), any);
+    any = sys.legalityVersion();
     sys.issue(mk(CmdType::Rd, 0, 0, 9), tp.rcd);
     EXPECT_GT(sys.dataBusVersion(), bus);
     EXPECT_EQ(sys.rankVersion(1), r1);
+    EXPECT_GT(sys.legalityVersion(), any);
+    // A restore moves them all.
+    any = sys.legalityVersion();
+    const uint64_t r1Before = sys.rankVersion(1);
+    const uint64_t busBefore = sys.dataBusVersion();
+    Serializer s;
+    sys.saveState(s);
+    Deserializer d(s.data());
+    sys.restoreState(d);
+    EXPECT_GT(sys.rankVersion(1), r1Before);
+    EXPECT_GT(sys.dataBusVersion(), busBefore);
+    EXPECT_GT(sys.legalityVersion(), any);
 }
 
 TEST_F(DramSystemTest, IllegalIssuePanics)
