@@ -14,28 +14,23 @@ using dram::CmdType;
 FrFcfsEngine::FrFcfsEngine(mem::MemoryController &mc, const Options &opt)
     : mc_(mc), dram_(mc.dram()), opt_(opt),
       banksPerRank_(dram_.geometry().banksPerRank),
-      index_(mc.queueTotals().banks)
+      index_(mc.queueTotals().banks), rankFloors_(dram_.numRanks())
 {
     for (DomainId d = 0; d < mc.numDomains(); ++d)
         queues_.push_back(&mc.queue(d));
-    for (std::vector<BankPick> &picks : picks_) {
-        for (unsigned flat = 0; flat < index_.numBanks(); ++flat)
-            picks.push_back({.rank = flat / banksPerRank_,
-                             .bank = flat % banksPerRank_});
+    const size_t words = index_.nonempty(false).size();
+    for (bool w : {false, true}) {
+        picks_[w].resize(index_.numBanks());
+        for (unsigned flat = 0; flat < index_.numBanks(); ++flat) {
+            picks_[w][flat].rank = flat / banksPerRank_;
+            picks_[w][flat].bank = flat % banksPerRank_;
+        }
+        stale_[w].resize(words);
+        rewalk_[w].resize(words);
     }
+    readyMisses_.resize(words);
+    markAll();
 }
-
-namespace {
-
-/** `a` came before `b` (or there is no `b`). */
-bool
-older(const mem::BankIndex::Entry &a, const mem::BankIndex::Entry *b)
-{
-    return !b || a.arrival < b->arrival ||
-           (a.arrival == b->arrival && a.id < b->id);
-}
-
-} // namespace
 
 bool
 FrFcfsEngine::nextDrainMode() const
@@ -53,43 +48,114 @@ FrFcfsEngine::epoch() const
     return dram_.commandsIssued() + mc_.queueTotals().mutations;
 }
 
-const FrFcfsEngine::BankPick &
-FrFcfsEngine::refreshPick(bool writes, unsigned flat, uint64_t busVersion)
+void
+FrFcfsEngine::markAll()
 {
-    BankPick &p = picks_[writes][flat];
-    const uint64_t version = dram_.rankVersion(p.rank);
-    if (p.rankVersion != version) {
-        const dram::Bank &bk = dram_.rank(p.rank).bank(p.bank);
-        p.rankVersion = version;
-        p.open = bk.isOpen();
-        p.openRow = bk.openRow();
-        p.serial = ~0ull;
-        p.missKnown = false;
-        p.hitBusVersion = ~0ull;
+    for (bool w : {false, true}) {
+        std::fill(stale_[w].begin(), stale_[w].end(), ~0ull);
+        std::fill(rewalk_[w].begin(), rewalk_[w].end(), ~0ull);
     }
-    const mem::BankIndex::Bucket &b = index_.bucket(writes, flat);
-    if (p.serial != b.serial) {
-        p.serial = b.serial;
-        p.hit = p.miss = nullptr;
-        for (const Entry &e : b.entries) {
-            const Entry *&best =
-                p.open && e.row == p.openRow ? p.hit : p.miss;
-            if (older(e, best))
-                best = &e;
+    for (RankFloors &f : rankFloors_)
+        f = RankFloors{};
+    syncedLegality_ = casSynced_[0] = casSynced_[1] = ~0ull;
+    own_.at = ~0ull;
+}
+
+void
+FrFcfsEngine::rereadRank(unsigned r)
+{
+    RankFloors &f = rankFloors_[r];
+    f.version = dram_.rankVersion(r);
+    f.floor[kAct] = dram_.rankFloor(CmdType::Act, r);
+    f.floor[kPre] = dram_.rankFloor(CmdType::Pre, r);
+    f.casBus[0] = f.casBus[1] = ~0ull;
+}
+
+void
+FrFcfsEngine::markStale(unsigned flat)
+{
+    for (std::vector<uint64_t> &stale : stale_)
+        stale[flat / 64] |= uint64_t{1} << (flat % 64);
+}
+
+void
+FrFcfsEngine::syncRanks(bool writes)
+{
+    const uint64_t legality = dram_.legalityVersion();
+    if (legality == own_.at) {
+        rereadRank(own_.rank);
+        markStale(own_.rank * banksPerRank_ + own_.bank);
+        own_.at = ~0ull;
+        syncedLegality_ = legality;
+    } else if (legality != syncedLegality_) {
+        for (unsigned r = 0; r < rankFloors_.size(); ++r) {
+            if (rankFloors_[r].version == dram_.rankVersion(r))
+                continue;
+            rereadRank(r);
+            for (unsigned b = 0; b < banksPerRank_; ++b)
+                markStale(r * banksPerRank_ + b);
+        }
+        syncedLegality_ = legality;
+    }
+    if (casSynced_[writes] == legality)
+        return;
+    casSynced_[writes] = legality;
+    const uint64_t bus = dram_.dataBusVersion();
+    const CmdType cas = writes ? CmdType::Wr : CmdType::Rd;
+    for (unsigned r = 0; r < rankFloors_.size(); ++r) {
+        RankFloors &f = rankFloors_[r];
+        if (f.casBus[writes] != bus) {
+            f.casBus[writes] = bus;
+            f.floor[kRd + writes] = dram_.rankFloor(cas, r);
         }
     }
-    if (p.hit && p.hitBusVersion != busVersion) {
-        p.hitAt = dram_.earliestIssue({writes ? CmdType::Wr : CmdType::Rd,
-                                       p.rank, p.bank, p.openRow, 0, false});
-        p.hitBusVersion = busVersion;
+}
+
+void
+FrFcfsEngine::syncBanks(bool writes)
+{
+    // A bank that is empty now is marked again (its bucket changes)
+    // before it next has an entry, so every mark can go.
+    const std::span<const uint64_t> nonempty = index_.nonempty(writes);
+    const std::span<const uint64_t> changed = index_.changed(writes);
+    for (size_t w = 0; w < nonempty.size(); ++w) {
+        const uint64_t rewalk = rewalk_[writes][w] | changed[w];
+        for (uint64_t bits = nonempty[w] & (stale_[writes][w] | rewalk);
+             bits; bits &= bits - 1) {
+            const unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
+            rereadBank(writes, static_cast<unsigned>(w * 64 + bit),
+                       rewalk >> bit & 1);
+        }
+        stale_[writes][w] = rewalk_[writes][w] = 0;
     }
-    if (p.miss && !p.missKnown) {
-        p.missAt =
-            dram_.earliestIssue({p.open ? CmdType::Pre : CmdType::Act,
-                                 p.rank, p.bank, p.openRow, 0, false});
-        p.missKnown = true;
+    index_.clearChanged(writes);
+}
+
+void
+FrFcfsEngine::rereadBank(bool writes, unsigned flat, bool rewalk)
+{
+    BankPick &p = picks_[writes][flat];
+    const dram::Bank &bk = dram_.rank(p.rank).bank(p.bank);
+    if (rewalk || bk.openRow() != p.openRow) {
+        p.openRow = bk.openRow();
+        p.missSlot = bk.isOpen() ? kPre : kAct;
+        p.hit = p.miss = nullptr;
+        for (const Entry &e : index_.bucket(writes, flat).entries) {
+            const bool isHit = bk.isOpen() && e.row == p.openRow;
+            const Entry *&best = isHit ? p.hit : p.miss;
+            Age &bestAge = isHit ? p.hitAge : p.missAge;
+            const Age age{e.arrival, e.id};
+            if (!best || age.before(bestAge)) {
+                best = &e;
+                bestAge = age;
+            }
+        }
     }
-    return p;
+    p.hitFloor =
+        p.hit ? bk.floor(writes ? CmdType::Wr : CmdType::Rd) : kNoCycle;
+    p.missFloor =
+        p.miss ? bk.floor(bk.isOpen() ? CmdType::Pre : CmdType::Act)
+               : kNoCycle;
 }
 
 bool
@@ -98,33 +164,37 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
     hintValid_ = false;
     drainingWrites_ = nextDrainMode();
     const bool wantWrites = drainingWrites_;
+    syncRanks(wantWrites);
+    syncBanks(wantWrites);
 
-    // Only the issuing scheduler uses the command bus, so it is free
-    // here unless a refresh command took this cycle.
-    const bool busFree = dram_.buses().cmdBusFree(now);
-    const uint64_t busVersion = dram_.dataBusVersion();
-
-    // One pass over the banks with entries of the served class: find
-    // the oldest ready row-hit CAS, the oldest ready ACT for a closed
-    // bank, and the oldest ready PRE for a conflicting open row,
-    // noting whether that PRE's bank still has a pending hit (PRE
-    // never closes a useful row). (arrival, id) is a total order, so
-    // the visiting order cannot change the pick.
-    const Entry *casCand = nullptr;
-    const Entry *actCand = nullptr;
+    // One pass over the banks with entries of the served class takes
+    // each candidate's legal cycle as the max of its bank floor and
+    // its rank floor (kNoCycle for a missing candidate), folds the
+    // first one per bank into the wake, and marks the candidates
+    // ready before `readyBefore`. Only the issuing scheduler uses the
+    // command bus, so it is free unless a refresh command took this
+    // cycle. Among the ready ones the tick then takes the oldest
+    // row-hit CAS, else the oldest ACT for a closed bank, else the
+    // oldest PRE for a conflicting open row, noting whether that
+    // PRE's bank still has a pending hit (PRE never closes a useful
+    // row). (arrival, id) is a total order, so the visiting order
+    // cannot change the pick.
+    const Cycle readyBefore = dram_.buses().cmdBusFree(now) ? now + 1 : 0;
+    const BankPick *casCand = nullptr;
+    const BankPick *actCand = nullptr;
     const BankPick *preCand = nullptr;
     // Rank affinity: back-to-back bursts from one rank are gapless,
     // while switching ranks costs tRTRS — prefer CAS candidates on
     // the rank that last owned the data bus.
     const unsigned affineRank = dram_.buses().lastDataRank();
-    auto betterCas = [&](const Entry &a, const Entry *b) {
+    auto betterCas = [&](const BankPick &a, const BankPick *b) {
         if (!b)
             return true;
         const bool aAff = a.rank == affineRank;
         const bool bAff = b->rank == affineRank;
         if (aAff != bAff)
             return aAff;
-        return older(a, b);
+        return a.hitAge.before(b->hitAge);
     };
     // A tick that issues nothing sleeps until its first candidate
     // becomes legal. A PRE on a bank with a pending hit is withheld
@@ -135,38 +205,51 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
     // [avoidLo, avoidLo + banksPerRank_), none for kNoRank.
     const unsigned avoidLo =
         std::min(avoidRank, dram_.numRanks()) * banksPerRank_;
+    const unsigned casSlot = kRd + wantWrites;
+    const BankPick *picks = picks_[wantWrites].data();
+    const RankFloors *floors = rankFloors_.data();
     const std::span<const uint64_t> nonempty = index_.nonempty(wantWrites);
     for (size_t w = 0; w < nonempty.size(); ++w) {
+        uint64_t readyHits = 0;
+        uint64_t readyMisses = 0;
         for (uint64_t bits = nonempty[w]; bits; bits &= bits - 1) {
-            const unsigned flat =
-                static_cast<unsigned>(w * 64 + std::countr_zero(bits));
+            const unsigned bit =
+                static_cast<unsigned>(std::countr_zero(bits));
+            const unsigned flat = static_cast<unsigned>(w * 64) + bit;
             if (flat - avoidLo < banksPerRank_)
                 continue;
-            const BankPick &p = refreshPick(wantWrites, flat, busVersion);
-            wake = std::min(wake, p.hit ? p.hitAt : p.missAt);
-            if (!busFree)
-                continue;
-            if (p.hit && now >= p.hitAt && betterCas(*p.hit, casCand))
-                casCand = p.hit;
-            if (!p.miss || now < p.missAt)
-                continue;
-            if (!p.open) {
-                if (older(*p.miss, actCand))
-                    actCand = p.miss;
-            } else if (older(*p.miss, preCand ? preCand->miss : nullptr)) {
-                preCand = &p;
-            }
+            const BankPick &p = picks[flat];
+            const Cycle *f = floors[p.rank].floor;
+            const Cycle hitAt = std::max(p.hitFloor, f[casSlot]);
+            const Cycle missAt = std::max(p.missFloor, f[p.missSlot]);
+            wake = std::min(wake, p.hit ? hitAt : missAt);
+            readyHits |= uint64_t{hitAt < readyBefore} << bit;
+            readyMisses |= uint64_t{missAt < readyBefore} << bit;
+        }
+        for (; readyHits; readyHits &= readyHits - 1) {
+            const BankPick &p = picks[w * 64 + std::countr_zero(readyHits)];
+            if (betterCas(p, casCand))
+                casCand = &p;
+        }
+        readyMisses_[w] = readyMisses;
+    }
+    // An ACT or PRE goes only if no CAS is ready.
+    for (size_t w = 0; !casCand && w < nonempty.size(); ++w) {
+        for (uint64_t bits = readyMisses_[w]; bits; bits &= bits - 1) {
+            const BankPick &p = picks[w * 64 + std::countr_zero(bits)];
+            const BankPick *&cand = p.missSlot == kPre ? preCand : actCand;
+            if (!cand || p.missAge.before(cand->missAge))
+                cand = &p;
         }
     }
 
     if (casCand) {
-        issueCas(*casCand, wantWrites, now);
+        issueCas(*casCand->hit, wantWrites, now);
         return true;
     }
     if (actCand) {
-        const Entry &e = *actCand;
-        dram_.issue({CmdType::Act, e.rank, e.bank, e.row, e.id, false},
-                    now);
+        const Entry &e = *actCand->miss;
+        issue({CmdType::Act, e.rank, e.bank, e.row, e.id, false}, now);
         if (e.req->firstCommand == kNoCycle)
             e.req->firstCommand = now;
         return true;
@@ -174,9 +257,8 @@ FrFcfsEngine::tick(Cycle now, unsigned avoidRank)
     // Only close a row nobody still wants.
     if (preCand && !preCand->hit) {
         const Entry &e = *preCand->miss;
-        dram_.issue({CmdType::Pre, e.rank, e.bank, preCand->openRow, e.id,
-                     false},
-                    now);
+        issue({CmdType::Pre, e.rank, e.bank, preCand->openRow, e.id, false},
+              now);
         ++rowConflicts_;
         return true;
     }
@@ -227,10 +309,22 @@ FrFcfsEngine::nextWakeCycle(Cycle now) const
     return std::max(wake, next);
 }
 
+dram::IssueResult
+FrFcfsEngine::issue(const dram::Command &cmd, Cycle now)
+{
+    const uint64_t before = dram_.legalityVersion();
+    const dram::IssueResult res = dram_.issue(cmd, now);
+    own_ = {dram_.legalityVersion(), cmd.rank, cmd.bank};
+    // Anything else that moved since the last sync needs a full one.
+    if (before != syncedLegality_ || own_.at != before + 1)
+        own_.at = ~0ull;
+    return res;
+}
+
 void
 FrFcfsEngine::issueCas(const Entry &e, bool write, Cycle now)
 {
-    const dram::IssueResult res = dram_.issue(
+    const dram::IssueResult res = issue(
         {write ? CmdType::Wr : CmdType::Rd, e.rank, e.bank, e.row, e.id,
          false},
         now);
@@ -363,12 +457,8 @@ FrFcfsEngine::io(Self &self, Ar &ar)
           self.prefetchUtilOk_, self.rowHits_, self.rowMisses_,
           self.rowConflicts_);
     if constexpr (Ar::loading) {
-        // Derived pick state never crosses a checkpoint: a stale rank
-        // version re-derives all of a pick.
-        for (std::vector<BankPick> &picks : self.picks_) {
-            for (BankPick &p : picks)
-                p.rankVersion = ~0ull;
-        }
+        // Derived pick state never crosses a checkpoint.
+        self.markAll();
         self.hintValid_ = false;
     }
 }

@@ -5,10 +5,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mem/memory_controller.hh"
 #include "sched/frfcfs.hh"
 #include "util/random.hh"
+#include "util/serialize.hh"
 
 using namespace memsec;
 using namespace memsec::mem;
@@ -396,12 +398,33 @@ referencePick(const MemoryController &mc, const FrFcfsEngine::Options &opt,
     return out;
 }
 
+/** One configuration the oracle runs the engine under. */
+struct OracleArm
+{
+    const char *name;
+    unsigned ranks = 2;
+    unsigned banks = 4;
+    /** A refresh machine (FrFcfsScheduler's, at a short tREFI) issues
+     *  REF and draining PREs and picks the avoided rank; otherwise the
+     *  test holds a random rank off now and then. */
+    bool refresh = false;
+    /** Prefetch promotion on, with prefetch hints among the traffic. */
+    bool prefetch = false;
+    /** Chance of an arrival per cycle. */
+    double arrivals = 0.35;
+    /** Save the controller mid-run and go on in a fresh one restored
+     *  from it. */
+    bool chop = false;
+};
+
 /**
  * An FR-FCFS engine checked against the reference pick on every tick,
- * under a test-chosen refresh drain: `avoidRank` is held off, and with
- * `drainPre` a PRE to one of its open banks takes the command bus
- * first, as FrFcfsScheduler's refresh drain does. The first
- * disagreement is kept in `mismatch`.
+ * under a refresh drain: `avoidRank` is held off, and a PRE to one of
+ * its open banks (or a REF, under OracleArm::refresh) may take the
+ * command bus first, as FrFcfsScheduler's refresh drain does. With
+ * prefetch promotion on, the expected wake of an idle tick follows
+ * the engine's utilisation window, mirrored here from the data bus.
+ * The first disagreement is kept in `mismatch`.
  */
 class OracleChecked : public Scheduler
 {
@@ -414,10 +437,13 @@ class OracleChecked : public Scheduler
     void
     tick(Cycle now) override
     {
-        if (drainPre)
+        if (refresh)
+            serviceRefresh(now);
+        else if (drainPre)
             drainOneBank(now);
         const ReferencePick ref = referencePick(
             mc_, opt_, engine_.drainingWrites(), now, avoidRank);
+        const Cycle wantWake = ref.issues ? kNoCycle : expectedWake(ref, now);
         const uint64_t before = dram_.commandsIssued();
         const bool issued = engine_.tick(now, avoidRank);
         std::ostringstream why;
@@ -430,30 +456,104 @@ class OracleChecked : public Scheduler
                                                " " + ref.cmd.toString())
             why << "issued " << lastCommand() << ", expected "
                 << ref.cmd.toString();
-        if (!ref.issues && engine_.nextWakeCycle(now) != ref.wake)
+        if (!ref.issues && engine_.nextWakeCycle(now) != wantWake)
             why << "wake " << engine_.nextWakeCycle(now) << ", expected "
-                << ref.wake;
+                << wantWake;
         if (mismatch.empty() && !why.str().empty())
             mismatch = "cycle " + std::to_string(now) + ": " + why.str();
         flips += engine_.drainingWrites() != wasDraining_;
         wasDraining_ = engine_.drainingWrites();
         (ref.issues ? issues : idleChecks) += 1;
-        sleeps += !ref.issues && ref.wake > now + 1;
+        sleeps += !ref.issues && wantWake > now + 1;
     }
 
     std::string name() const override { return "frfcfs-oracle"; }
     const FrFcfsEngine &engine() const { return engine_; }
 
+    void saveState(Serializer &s) const override { engine_.saveState(s); }
+    void restoreState(Deserializer &d) override { engine_.restoreState(d); }
+
+    /** Carry the test-side state (counters, refresh deadlines, the
+     *  mirrored utilisation window) over from `o`. */
+    void
+    continueFrom(const OracleChecked &o)
+    {
+        avoidRank = o.avoidRank;
+        drainPre = o.drainPre;
+        refresh = o.refresh;
+        nextRefresh = o.nextRefresh;
+        issues = o.issues;
+        idleChecks = o.idleChecks;
+        sleeps = o.sleeps;
+        flips = o.flips;
+        drained = o.drained;
+        refreshes = o.refreshes;
+        promotions = o.promotions;
+        wasDraining_ = o.wasDraining_;
+        windowStart_ = o.windowStart_;
+        windowBusy_ = o.windowBusy_;
+        utilOk_ = o.utilOk_;
+    }
+
     unsigned avoidRank = FrFcfsEngine::kNoRank;
     bool drainPre = false;
+    bool refresh = false;
+    std::vector<Cycle> nextRefresh; ///< per rank, under `refresh`
     std::string mismatch;
     uint64_t issues = 0;
     uint64_t idleChecks = 0;
     uint64_t sleeps = 0;  ///< idle ticks whose wake lies past now + 1
     uint64_t flips = 0;   ///< drain-mode changes
     uint64_t drained = 0; ///< PREs issued by the refresh drain
+    uint64_t refreshes = 0;  ///< REFs issued under `refresh`
+    uint64_t promotions = 0; ///< idle ticks expected to promote
 
   private:
+    /** nextWakeCycle(now) after a tick that issues nothing. */
+    Cycle
+    expectedWake(const ReferencePick &ref, Cycle now)
+    {
+        if (!opt_.allowPrefetchPromote)
+            return ref.wake;
+        if (now - windowStart_ >= 1024) {
+            const uint64_t busy = dram_.buses().dataBusyCycles();
+            utilOk_ = busy - windowBusy_ < (now - windowStart_) / 2;
+            windowBusy_ = busy;
+            windowStart_ = now;
+        }
+        for (DomainId d = 0; utilOk_ && d < mc_.numDomains(); ++d) {
+            const TransactionQueue &q = mc_.queue(d);
+            if (!mc_.prefetchQueue(d).empty() && q.readCount() <= 2 &&
+                !q.full(ReqType::Read)) {
+                ++promotions;
+                return now + 1;
+            }
+        }
+        return std::min(ref.wake, std::max(windowStart_ + 1024, now + 1));
+    }
+
+    /** FrFcfsScheduler's refresh machine, but the engine ticks even
+     *  when it took the command bus. */
+    void
+    serviceRefresh(Cycle now)
+    {
+        avoidRank = FrFcfsEngine::kNoRank;
+        for (unsigned r = 0; r < dram_.numRanks(); ++r) {
+            if (now < nextRefresh[r])
+                continue;
+            const dram::Command ref{dram::CmdType::Ref, r, 0, 0, 0, false};
+            if (dram_.canIssue(ref, now)) {
+                dram_.issue(ref, now);
+                nextRefresh[r] += dram_.timing().refi;
+                ++refreshes;
+                return;
+            }
+            avoidRank = r;
+            drainOneBank(now);
+            return;
+        }
+    }
+
     void
     drainOneBank(Cycle now)
     {
@@ -481,42 +581,81 @@ class OracleChecked : public Scheduler
     FrFcfsEngine::Options opt_;
     FrFcfsEngine engine_;
     bool wasDraining_ = false;
+    // The engine's utilisation window, mirrored.
+    Cycle windowStart_ = 0;
+    uint64_t windowBusy_ = 0;
+    bool utilOk_ = true;
 };
 
-} // namespace
-
-TEST(FrFcfsOracle, EngineIssuesTheReferencePickEveryTick)
+/** What one oracle run reached, summed over its seeds. */
+struct OracleReach
 {
     uint64_t issues = 0, idle = 0, sleeps = 0, flips = 0, drained = 0;
     uint64_t hits = 0, conflicts = 0, avoidedWithWork = 0;
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
+    uint64_t refreshes = 0, promotions = 0, chops = 0;
+};
+
+/** Run `arm` over seeds [1, seeds], checking every tick; the first
+ *  mismatch fails the test. */
+OracleReach
+runOracle(const OracleArm &arm, uint64_t seeds)
+{
+    OracleReach reach;
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE(std::string(arm.name) + " arm, seed " +
+                     std::to_string(seed));
         Rng rng(seed);
         dram::Geometry geo;
-        geo.ranksPerChannel = 2;
-        geo.banksPerRank = 4;
+        geo.ranksPerChannel = arm.ranks;
+        geo.banksPerRank = arm.banks;
         const unsigned domains = 2 + static_cast<unsigned>(rng.below(3));
         AddressMap map(geo, Partition::None, Interleave::OpenPage, domains);
         MemoryController::Params p;
         p.geo = geo;
         p.numDomains = domains;
         p.queueCapacity = 6;
-        MemoryController mc("mc", p, map);
-        const FrFcfsEngine::Options opt{6, 2, false};
-        auto owned = std::make_unique<OracleChecked>(mc, opt);
-        OracleChecked &sched = *owned;
-        mc.setScheduler(std::move(owned));
+        p.timing.refi = 1200;
+        const FrFcfsEngine::Options opt{6, 2, arm.prefetch};
+        auto build = [&] {
+            auto mc = std::make_unique<MemoryController>("mc", p, map);
+            auto owned = std::make_unique<OracleChecked>(*mc, opt);
+            owned->refresh = arm.refresh;
+            for (unsigned r = 0; r < arm.ranks; ++r)
+                owned->nextRefresh.push_back(p.timing.refi * (r + 1) /
+                                             arm.ranks);
+            mc->setScheduler(std::move(owned));
+            return mc;
+        };
+        auto oracle = [](MemoryController &mc) -> OracleChecked & {
+            return dynamic_cast<OracleChecked &>(mc.scheduler());
+        };
+        std::unique_ptr<MemoryController> mc = build();
 
         const unsigned slots = geo.ranksPerChannel * geo.banksPerRank;
+        const Cycle chopAt = 2000 + rng.below(2000);
         for (Cycle now = 0; now < 6000; ++now) {
+            if (arm.chop && now == chopAt) {
+                Serializer s;
+                mc->saveState(s);
+                std::unique_ptr<MemoryController> next = build();
+                Deserializer d(s.data());
+                next->restoreState(d);
+                oracle(*next).continueFrom(oracle(*mc));
+                mc = std::move(next);
+                ++reach.chops;
+            }
+            OracleChecked &sched = oracle(*mc);
             // Three rows per bank and a few columns: row hits and
             // conflicts both come often. Write-heavy and read-heavy
             // phases alternate, so the drain mode flips.
-            if (rng.chance(0.35)) {
+            if (rng.chance(arm.arrivals)) {
                 const auto d = static_cast<DomainId>(rng.below(domains));
                 const double writeShare = now / 300 % 2 ? 0.8 : 0.2;
-                const ReqType t =
+                ReqType t =
                     rng.chance(writeShare) ? ReqType::Write : ReqType::Read;
-                if (mc.canAccept(d, t)) {
+                if (arm.prefetch && t == ReqType::Read && rng.chance(0.3))
+                    t = ReqType::Prefetch;
+                if (t == ReqType::Prefetch || mc->canAccept(d, t)) {
                     auto r = std::make_unique<MemRequest>();
                     r->domain = d;
                     r->type = t;
@@ -524,42 +663,85 @@ TEST(FrFcfsOracle, EngineIssuesTheReferencePickEveryTick)
                                    geo.colsPerRow +
                                rng.below(4)) *
                               kLineBytes;
-                    mc.access(std::move(r), now);
+                    mc->access(std::move(r), now);
                 }
             }
             // Now and then a rank is held off for a refresh drain.
-            if (now % 400 == 0) {
+            if (!arm.refresh && now % 400 == 0) {
                 sched.avoidRank =
                     rng.chance(0.5)
-                        ? static_cast<unsigned>(rng.below(2))
+                        ? static_cast<unsigned>(rng.below(arm.ranks))
                         : FrFcfsEngine::kNoRank;
             }
             sched.drainPre =
                 sched.avoidRank != FrFcfsEngine::kNoRank && rng.chance(0.2);
             for (DomainId d = 0; d < domains; ++d) {
-                const TransactionQueue &q = mc.queue(d);
+                const TransactionQueue &q = mc->queue(d);
                 for (size_t i = 0; i < q.size(); ++i)
-                    avoidedWithWork += q.at(i)->loc.rank == sched.avoidRank;
+                    reach.avoidedWithWork +=
+                        q.at(i)->loc.rank == sched.avoidRank;
             }
-            mc.tick(now);
-            ASSERT_EQ(sched.mismatch, "")
-                << "seed " << seed << ", " << domains << " domains";
+            mc->tick(now);
+            if (!sched.mismatch.empty()) {
+                ADD_FAILURE() << sched.mismatch << " (" << domains
+                              << " domains)";
+                return reach;
+            }
         }
-        issues += sched.issues;
-        idle += sched.idleChecks;
-        sleeps += sched.sleeps;
-        flips += sched.flips;
-        drained += sched.drained;
-        hits += sched.engine().rowHits();
-        conflicts += sched.engine().rowConflicts();
+        const OracleChecked &sched = oracle(*mc);
+        reach.issues += sched.issues;
+        reach.idle += sched.idleChecks;
+        reach.sleeps += sched.sleeps;
+        reach.flips += sched.flips;
+        reach.drained += sched.drained;
+        reach.refreshes += sched.refreshes;
+        reach.promotions += sched.promotions;
+        reach.hits += sched.engine().rowHits();
+        reach.conflicts += sched.engine().rowConflicts();
     }
+    return reach;
+}
+
+} // namespace
+
+TEST(FrFcfsOracle, EngineIssuesTheReferencePickEveryTick)
+{
+    // 2 ranks x 4 banks, a test-held avoided rank.
+    const OracleReach base = runOracle({.name = "base"}, 6);
     // The run reached every case it is meant to check.
-    EXPECT_GT(issues, 5000u);
-    EXPECT_GT(idle, 10000u);
-    EXPECT_GT(sleeps, 5000u);
-    EXPECT_GT(flips, 25u);
-    EXPECT_GT(drained, 40u);
-    EXPECT_GT(hits, 250u);
-    EXPECT_GT(conflicts, 1500u);
-    EXPECT_GT(avoidedWithWork, 100000u);
+    EXPECT_GT(base.issues, 5000u);
+    EXPECT_GT(base.idle, 10000u);
+    EXPECT_GT(base.sleeps, 5000u);
+    EXPECT_GT(base.flips, 25u);
+    EXPECT_GT(base.drained, 40u);
+    EXPECT_GT(base.hits, 250u);
+    EXPECT_GT(base.conflicts, 1500u);
+    EXPECT_GT(base.avoidedWithWork, 100000u);
+
+    // The default geometry: 8 ranks x 8 banks.
+    const OracleReach wide =
+        runOracle({.name = "8-rank", .ranks = 8, .banks = 8}, 3);
+    EXPECT_GT(wide.issues, 4000u);
+    EXPECT_GT(wide.sleeps, 2500u);
+    EXPECT_GT(wide.hits, 100u);
+    EXPECT_GT(wide.conflicts, 1200u);
+
+    // A restore mid-run marks every derived pick and floor stale.
+    const OracleReach chopped = runOracle({.name = "chop", .chop = true}, 3);
+    EXPECT_EQ(chopped.chops, 3u);
+    EXPECT_GT(chopped.issues, 2500u);
+
+    // Real refreshes: the rank floors carry the refresh end, and the
+    // refresh machine's commands move ranks behind the engine's back.
+    const OracleReach refreshed =
+        runOracle({.name = "refresh", .refresh = true}, 3);
+    EXPECT_GT(refreshed.refreshes, 20u);
+    EXPECT_GT(refreshed.drained, 40u);
+    EXPECT_GT(refreshed.avoidedWithWork, 5000u);
+
+    // Promoted prefetches enter the buckets between picks.
+    const OracleReach promoted =
+        runOracle({.name = "prefetch", .prefetch = true, .arrivals = 0.15}, 3);
+    EXPECT_GT(promoted.promotions, 50u);
+    EXPECT_GT(promoted.issues, 2000u);
 }
