@@ -77,6 +77,43 @@ TEST_F(McTest, WriteMerging)
     EXPECT_EQ(mc->stats().mergedWrites.value(), 1u);
 }
 
+TEST_F(McTest, SameLineLookupsStayWithinTheDomain)
+{
+    // Without partitioning the line decodes to one bank for every
+    // domain (on a row offset per domain), so both writes below share
+    // a write bucket. test_transaction_queue.cc checks the domain
+    // match where two domains share a row too.
+    ASSERT_EQ(map.decode(1, 0x8000).bank, map.decode(2, 0x8000).bank);
+    mc->access(mk(1, ReqType::Write, 0x8000), 0);
+    // Another domain's queued write neither serves a read...
+    mc->access(mk(2, ReqType::Read, 0x8000), 1);
+    EXPECT_EQ(mc->stats().forwarded.value(), 0u);
+    EXPECT_TRUE(responses.empty());
+    EXPECT_EQ(mc->queue(2).readCount(), 1u);
+    // ...nor absorbs a write.
+    mc->access(mk(2, ReqType::Write, 0x8020), 2);
+    EXPECT_EQ(mc->stats().mergedWrites.value(), 0u);
+    EXPECT_EQ(mc->queue(2).writeCount(), 1u);
+    // Within one domain both still fire.
+    mc->access(mk(1, ReqType::Read, 0x8010), 3);
+    EXPECT_EQ(mc->stats().forwarded.value(), 1u);
+    EXPECT_EQ(responses.size(), 1u);
+    mc->access(mk(1, ReqType::Write, 0x8030), 4);
+    EXPECT_EQ(mc->stats().mergedWrites.value(), 1u);
+    EXPECT_EQ(mc->queue(1).size(), 1u);
+
+    // A demand read rides its own domain's queued prefetch only.
+    auto pf = mk(3, ReqType::Prefetch, 0xA000);
+    pf->loc = map.decode(3, 0xA000);
+    mc->queue(3).push(std::move(pf));
+    mc->access(mk(0, ReqType::Read, 0xA000), 5);
+    EXPECT_EQ(mc->stats().mergedWithPrefetch.value(), 0u);
+    EXPECT_EQ(mc->queue(0).readCount(), 1u);
+    mc->access(mk(3, ReqType::Read, 0xA000), 6);
+    EXPECT_EQ(mc->stats().mergedWithPrefetch.value(), 1u);
+    EXPECT_EQ(mc->queue(3).size(), 1u);
+}
+
 TEST_F(McTest, PrefetchGoesToSideQueue)
 {
     mc->access(mk(3, ReqType::Prefetch, 0x1000), 0);
