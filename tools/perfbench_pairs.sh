@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
 # Paired perfbench comparison of this checkout against a base commit.
 #
-#     tools/perfbench_pairs.sh BASE_REF [PAIRS]
+#     tools/perfbench_pairs.sh [--seconds S] [--seed N] [--workload NAME]...
+#                              BASE_REF [PAIRS]
 #
 # Checks BASE_REF out in a temporary git worktree. Then, for every
-# workload in BENCHMARK.json, runs perfbench/run.py at seed 1 on both
-# sides PAIRS times (default 5), alternating: the base first in odd pairs, the
-# change first in even ones. The change side is this checkout's
-# working tree, uncommitted edits included. perfbench/compare.py then
-# gives a verdict for every workload x end-to-end metric.
+# workload in BENCHMARK.json (or each --workload given), runs
+# perfbench/run.py for S seconds (default 3) at seed N (default 1) on
+# both sides PAIRS times (default 5), alternating: the base first in
+# odd pairs, the change first in even ones. The change side is this
+# checkout's working tree, uncommitted edits included.
+# perfbench/compare.py then gives a verdict for every workload x
+# end-to-end metric.
 #
 # compare.py rates a metric "improved" only from 10 pairs up, so a
 # claimed gain needs PAIRS >= 10; the default 5 can only show a
-# regression.
+# regression. The benchmark itself runs 25-second runs, and a claim
+# should hold at a second seed too: --seconds 25 --seed 2.
 #
 # Exits nonzero if any verdict is "regressed", or if any change-side
 # run failed a check. At seed 1 the checks include the result digest
@@ -23,21 +27,57 @@
 # Each side builds the simulator once, into its own .bench_build/.
 set -euo pipefail
 
+usage() {
+    echo "usage: $0 [--seconds S] [--seed N] [--workload NAME]..." \
+        "BASE_REF [PAIRS]" >&2
+    exit 2
+}
+
 SECONDS_PER_RUN=3
 SEED=1
-
+chosen=()
+while [ $# -gt 0 ]; do
+    case "$1" in
+      --seconds)
+        [ $# -ge 2 ] && [[ $2 =~ ^[0-9]+([.][0-9]+)?$ ]] || usage
+        SECONDS_PER_RUN=$2
+        shift 2
+        ;;
+      --seed)
+        [ $# -ge 2 ] && [[ $2 =~ ^[0-9]+$ ]] || usage
+        SEED=$2
+        shift 2
+        ;;
+      --workload)
+        [ $# -ge 2 ] || usage
+        chosen+=("$2")
+        shift 2
+        ;;
+      -*) usage ;;
+      *) break ;;
+    esac
+done
 if [ $# -lt 1 ] || [ $# -gt 2 ] || ! [[ ${2:-5} =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: $0 BASE_REF [PAIRS]" >&2
-    exit 2
+    usage
 fi
 PAIRS=${2:-5}
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 base_rev=$(git -C "$root" rev-parse --verify "$1^{commit}")
 out="$root/perfbench-pairs"
-workloads=$(python3 -c 'import json, sys
+all_workloads=$(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
     "$root/BENCHMARK.json")
+workloads=$all_workloads
+if [ ${#chosen[@]} -gt 0 ]; then
+    for w in "${chosen[@]}"; do
+        if ! [[ " $all_workloads " == *" $w "* ]]; then
+            echo "$0: unknown workload $w (have: $all_workloads)" >&2
+            exit 2
+        fi
+    done
+    workloads="${chosen[*]}"
+fi
 
 tmp=$(mktemp -d)
 base="$tmp/base"
@@ -59,7 +99,8 @@ run() {
         grep -E '^FAILED|^\{"correct"' | cut -c 1-160
 }
 
-echo "perfbench pairs: base $base_rev vs working tree of $root"
+echo "perfbench pairs: base $base_rev vs working tree of $root" \
+    "(seed $SEED, ${SECONDS_PER_RUN} s runs)"
 for w in $workloads; do
     for ((p = 1; p <= PAIRS; p++)); do
         echo "== $w pair $p/$PAIRS"
