@@ -56,8 +56,6 @@ main(int argc, char **argv)
     t.header({"scheme", "IPC sum", "read latency", "bus util",
               "dummy frac", "energy (uJ)"});
     for (const char *scheme : {"baseline", "fs_rp", "tp_bp"}) {
-        if (channels > 1 && std::string(scheme) == "tp_bp")
-            continue; // multi-channel TP is not modelled
         Config cfg = harness::defaultConfig();
         cfg.merge(harness::schemeConfig(scheme));
         cfg.merge(user);

@@ -6,9 +6,6 @@
 
 #include "mem/address_map.hh"
 #include "mem/memory_controller.hh"
-#include "sched/frfcfs.hh"
-#include "sched/fs_reordered.hh"
-#include "sched/tp.hh"
 #include "util/logging.hh"
 #include "util/sim_error.hh"
 
@@ -43,68 +40,46 @@ struct Sink : mem::MemClient
     void memResponse(const mem::MemRequest &req) override { (void)req; }
 };
 
-mem::Partition
-partitionFor(const CertifierConfig &cfg)
+/** The map the scheme's pipeline is solved for. */
+mem::AddressMap
+mapFor(const CertifierConfig &cfg)
 {
-    switch (cfg.scheme) {
-      case CertScheme::Fs:
-        switch (cfg.fs.mode) {
-          case sched::FsMode::RankPart: return mem::Partition::Rank;
-          case sched::FsMode::BankPart: return mem::Partition::Bank;
-          case sched::FsMode::NoPart:
-          case sched::FsMode::TripleAlt: return mem::Partition::None;
-        }
-        break;
-      case CertScheme::FsReordered: return mem::Partition::Bank;
-      case CertScheme::Tp: return mem::Partition::Bank;
-      case CertScheme::FrFcfs: return mem::Partition::None;
-    }
-    return mem::Partition::None;
+    return mem::AddressMap(dram::Geometry{},
+                           sched::solvedPartition(cfg.scheme, cfg.fs.mode),
+                           mem::Interleave::ClosePage, cfg.numDomains);
 }
 
-struct BuiltSched
-{
-    std::unique_ptr<sched::Scheduler> s;
-    /** Frame-equivalent used to size the horizon (FS frame, reordered
-     *  interval, TP round; a fixed budget for schedulers without a
-     *  natural period). */
-    Cycle frameLen = 512;
-};
-
-BuiltSched
+std::unique_ptr<sched::Scheduler>
 buildScheduler(const CertifierConfig &cfg, mem::MemoryController &mc)
 {
-    BuiltSched b;
-    if (cfg.makeScheduler) {
-        b.s = cfg.makeScheduler(mc);
-        return b;
-    }
+    if (cfg.makeScheduler)
+        return cfg.makeScheduler(mc);
+    sched::SchedSpec spec;
+    spec.kind = cfg.scheme;
+    spec.fs = cfg.fs;
+    spec.tp.turnLength = cfg.tpTurnLength;
+    return sched::makeScheduler(mc, spec);
+}
+
+/** Frame-equivalent used to size the horizon (FS frame, reordered
+ *  interval, TP round; a fixed budget for schedulers without a
+ *  natural period). */
+Cycle
+frameLength(const CertifierConfig &cfg, const sched::Scheduler &s)
+{
+    if (cfg.makeScheduler)
+        return 512;
     switch (cfg.scheme) {
-      case CertScheme::Fs: {
-        auto fs = std::make_unique<sched::FsScheduler>(mc, cfg.fs);
-        b.frameLen = fs->frameLength();
-        b.s = std::move(fs);
-        break;
-      }
-      case CertScheme::FsReordered: {
-        auto s = std::make_unique<sched::FsReorderedScheduler>(
-            mc, sched::FsReorderedScheduler::Params{});
-        b.frameLen = s->intervalLength();
-        b.s = std::move(s);
-        break;
-      }
-      case CertScheme::Tp: {
-        b.frameLen =
-            static_cast<Cycle>(cfg.tpTurnLength) * cfg.numDomains;
-        b.s = std::make_unique<sched::TpScheduler>(
-            mc, sched::TpScheduler::Params{cfg.tpTurnLength});
-        break;
-      }
-      case CertScheme::FrFcfs:
-        b.s = std::make_unique<sched::FrFcfsScheduler>(mc);
-        break;
+      case CertScheme::Fs:
+        return static_cast<const sched::FsScheduler &>(s).frameLength();
+      case CertScheme::FsReordered:
+        return static_cast<const sched::FsReorderedScheduler &>(s)
+            .intervalLength();
+      case CertScheme::Tp:
+        return static_cast<Cycle>(cfg.tpTurnLength) * cfg.numDomains;
+      case CertScheme::FrFcfs: return 512;
     }
-    return b;
+    panic("bad cert scheme {}", static_cast<int>(cfg.scheme));
 }
 
 std::string
@@ -126,18 +101,6 @@ domainSet(uint32_t assignment)
 }
 
 } // namespace
-
-const char *
-certSchemeName(CertScheme s)
-{
-    switch (s) {
-      case CertScheme::Fs: return "fs";
-      case CertScheme::FsReordered: return "fs-reordered";
-      case CertScheme::Tp: return "tp";
-      case CertScheme::FrFcfs: return "frfcfs";
-    }
-    panic("bad cert scheme {}", static_cast<int>(s));
-}
 
 const char *
 observerProfileName(ObserverProfile p)
@@ -219,20 +182,19 @@ NoninterferenceCertifier::NoninterferenceCertifier(
 Cycle
 NoninterferenceCertifier::horizon() const
 {
-    mem::AddressMap map(dram::Geometry{}, partitionFor(cfg_),
-                        mem::Interleave::ClosePage, cfg_.numDomains);
+    const mem::AddressMap map = mapFor(cfg_);
     mem::MemoryController::Params p;
     p.numDomains = cfg_.numDomains;
     p.queueCapacity = kQueueCap;
     mem::MemoryController mc("cert-scratch", p, map);
-    const BuiltSched b = buildScheduler(cfg_, mc);
+    const Cycle frameLen = frameLength(cfg_, *buildScheduler(cfg_, mc));
 
-    Cycle h = static_cast<Cycle>(cfg_.horizonFrames) * b.frameLen;
+    Cycle h = static_cast<Cycle>(cfg_.horizonFrames) * frameLen;
     // Refresh epochs recur every tREFI; the horizon must contain
     // several whole epochs (including the rollover from one to the
     // next) or the blackout boundary states would go unexplored.
     if (cfg_.scheme == CertScheme::Fs && cfg_.fs.refresh)
-        h = std::max<Cycle>(h, 2 * p.timing.refi + 4 * b.frameLen);
+        h = std::max<Cycle>(h, 2 * p.timing.refi + 4 * frameLen);
     return std::max<Cycle>(h, 2000);
 }
 
@@ -240,8 +202,7 @@ NoninterferenceCertifier::Trace
 NoninterferenceCertifier::run(ObserverProfile profile, unsigned scenario,
                               uint32_t assignment, Cycle horizon) const
 {
-    mem::AddressMap map(dram::Geometry{}, partitionFor(cfg_),
-                        mem::Interleave::ClosePage, cfg_.numDomains);
+    const mem::AddressMap map = mapFor(cfg_);
     mem::MemoryController::Params p;
     p.numDomains = cfg_.numDomains;
     p.queueCapacity = kQueueCap;
@@ -252,11 +213,11 @@ NoninterferenceCertifier::run(ObserverProfile profile, unsigned scenario,
     RunReport report;
     mc.setReport(&report);
 
-    BuiltSched built = buildScheduler(cfg_, mc);
-    const Cycle drainTail = 4 * built.frameLen + 2048;
+    std::unique_ptr<sched::Scheduler> s = buildScheduler(cfg_, mc);
+    const Cycle drainTail = 4 * frameLength(cfg_, *s) + 2048;
     Trace t;
-    t.schedName = built.s->name();
-    mc.setScheduler(std::move(built.s));
+    t.schedName = s->name();
+    mc.setScheduler(std::move(s));
 
     std::unique_ptr<fault::FaultInjector> inj;
     if (cfg_.fault.kind != fault::FaultKind::None) {

@@ -41,7 +41,7 @@
 
 #include "core/noninterference.hh"
 #include "fault/fault_injector.hh"
-#include "sched/fs.hh"
+#include "sched/factory.hh"
 #include "sim/types.hh"
 
 namespace memsec::mem {
@@ -50,10 +50,9 @@ class MemoryController;
 
 namespace memsec::analysis {
 
-/** Scheduling scheme the certifier instantiates. */
-enum class CertScheme : uint8_t { Fs, FsReordered, Tp, FrFcfs };
-
-const char *certSchemeName(CertScheme s);
+/** Scheduling scheme the certifier instantiates: the harness's
+ *  scheduler kinds, built by the same factory. */
+using CertScheme = sched::SchedKind;
 
 /**
  * How the observer drives its own demand. Probe: one open-loop read
@@ -69,6 +68,8 @@ const char *observerProfileName(ObserverProfile p);
 /** One certification target: scheme, shape, and modelled context. */
 struct CertifierConfig
 {
+    /** The address map is partitioned as sched::solvedPartition()
+     *  says for the scheme (and, for FS, `fs.mode`). */
     CertScheme scheme = CertScheme::Fs;
 
     /** FS design point (mode, pinned reference, refresh). Only read
@@ -100,7 +101,7 @@ struct CertifierConfig
     /**
      * Test hook: build the scheduler yourself instead of by scheme
      * (used to certify deliberately leaky toy schedulers). The
-     * spatial partition is still chosen by `scheme`.
+     * spatial partition is still chosen by `scheme` (and `fs.mode`).
      */
     std::function<std::unique_ptr<sched::Scheduler>(
         mem::MemoryController &)>

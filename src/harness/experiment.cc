@@ -20,10 +20,8 @@
 #include "leakage/secret.hh"
 #include "mem/address_map.hh"
 #include "mem/memory_controller.hh"
+#include "sched/factory.hh"
 #include "sched/frfcfs.hh"
-#include "sched/fs.hh"
-#include "sched/fs_reordered.hh"
-#include "sched/tp.hh"
 #include "sim/simulator.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
@@ -50,8 +48,7 @@ ExperimentResult::weightedIpc(const std::vector<double> &baseIpc) const
 namespace {
 
 using enum ConfigType;
-
-enum class SchedKind { FrFcfs, Tp, Fs, FsReordered };
+using sched::SchedKind;
 
 constexpr ConfigChoice<SchedKind> kSchedulers[] = {
     {"baseline", SchedKind::FrFcfs}, {"tp", SchedKind::Tp},
@@ -185,11 +182,176 @@ constexpr ConfigKey kHarnessKeys[] = {
     {.name = "crash.dir", .type = String, .digest = false},
 };
 
-/** Fatal unless configSchema() accepts `cfg`. A per-domain
- *  traffic.d<i>.<key> is checked as traffic.<key>, for i < cores. */
-void
-validateConfig(const Config &cfg)
+SchedKind
+schedOf(const Config &cfg)
 {
+    return choiceValue(kSchedulers, "sched", cfg.getString("sched"));
+}
+
+Partition
+partitionOf(const Config &cfg)
+{
+    return choiceValue(kPartitions, "map.partition",
+                       cfg.getString("map.partition"));
+}
+
+unsigned
+coresOf(const Config &cfg)
+{
+    return static_cast<unsigned>(cfg.getUint("cores"));
+}
+
+/** The DRAM geometry the system is built with. Channel partitioning
+ *  needs one channel per domain, so it widens dram.channels. */
+dram::Geometry
+geometryOf(const Config &cfg)
+{
+    dram::Geometry geo;
+    geo.channels = static_cast<unsigned>(cfg.getUint("dram.channels"));
+    if (partitionOf(cfg) == Partition::Channel)
+        geo.channels = std::max(geo.channels, coresOf(cfg));
+    geo.ranksPerChannel = static_cast<unsigned>(cfg.getUint("dram.ranks"));
+    geo.banksPerRank = static_cast<unsigned>(cfg.getUint("dram.banks"));
+    geo.rowsPerBank = static_cast<unsigned>(cfg.getUint("dram.rows"));
+    geo.colsPerRow = static_cast<unsigned>(cfg.getUint("dram.cols"));
+    return geo;
+}
+
+/** Read fs.slot_weights ("2,1,1,..."; empty = equal weights) into
+ *  `out`: the first token that is not a whole decimal number, or "". */
+std::string
+readSlotWeights(const Config &cfg, std::vector<unsigned> &out)
+{
+    const std::string weights = cfg.getString("fs.slot_weights");
+    for (size_t pos = 0; !weights.empty();) {
+        const size_t comma = weights.find(',', pos);
+        const std::string tok = weights.substr(pos, comma - pos);
+        unsigned w = 0;
+        const char *end = tok.data() + tok.size();
+        const auto [ptr, ec] = std::from_chars(tok.data(), end, w);
+        if (tok.empty() || ec != std::errc() || ptr != end)
+            return "bad weight '" + tok + "' in '" + weights + "'";
+        out.push_back(w);
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
+    }
+    return "";
+}
+
+/** The scheduler a filled config selects, read once. */
+sched::SchedSpec
+schedSpec(const Config &cfg)
+{
+    sched::SchedSpec s;
+    s.kind = schedOf(cfg);
+    s.prefetch = cfg.getBool("core.prefetch");
+    s.refresh = cfg.getBool("dram.refresh");
+    s.tp.turnLength = static_cast<unsigned>(cfg.getUint("tp.turn"));
+    s.reordered.rngSeed = cfg.getUint("seed");
+    sched::FsScheduler::Params &p = s.fs;
+    p.mode = choiceValue(kFsModes, "fs.mode", cfg.getString("fs.mode"));
+    p.prefetchInDummies = cfg.getBool("fs.prefetch");
+    p.suppressDummies = cfg.getBool("fs.suppress");
+    p.rowBufferBoost = cfg.getBool("fs.boost");
+    p.powerDown = cfg.getBool("fs.powerdown");
+    p.refresh = s.refresh;
+    p.rngSeed = cfg.getUint("seed");
+    // Pin the periodic reference (fs.ref = data|ras|cas) instead of
+    // the per-partition smallest-l winner, so configs can reach all
+    // five paper (reference, partition) design points.
+    const std::string ref = cfg.getString("fs.ref");
+    if (!ref.empty()) {
+        p.pinRef = true;
+        p.ref = choiceValue(kFsRefs, "fs.ref", ref);
+    }
+    readSlotWeights(cfg, p.slotWeights);
+    return s;
+}
+
+// The fs.* and tp.* rows hold under their own scheduler alone.
+// docs/CONFIG.md ("Combination rules") gives each row's reason.
+constexpr ConfigRule kCombinationRules[] = {
+    {"channel-needs-baseline",
+     "sched with map.partition = channel on several channels:",
+     "set sched = baseline",
+     [](const Config &c) -> std::string {
+         return partitionOf(c) == Partition::Channel &&
+                        geometryOf(c).channels > 1 &&
+                        schedOf(c) != SchedKind::FrFcfs
+                    ? "channel partitioning runs a per-channel non-secure "
+                      "scheduler (nothing is shared)"
+                    : "";
+     }},
+    {"partition-level", "map.partition with sched and fs.mode:",
+     "raise map.partition to at least that level (none < bank < rank "
+     "< channel)",
+     [](const Config &c) -> std::string {
+         const sched::SchedSpec s = schedSpec(c);
+         const Partition need = sched::solvedPartition(s.kind, s.fs.mode);
+         if (s.kind == SchedKind::Tp ||
+             sched::separates(partitionOf(c), need))
+             return "";
+         return "the scheduler spaces its slots for a map partitioned at "
+                "least by " + std::string(mem::partitionName(need)) +
+                ", got " + c.getString("map.partition");
+     }},
+    {"triple-unpartitioned", "map.partition with fs.mode = triple:",
+     "set map.partition = none",
+     [](const Config &c) -> std::string {
+         return schedOf(c) != SchedKind::Fs
+                    ? ""
+                    : sched::FsScheduler::tripleError(schedSpec(c).fs,
+                                                      partitionOf(c));
+     }},
+    {"powerdown-rank", "fs.powerdown with fs.mode:",
+     "set fs.mode = rank or fs.powerdown = false",
+     [](const Config &c) -> std::string {
+         return schedOf(c) != SchedKind::Fs
+                    ? ""
+                    : sched::FsScheduler::powerDownError(schedSpec(c).fs);
+     }},
+    {"partition-fit", "map.partition with cores and dram.*:",
+     "change map.partition, cores, dram.channels, dram.ranks or dram.banks",
+     [](const Config &c) {
+         return mem::AddressMap::fitError(geometryOf(c), partitionOf(c),
+                                          coresOf(c));
+     }},
+    {"tp-turn-footprint", "tp.turn with map.partition:", "raise tp.turn",
+     [](const Config &c) -> std::string {
+         return schedOf(c) != SchedKind::Tp
+                    ? ""
+                    : sched::TpScheduler::turnError(
+                          dram::TimingParams::ddr3_1600_4gb(),
+                          partitionOf(c),
+                          static_cast<unsigned>(c.getUint("tp.turn")));
+     }},
+    {"slot-weights", "config key 'fs.slot_weights' has",
+     "write one whole decimal number per core",
+     [](const Config &c) -> std::string {
+         if (schedOf(c) != SchedKind::Fs)
+             return "";
+         std::vector<unsigned> weights;
+         const std::string bad = readSlotWeights(c, weights);
+         return !bad.empty() ? bad
+                             : sched::FsScheduler::weightsError(
+                                   schedSpec(c).fs, coresOf(c));
+     }},
+};
+
+} // namespace
+
+std::span<const ConfigRule>
+combinationRules()
+{
+    return kCombinationRules;
+}
+
+std::string
+configProblems(const Config &cfg)
+{
+    // A per-domain traffic.d<i>.<key> is checked as traffic.<key>,
+    // for i < cores.
     const uint64_t cores = std::strtoull(
         withDefaults(cfg, kHarnessKeys).getString("cores").c_str(),
         nullptr, 10);
@@ -203,11 +365,8 @@ validateConfig(const Config &cfg)
             return key; // not per-domain, e.g. traffic.diurnal_amp
         return d < cores ? "traffic." + std::string(dot + 1, last) : "";
     };
-    const std::string errors = configErrors(cfg, configSchema(), rowOf);
-    fatal_if(!errors.empty(), "invalid config:{}", errors);
+    return configErrors(cfg, configSchema(), rowOf, kCombinationRules);
 }
-
-} // namespace
 
 std::span<const ConfigKey>
 configSchema()
@@ -290,7 +449,6 @@ struct ExperimentSystem::Impl
 {
     Config cfg;
     dram::TimingParams tp;
-    dram::Geometry geo;
     bool geometryOverridden = false;
     std::unique_ptr<AddressMap> map;
     unsigned numMcs = 0;
@@ -364,41 +522,28 @@ ExperimentSystem::ExperimentSystem(const Config &config)
     : impl_(std::make_unique<Impl>())
 {
     Impl &im = *impl_;
-    validateConfig(config);
+    const std::string problems = configProblems(config);
+    fatal_if(!problems.empty(), "invalid config:{}", problems);
     im.cfg = withDefaults(config, configSchema());
     const Config &cfg = im.cfg;
-    const unsigned cores = static_cast<unsigned>(cfg.getUint("cores"));
-    const std::string schedName = cfg.getString("sched");
-    const SchedKind sched = choiceValue(kSchedulers, "sched", schedName);
+    const unsigned cores = coresOf(cfg);
     const std::string workload = cfg.getString("workload");
 
-    dram::TimingParams tp = dram::TimingParams::ddr3_1600_4gb();
-    dram::Geometry geo;
-    const unsigned requestedChannels =
-        static_cast<unsigned>(cfg.getUint("dram.channels"));
-    geo.channels = requestedChannels;
-    // Convenience: channel partitioning needs one channel per domain.
-    // Say so out loud — a silently rewritten geometry makes bandwidth
-    // and energy figures impossible to interpret — and record the
-    // effective value in the result.
-    const Partition partition = choiceValue(
-        kPartitions, "map.partition", cfg.getString("map.partition"));
-    if (partition == Partition::Channel && geo.channels < cores) {
-        geo.channels = cores;
+    const dram::TimingParams tp = dram::TimingParams::ddr3_1600_4gb();
+    const dram::Geometry geo = geometryOf(cfg);
+    // Say out loud that channel partitioning widened the geometry — a
+    // silently rewritten one makes bandwidth and energy figures
+    // impossible to interpret — and record it in the result.
+    const uint64_t requestedChannels = cfg.getUint("dram.channels");
+    if (geo.channels != requestedChannels) {
         im.geometryOverridden = true;
         warn("channel partitioning needs one channel per domain: "
              "widening dram.channels {} -> {}",
              requestedChannels, geo.channels);
     }
-    geo.ranksPerChannel = static_cast<unsigned>(cfg.getUint("dram.ranks"));
-    geo.banksPerRank = static_cast<unsigned>(cfg.getUint("dram.banks"));
-    geo.rowsPerBank = static_cast<unsigned>(cfg.getUint("dram.rows"));
-    geo.colsPerRow = static_cast<unsigned>(cfg.getUint("dram.cols"));
-
     im.tp = tp;
-    im.geo = geo;
     im.map = std::make_unique<AddressMap>(
-        geo, partition,
+        geo, partitionOf(cfg),
         choiceValue(kInterleaves, "map.interleave",
                     cfg.getString("map.interleave")),
         cores);
@@ -412,11 +557,6 @@ ExperimentSystem::ExperimentSystem(const Config &config)
     // One controller per channel; all domains' queues exist on each
     // controller, but a core only ever talks to its own channel's.
     const unsigned numMcs = geo.channels;
-    fatal_if(numMcs > 1 && map.partition() == Partition::Channel &&
-                 sched != SchedKind::FrFcfs,
-             "channel partitioning runs a per-channel non-secure "
-             "scheduler (nothing is shared); got '{}'",
-             schedName);
     im.numMcs = numMcs;
     std::vector<std::unique_ptr<MemoryController>> &mcs = im.mcs;
     for (unsigned m = 0; m < numMcs; ++m) {
@@ -433,77 +573,20 @@ ExperimentSystem::ExperimentSystem(const Config &config)
             m->dram().setCrashDumpDir(crashDir, tag);
     }
 
-    const bool refresh = cfg.getBool("dram.refresh");
-    if (sched == SchedKind::FrFcfs) {
-        for (auto &m : mcs) {
-            m->setScheduler(std::make_unique<sched::FrFcfsScheduler>(
-                *m, cfg.getBool("core.prefetch"), refresh));
+    // Each channel runs its own scheduler over every domain; domains
+    // mapped elsewhere present empty queues. TP gives them dead turns,
+    // which cost bandwidth, never isolation; multi-channel FS gives
+    // them no slots unless fs.slot_weights says otherwise.
+    const sched::SchedSpec spec = schedSpec(cfg);
+    for (unsigned m = 0; m < numMcs; ++m) {
+        sched::SchedSpec sm = spec;
+        if (sm.kind == SchedKind::Fs && numMcs > 1 &&
+            sm.fs.slotWeights.empty()) {
+            sm.fs.slotWeights.assign(cores, 0);
+            for (DomainId d = 0; d < cores; ++d)
+                sm.fs.slotWeights[d] = map.channelOf(d) == m;
         }
-    } else if (sched == SchedKind::Tp) {
-        sched::TpScheduler::Params p;
-        p.turnLength = static_cast<unsigned>(cfg.getUint("tp.turn"));
-        // Each channel runs its own turn wheel over every domain;
-        // domains mapped elsewhere simply present empty queues during
-        // their turns. Dead turns cost bandwidth, never isolation.
-        for (auto &m : mcs)
-            m->setScheduler(std::make_unique<sched::TpScheduler>(*m, p));
-    } else if (sched == SchedKind::Fs) {
-        sched::FsScheduler::Params p;
-        p.mode = choiceValue(kFsModes, "fs.mode", cfg.getString("fs.mode"));
-        p.prefetchInDummies = cfg.getBool("fs.prefetch");
-        p.suppressDummies = cfg.getBool("fs.suppress");
-        p.rowBufferBoost = cfg.getBool("fs.boost");
-        p.powerDown = cfg.getBool("fs.powerdown");
-        p.refresh = refresh;
-        p.rngSeed = cfg.getUint("seed");
-        // Pin the periodic reference (fs.ref = data|ras|cas) instead
-        // of the per-partition smallest-l winner, so configs can
-        // reach all five paper (reference, partition) design points.
-        const std::string ref = cfg.getString("fs.ref");
-        if (!ref.empty()) {
-            p.pinRef = true;
-            p.ref = choiceValue(kFsRefs, "fs.ref", ref);
-        }
-        // SLA issue-slot weights: "2,1,1,..." (one entry per domain).
-        const std::string weights = cfg.getString("fs.slot_weights");
-        if (!weights.empty()) {
-            // Every comma-separated token must be a whole decimal
-            // number: "2,,1", "2,1," and "1x,1" are typos, not weights.
-            for (size_t pos = 0;;) {
-                const size_t comma = weights.find(',', pos);
-                const std::string tok = weights.substr(pos, comma - pos);
-                unsigned w = 0;
-                const char *end = tok.data() + tok.size();
-                const auto [ptr, ec] = std::from_chars(tok.data(), end, w);
-                fatal_if(tok.empty() || ec != std::errc() || ptr != end,
-                         "config key 'fs.slot_weights' has bad weight "
-                         "'{}' in '{}'",
-                         tok, weights);
-                p.slotWeights.push_back(w);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-        }
-        for (unsigned m = 0; m < numMcs; ++m) {
-            sched::FsScheduler::Params pm = p;
-            if (numMcs > 1 && pm.slotWeights.empty()) {
-                pm.slotWeights.assign(cores, 0);
-                for (DomainId d = 0; d < cores; ++d) {
-                    if (map.channelOf(d) == m)
-                        pm.slotWeights[d] = 1;
-                }
-            }
-            mcs[m]->setScheduler(
-                std::make_unique<sched::FsScheduler>(*mcs[m], pm));
-        }
-    } else {
-        sched::FsReorderedScheduler::Params p;
-        p.rngSeed = cfg.getUint("seed");
-        for (auto &m : mcs) {
-            m->setScheduler(
-                std::make_unique<sched::FsReorderedScheduler>(*m, p));
-        }
+        mcs[m]->setScheduler(sched::makeScheduler(*mcs[m], sm));
     }
 
     // Fault injection (fault.kind != "none"): attach the injector and
@@ -521,30 +604,30 @@ ExperimentSystem::ExperimentSystem(const Config &config)
         faultSpec.kind == fault::FaultKind::SnapshotVersion ||
         faultSpec.kind == fault::FaultKind::JournalStale;
     if (injector.enabled() && !durabilityFault) {
-        if (numMcs == 1) {
-            mcs.front()->attachFaultInjector(&injector);
-            mcs.front()->setReport(&report);
-            if (faultSpec.kind == fault::FaultKind::RefreshSuppress)
-                mcs.front()->dram().checker().expectRefresh(tp.refi);
-        } else {
-            // One injector PRNG and one error list per controller:
-            // with a shared stream, which controller draws next would
-            // depend on tick interleaving, and channel shards must be
-            // free to tick in any order. Controller 0 keeps the
-            // configured seed; the others get a fixed per-channel mix
-            // so every stream is still reproducible from fault.seed.
-            for (unsigned m = 0; m < numMcs; ++m) {
+        for (unsigned m = 0; m < numMcs; ++m) {
+            fault::FaultInjector *inj = &injector;
+            RunReport *rep = &report;
+            if (numMcs > 1) {
+                // One injector PRNG and one error list per controller:
+                // with a shared stream, which controller draws next
+                // would depend on tick interleaving, and channel shards
+                // must be free to tick in any order. Controller 0 keeps
+                // the configured seed; the others get a fixed
+                // per-channel mix so every stream is still reproducible
+                // from fault.seed.
                 fault::FaultSpec sm = faultSpec;
                 if (m > 0)
                     sm.seed ^= 0x9E3779B97F4A7C15ull * m;
-                im.mcInjectors.push_back(
-                    std::make_unique<fault::FaultInjector>(sm));
-                im.mcReports.emplace_back();
-                mcs[m]->attachFaultInjector(im.mcInjectors.back().get());
-                mcs[m]->setReport(&im.mcReports.back());
-                if (faultSpec.kind == fault::FaultKind::RefreshSuppress)
-                    mcs[m]->dram().checker().expectRefresh(tp.refi);
+                inj = im.mcInjectors
+                          .emplace_back(
+                              std::make_unique<fault::FaultInjector>(sm))
+                          .get();
+                rep = &im.mcReports.emplace_back();
             }
+            mcs[m]->attachFaultInjector(inj);
+            mcs[m]->setReport(rep);
+            if (faultSpec.kind == fault::FaultKind::RefreshSuppress)
+                mcs[m]->dram().checker().expectRefresh(tp.refi);
         }
     }
 
@@ -654,12 +737,11 @@ ExperimentSystem::ExperimentSystem(const Config &config)
             cp.captureTimeline = true;
             cp.progressInterval = cfg.getUint("audit.progress_interval");
         }
-        MemoryController &myMc =
-            *mcs[numMcs > 1 ? map.channelOf(i) % numMcs : 0];
+        // A core only ever talks to its own channel's controller.
         coreModels.push_back(std::make_unique<cpu::CoreModel>(
             "core" + std::to_string(i), i, cp, profiles[i],
             traceSeed(profiles[i].name, i, cfg.getUint("seed")),
-            myMc));
+            *mcs[map.channelOf(i)]));
     }
 
     // Channel sharding: one Simulator per shard, shard k owning
@@ -681,44 +763,35 @@ ExperimentSystem::ExperimentSystem(const Config &config)
     }
     if (shards > 1)
         im.pool = std::make_unique<ThreadPool>(shards);
-    auto mcOfCore = [&](unsigned i) {
-        return numMcs > 1 ? map.channelOf(i) % numMcs : 0u;
-    };
-    for (unsigned i = 0; i < cores; ++i)
-        im.sims[mcOfCore(i) % shards]->add(coreModels[i].get());
-    for (unsigned m = 0; m < numMcs; ++m)
+    // Progress = an instruction retired or a DRAM command issued; if
+    // neither happens for a whole watchdog window the run is
+    // livelocked. Each shard watches only its own components (a
+    // stalled shard must not be masked by progress elsewhere); the
+    // pointers are owned by the Impl, whose address is stable for the
+    // system's lifetime. restoreState() overwrites the watchdogs'
+    // last-progress books after this arms.
+    std::vector<std::vector<const cpu::CoreModel *>> shardCores(shards);
+    std::vector<std::vector<const MemoryController *>> shardMcs(shards);
+    for (unsigned i = 0; i < cores; ++i) {
+        const unsigned k = map.channelOf(i) % shards;
+        im.sims[k]->add(coreModels[i].get());
+        shardCores[k].push_back(coreModels[i].get());
+    }
+    for (unsigned m = 0; m < numMcs; ++m) {
         im.sims[m % shards]->add(mcs[m].get());
-
+        shardMcs[m % shards].push_back(mcs[m].get());
+    }
     const Cycle watchdog = cfg.getUint("sim.watchdog");
-    if (watchdog > 0) {
-        // Progress = an instruction retired or a DRAM command issued;
-        // if neither happens for a whole window the run is livelocked.
-        // Each shard watches only its own components (a stalled shard
-        // must not be masked by progress elsewhere); the captured
-        // pointers are owned by the Impl, whose address is stable for
-        // the system's lifetime. restoreState() overwrites the
-        // watchdogs' last-progress books after this arms.
-        for (unsigned k = 0; k < shards; ++k) {
-            std::vector<const cpu::CoreModel *> wCores;
-            std::vector<const MemoryController *> wMcs;
-            for (unsigned i = 0; i < cores; ++i) {
-                if (mcOfCore(i) % shards == k)
-                    wCores.push_back(coreModels[i].get());
-            }
-            for (unsigned m = 0; m < numMcs; ++m) {
-                if (m % shards == k)
-                    wMcs.push_back(mcs[m].get());
-            }
-            im.sims[k]->setWatchdog(
-                watchdog, [wCores, wMcs] {
-                    Cycle last = 0;
-                    for (const auto *c : wCores)
-                        last = std::max(last, c->progressCycle());
-                    for (const auto *m : wMcs)
-                        last = std::max(last, m->dram().progressCycle());
-                    return last;
-                });
-        }
+    for (unsigned k = 0; watchdog > 0 && k < shards; ++k) {
+        im.sims[k]->setWatchdog(
+            watchdog, [wCores = shardCores[k], wMcs = shardMcs[k]] {
+                Cycle last = 0;
+                for (const auto *c : wCores)
+                    last = std::max(last, c->progressCycle());
+                for (const auto *m : wMcs)
+                    last = std::max(last, m->dram().progressCycle());
+                return last;
+            });
     }
 
     im.warmup = cfg.getUint("sim.warmup");
@@ -826,7 +899,7 @@ ExperimentSystem::finish()
     res.workload = cfg.getString("workload");
     res.cores = static_cast<unsigned>(cfg.getUint("cores"));
     res.cyclesRun = now;
-    res.effectiveChannels = im.geo.channels;
+    res.effectiveChannels = im.numMcs;
     res.geometryOverridden = im.geometryOverridden;
     res.shards = im.shards;
     for (const auto &sm : im.sims) {

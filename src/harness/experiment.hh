@@ -116,6 +116,13 @@ struct ExperimentResult
 /** Every declared config key: the harness's, leak.* and fault.*. */
 std::span<const ConfigKey> configSchema();
 
+/** Every combination rule, in the order problems are reported. */
+std::span<const ConfigRule> combinationRules();
+
+/** Every reason ExperimentSystem would refuse `cfg`, as configErrors()
+ *  lists them, or "" if it accepts it. */
+std::string configProblems(const Config &cfg);
+
 /** The paper's Table 1 system: every static default of configSchema(). */
 Config defaultConfig();
 
@@ -148,8 +155,8 @@ ExperimentResult deserializeResult(Deserializer &d);
 class ExperimentSystem
 {
   public:
-    /** Fatal, before anything is built, unless configSchema()
-     *  accepts `cfg`; absent keys take their declared defaults. */
+    /** Fatal, before anything is built, unless configProblems(cfg)
+     *  is empty; absent keys take their declared defaults. */
     explicit ExperimentSystem(const Config &cfg);
     ~ExperimentSystem();
     ExperimentSystem(const ExperimentSystem &) = delete;

@@ -25,12 +25,44 @@ interleaveName(Interleave i)
     return i == Interleave::OpenPage ? "open-page" : "close-page";
 }
 
+std::string
+AddressMap::fitError(const dram::Geometry &geo, Partition part,
+                     unsigned numDomains)
+{
+    if (part == Partition::Channel && numDomains > geo.channels)
+        return detail::format("channel partitioning needs >= 1 channel "
+                              "per domain ({} domains, {} channels)",
+                              numDomains, geo.channels);
+    if (part != Partition::Rank && part != Partition::Bank)
+        return "";
+    // With several channels, domains are first spread over the
+    // channels (the paper's 32-core / 4-channel target system: 8
+    // domains per channel, one rank each), then partitioned within
+    // their channel.
+    const char *level = part == Partition::Rank ? "rank" : "bank";
+    if (numDomains % geo.channels != 0)
+        return detail::format("{} partitioning over {} channels needs a "
+                              "domain count divisible by the channel "
+                              "count (got {})",
+                              level, geo.channels, numDomains);
+    const unsigned have =
+        part == Partition::Rank ? geo.ranksPerChannel : geo.banksPerRank;
+    if (numDomains / geo.channels > have)
+        return detail::format("{} partitioning needs >= 1 {} per domain "
+                              "({} domains/channel, {} {}s)",
+                              level, level, numDomains / geo.channels,
+                              have, level);
+    return "";
+}
+
 AddressMap::AddressMap(const dram::Geometry &geo, Partition part,
                        Interleave style, unsigned numDomains)
     : geo_(geo), part_(part), style_(style), numDomains_(numDomains)
 {
     geo_.validate();
     fatal_if(numDomains == 0, "address map needs at least one domain");
+    const std::string unfit = fitError(geo, part, numDomains);
+    fatal_if(!unfit.empty(), "{}", unfit);
 
     domainRanks_.resize(numDomains);
     domainBanks_.resize(numDomains);
@@ -54,10 +86,6 @@ AddressMap::AddressMap(const dram::Geometry &geo, Partition part,
 
     switch (part) {
       case Partition::Channel:
-        fatal_if(numDomains > geo.channels,
-                 "channel partitioning needs >= 1 channel per domain "
-                 "({} domains, {} channels)",
-                 numDomains, geo.channels);
         for (DomainId d = 0; d < numDomains; ++d) {
             domainChannel_[d] = d % geo.channels;
             domainRanks_[d] = allRanks();
@@ -65,19 +93,7 @@ AddressMap::AddressMap(const dram::Geometry &geo, Partition part,
         }
         break;
       case Partition::Rank: {
-        // With several channels, domains are first spread over the
-        // channels (the paper's 32-core / 4-channel target system:
-        // 8 domains per channel, one rank each) and rank-partitioned
-        // within their channel.
-        fatal_if(numDomains % geo.channels != 0,
-                 "rank partitioning over {} channels needs a domain "
-                 "count divisible by the channel count (got {})",
-                 geo.channels, numDomains);
         const unsigned perChannel = numDomains / geo.channels;
-        fatal_if(perChannel > R,
-                 "rank partitioning needs >= 1 rank per domain "
-                 "({} domains/channel, {} ranks)",
-                 perChannel, R);
         for (DomainId d = 0; d < numDomains; ++d) {
             domainChannel_[d] = d % geo.channels;
             const unsigned dc = d / geo.channels;
@@ -88,15 +104,7 @@ AddressMap::AddressMap(const dram::Geometry &geo, Partition part,
         break;
       }
       case Partition::Bank: {
-        fatal_if(numDomains % geo.channels != 0,
-                 "bank partitioning over {} channels needs a domain "
-                 "count divisible by the channel count (got {})",
-                 geo.channels, numDomains);
         const unsigned perChannel = numDomains / geo.channels;
-        fatal_if(perChannel > B,
-                 "per-rank-uniform bank partitioning supports at most "
-                 "{} domains per channel, got {}",
-                 B, perChannel);
         for (DomainId d = 0; d < numDomains; ++d) {
             domainChannel_[d] = d % geo.channels;
             const unsigned dc = d / geo.channels;

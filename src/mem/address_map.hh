@@ -20,6 +20,7 @@
 #ifndef MEMSEC_MEM_ADDRESS_MAP_HH
 #define MEMSEC_MEM_ADDRESS_MAP_HH
 
+#include <string>
 #include <vector>
 
 #include "dram/timing.hh"
@@ -55,8 +56,14 @@ const char *interleaveName(Interleave i);
 class AddressMap
 {
   public:
+    /** Fatal unless fitError() accepts the arguments. */
     AddressMap(const dram::Geometry &geo, Partition part,
                Interleave style, unsigned numDomains);
+
+    /** Why `numDomains` domains cannot be partitioned by `part` over
+     *  `geo` (a validated geometry), or "" if they can. */
+    static std::string fitError(const dram::Geometry &geo, Partition part,
+                                unsigned numDomains);
 
     /** Decode a byte address issued by `domain`. */
     Decoded decode(DomainId domain, Addr addr) const;

@@ -54,15 +54,41 @@ solveFs(const core::PipelineSolver &solver, const FsScheduler::Params &p)
 std::vector<unsigned>
 slotWeights(const FsScheduler::Params &p, unsigned domains)
 {
+    const std::string bad = FsScheduler::weightsError(p, domains);
+    fatal_if(!bad.empty(), "{}", bad);
     if (p.slotWeights.empty())
         return std::vector<unsigned>(domains, 1);
-    fatal_if(p.slotWeights.size() != domains,
-             "slotWeights size {} != domains {}", p.slotWeights.size(),
-             domains);
     return p.slotWeights;
 }
 
 } // namespace
+
+std::string
+FsScheduler::tripleError(const Params &p, mem::Partition part)
+{
+    if (p.mode != FsMode::TripleAlt || part == mem::Partition::None)
+        return "";
+    return "triple alternation is the no-OS-support design point; use an "
+           "unpartitioned address map";
+}
+
+std::string
+FsScheduler::powerDownError(const Params &p)
+{
+    if (!p.powerDown || p.mode == FsMode::RankPart)
+        return "";
+    return "the power-down optimisation requires rank partitioning (a "
+           "shared rank's idleness would leak other domains' state)";
+}
+
+std::string
+FsScheduler::weightsError(const Params &p, unsigned domains)
+{
+    if (p.slotWeights.empty() || p.slotWeights.size() == domains)
+        return "";
+    return detail::format("{} slot weights for {} domains",
+                          p.slotWeights.size(), domains);
+}
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
     : FsScheduler(mc, params, core::PipelineSolver(mc.dram().timing()))
@@ -78,14 +104,10 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params,
             mc.dram().timing(), params.refresh ? mc.dram().numRanks() : 0),
       plan_(mc, tmpl_.offsets())
 {
-    fatal_if(params.mode == FsMode::TripleAlt &&
-                 mc.addressMap().partition() != mem::Partition::None,
-             "triple alternation is the no-OS-support design point; "
-             "use an unpartitioned address map");
-    fatal_if(params.powerDown && params.mode != FsMode::RankPart,
-             "the power-down optimisation requires rank partitioning "
-             "(a shared rank's idleness would leak other domains' "
-             "state)");
+    for (const std::string &bad :
+         {tripleError(params, mc.addressMap().partition()),
+          powerDownError(params)})
+        fatal_if(!bad.empty(), "{}", bad);
 
     const auto &geo = dram_.geometry();
     lastRow_.assign(

@@ -78,7 +78,17 @@ class FsScheduler : public Scheduler
         bool refresh = false;
     };
 
+    /** Fatal unless tripleError(), powerDownError() and
+     *  weightsError() accept `params` on `mc`. */
     FsScheduler(mem::MemoryController &mc, const Params &params);
+
+    /** Why triple alternation cannot run on a map partitioned by
+     *  `part`, or "". */
+    static std::string tripleError(const Params &p, mem::Partition part);
+    /** Why `p` cannot power ranks down, or "". */
+    static std::string powerDownError(const Params &p);
+    /** Why `p`'s slot weights do not fit `domains` domains, or "". */
+    static std::string weightsError(const Params &p, unsigned domains);
 
     void tick(Cycle now) override;
     Cycle nextWakeCycle(Cycle now) const override;

@@ -24,7 +24,57 @@ solveTp(const dram::TimingParams &tp, bool sharedBanks)
     return sol;
 }
 
+/** Cycles a read and a write transaction hold shared state, from the
+ *  slot's ACT: the data burst plus the rank switch, a write's
+ *  CAS-to-read turnaround and, with shared banks, the bank's reuse
+ *  after its auto-precharge. */
+struct Footprint
+{
+    unsigned read = 0;
+    unsigned write = 0;
+};
+
+Footprint
+footprintOf(const dram::TimingParams &tp, const core::PipelineSolution &sol,
+            bool sharedBanks)
+{
+    const dram::TimingRuleTable rules(tp);
+    const auto &off = sol.offsets;
+    const auto gap = [&](RuleId id) {
+        return static_cast<unsigned>(rules.gap(id));
+    };
+    const unsigned bus = gap(RuleId::DataBus);
+    Footprint f;
+    f.read = off.dataRead - off.actRead + bus;
+    f.write = std::max(off.dataWrite - off.actWrite + bus,
+                       off.casWrite - off.actWrite + gap(RuleId::Wr2Rd));
+    if (sharedBanks) {
+        f.read = std::max(f.read, gap(RuleId::ActToActRdA));
+        f.write = std::max(f.write, gap(RuleId::ActToActWrA));
+    }
+    return f;
+}
+
+std::string
+turnErrorOf(unsigned turnLength, Footprint f)
+{
+    if (f.write <= turnLength && f.read <= turnLength)
+        return "";
+    return detail::format("TP turn length {} shorter than a transaction "
+                          "footprint ({}/{})",
+                          turnLength, f.read, f.write);
+}
+
 } // namespace
+
+std::string
+TpScheduler::turnError(const dram::TimingParams &tp, mem::Partition part,
+                       unsigned turnLength)
+{
+    const bool shared = part == mem::Partition::None;
+    return turnErrorOf(turnLength,
+                       footprintOf(tp, solveTp(tp, shared), shared));
+}
 
 TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
     : Scheduler(mc), params_(params),
@@ -32,31 +82,12 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
       sol_(solveTp(mc.dram().timing(), sharedBanks_)),
       plan_(mc, sol_.offsets)
 {
-    fatal_if(params_.turnLength == 0, "TP turn length must be nonzero");
     l_ = sol_.l;
-
-    // Per-type footprint: cycles from the slot's ACT until every
-    // piece of shared state is clean: the data burst plus the rank
-    // switch, a write's CAS-to-read turnaround and, with shared banks,
-    // the bank's reuse after its auto-precharge.
-    const dram::TimingRuleTable rules(dram_.timing());
-    const auto &off = sol_.offsets;
-    const auto gap = [&](RuleId id) {
-        return static_cast<unsigned>(rules.gap(id));
-    };
-    const unsigned bus = gap(RuleId::DataBus);
-    footRead_ = off.dataRead - off.actRead + bus;
-    footWrite_ = std::max(off.dataWrite - off.actWrite + bus,
-                          off.casWrite - off.actWrite + gap(RuleId::Wr2Rd));
-    if (sharedBanks_) {
-        footRead_ = std::max(footRead_, gap(RuleId::ActToActRdA));
-        footWrite_ = std::max(footWrite_, gap(RuleId::ActToActWrA));
-    }
-    fatal_if(footWrite_ > params_.turnLength ||
-                 footRead_ > params_.turnLength,
-             "TP turn length {} shorter than a transaction footprint "
-             "({}/{})",
-             params_.turnLength, footRead_, footWrite_);
+    const Footprint f = footprintOf(dram_.timing(), sol_, sharedBanks_);
+    footRead_ = f.read;
+    footWrite_ = f.write;
+    const std::string tooShort = turnErrorOf(params_.turnLength, f);
+    fatal_if(!tooShort.empty(), "{}", tooShort);
 }
 
 DomainId

@@ -20,6 +20,8 @@
 #ifndef MEMSEC_SCHED_TP_HH
 #define MEMSEC_SCHED_TP_HH
 
+#include <string>
+
 #include "core/pipeline_solver.hh"
 #include "sched/closed_row_plan.hh"
 #include "sched/scheduler.hh"
@@ -35,7 +37,13 @@ class TpScheduler : public Scheduler
         unsigned turnLength = 60; ///< memory cycles per turn
     };
 
+    /** Fatal unless turnError() accepts the turn on `mc`'s map. */
     TpScheduler(mem::MemoryController &mc, const Params &params);
+
+    /** Why a `turnLength`-cycle turn cannot hold one transaction's
+     *  footprint on a map partitioned by `part`, or "" if it can. */
+    static std::string turnError(const dram::TimingParams &tp,
+                                 mem::Partition part, unsigned turnLength);
 
     void tick(Cycle now) override;
     Cycle nextWakeCycle(Cycle now) const override;

@@ -330,7 +330,8 @@ withDefaults(const Config &cfg, std::span<const ConfigKey> keys)
 
 std::string
 configErrors(const Config &cfg, std::span<const ConfigKey> keys,
-             const std::function<std::string(const std::string &)> &rowOf)
+             const std::function<std::string(const std::string &)> &rowOf,
+             std::span<const ConfigRule> rules)
 {
     std::string errors;
     auto error = [&](const char *fmt, const auto &...args) {
@@ -383,6 +384,15 @@ configErrors(const Config &cfg, std::span<const ConfigKey> keys,
         if (v < row.lo || v > row.hi || (row.hiOpen && v == row.hi))
             error("'{}' = {} is outside [{}, {}{}", key, value, row.lo,
                   row.hi, row.hiOpen ? ")" : "]");
+    }
+    if (!errors.empty())
+        return errors;
+    const Config filled = withDefaults(cfg, keys);
+    for (const ConfigRule &rule : rules) {
+        const std::string why = rule.problem(filled);
+        if (!why.empty())
+            errors += detail::format("\n  {} {}; {}", rule.subject, why,
+                                     rule.fix);
     }
     return errors;
 }

@@ -160,20 +160,36 @@ choiceValue(const ConfigChoice<T> (&table)[N], const std::string &key,
     fatal("config key '{}' has unknown value '{}'", key, name);
 }
 
+/**
+ * One combination of keys the model does not support, declared once
+ * (docs/CONFIG.md, "Combination rules", lists each by name). Its
+ * complaint reads "<subject> <why>; <fix>".
+ */
+struct ConfigRule
+{
+    const char *name;
+    const char *subject; ///< the keys the rule constrains
+    const char *fix;
+    /** Why a filled, well-typed config breaks the rule, or "". */
+    std::string (*problem)(const Config &cfg);
+};
+
 /** `cfg` with every live key's static default filled in where absent. */
 Config withDefaults(const Config &cfg, std::span<const ConfigKey> keys);
 
 /**
- * Every problem with `cfg` against the declared `keys`, one indented
- * line each, or "" if there is none: unknown keys (naming the nearest
- * declared key) and removed keys, or else values out of range or
- * outside their set. An ill-typed value is fatal. `rowOf` maps a key
- * to the declared name it is checked as, or to "" if it is unknown.
+ * Every problem with `cfg` against the declared `keys` and `rules`,
+ * one indented line each, or "" if there is none: unknown keys
+ * (naming the nearest declared key) and removed keys, or else values
+ * out of range or outside their set, or else the broken rules. An
+ * ill-typed value is fatal. `rowOf` maps a key to the declared name it
+ * is checked as, or to "" if it is unknown.
  */
 std::string
 configErrors(const Config &cfg, std::span<const ConfigKey> keys,
              const std::function<std::string(const std::string &)>
-                 &rowOf = nullptr);
+                 &rowOf = nullptr,
+             std::span<const ConfigRule> rules = {});
 
 } // namespace memsec
 

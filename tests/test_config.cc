@@ -4,8 +4,10 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
@@ -302,6 +304,12 @@ TEST(Config, DocConsistency)
             << "scheme '" << scheme
             << "' is not mentioned in docs/CONFIG.md";
     }
+    for (const ConfigRule &rule : harness::combinationRules()) {
+        EXPECT_NE(doc.find(std::string("\n| ") + rule.name + " |"),
+                  std::string::npos)
+            << "combination rule '" << rule.name
+            << "' has no row in docs/CONFIG.md";
+    }
 }
 
 TEST(Config, SourceReadsOnlyDeclaredKeys)
@@ -516,4 +524,81 @@ TEST(Config, SlotWeightsParseStrict)
     c.set("cores", 2);
     c.set("fs.slot_weights", "2,1");
     harness::ExperimentSystem ok(c);
+}
+
+TEST(Config, UnsupportedCombinationsFailBeforeFirstCycle)
+{
+    // Each config passes the key schema but breaks one combination
+    // rule; configProblems() reports exactly that rule, naming the
+    // keys and the fix. The partition-level cases are the combinations
+    // whose victim timelines depend on the co-runners.
+    struct Case
+    {
+        const char *rule;
+        const char *scheme;
+        std::vector<std::pair<const char *, const char *>> set;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"channel-needs-baseline", "channel_part", {{"sched", "fs"}},
+         "sched with map.partition = channel on several channels: "
+         "channel partitioning runs a per-channel non-secure scheduler "
+         "(nothing is shared); set sched = baseline"},
+        {"partition-level", "fs_rp", {{"map.partition", "none"}},
+         "map.partition with sched and fs.mode: the scheduler spaces its "
+         "slots for a map partitioned at least by rank, got none; raise "
+         "map.partition to at least that level (none < bank < rank < "
+         "channel)"},
+        {"partition-level", "fs_rp", {{"map.partition", "bank"}},
+         "partitioned at least by rank, got bank"},
+        {"partition-level", "fs_bp", {{"map.partition", "none"}},
+         "partitioned at least by bank, got none"},
+        {"partition-level", "fs_reordered_bp", {{"map.partition", "none"}},
+         "partitioned at least by bank, got none"},
+        {"partition-level", "baseline", {{"sched", "fs"}},
+         "partitioned at least by rank, got none"},
+        {"triple-unpartitioned", "fs_np_triple", {{"map.partition", "bank"}},
+         "map.partition with fs.mode = triple: triple alternation is the "
+         "no-OS-support design point; use an unpartitioned address map; "
+         "set map.partition = none"},
+        {"powerdown-rank", "fs_bp", {{"fs.powerdown", "true"}},
+         "fs.powerdown with fs.mode: the power-down optimisation requires "
+         "rank partitioning"},
+        {"partition-fit", "fs_rp", {{"cores", "16"}},
+         "map.partition with cores and dram.*: rank partitioning needs >= "
+         "1 rank per domain (16 domains/channel, 8 ranks)"},
+        {"partition-fit", "fs_bp", {{"cores", "6"}, {"dram.channels", "4"}},
+         "bank partitioning over 4 channels needs a domain count "
+         "divisible by the channel count (got 6)"},
+        {"tp-turn-footprint", "tp_np", {{"tp.turn", "20"}},
+         "tp.turn with map.partition: TP turn length 20 shorter than a "
+         "transaction footprint"},
+        {"slot-weights", "fs_rp", {{"fs.slot_weights", "2,1"}},
+         "config key 'fs.slot_weights' has 2 slot weights for 4 domains; "
+         "write one whole decimal number per core"},
+    };
+    std::set<std::string> covered;
+    for (const Case &k : cases) {
+        Config c = harness::defaultConfig();
+        c.merge(harness::schemeConfig(k.scheme));
+        c.set("cores", 4);
+        for (const auto &[key, value] : k.set)
+            c.set(key, value);
+        const std::string problems = harness::configProblems(c);
+        EXPECT_NE(problems.find(k.message), std::string::npos)
+            << k.rule << ": " << problems;
+        EXPECT_EQ(problems.rfind("\n  "), 0u)
+            << k.rule << " should be the only problem: " << problems;
+        covered.insert(k.rule);
+    }
+    for (const ConfigRule &rule : harness::combinationRules())
+        EXPECT_TRUE(covered.count(rule.name)) << rule.name << " has no case";
+
+    // The constructor refuses the config before it builds anything.
+    Config bare = harness::defaultConfig();
+    bare.set("cores", 4);
+    bare.set("sched", "fs");
+    EXPECT_EXIT(harness::ExperimentSystem sys(bare),
+                ::testing::ExitedWithCode(1),
+                "invalid config:\n  map.partition with sched and fs.mode");
 }

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -445,7 +446,21 @@ class OracleChecked : public Scheduler
             mc_, opt_, engine_.drainingWrites(), now, avoidRank);
         const Cycle wantWake = ref.issues ? kNoCycle : expectedWake(ref, now);
         const uint64_t before = dram_.commandsIssued();
-        const bool issued = engine_.tick(now, avoidRank);
+        bool issued = false;
+        try {
+            issued = engine_.tick(now, avoidRank);
+        } catch (const std::logic_error &e) {
+            // The engine picked a command the device refuses: report
+            // the cycle and both picks instead of letting the panic
+            // escape the test body.
+            if (mismatch.empty()) {
+                mismatch = "cycle " + std::to_string(now) +
+                           ": engine's pick panicked (" + e.what() +
+                           "), expected " +
+                           (ref.issues ? ref.cmd.toString() : "no issue");
+            }
+            return;
+        }
         std::ostringstream why;
         if (engine_.drainingWrites() != ref.draining)
             why << "drain mode " << engine_.drainingWrites();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "util/logging.hh"
@@ -130,6 +131,56 @@ TEST(Harness, SchemeConfigsPairSchedulerAndPartition)
     EXPECT_EQ(schemeConfig("fs_np_triple").getString("fs.mode"),
               "triple");
     EXPECT_TRUE(schemeConfig("fs_rp_powerdown").getBool("fs.suppress"));
+}
+
+TEST(Harness, EveryShippedConfigIsAccepted)
+{
+    // The combination rules accept every scheme the figures, examples
+    // and proof suites run.
+    auto expectAccepted = [](const Config &c, const std::string &what) {
+        EXPECT_EQ(configProblems(c), "") << what;
+    };
+    const Config target = Config::loadFile(
+        std::string(MEMSEC_SOURCE_DIR) + "/examples/configs/target32.ini");
+    for (const std::string &scheme : allSchemes()) {
+        const Config sc = schemeConfig(scheme);
+        const std::string part = sc.getString("map.partition");
+        for (unsigned channels : {1u, 2u}) {
+            for (unsigned cores : {1u, 2u, 4u, 8u}) {
+                // Rank and bank partitioning spread the domains evenly
+                // over the channels.
+                if (cores % channels != 0 &&
+                    (part == "rank" || part == "bank"))
+                    continue;
+                Config c = defaultConfig();
+                c.merge(sc);
+                c.set("cores", cores);
+                c.set("dram.channels", channels);
+                expectAccepted(c, scheme + " at " + std::to_string(cores) +
+                                      " cores, " + std::to_string(channels) +
+                                      " channels");
+            }
+        }
+        Config c = defaultConfig();
+        c.merge(sc);
+        c.merge(target);
+        expectAccepted(c, scheme + " on target32.ini");
+    }
+    // bench/fig_leakage's partition overrides of the baseline, and the
+    // fs_reordered_bp point the checkpoint and golden suites run.
+    for (const char *part : {"bank", "rank"}) {
+        Config c = defaultConfig();
+        c.merge(schemeConfig("baseline"));
+        c.set("map.partition", part);
+        expectAccepted(c, std::string("baseline on ") + part);
+    }
+    for (unsigned cores : {4u, 8u}) {
+        Config c = defaultConfig();
+        c.merge(schemeConfig("fs_reordered_bp"));
+        c.set("map.partition", "rank");
+        c.set("cores", cores);
+        expectAccepted(c, "fs_reordered_bp on rank");
+    }
 }
 
 TEST(Harness, StatsDumpWritesFile)

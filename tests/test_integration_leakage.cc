@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/noninterference.hh"
 #include "harness/experiment.hh"
@@ -62,6 +64,55 @@ INSTANTIATE_TEST_SUITE_P(AllSecureSchemes, SecureSchemeAudit,
                                            "fs_np_triple", "tp_bp",
                                            "tp_np", "fs_rp_suppress",
                                            "fs_rp_powerdown"));
+
+TEST(LeakageAudit, EveryAcceptedPartitionIsolatesTheVictim)
+{
+    // The combination rules must not accept a map that lets a secure
+    // scheduler's victim see its co-runners: for every secure
+    // scheduler and every map.partition the rules accept, mcf's
+    // service timeline is identical beside idle and beside lbm cores.
+    const std::vector<std::vector<std::pair<const char *, const char *>>>
+        schedulers = {
+            {{"sched", "fs"}, {"fs.mode", "rank"}},
+            {{"sched", "fs"}, {"fs.mode", "bank"}},
+            {{"sched", "fs"}, {"fs.mode", "none"}},
+            {{"sched", "fs"}, {"fs.mode", "triple"}},
+            {{"sched", "fs_reordered"}},
+            {{"sched", "tp"}, {"tp.turn", "60"}},
+            {{"sched", "tp"}, {"tp.turn", "172"}},
+        };
+    unsigned pairs = 0;
+    for (const auto &settings : schedulers) {
+        for (const char *part : {"none", "bank", "rank", "channel"}) {
+            Config c = defaultConfig();
+            std::string what = std::string("map.partition=") + part;
+            for (const auto &[key, value] : settings) {
+                c.set(key, value);
+                what += std::string(" ") + key + "=" + value;
+            }
+            c.set("map.partition", part);
+            c.set("cores", 4);
+            c.set("sim.warmup", 2000);
+            c.set("sim.measure", 40000);
+            c.set("audit.core", 0);
+            c.set("audit.progress_interval", 1000);
+            if (!configProblems(c).empty())
+                continue;
+            auto victim = [&](const std::string &co) {
+                c.set("workload", "mcf," + co + "," + co + "," + co);
+                return runExperiment(c).timelines.at(0);
+            };
+            const auto quiet = victim("idle");
+            ASSERT_FALSE(quiet.service.empty()) << what;
+            const auto audit = core::compareTimelines(quiet, victim("lbm"));
+            EXPECT_TRUE(audit.identical) << what << " leaked: "
+                                         << audit.detail;
+            ++pairs;
+        }
+    }
+    // Every scheduler runs somewhere, so the sweep cannot pass empty.
+    EXPECT_GE(pairs, 12u);
+}
 
 TEST(LeakageAudit, BaselineLeaksCoRunnerIntensity)
 {
