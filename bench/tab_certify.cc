@@ -57,10 +57,12 @@ targets()
 
     CertifierConfig reordered;
     reordered.scheme = CertScheme::FsReordered;
+    reordered.partition = mem::Partition::Bank;
     out.push_back({"fs reordered/bank", reordered, true});
 
     CertifierConfig tp;
     tp.scheme = CertScheme::Tp;
+    tp.partition = mem::Partition::Bank;
     out.push_back({"tp bank", tp, true});
 
     CertifierConfig frfcfs;

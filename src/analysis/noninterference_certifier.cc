@@ -40,12 +40,10 @@ struct Sink : mem::MemClient
     void memResponse(const mem::MemRequest &req) override { (void)req; }
 };
 
-/** The map the scheme's pipeline is solved for. */
 mem::AddressMap
 mapFor(const CertifierConfig &cfg)
 {
-    return mem::AddressMap(dram::Geometry{},
-                           sched::solvedPartition(cfg.scheme, cfg.fs.mode),
+    return mem::AddressMap(dram::Geometry{}, cfg.partition,
                            mem::Interleave::ClosePage, cfg.numDomains);
 }
 
@@ -385,24 +383,23 @@ NoninterferenceCertifier::certify() const
 std::vector<PaperCertPoint>
 paperCertPoints(unsigned numDomains)
 {
-    auto mk = [&](sched::FsMode mode, core::PeriodicRef ref) {
+    auto mk = [&](mem::Partition partition, core::PeriodicRef ref) {
         CertifierConfig c;
         c.scheme = CertScheme::Fs;
-        c.fs.mode = mode;
+        c.partition = partition;
         c.fs.pinRef = true;
         c.fs.ref = ref;
         c.numDomains = numDomains;
         return c;
     };
-    using sched::FsMode;
     using core::PeriodicRef;
+    using mem::Partition;
     return {
-        {"fs data/rank", 7,
-         mk(FsMode::RankPart, PeriodicRef::Data)},
-        {"fs ras/rank", 12, mk(FsMode::RankPart, PeriodicRef::Ras)},
-        {"fs ras/bank", 15, mk(FsMode::BankPart, PeriodicRef::Ras)},
-        {"fs data/bank", 21, mk(FsMode::BankPart, PeriodicRef::Data)},
-        {"fs ras/none", 43, mk(FsMode::NoPart, PeriodicRef::Ras)},
+        {"fs data/rank", 7, mk(Partition::Rank, PeriodicRef::Data)},
+        {"fs ras/rank", 12, mk(Partition::Rank, PeriodicRef::Ras)},
+        {"fs ras/bank", 15, mk(Partition::Bank, PeriodicRef::Ras)},
+        {"fs data/bank", 21, mk(Partition::Bank, PeriodicRef::Data)},
+        {"fs ras/none", 43, mk(Partition::None, PeriodicRef::Ras)},
     };
 }
 

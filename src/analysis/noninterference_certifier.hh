@@ -41,6 +41,7 @@
 
 #include "core/noninterference.hh"
 #include "fault/fault_injector.hh"
+#include "mem/address_map.hh"
 #include "sched/factory.hh"
 #include "sim/types.hh"
 
@@ -68,12 +69,14 @@ const char *observerProfileName(ObserverProfile p);
 /** One certification target: scheme, shape, and modelled context. */
 struct CertifierConfig
 {
-    /** The address map is partitioned as sched::solvedPartition()
-     *  says for the scheme (and, for FS, `fs.mode`). */
     CertScheme scheme = CertScheme::Fs;
 
-    /** FS design point (mode, pinned reference, refresh). Only read
-     *  when scheme == Fs. */
+    /** How the address map partitions the domains; the scheduler
+     *  solves its pipeline for it. */
+    mem::Partition partition = mem::Partition::None;
+
+    /** FS design point (triple alternation, pinned reference,
+     *  refresh). Only read when scheme == Fs. */
     sched::FsScheduler::Params fs;
 
     /** TP turn length in memory cycles (scheme == Tp). */
@@ -100,8 +103,8 @@ struct CertifierConfig
 
     /**
      * Test hook: build the scheduler yourself instead of by scheme
-     * (used to certify deliberately leaky toy schedulers). The
-     * spatial partition is still chosen by `scheme` (and `fs.mode`).
+     * (used to certify deliberately leaky toy schedulers) on the
+     * map `partition` selects.
      */
     std::function<std::unique_ptr<sched::Scheduler>(
         mem::MemoryController &)>

@@ -57,7 +57,7 @@ struct VerifierConfig
      * alternation). 1 = plain partitioning; >1 = banks are
      * unpartitioned and slot s may only touch banks with
      * bank % groups == s % groups, so only same-group slots can
-     * collide on a bank (FsScheduler's TripleAlt mode; the template
+     * collide on a bank (FsScheduler's triple alternation; the template
      * adds the phantom pad slot).
      */
     unsigned bankGroups = 1;

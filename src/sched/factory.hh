@@ -1,10 +1,9 @@
 /**
  * @file
- * The one way to build a scheduler, and the partition each one's
- * pipeline is solved for. The harness and the noninterference
- * certifier both build through makeScheduler() and read
- * solvedPartition(), so a certificate speaks about the scheduler an
- * experiment runs.
+ * The one way to build a scheduler. The harness and the
+ * noninterference certifier both build through makeScheduler(), so a
+ * certificate speaks about the scheduler an experiment runs; each
+ * scheduler solves its pipeline for the address map it is given.
  */
 
 #ifndef MEMSEC_SCHED_FACTORY_HH
@@ -12,7 +11,6 @@
 
 #include <memory>
 
-#include "mem/address_map.hh"
 #include "sched/fs.hh"
 #include "sched/fs_reordered.hh"
 #include "sched/tp.hh"
@@ -36,21 +34,6 @@ struct SchedSpec
 /** `spec`'s scheduler on `mc`; each constructor's guards still apply. */
 std::unique_ptr<Scheduler> makeScheduler(mem::MemoryController &mc,
                                          const SchedSpec &spec);
-
-/**
- * The partition `kind`'s pipeline is solved for (FS by `mode`). FS
- * rank mode assumes adjacent slots never share a rank (l = 7); bank
- * mode and the reordered scheduler assume they never share a bank; FS
- * without partitioning, triple alternation and FR-FCFS assume
- * nothing. TP solves its in-turn pipeline for whatever map it is
- * given (bank level unless unpartitioned); its entry is the
- * bank-partitioned design point.
- */
-mem::Partition solvedPartition(SchedKind kind, FsMode mode);
-
-/** True if `have` keeps domains at least as far apart as `need`
- *  (none < bank < rank < channel). */
-bool separates(mem::Partition have, mem::Partition need);
 
 } // namespace memsec::sched
 

@@ -11,6 +11,15 @@ namespace memsec::sched {
 using mem::MemRequest;
 using mem::ReqType;
 
+std::string
+FsReorderedScheduler::partitionError(mem::Partition part)
+{
+    if (part != mem::Partition::None)
+        return "";
+    return "reordered FS spaces its slots for a map that keeps adjacent "
+           "domains on different banks";
+}
+
 FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
                                            const Params &params)
     : Scheduler(mc), params_(params),
@@ -18,6 +27,8 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
                .solveReordered(mc.numDomains())),
       plan_(mc, sol_.offsets)
 {
+    const std::string bad = partitionError(mc.addressMap().partition());
+    fatal_if(!bad.empty(), "{}", bad);
     q_ = sol_.q;
     lead_ = core::SlotTemplate::leadOf(sol_.offsets);
 

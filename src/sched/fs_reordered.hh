@@ -32,7 +32,12 @@ class FsReorderedScheduler : public Scheduler
         uint64_t rngSeed = 0x5eedf00d;
     };
 
+    /** Fatal unless partitionError() accepts `mc`'s address map. */
     FsReorderedScheduler(mem::MemoryController &mc, const Params &params);
+
+    /** Why the bank-level pipeline cannot run on a map partitioned by
+     *  `part`, or "". */
+    static std::string partitionError(mem::Partition part);
 
     void tick(Cycle now) override;
     Cycle nextWakeCycle(Cycle now) const override;

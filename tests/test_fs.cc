@@ -19,21 +19,15 @@ class FsTest : public ::testing::Test, public MemClient
 {
   protected:
     void
-    build(FsMode mode, unsigned domains,
+    build(Partition part, unsigned domains,
           FsScheduler::Params extra = FsScheduler::Params{})
     {
-        const Partition part = mode == FsMode::RankPart
-                                   ? Partition::Rank
-                                   : (mode == FsMode::BankPart
-                                          ? Partition::Bank
-                                          : Partition::None);
         map = std::make_unique<AddressMap>(
             dram::Geometry{}, part, Interleave::ClosePage, domains);
         MemoryController::Params p;
         p.numDomains = domains;
         p.queueCapacity = 16;
         mc = std::make_unique<MemoryController>("mc", p, *map);
-        extra.mode = mode;
         auto s = std::make_unique<FsScheduler>(*mc, extra);
         fs = s.get();
         mc->setScheduler(std::move(s));
@@ -69,11 +63,19 @@ class FsTest : public ::testing::Test, public MemClient
     Cycle now = 0;
 };
 
+FsScheduler::Params
+triple()
+{
+    FsScheduler::Params p;
+    p.triple = true;
+    return p;
+}
+
 } // namespace
 
 TEST_F(FsTest, RankModeUsesSolvedSpacing)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     EXPECT_EQ(fs->slotSpacing(), 7u);
     EXPECT_EQ(fs->frameLength(), 56u);
     EXPECT_EQ(fs->name(), "fs-rank");
@@ -81,17 +83,54 @@ TEST_F(FsTest, RankModeUsesSolvedSpacing)
 
 TEST_F(FsTest, BankAndNoPartSpacings)
 {
-    build(FsMode::BankPart, 8);
+    build(Partition::Bank, 8);
     EXPECT_EQ(fs->slotSpacing(), 15u);
-    build(FsMode::NoPart, 8);
+    build(Partition::None, 8);
     EXPECT_EQ(fs->slotSpacing(), 43u);
-    build(FsMode::TripleAlt, 8);
+    build(Partition::None, 8, triple());
     EXPECT_EQ(fs->slotSpacing(), 15u);
+}
+
+TEST(FsScheduler, PipelineFollowsTheMap)
+{
+    // FS solves its pipeline for the partition of the map it runs on:
+    // the spacing is the solver's best at that level, and the name is
+    // pinned (certificate summaries print it).
+    using core::PartitionLevel;
+    struct Point
+    {
+        Partition part;
+        bool triple;
+        unsigned domains;
+        PartitionLevel level;
+        const char *name;
+    };
+    const Point points[] = {
+        {Partition::None, false, 8, PartitionLevel::None, "fs-nopart"},
+        {Partition::Bank, false, 8, PartitionLevel::Bank, "fs-bank"},
+        {Partition::Rank, false, 8, PartitionLevel::Rank, "fs-rank"},
+        // One channel holds one domain under channel partitioning.
+        {Partition::Channel, false, 1, PartitionLevel::Rank, "fs-rank"},
+        {Partition::None, true, 8, PartitionLevel::Bank, "fs-triple"},
+    };
+    for (const Point &p : points) {
+        const AddressMap map(dram::Geometry{}, p.part,
+                             Interleave::ClosePage, p.domains);
+        MemoryController::Params mp;
+        mp.numDomains = p.domains;
+        MemoryController mc("mc", mp, map);
+        FsScheduler::Params fp;
+        fp.triple = p.triple;
+        const FsScheduler fs(mc, fp);
+        const core::PipelineSolver solver(mc.dram().timing());
+        EXPECT_EQ(fs.slotSpacing(), solver.solveBest(p.level).l) << p.name;
+        EXPECT_EQ(fs.name(), p.name);
+    }
 }
 
 TEST_F(FsTest, EverySlotProducesAnOperation)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     runTo(56 * 10); // ten frames
     // All 80 slots decided (all dummies: queues are empty); the last
     // slot's CAS (cycle 79*7+11) is still in flight at cycle 560.
@@ -102,7 +141,7 @@ TEST_F(FsTest, EverySlotProducesAnOperation)
 
 TEST_F(FsTest, ServiceGuaranteeWithinTwoFrames)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     inject(3, 0x4000, 0);
     runTo(150);
     ASSERT_EQ(done.size(), 1u);
@@ -111,7 +150,7 @@ TEST_F(FsTest, ServiceGuaranteeWithinTwoFrames)
 
 TEST_F(FsTest, ConstantInjectionRateUnderLoad)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     // Saturate domain 0; every domain-0 slot becomes a real op and
     // completions are exactly Q apart once steady.
     for (int i = 0; i < 10; ++i)
@@ -128,7 +167,7 @@ TEST_F(FsTest, ConstantInjectionRateUnderLoad)
 
 TEST_F(FsTest, ReadWriteMixedPipelineConflictFree)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     for (int i = 0; i < 12; ++i) {
         for (DomainId d = 0; d < 8; ++d) {
             inject(d, 0x8000 + i * 64ull * 8, 0,
@@ -142,7 +181,7 @@ TEST_F(FsTest, ReadWriteMixedPipelineConflictFree)
 
 TEST_F(FsTest, DummiesTargetOwnPartition)
 {
-    build(FsMode::RankPart, 4);
+    build(Partition::Rank, 4);
     runTo(500);
     // With rank partitioning and empty queues all dummy activity per
     // rank must come from its owner; cross-checking energy counters:
@@ -159,7 +198,7 @@ TEST_F(FsTest, LowThreadCountHazardHandled)
     // same-bank transactions are a hazard the scheduler must dodge
     // (Section 7). Saturating one domain with same-bank requests
     // forces deferrals; the run must stay conflict-free.
-    build(FsMode::RankPart, 2);
+    build(Partition::Rank, 2);
     for (int i = 0; i < 14; ++i)
         inject(0, 0x100000ull * i, 0); // many rows, one bank
     runTo(4000);
@@ -171,7 +210,7 @@ TEST_F(FsTest, LowThreadCountHazardHandled)
 
 TEST_F(FsTest, TripleAlternationRotatesBankGroups)
 {
-    build(FsMode::TripleAlt, 8);
+    build(Partition::None, 8, triple());
     runTo(360 * 4);
     // The phantom pad slot only exists when domains % 3 == 0.
     EXPECT_EQ(fs->frameLength(), 8u * 15u);
@@ -180,7 +219,7 @@ TEST_F(FsTest, TripleAlternationRotatesBankGroups)
 
 TEST_F(FsTest, TripleAlternationPadsWhenDivisibleByThree)
 {
-    build(FsMode::TripleAlt, 6);
+    build(Partition::None, 6, triple());
     // 6 domains would pin each domain to one bank group; a phantom
     // slot breaks the alignment: frame = 7 slots.
     EXPECT_EQ(fs->frameLength(), 7u * 15u);
@@ -194,7 +233,7 @@ TEST_F(FsTest, PrefetchFillsDummySlots)
 {
     FsScheduler::Params p;
     p.prefetchInDummies = true;
-    build(FsMode::RankPart, 8, p);
+    build(Partition::Rank, 8, p);
     // Queue a prefetch candidate for domain 2.
     auto r = std::make_unique<MemRequest>();
     r->domain = 2;
@@ -212,7 +251,7 @@ TEST_F(FsTest, SuppressedDummiesKeepTimingSkipEnergy)
 {
     FsScheduler::Params p;
     p.suppressDummies = true;
-    build(FsMode::RankPart, 8, p);
+    build(Partition::Rank, 8, p);
     runTo(56 * 5);
     uint64_t real = 0;
     uint64_t suppressed = 0;
@@ -229,7 +268,7 @@ TEST_F(FsTest, RowBufferBoostSuppressesRepeatActivates)
     FsScheduler::Params p;
     p.suppressDummies = true;
     p.rowBufferBoost = true;
-    build(FsMode::RankPart, 8, p);
+    build(Partition::Rank, 8, p);
     // Same row requested repeatedly by domain 0.
     for (int i = 0; i < 6; ++i)
         inject(0, 0x40, 0); // merged? no: reads aren't merged
@@ -243,7 +282,7 @@ TEST_F(FsTest, PowerDownCreditsIdleRanks)
 {
     FsScheduler::Params p;
     p.powerDown = true;
-    build(FsMode::RankPart, 8, p);
+    build(Partition::Rank, 8, p);
     runTo(56 * 10);
     fs->finalize(now);
     uint64_t pd = 0;
@@ -259,7 +298,6 @@ TEST_F(FsTest, PowerDownRequiresRankPartitioning)
 {
     FsScheduler::Params p;
     p.powerDown = true;
-    p.mode = FsMode::BankPart;
     map = std::make_unique<AddressMap>(dram::Geometry{},
                                        Partition::Bank,
                                        Interleave::ClosePage, 8);
@@ -274,7 +312,7 @@ TEST_F(FsTest, SlaWeightsGiveProportionalSlots)
 {
     FsScheduler::Params p;
     p.slotWeights = {2, 1, 1, 1, 1, 1, 1, 1};
-    build(FsMode::RankPart, 8, p);
+    build(Partition::Rank, 8, p);
     // Frame has 9 slots now.
     EXPECT_EQ(fs->frameLength(), 9u * 7u);
     // Load domains 0 and 1 equally; while both stay backlogged,
@@ -296,7 +334,7 @@ TEST_F(FsTest, SlaWeightsGiveProportionalSlots)
 
 TEST_F(FsTest, DummyFractionFormula)
 {
-    build(FsMode::RankPart, 8);
+    build(Partition::Rank, 8);
     inject(0, 0x1000, 0);
     runTo(56 * 4);
     StatGroup g;

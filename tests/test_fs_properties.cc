@@ -1,7 +1,7 @@
 /**
  * @file
- * Property tests over the FS scheduler family, swept across modes and
- * random traffic seeds:
+ * Property tests over the FS scheduler family, swept across map
+ * partitions, triple alternation and random traffic seeds:
  *
  *  1. Service guarantee — any single request completes within a small
  *     constant number of frames of its arrival (the paper's "a thread
@@ -30,12 +30,13 @@ namespace {
 
 struct Rig : MemClient
 {
-    Rig(FsMode mode, unsigned domains)
+    /** Point 0..3: rank, bank and no partitioning, then triple
+     *  alternation. */
+    Rig(int point, unsigned domains)
         : map(dram::Geometry{},
-              mode == FsMode::RankPart
-                  ? Partition::Rank
-                  : (mode == FsMode::BankPart ? Partition::Bank
-                                              : Partition::None),
+              point == 0   ? Partition::Rank
+              : point == 1 ? Partition::Bank
+                           : Partition::None,
               Interleave::ClosePage, domains)
     {
         MemoryController::Params p;
@@ -43,7 +44,7 @@ struct Rig : MemClient
         p.queueCapacity = 16;
         mc = std::make_unique<MemoryController>("mc", p, map);
         FsScheduler::Params fp;
-        fp.mode = mode;
+        fp.triple = point == 3;
         auto s = std::make_unique<FsScheduler>(*mc, fp);
         fs = s.get();
         mc->setScheduler(std::move(s));
@@ -85,16 +86,13 @@ class FsPropertySweep
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>>
 {
   protected:
-    FsMode mode() const
-    {
-        return static_cast<FsMode>(std::get<0>(GetParam()));
-    }
+    int point() const { return std::get<0>(GetParam()); }
     uint64_t seed() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(FsPropertySweep, RandomTrafficIsConflictFreeAndBounded)
 {
-    Rig rig(mode(), 8);
+    Rig rig(point(), 8);
     Rng rng(seed());
     const Cycle frame = rig.fs->frameLength();
     // Triple alternation may need up to `groups` frames for a head
@@ -130,7 +128,7 @@ TEST_P(FsPropertySweep, RandomTrafficIsConflictFreeAndBounded)
 
 TEST_P(FsPropertySweep, ReadCompletionsShareOneSlotResidue)
 {
-    Rig rig(mode(), 8);
+    Rig rig(point(), 8);
     Rng rng(seed() ^ 0xFACE);
     for (; rig.now < 3000;) {
         rig.runTo(rig.now + 1 + rng.below(20));
@@ -167,6 +165,6 @@ sweepName(const ::testing::TestParamInfo<std::tuple<int, uint64_t>>
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSeeds, FsPropertySweep,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3), // FsMode values
+    ::testing::Combine(::testing::Values(0, 1, 2, 3), // Rig points
                        ::testing::Values(11ull, 22ull, 33ull)),
     sweepName);

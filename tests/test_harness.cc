@@ -128,8 +128,7 @@ TEST(Harness, SchemeConfigsPairSchedulerAndPartition)
     EXPECT_EQ(schemeConfig("fs_rp").getString("map.partition"), "rank");
     EXPECT_EQ(schemeConfig("fs_bp").getString("map.partition"), "bank");
     EXPECT_EQ(schemeConfig("tp_np").getString("map.partition"), "none");
-    EXPECT_EQ(schemeConfig("fs_np_triple").getString("fs.mode"),
-              "triple");
+    EXPECT_TRUE(schemeConfig("fs_np_triple").getBool("fs.triple"));
     EXPECT_TRUE(schemeConfig("fs_rp_powerdown").getBool("fs.suppress"));
 }
 

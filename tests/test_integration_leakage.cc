@@ -73,10 +73,8 @@ TEST(LeakageAudit, EveryAcceptedPartitionIsolatesTheVictim)
     // service timeline is identical beside idle and beside lbm cores.
     const std::vector<std::vector<std::pair<const char *, const char *>>>
         schedulers = {
-            {{"sched", "fs"}, {"fs.mode", "rank"}},
-            {{"sched", "fs"}, {"fs.mode", "bank"}},
-            {{"sched", "fs"}, {"fs.mode", "none"}},
-            {{"sched", "fs"}, {"fs.mode", "triple"}},
+            {{"sched", "fs"}},
+            {{"sched", "fs"}, {"fs.triple", "true"}},
             {{"sched", "fs_reordered"}},
             {{"sched", "tp"}, {"tp.turn", "60"}},
             {{"sched", "tp"}, {"tp.turn", "172"}},

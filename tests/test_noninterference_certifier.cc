@@ -137,6 +137,7 @@ TEST(Certifier, FsReorderedCertifiesAcrossIntervalBoundaries)
     // the burst scenario straddles interval boundaries.
     CertifierConfig cfg;
     cfg.scheme = CertScheme::FsReordered;
+    cfg.partition = mem::Partition::Bank;
     cfg.horizonFrames = 13;
     const CertifyResult res = NoninterferenceCertifier(cfg).certify();
     EXPECT_TRUE(res.certified) << res.summary();

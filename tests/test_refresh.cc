@@ -32,7 +32,6 @@ struct FsRig
         p.numDomains = 8;
         mc = std::make_unique<MemoryController>("mc", p, map);
         FsScheduler::Params fp;
-        fp.mode = FsMode::RankPart;
         fp.refresh = refresh;
         auto s = std::make_unique<FsScheduler>(*mc, fp);
         fs = s.get();
