@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -44,6 +45,91 @@ editDistance(const std::string &a, const std::string &b)
         }
     }
     return d[b.size()];
+}
+
+std::optional<int64_t>
+parseInt(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const int64_t v = std::strtoll(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<uint64_t>
+parseUint(const std::string &text)
+{
+    // strtoull accepts a leading '-' and negates in unsigned
+    // arithmetic, so "-1" would read as 2^64 - 1.
+    const char *first = text.c_str();
+    while (std::isspace(static_cast<unsigned char>(*first)))
+        ++first;
+    char *end = nullptr;
+    errno = 0;
+    const uint64_t v = std::strtoull(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        *first == '-')
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseDouble(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    // strtod also consumes "nan", "inf" and overflowing literals; a
+    // non-finite value slips past every range guard downstream.
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+std::optional<bool>
+parseBool(const std::string &text)
+{
+    std::string v = text;
+    std::transform(v.begin(), v.end(), v.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    return std::nullopt;
+}
+
+/** Why `text` does not read as `type`, in the getters' words, or "". */
+std::string
+typeError(const std::string &key, const std::string &text, ConfigType type)
+{
+    const char *kind = "";
+    if (type == ConfigType::Bool && !parseBool(text))
+        kind = "boolean";
+    else if ((type == ConfigType::Int && !parseInt(text)) ||
+             (type == ConfigType::Uint && !parseUint(text)))
+        kind = "integer";
+    else if (type == ConfigType::Double && !parseDouble(text))
+        kind = "numeric";
+    return *kind ? detail::format("config key '{}' has non-{} value '{}'",
+                                  key, kind, text)
+                 : "";
+}
+
+/** `key`'s value read as T; fatal if it does not read as `type`. */
+template <typename T>
+T
+read(const std::map<std::string, std::string> &values,
+     const std::string &key, T dflt, ConfigType type,
+     std::optional<T> (*parse)(const std::string &))
+{
+    auto it = values.find(key);
+    if (it == values.end())
+        return dflt;
+    const std::optional<T> v = parse(it->second);
+    fatal_if(!v, "{}", typeError(key, it->second, type));
+    return *v;
 }
 
 } // namespace
@@ -126,69 +212,25 @@ Config::getString(const std::string &key, const std::string &dflt) const
 int64_t
 Config::getInt(const std::string &key, int64_t dflt) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return dflt;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    int64_t v = std::strtoll(text, &end, 0);
-    fatal_if(end == text || *end != '\0' || errno == ERANGE,
-             "config key '{}' has non-integer value '{}'", key, it->second);
-    return v;
+    return read(values_, key, dflt, ConfigType::Int, parseInt);
 }
 
 uint64_t
 Config::getUint(const std::string &key, uint64_t dflt) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return dflt;
-    // strtoull accepts a leading '-' and negates in unsigned
-    // arithmetic, so "-1" would read as 2^64 - 1.
-    const char *text = it->second.c_str();
-    const char *first = text;
-    while (std::isspace(static_cast<unsigned char>(*first)))
-        ++first;
-    char *end = nullptr;
-    errno = 0;
-    uint64_t v = std::strtoull(text, &end, 0);
-    fatal_if(end == text || *end != '\0' || errno == ERANGE ||
-                 *first == '-',
-             "config key '{}' has non-integer value '{}'", key, it->second);
-    return v;
+    return read(values_, key, dflt, ConfigType::Uint, parseUint);
 }
 
 double
 Config::getDouble(const std::string &key, double dflt) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return dflt;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    // strtod also consumes "nan", "inf" and overflowing literals; a
-    // non-finite value slips past every range guard downstream.
-    fatal_if(end == it->second.c_str() || *end != '\0' ||
-                 !std::isfinite(v),
-             "config key '{}' has non-numeric value '{}'", key, it->second);
-    return v;
+    return read(values_, key, dflt, ConfigType::Double, parseDouble);
 }
 
 bool
 Config::getBool(const std::string &key, bool dflt) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return dflt;
-    std::string v = it->second;
-    std::transform(v.begin(), v.end(), v.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    fatal("config key '{}' has non-boolean value '{}'", key, it->second);
+    return read(values_, key, dflt, ConfigType::Bool, parseBool);
 }
 
 std::vector<std::string>
@@ -371,11 +413,13 @@ configErrors(const Config &cfg, std::span<const ConfigKey> keys,
                 error("'{}' has value '{}'; expected one of: {}", key, value,
                       list);
         }
-        // The typed getters are fatal on an ill-typed value.
+        const std::string illTyped = typeError(key, value, row.type);
+        if (!illTyped.empty()) {
+            errors += "\n  " + illTyped;
+            continue;
+        }
         double v = 0.0;
-        if (row.type == ConfigType::Bool)
-            cfg.getBool(key);
-        else if (row.type == ConfigType::Int)
+        if (row.type == ConfigType::Int)
             v = static_cast<double>(cfg.getInt(key));
         else if (row.type == ConfigType::Uint)
             v = static_cast<double>(cfg.getUint(key));

@@ -181,9 +181,9 @@ Config withDefaults(const Config &cfg, std::span<const ConfigKey> keys);
  * Every problem with `cfg` against the declared `keys` and `rules`,
  * one indented line each, or "" if there is none: unknown keys
  * (naming the nearest declared key) and removed keys, or else values
- * out of range or outside their set, or else the broken rules. An
- * ill-typed value is fatal. `rowOf` maps a key to the declared name it
- * is checked as, or to "" if it is unknown.
+ * that do not read as their type, are out of range or are outside
+ * their set, or else the broken rules. `rowOf` maps a key to the
+ * declared name it is checked as, or to "" if it is unknown.
  */
 std::string
 configErrors(const Config &cfg, std::span<const ConfigKey> keys,
