@@ -37,7 +37,12 @@ class FaultInjector;
 
 namespace memsec::mem {
 class MemoryController;
+enum class Partition : uint8_t;
 } // namespace memsec::mem
+
+namespace memsec::sched {
+struct SchedSpec;
+} // namespace memsec::sched
 
 namespace memsec::harness {
 
@@ -122,6 +127,12 @@ std::span<const ConfigRule> combinationRules();
 /** Every reason ExperimentSystem would refuse `cfg`, as configErrors()
  *  lists them, or "" if it accepts it. */
 std::string configProblems(const Config &cfg);
+
+/** The scheduler a filled config selects (`sched`, `fs.*`, `tp.*`). */
+sched::SchedSpec schedSpec(const Config &cfg);
+
+/** How a filled config's address map partitions the domains. */
+mem::Partition partitionOf(const Config &cfg);
 
 /** The paper's Table 1 system: every static default of configSchema(). */
 Config defaultConfig();
