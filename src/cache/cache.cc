@@ -18,51 +18,6 @@ Cache::Cache(uint64_t sizeBytes, unsigned ways) : ways_(ways)
     words_.resize(2 * lines);
 }
 
-uint64_t *
-Cache::find(Addr addr)
-{
-    uint64_t *tags = setOf(addr);
-    // Dirty and prefetched are the only bits allowed to differ. The
-    // scan is branch-free, as in accessOrFill().
-    const uint64_t want = kValid | tagOf(addr);
-    unsigned hit = ways_;
-    for (unsigned w = 0; w < ways_; ++w)
-        hit = (tags[w] & ~(kDirty | kPrefetched)) == want ? w : hit;
-    return hit != ways_ ? &tags[hit] : nullptr;
-}
-
-const uint64_t *
-Cache::find(Addr addr) const
-{
-    return const_cast<Cache *>(this)->find(addr);
-}
-
-AccessResult
-Cache::access(Addr addr, bool isStore)
-{
-    AccessResult res;
-    if (uint64_t *tag = find(addr)) {
-        tag[ways_] = ++stamp_;
-        if (isStore)
-            *tag |= kDirty;
-        if (*tag & kPrefetched) {
-            res.prefetchHit = true;
-            *tag &= ~kPrefetched;
-        }
-        hits_.inc();
-        res.hit = true;
-        return res;
-    }
-    misses_.inc();
-    return res;
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
 FillResult
 Cache::fill(Addr addr, bool dirty, bool prefetched)
 {

@@ -52,12 +52,13 @@ class Cache
     /**
      * Look up (and touch) a line. On a store hit the line is marked
      * dirty. Misses do NOT allocate; the owner fetches the line and
-     * calls fill() when data returns.
+     * calls fill() when data returns. Inline, as accessOrFill() is,
+     * so the core's per-record lookup compiles into its tick.
      */
-    AccessResult access(Addr addr, bool isStore);
+    inline AccessResult access(Addr addr, bool isStore);
 
     /** True if the line is present (no LRU update). */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return find(addr) != nullptr; }
 
     /** Install a line; returns any dirty victim to write back.
      *  `prefetched` marks the line for usefulness accounting. */
@@ -102,8 +103,11 @@ class Cache
 
     /** The tag word of `addr`'s way in its set, or nullptr on a
      *  miss; that way's LRU stamp is `ways_` words further on. */
-    uint64_t *find(Addr addr);
-    const uint64_t *find(Addr addr) const;
+    inline uint64_t *find(Addr addr);
+    const uint64_t *find(Addr addr) const
+    {
+        return const_cast<Cache *>(this)->find(addr);
+    }
     /** The tag words of `addr`'s set; its stamps follow them. */
     uint64_t *setOf(Addr addr) { return &words_[setIndex(addr) * 2 * ways_]; }
     uint64_t setIndex(Addr addr) const
@@ -126,6 +130,39 @@ class Cache
     Counter hits_;
     Counter misses_;
 };
+
+inline uint64_t *
+Cache::find(Addr addr)
+{
+    uint64_t *tags = setOf(addr);
+    // Dirty and prefetched are the only bits allowed to differ. The
+    // scan is branch-free, as in accessOrFill().
+    const uint64_t want = kValid | tagOf(addr);
+    unsigned hit = ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+        hit = (tags[w] & ~(kDirty | kPrefetched)) == want ? w : hit;
+    return hit != ways_ ? &tags[hit] : nullptr;
+}
+
+inline AccessResult
+Cache::access(Addr addr, bool isStore)
+{
+    AccessResult res;
+    if (uint64_t *tag = find(addr)) {
+        tag[ways_] = ++stamp_;
+        if (isStore)
+            *tag |= kDirty;
+        if (*tag & kPrefetched) {
+            res.prefetchHit = true;
+            *tag &= ~kPrefetched;
+        }
+        hits_.inc();
+        res.hit = true;
+        return res;
+    }
+    misses_.inc();
+    return res;
+}
 
 inline void
 Cache::accessOrFill(Addr addr, bool isStore)

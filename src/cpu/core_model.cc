@@ -71,15 +71,17 @@ CoreModel::CoreModel(std::string name, DomainId domain,
                      uint64_t traceSeed, mem::MemoryController &mc)
     : Component(std::move(name)), domain_(domain), params_(params),
       profile_(profile), mc_(mc), llc_(params.llcBytes, params.llcWays),
-      prefetcher_()
+      prefetcher_(), rob_(params.robSize)
 {
     if (!profile.trafficProcess.empty() &&
         profile.trafficProcess != "none") {
         trace_ = std::make_unique<ArrivalTraceGenerator>(profile,
                                                          traceSeed);
     } else if (profile.tracePath.empty()) {
-        trace_ = std::make_unique<SyntheticTraceGenerator>(profile,
-                                                           traceSeed);
+        auto synthetic =
+            std::make_unique<SyntheticTraceGenerator>(profile, traceSeed);
+        synthetic_ = synthetic.get();
+        trace_ = std::move(synthetic);
     } else {
         trace_ = std::make_unique<FileTraceGenerator>(profile.tracePath);
     }
@@ -102,8 +104,7 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
     // measurement starts from a warm cache, as the paper's
     // fast-forwarded checkpoints do. Writebacks generated here are
     // discarded (they happened "before" the simulation).
-    auto *synthetic =
-        dynamic_cast<SyntheticTraceGenerator *>(trace_.get());
+    SyntheticTraceGenerator *synthetic = synthetic_;
     auto replay = [&] {
         // A synthetic stream runs the warm kernel, which skips the
         // unused gaps (draw-exact, see skipRecords); other generators
@@ -199,7 +200,17 @@ CoreModel::demandMshrs() const
     return mshr_.size() - prefetchInflight_;
 }
 
-void
+// tick() and fastForward() are the core's two entry points, and a
+// record's whole path runs under them: dispatch, the draw, the LLC
+// lookup, retirement and the quiet-run closed form. Both are flattened
+// rather than the helpers being declared inline: flatten inlines every
+// call whose body is visible (the generator's next(), Cache::access,
+// Rng::geometric are header-inline), so the helpers compile into the
+// two functions no matter how large they grow, while nextWakeCycle()
+// and the checkpoint walk keep calling the same out-of-line copies.
+// Calls into other translation units (the controller, Cache::fill,
+// the prefetcher) stay calls.
+[[gnu::flatten]] void
 CoreModel::tick(Cycle now)
 {
     memNow_ = now;
@@ -207,7 +218,10 @@ CoreModel::tick(Cycle now)
     // cycle before dispatch pulls any record of this tick. Skipped
     // ticks never dispatch (nextWakeCycle returns now+1 whenever
     // dispatch could run), so fastforward cannot perturb the feed.
-    trace_->observeCycle(now);
+    if (synthetic_ != nullptr)
+        synthetic_->observeCycle(now);
+    else
+        trace_->observeCycle(now);
     drainWritebacks();
     retryBlocked();
     // Quiet runs go in closed form, the other sub-cycles one by one.
@@ -274,7 +288,7 @@ CoreModel::nextWakeCycle(Cycle now) const
     return quiet == kNever ? kNoCycle : next + quiet / params_.cpuMult;
 }
 
-void
+[[gnu::flatten]] void
 CoreModel::fastForward(Cycle from, Cycle to)
 {
     // nextWakeCycle() proved these sub-cycles quiet.
@@ -319,18 +333,16 @@ CoreModel::io(Self &self, Ar &ar)
     ar.io(self.robInstrs_);
 
     // MSHR waiters are pointers into rob_; encode them as ROB indices
-    // (deque element addresses are stable, so the scan is exact).
+    // (ring slots never move, so the scan is exact).
     ar.seq(self.mshr_, [&](auto &addr, auto &entry) {
         ar.io(addr, entry.fillDirty, entry.isPrefetch, entry.demandTouched);
         ar.seq(entry.waiters, [&](auto &waiter) {
             uint64_t idx = 0;
             if constexpr (!Ar::loading) {
-                const auto it = std::find_if(
-                    self.rob_.begin(), self.rob_.end(),
-                    [&](const Record &rec) { return &rec == waiter; });
-                panic_if(it == self.rob_.end(),
+                while (idx < self.rob_.size() && &self.rob_[idx] != waiter)
+                    ++idx;
+                panic_if(idx == self.rob_.size(),
                          "{}: MSHR waiter not found in ROB", self.name());
-                idx = static_cast<uint64_t>(it - self.rob_.begin());
             }
             ar.io(idx);
             if constexpr (Ar::loading) {
@@ -384,7 +396,7 @@ void
 CoreModel::dispatch()
 {
     while (robInstrs_ < params_.robSize) {
-        const TraceRecord tr = trace_->next();
+        const TraceRecord tr = nextRecord();
         Record rec;
         rec.instrs = static_cast<uint64_t>(tr.gap) + 1;
         rec.isStore = tr.isStore;

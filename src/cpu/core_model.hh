@@ -33,6 +33,7 @@
 #include "mem/memory_controller.hh"
 #include "sim/simulator.hh"
 #include "stats/stats.hh"
+#include "util/ring.hh"
 
 namespace memsec::cpu {
 
@@ -178,6 +179,12 @@ class CoreModel : public Component, public mem::MemClient
      *  LLC with no timing, or copy the identical warm state from the
      *  process-wide memo (see WarmupMemoStats). */
     void functionalWarmup(uint64_t traceSeed);
+    /** The next trace record: through the concrete synthetic
+     *  generator when there is one (inline, no virtual call). */
+    TraceRecord nextRecord()
+    {
+        return synthetic_ != nullptr ? synthetic_->next() : trace_->next();
+    }
     /** Single point of ROB state transition, so the NeedsIssue count
      *  used by the retry/wake fast paths can never drift. */
     void setState(Record &rec, Record::State s);
@@ -213,11 +220,17 @@ class CoreModel : public Component, public mem::MemClient
     Params params_;
     WorkloadProfile profile_;
     std::unique_ptr<TraceGenerator> trace_;
+    /** trace_ as its concrete type when it is synthetic, else null. */
+    SyntheticTraceGenerator *synthetic_ = nullptr;
     mem::MemoryController &mc_;
     cache::Cache llc_;
     SandboxPrefetcher prefetcher_;
 
-    std::deque<Record> rob_;
+    /** Capacity params_.robSize: dispatch pushes only while
+     *  robInstrs_ < robSize and a record is at least one instruction,
+     *  so it never holds more records. MSHR waiters point into it; it
+     *  never reallocates. */
+    Ring<Record> rob_;
     uint64_t robInstrs_ = 0;
     /** ROB records in NeedsIssue state — derived from rob_, rebuilt
      *  on restore. Zero lets retryBlocked()/nextWakeCycle() skip

@@ -60,6 +60,19 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
                                                profile.modSecretBits)
                          : profile.modSymbols;
     }
+    // next()'s ratios: keyed ones are scaled, then clamped, once.
+    const auto clamped = [](double r) {
+        return std::min(0.95, std::max(1e-6, r));
+    };
+    if (spec_.modulated) {
+        ratio_ = {clamped(profile.memRatio * profile.modOffFactor),
+                  clamped(profile.memRatio)};
+    } else if (spec_.phaseLength > 0) {
+        ratio_ = {clamped(profile.memRatio * profile.phaseLowFactor),
+                  clamped(profile.memRatio * profile.phaseHighFactor)};
+    } else {
+        ratio_ = {profile.memRatio, profile.memRatio};
+    }
     // Start streams at seed-dependent offsets: co-scheduled copies of
     // one benchmark run different phases, so their streams must not
     // collide bank-for-bank.
@@ -67,81 +80,25 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
         streamPos_.push_back(rng_.below(spec_.footprintLines));
 }
 
-Addr
-SyntheticTraceGenerator::pickLine()
-{
-    const uint64_t fp = spec_.footprintLines;
-
-    if (rng_.chance(spec_.reuseFraction)) {
-        // Temporal reuse of a recently touched line.
-        return recent_[rng_.below(kReuseRing)];
-    }
-
-    uint64_t line;
-    if (rng_.chance(spec_.streamFraction)) {
-        const uint64_t s = modulo(streamRr_++, streamPos_.size());
-        streamPos_[s] = modulo(streamPos_[s] + spec_.strideLines, fp);
-        line = streamPos_[s];
-    } else {
-        line = rng_.below(fp);
-    }
-    recent_[recentIdx_++ % kReuseRing] = line * kLineBytes;
-    return line * kLineBytes;
-}
-
-void
-SyntheticTraceGenerator::stepPhase()
-{
-    if (phaseLeft_ == 0) {
-        busyPhase_ = !busyPhase_;
-        phaseLeft_ = 1 + rng_.geometric(
-                         1.0 / static_cast<double>(spec_.phaseLength));
-    }
-    --phaseLeft_;
-}
-
 double
-SyntheticTraceGenerator::recordRatio()
+SyntheticTraceGenerator::windowRatio() const
 {
-    double ratio = profile_.memRatio;
-    if (spec_.modulated) {
-        // Covert-channel sender: key intensity on the secret bit
-        // governing the current modulation window. The window index
-        // comes from the owning core's observeCycle() feed, so the
-        // waveform is locked to simulated time rather than to record
-        // count — queueing delays cannot stretch a bit.
-        const size_t w = static_cast<size_t>(
-            memCycle_ / profile_.modWindowCycles);
-        if (modSecret_[w % modSecret_.size()] == 0)
-            ratio *= profile_.modOffFactor;
-        ratio = std::min(0.95, std::max(1e-6, ratio));
-    } else if (spec_.phaseLength > 0) {
-        stepPhase();
-        ratio *= busyPhase_ ? profile_.phaseHighFactor
-                            : profile_.phaseLowFactor;
-        ratio = std::min(0.95, std::max(1e-6, ratio));
-    }
-    return ratio;
-}
-
-TraceRecord
-SyntheticTraceGenerator::next()
-{
-    const double ratio = recordRatio();
-    TraceRecord rec;
-    rec.gap = static_cast<uint32_t>(
-        std::min<uint64_t>(rng_.geometric(ratio), 1u << 20));
-    rec.isStore = rng_.chance(spec_.storeFraction);
-    rec.addr = pickLine();
-    return rec;
+    // Key intensity on the secret bit governing the current
+    // modulation window. The window index comes from the owning
+    // core's observeCycle() feed, so the waveform is locked to
+    // simulated time rather than to record count — queueing delays
+    // cannot stretch a bit.
+    const size_t w =
+        static_cast<size_t>(memCycle_ / profile_.modWindowCycles);
+    return ratio_[modSecret_[w % modSecret_.size()] != 0];
 }
 
 void
 SyntheticTraceGenerator::skipRecords(uint64_t n, cache::Cache &llc)
 {
-    // recordRatio()'s chain, resolved once: only the phase machine
-    // still steps per record, and whether the gap draws its one
-    // uniform() is fixed for the call.
+    // The ratio chain, resolved once: only the phase machine still
+    // steps per record, and whether the gap draws its one uniform()
+    // is fixed for the call.
     const bool phased = spec_.phaseLength > 0;
     const bool drawGap = spec_.drawGap;
     const double storeFraction = spec_.storeFraction;

@@ -12,6 +12,7 @@
 #ifndef MEMSEC_CPU_TRACE_HH
 #define MEMSEC_CPU_TRACE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -217,13 +218,17 @@ std::string warmupKey(const WorkloadProfile &profile, uint64_t traceSeed,
                       uint64_t records, uint64_t llcBytes,
                       unsigned llcWays);
 
-/** Profile-driven synthetic generator. */
-class SyntheticTraceGenerator : public TraceGenerator
+/**
+ * Profile-driven synthetic generator. Final, and next() is inline, so
+ * a core holding the concrete type compiles a record's draws into its
+ * own loop with no virtual call.
+ */
+class SyntheticTraceGenerator final : public TraceGenerator
 {
   public:
     SyntheticTraceGenerator(const WorkloadProfile &profile, uint64_t seed);
 
-    TraceRecord next() override;
+    inline TraceRecord next() override;
     void observeCycle(Cycle now) override { memCycle_ = now; }
 
     /**
@@ -252,17 +257,24 @@ class SyntheticTraceGenerator : public TraceGenerator
     static constexpr size_t kReuseRing = 64;
     static_assert(isPowerOf2(kReuseRing), "the reuse ring is masked");
 
-    /** This record's memory-op probability: the profile's memRatio
-     *  keyed by the covert sender's window or by the phase machine,
-     *  which it advances. */
-    double recordRatio();
     /** One record's step of the phase machine (spec_.phaseLength
      *  > 0): the one copy of that logic. */
-    void stepPhase();
-    Addr pickLine();
+    inline void stepPhase();
+    inline Addr pickLine();
+    /** The covert sender's memory-op probability: the window the
+     *  observed cycle falls in keys it on or off. */
+    double windowRatio() const;
 
     WorkloadProfile profile_;
     WarmSpec spec_;
+    /**
+     * The memory-op probabilities next() draws the gap with, resolved
+     * once and clamped to [1e-6, 0.95] where they are keyed: index 1
+     * is a phased profile's busy ratio or a sender's on-window ratio,
+     * index 0 the quiet or off ratio. A plain profile's memRatio, not
+     * clamped, fills both.
+     */
+    std::array<double, 2> ratio_{};
     Rng rng_;
     std::vector<uint64_t> streamPos_;
     unsigned streamRr_ = 0;
@@ -274,6 +286,57 @@ class SyntheticTraceGenerator : public TraceGenerator
     /** Secret bitstring when the profile modulates (else empty). */
     std::vector<uint8_t> modSecret_;
 };
+
+inline void
+SyntheticTraceGenerator::stepPhase()
+{
+    if (phaseLeft_ == 0) {
+        busyPhase_ = !busyPhase_;
+        phaseLeft_ = 1 + rng_.geometric(
+                         1.0 / static_cast<double>(spec_.phaseLength));
+    }
+    --phaseLeft_;
+}
+
+inline Addr
+SyntheticTraceGenerator::pickLine()
+{
+    const uint64_t fp = spec_.footprintLines;
+
+    if (rng_.chance(spec_.reuseFraction)) {
+        // Temporal reuse of a recently touched line.
+        return recent_[rng_.below(kReuseRing)];
+    }
+
+    uint64_t line;
+    if (rng_.chance(spec_.streamFraction)) {
+        const uint64_t s = modulo(streamRr_++, streamPos_.size());
+        streamPos_[s] = modulo(streamPos_[s] + spec_.strideLines, fp);
+        line = streamPos_[s];
+    } else {
+        line = rng_.below(fp);
+    }
+    recent_[recentIdx_++ % kReuseRing] = line * kLineBytes;
+    return line * kLineBytes;
+}
+
+inline TraceRecord
+SyntheticTraceGenerator::next()
+{
+    double ratio = ratio_[1];
+    if (spec_.modulated) {
+        ratio = windowRatio();
+    } else if (spec_.phaseLength > 0) {
+        stepPhase();
+        ratio = ratio_[busyPhase_];
+    }
+    TraceRecord rec;
+    rec.gap = static_cast<uint32_t>(
+        std::min<uint64_t>(rng_.geometric(ratio), 1u << 20));
+    rec.isStore = rng_.chance(spec_.storeFraction);
+    rec.addr = pickLine();
+    return rec;
+}
 
 } // namespace memsec::cpu
 

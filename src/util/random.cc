@@ -1,7 +1,5 @@
 #include "util/random.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace memsec {
@@ -33,35 +31,17 @@ Rng::belowZero()
     panic("Rng::below(0)");
 }
 
+void
+Rng::geometricOutOfRange(double p)
+{
+    panic("Rng::geometric with p = {}", p);
+}
+
 uint64_t
 Rng::range(uint64_t lo, uint64_t hi)
 {
     panic_if(lo > hi, "Rng::range with lo {} > hi {}", lo, hi);
     return lo + below(hi - lo + 1);
-}
-
-uint64_t
-Rng::geometric(double p)
-{
-    panic_if(p <= 0.0 || p > 1.0, "Rng::geometric with p = {}", p);
-    if (p >= 1.0)
-        return 0;
-    double u = uniform();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    // Callers draw many times at one p; log(1 - p) is a pure function
-    // of it, so the memo leaves every quotient bit-identical.
-    if (p != logBaseP_) {
-        logBaseP_ = p;
-        logBase_ = std::log(1.0 - p);
-    }
-    const double q = std::log(u) / logBase_;
-    // 1 - p rounds to 1 for p below ~1.1e-16: log(1 - p) is 0 and the
-    // quotient -inf, which no integer can hold.
-    if (!(q >= 0.0 && q < 0x1.0p64))
-        return UINT64_MAX;
-    return static_cast<uint64_t>(q);
 }
 
 } // namespace memsec

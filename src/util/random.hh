@@ -10,6 +10,7 @@
 #ifndef MEMSEC_UTIL_RANDOM_HH
 #define MEMSEC_UTIL_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/bitops.hh"
@@ -69,8 +70,32 @@ class Rng
     }
 
     /** Geometric-ish draw: number of failures before success(p),
-     *  UINT64_MAX when p is too small for 1 - p to differ from 1. */
-    uint64_t geometric(double p);
+     *  UINT64_MAX when p is too small for 1 - p to differ from 1.
+     *  Inline, so a per-record draw compiles into its caller. */
+    uint64_t geometric(double p)
+    {
+        if (p <= 0.0 || p > 1.0)
+            geometricOutOfRange(p);
+        if (p >= 1.0)
+            return 0;
+        double u = uniform();
+        // Avoid log(0).
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        // Callers draw many times at one p; log(1 - p) is a pure
+        // function of it, so the memo leaves every quotient
+        // bit-identical.
+        if (p != logBaseP_) {
+            logBaseP_ = p;
+            logBase_ = std::log(1.0 - p);
+        }
+        const double q = std::log(u) / logBase_;
+        // 1 - p rounds to 1 for p below ~1.1e-16: log(1 - p) is 0 and
+        // the quotient -inf, which no integer can hold.
+        if (!(q >= 0.0 && q < 0x1.0p64))
+            return UINT64_MAX;
+        return static_cast<uint64_t>(q);
+    }
 
     /** Checkpoint walk: the raw 256-bit state. */
     template <class Self, class Ar>
@@ -80,8 +105,10 @@ class Rng
     }
 
   private:
-    /** below(0)'s panic, out of line to keep below() small. */
+    /** below(0)'s and geometric()'s panics, out of line to keep the
+     *  draws small. */
     [[noreturn]] static void belowZero();
+    [[noreturn]] static void geometricOutOfRange(double p);
 
     static uint64_t rotl(uint64_t x, int k)
     {
