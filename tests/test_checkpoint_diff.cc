@@ -433,6 +433,30 @@ TEST(CheckpointDiff, ThreeWayNaiveFastForwardRestored)
     EXPECT_GT(restored.cyclesSkipped, 0u);
 }
 
+// A five-record ROB that wraps every few dispatches, an odd retire
+// width and CPU multiplier, with the prefetcher off and on: the ring
+// ROB and the flattened core must give the naive, fast-forward and
+// restored runs one digest.
+TEST(CheckpointDiff, ThreeWayNonDefaultCore)
+{
+    for (const char *scheme : {"fs_rp", "fs_rp_prefetch", "baseline",
+                               "baseline_prefetch"}) {
+        Config c = diffConfig(scheme, "mix1", 3);
+        c.set("core.rob", 5);
+        c.set("core.retire_width", 3);
+        c.set("core.cpu_mult", 3);
+        c.set("sim.fastforward", false);
+        const ExperimentResult naive = runExperiment(c);
+        c.set("sim.fastforward", true);
+        const ExperimentResult fast = runExperiment(c);
+        const ExperimentResult restored = runWithRestores(c, 4);
+        EXPECT_EQ(resultDigest(naive), resultDigest(fast)) << scheme;
+        EXPECT_EQ(resultDigest(naive), resultDigest(restored)) << scheme;
+        EXPECT_EQ(naive.cyclesSkipped, 0u) << scheme;
+        EXPECT_GT(fast.cyclesSkipped, 0u) << scheme;
+    }
+}
+
 // -- runExperiment()-level snapshot lifecycle ----------------------
 
 // Periodic snapshot writes must not perturb the run, and the .snap

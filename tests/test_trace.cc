@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cpu/trace.hh"
 #include "cpu/workload.hh"
+#include "leakage/secret.hh"
 #include "util/bitops.hh"
+#include "util/random.hh"
 #include "util/serialize.hh"
 
 using namespace memsec;
@@ -83,7 +88,155 @@ expectSkipMatchesNextForAllN(const WorkloadProfile &p, uint64_t seed,
         expectSkipMatchesNext(p, seed, observed, n);
 }
 
+/**
+ * The synthetic generator as it was before its ratios were resolved
+ * in the constructor: every record re-walks the profile's chain
+ * (modulated window, else phase machine, then scale and clamp). The
+ * draws, the phase machine and pickLine() are copied as they were.
+ */
+class ProfileChain
+{
+  public:
+    ProfileChain(const WorkloadProfile &p, uint64_t seed)
+        : p_(p), rng_(seed ^ 0xABCD1234FEED5678ull)
+    {
+        if (p.modWindowCycles > 0)
+            secret_ = p.modSymbols.empty()
+                          ? leakage::secretBits(p.modSecretSeed,
+                                                p.modSecretBits)
+                          : p.modSymbols;
+        for (unsigned s = 0; s < std::max(1u, p.numStreams); ++s)
+            streamPos_.push_back(rng_.below(p.footprintLines));
+    }
+
+    void observeCycle(Cycle now) { memCycle_ = now; }
+
+    TraceRecord next()
+    {
+        double ratio = p_.memRatio;
+        if (p_.modWindowCycles > 0) {
+            const size_t w =
+                static_cast<size_t>(memCycle_ / p_.modWindowCycles);
+            if (secret_[w % secret_.size()] == 0)
+                ratio *= p_.modOffFactor;
+            ratio = std::min(0.95, std::max(1e-6, ratio));
+        } else if (p_.phaseLength > 0) {
+            if (phaseLeft_ == 0) {
+                busyPhase_ = !busyPhase_;
+                phaseLeft_ = 1 + rng_.geometric(
+                                 1.0 / static_cast<double>(p_.phaseLength));
+            }
+            --phaseLeft_;
+            ratio *= busyPhase_ ? p_.phaseHighFactor : p_.phaseLowFactor;
+            ratio = std::min(0.95, std::max(1e-6, ratio));
+        }
+        TraceRecord rec;
+        rec.gap = static_cast<uint32_t>(
+            std::min<uint64_t>(rng_.geometric(ratio), 1u << 20));
+        rec.isStore = rng_.chance(p_.storeFraction);
+        rec.addr = pickLine();
+        return rec;
+    }
+
+  private:
+    Addr pickLine()
+    {
+        if (rng_.chance(p_.reuseFraction))
+            return recent_[rng_.below(recent_.size())];
+        uint64_t line;
+        if (rng_.chance(p_.streamFraction)) {
+            const size_t s = streamRr_++ % streamPos_.size();
+            streamPos_[s] =
+                (streamPos_[s] + p_.strideLines) % p_.footprintLines;
+            line = streamPos_[s];
+        } else {
+            line = rng_.below(p_.footprintLines);
+        }
+        recent_[recentIdx_++ % recent_.size()] = line * kLineBytes;
+        return line * kLineBytes;
+    }
+
+    WorkloadProfile p_;
+    Rng rng_;
+    std::vector<uint8_t> secret_;
+    std::vector<uint64_t> streamPos_;
+    unsigned streamRr_ = 0;
+    std::array<Addr, 64> recent_{};
+    size_t recentIdx_ = 0;
+    bool busyPhase_ = true;
+    uint64_t phaseLeft_ = 0;
+    Cycle memCycle_ = 0;
+};
+
+/** 100k records of next() against the chain, record by record. A
+ *  nonzero `cycleStep` advances the observed cycle by that much
+ *  every 64 records, as a core's ticks would. */
+void
+expectNextMatchesChain(const WorkloadProfile &p, uint64_t seed,
+                       Cycle firstCycle = 0, Cycle cycleStep = 0)
+{
+    SyntheticTraceGenerator gen(p, seed);
+    ProfileChain chain(p, seed);
+    Cycle now = firstCycle;
+    for (uint64_t i = 0; i < 100000; ++i) {
+        if (i % 64 == 0) {
+            gen.observeCycle(now);
+            chain.observeCycle(now);
+            now += cycleStep;
+        }
+        const TraceRecord got = gen.next();
+        const TraceRecord want = chain.next();
+        if (got.gap != want.gap || got.isStore != want.isStore ||
+            got.addr != want.addr) {
+            ADD_FAILURE() << p.name << " seed " << seed << " from cycle "
+                          << firstCycle << ": record " << i
+                          << " differs: gap " << got.gap << " vs "
+                          << want.gap << ", store " << got.isStore
+                          << " vs " << want.isStore << ", addr "
+                          << got.addr << " vs " << want.addr;
+            return;
+        }
+    }
+}
+
 } // namespace
+
+TEST(Trace, NextMatchesTheProfileChain)
+{
+    // Phased: registered profiles, whose busy and quiet ratios are
+    // inside the clamp, and one whose busy ratio clamps at 0.95 and
+    // whose quiet ratio clamps at 1e-6.
+    for (const char *name : {"mcf", "libquantum", "xalancbmk", "milc"}) {
+        const WorkloadProfile p = profileByName(name);
+        ASSERT_GT(p.phaseLength, 0u) << name;
+        expectNextMatchesChain(p, 3);
+    }
+    WorkloadProfile clamped = simpleProfile();
+    clamped.memRatio = 0.7;
+    clamped.phaseLength = 300;
+    clamped.phaseLowFactor = 1e-7;
+    expectNextMatchesChain(clamped, 9);
+    // The modulated sender, keyed by the observed cycle: windows
+    // short enough that the feed crosses many of them, long enough
+    // that some hold for thousands of records, and a start inside
+    // a later window.
+    WorkloadProfile sender = profileByName("modsender");
+    sender.modSecretBits = 8;
+    for (const uint64_t window : {uint64_t{50}, uint64_t{700},
+                                  uint64_t{20000}}) {
+        sender.modWindowCycles = window;
+        expectNextMatchesChain(sender, 11, 0, 3);
+        expectNextMatchesChain(sender, 11, 5 * window + 1, 7);
+    }
+    // Plain profiles: no phases, at memRatio below 1 and at 1, where
+    // geometric(1) draws nothing.
+    WorkloadProfile plain = simpleProfile();
+    plain.phaseLength = 0;
+    expectNextMatchesChain(plain, 5);
+    plain.memRatio = 1.0;
+    plain.reuseFraction = 0.5;
+    expectNextMatchesChain(plain, 13);
+}
 
 TEST(Trace, DeterministicForSameSeed)
 {
