@@ -240,20 +240,26 @@ mapOf(const Config &cfg)
                       coresOf(cfg));
 }
 
-/** Channel `m`'s scheduler. Each channel runs its own over every
- *  domain; domains mapped elsewhere present empty queues. TP gives
- *  them dead turns, which cost bandwidth, never isolation;
- *  multi-channel FS gives them no slots unless fs.slot_weights says
- *  otherwise. */
+/** Channel `m`'s scheduler. Each channel runs its own over its own
+ *  domains: on several channels, TP rotates turns over the domains
+ *  mapped to `m` only, and FS gives the others no slots unless
+ *  fs.slot_weights says otherwise. */
 sched::SchedSpec
 channelSpec(const Config &cfg, const AddressMap &map, unsigned m)
 {
     sched::SchedSpec s = schedSpec(cfg);
-    if (s.kind == SchedKind::Fs && map.geometry().channels > 1 &&
-        s.fs.slotWeights.empty()) {
+    if (map.geometry().channels == 1)
+        return s;
+    if (s.kind == SchedKind::Fs && s.fs.slotWeights.empty()) {
         s.fs.slotWeights.assign(coresOf(cfg), 0);
         for (DomainId d = 0; d < coresOf(cfg); ++d)
             s.fs.slotWeights[d] = map.channelOf(d) == m;
+    }
+    if (s.kind == SchedKind::Tp) {
+        for (DomainId d = 0; d < coresOf(cfg); ++d) {
+            if (map.channelOf(d) == m)
+                s.tp.domains.push_back(d);
+        }
     }
     return s;
 }

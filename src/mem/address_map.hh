@@ -74,7 +74,8 @@ class AddressMap
     /** Banks (per rank) usable by `domain`. */
     const std::vector<unsigned> &banksOf(DomainId domain) const;
 
-    /** Channel owning `domain` (always 0 unless channel-partitioned). */
+    /** Channel owning `domain`: domain d lives on channel d mod the
+     *  channel count, whatever the partitioning. */
     unsigned channelOf(DomainId domain) const;
 
     Partition partition() const { return part_; }

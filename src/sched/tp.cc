@@ -88,13 +88,18 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
     footWrite_ = f.write;
     const std::string tooShort = turnErrorOf(params_.turnLength, f);
     fatal_if(!tooShort.empty(), "{}", tooShort);
+    for (DomainId d : params_.domains)
+        fatal_if(d >= mc.numDomains(), "TP turn for domain {} of {}", d,
+                 mc.numDomains());
 }
 
 DomainId
 TpScheduler::activeDomain(Cycle now) const
 {
-    return static_cast<DomainId>((now / params_.turnLength) %
-                                 mc_.numDomains());
+    const Cycle turn = now / params_.turnLength;
+    if (!params_.domains.empty())
+        return params_.domains[turn % params_.domains.size()];
+    return static_cast<DomainId>(turn % mc_.numDomains());
 }
 
 Cycle

@@ -21,6 +21,7 @@
 #define MEMSEC_SCHED_TP_HH
 
 #include <string>
+#include <vector>
 
 #include "core/pipeline_solver.hh"
 #include "sched/closed_row_plan.hh"
@@ -35,6 +36,10 @@ class TpScheduler : public Scheduler
     struct Params
     {
         unsigned turnLength = 60; ///< memory cycles per turn
+        /** The domains whose turns rotate, in turn order; empty means
+         *  every domain of the controller. A channel of a
+         *  multi-channel system lists the domains mapped to it. */
+        std::vector<DomainId> domains = {};
     };
 
     /** Fatal unless turnError() accepts the turn on `mc`'s map. */

@@ -9,10 +9,13 @@
 
 #include <set>
 
+#include "analysis/noninterference_certifier.hh"
 #include "core/noninterference.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "mem/address_map.hh"
+#include "mem/memory_controller.hh"
+#include "sched/tp.hh"
 
 using namespace memsec;
 using namespace memsec::harness;
@@ -118,15 +121,70 @@ TEST(MultiChannel, NonInterferenceAcrossChannels)
 
 TEST(MultiChannel, TpRunsMultiChannel)
 {
-    // Each channel runs its own turn wheel over every domain; the
-    // turns of domains mapped to other channels are simply dead.
-    // This used to be rejected with a fatal(); it now has to run and
-    // make forward progress on every core.
+    // Each channel runs its own turn wheel over the domains mapped
+    // to it. This used to be rejected with a fatal(); it now has to
+    // run and make forward progress on every core.
     const auto r = runExperiment(targetConfig("tp_bp", "mcf"));
     ASSERT_EQ(r.ipc.size(), 32u);
     for (size_t i = 0; i < r.ipc.size(); ++i)
         EXPECT_GT(r.ipc[i], 0.0) << "core " << i << " starved";
     EXPECT_GT(r.demandReads, 0u);
+}
+
+TEST(MultiChannel, TpTurnsCycleThroughTheChannelsOwnDomains)
+{
+    // 4 domains on 2 channels: domains 0 and 2 live on channel 0, 1
+    // and 3 on channel 1. Each controller's turns rotate over its own
+    // two domains, so no turn is dead.
+    Config c = defaultConfig();
+    c.merge(schemeConfig("tp_bp"));
+    c.set("dram.channels", 2);
+    c.set("cores", 4);
+    c.set("workload", "mcf");
+    ExperimentSystem sys(c);
+    const unsigned turn = static_cast<unsigned>(c.getUint("tp.turn"));
+    for (unsigned m = 0; m < 2; ++m) {
+        const auto &tp = dynamic_cast<const sched::TpScheduler &>(
+            sys.controller(m).scheduler());
+        const std::vector<DomainId> own = {m, m + 2};
+        EXPECT_EQ(tp.params().domains, own) << "channel " << m;
+        for (Cycle t = 0; t < 8; ++t) {
+            EXPECT_EQ(tp.activeDomain(t * turn), own[t % 2])
+                << "channel " << m << " turn " << t;
+            EXPECT_EQ(tp.activeDomain(t * turn + turn - 1), own[t % 2]);
+        }
+    }
+
+    // The channel's scheduler, exactly as the harness built it,
+    // certifies for its own domain 0 against every co-runner subset.
+    const sched::TpScheduler::Params params =
+        dynamic_cast<const sched::TpScheduler &>(
+            sys.controller(0).scheduler())
+            .params();
+    analysis::CertifierConfig cert;
+    cert.scheme = analysis::CertScheme::Tp;
+    cert.partition = mem::Partition::Bank;
+    cert.numDomains = 4;
+    cert.observer = 0;
+    cert.makeScheduler = [&](mem::MemoryController &mc) {
+        return std::make_unique<sched::TpScheduler>(mc, params);
+    };
+    const analysis::CertifyResult r =
+        analysis::NoninterferenceCertifier(cert).certify();
+    EXPECT_TRUE(r.certified) << r.summary();
+
+    // And the victim's own timeline is the same next to idle and
+    // next to hogging co-runners, on its channel and the other.
+    auto run = [&](const char *co) {
+        Config v = c;
+        v.set("workload", std::string("mcf,") + co + "," + co + "," + co);
+        v.set("sim.warmup", 0);
+        v.set("sim.measure", 20000);
+        v.set("audit.core", 0);
+        return runExperiment(v).timelines.at(0);
+    };
+    const auto audit = core::compareTimelines(run("idle"), run("hog"));
+    EXPECT_TRUE(audit.identical) << audit.detail;
 }
 
 TEST(MultiChannel, FsReorderedRunsMultiChannel)
