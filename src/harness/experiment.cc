@@ -393,10 +393,13 @@ std::string
 configProblems(const Config &cfg)
 {
     // A per-domain traffic.d<i>.<key> is checked as traffic.<key>,
-    // for i < cores.
-    const uint64_t cores = std::strtoull(
-        withDefaults(cfg, kHarnessKeys).getString("cores").c_str(),
-        nullptr, 10);
+    // for i < cores. An ill-typed cores is reported as such, and
+    // bounds no index until it reads as a count.
+    const Config filled = withDefaults(cfg, kHarnessKeys);
+    const uint64_t cores =
+        typeError("cores", filled.getString("cores"), Uint).empty()
+            ? filled.getUint("cores")
+            : UINT64_MAX;
     const auto rowOf = [cores](const std::string &key) -> std::string {
         if (key.rfind("traffic.d", 0) != 0)
             return key;

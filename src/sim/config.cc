@@ -100,7 +100,8 @@ parseBool(const std::string &text)
     return std::nullopt;
 }
 
-/** Why `text` does not read as `type`, in the getters' words, or "". */
+} // namespace
+
 std::string
 typeError(const std::string &key, const std::string &text, ConfigType type)
 {
@@ -116,6 +117,8 @@ typeError(const std::string &key, const std::string &text, ConfigType type)
                                   key, kind, text)
                  : "";
 }
+
+namespace {
 
 /** `key`'s value read as T; fatal if it does not read as `type`. */
 template <typename T>

@@ -174,6 +174,10 @@ struct ConfigRule
     std::string (*problem)(const Config &cfg);
 };
 
+/** Why `text` does not read as `type`, in the getters' words, or "". */
+std::string typeError(const std::string &key, const std::string &text,
+                      ConfigType type);
+
 /** `cfg` with every live key's static default filled in where absent. */
 Config withDefaults(const Config &cfg, std::span<const ConfigKey> keys);
 

@@ -411,6 +411,24 @@ TEST(Config, IllTypedValuesAreProblems)
               "\n  config key 'tp.turn' has non-integer value 'abc'");
 }
 
+TEST(Config, IllTypedCoresIsNamedBeforePerDomainKeys)
+{
+    // The per-domain traffic.d<i>.* keys are bounded by cores, so an
+    // ill-typed cores must be the problem reported, and traffic.d0.*
+    // must not be called unknown for want of a core count.
+    Config c = harness::defaultConfig();
+    c.set("cores", "eight");
+    c.set("traffic.d0.rate", 4.0);
+    EXPECT_EQ(harness::configProblems(c),
+              "\n  config key 'cores' has non-integer value 'eight'");
+    // Well-typed again, the index is bounded as before.
+    c.set("cores", 1);
+    c.set("traffic.d1.rate", 4.0);
+    EXPECT_NE(harness::configProblems(c).find(
+                  "'traffic.d1.rate' is not a known key"),
+              std::string::npos);
+}
+
 TEST(Config, StringOutsideSetFatal)
 {
     const std::pair<const char *, const char *> cases[] = {
