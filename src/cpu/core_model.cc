@@ -104,13 +104,12 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
     // measurement starts from a warm cache, as the paper's
     // fast-forwarded checkpoints do. Writebacks generated here are
     // discarded (they happened "before" the simulation).
-    SyntheticTraceGenerator *synthetic = synthetic_;
     auto replay = [&] {
         // A synthetic stream runs the warm kernel, which skips the
         // unused gaps (draw-exact, see skipRecords); other generators
         // produce whole records.
-        if (synthetic != nullptr) {
-            synthetic->skipRecords(records, llc_);
+        if (synthetic_ != nullptr) {
+            synthetic_->skipRecords(records, llc_);
             return;
         }
         for (uint64_t i = 0; i < records; ++i) {
@@ -122,7 +121,7 @@ CoreModel::functionalWarmup(uint64_t traceSeed)
     // Only synthetic generators are memoized. A trace file can change
     // on disk under the same path, and open-loop domains skip warmup
     // unless a config asks for it explicitly.
-    if (synthetic == nullptr || params_.warmupMemoEntries == 0) {
+    if (synthetic_ == nullptr || params_.warmupMemoEntries == 0) {
         replay();
         const std::lock_guard<std::mutex> lock(memo.mutex);
         ++memo.stats.bypasses;

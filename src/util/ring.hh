@@ -29,7 +29,6 @@ class Ring
     size_t size() const { return size_; }
     size_t capacity() const { return slots_.size(); }
     bool empty() const { return size_ == 0; }
-    bool full() const { return size_ == slots_.size(); }
 
     /** The i-th element from the front, i < size(). */
     T &operator[](size_t i) { return slots_[slot(i)]; }
@@ -38,9 +37,8 @@ class Ring
     T &front() { return slots_[head_]; }
     const T &front() const { return slots_[head_]; }
     T &back() { return (*this)[size_ - 1]; }
-    const T &back() const { return (*this)[size_ - 1]; }
 
-    /** Append at the back; the ring must not be full(). */
+    /** Append at the back; size() must be below capacity(). */
     void push_back(const T &v)
     {
         slots_[slot(size_)] = v;
@@ -76,17 +74,10 @@ class Ring
         Iter(Owner *ring, size_t i) : ring_(ring), i_(i) {}
 
         reference operator*() const { return (*ring_)[i_]; }
-        pointer operator->() const { return &(*ring_)[i_]; }
         Iter &operator++()
         {
             ++i_;
             return *this;
-        }
-        Iter operator++(int)
-        {
-            Iter old = *this;
-            ++i_;
-            return old;
         }
         bool operator==(const Iter &o) const { return i_ == o.i_; }
 
